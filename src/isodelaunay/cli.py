@@ -39,7 +39,7 @@ def _read_json(path: str | None):
 
 def _load_graph(path: str | None) -> ribbon.TriRibbonGraph:
     data = _read_json(path)
-    if "graph" in data and "faces" not in data:
+    if isinstance(data, dict) and "graph" in data and "faces" not in data:
         data = data["graph"]
     try:
         return ribbon.TriRibbonGraph.from_json(data)
@@ -180,7 +180,10 @@ def cmd_develop(args) -> int:
 
 
 def cmd_delaunay(args) -> int:
-    surface = develop_mod.DevelopedSurface.from_json(_read_json(args.surface))
+    try:
+        surface = develop_mod.DevelopedSurface.from_json(_read_json(args.surface))
+    except (KeyError, TypeError, ValueError) as ex:
+        raise InputError(f"malformed surface JSON: {ex}")
     surface.check()
     if args.action == "check":
         try:

@@ -46,6 +46,8 @@ class DevelopedSurface:
         return total
 
     def check(self, tol: float = 1e-9) -> None:
+        if not self.graph.faces:
+            raise ValueError("developed surface has no faces")
         s = self.scale()
         for f, _ in self.graph.faces:
             closure = sum(self.periods[(f, k)] for k in range(3))

@@ -26,6 +26,11 @@ def parse_permutation(text: str, size: int | None = None) -> tuple[int, ...]:
     Entries may be comma- or whitespace-separated for values above 9;
     unmentioned symbols are fixed points.  ``size`` pads with fixed points.
     """
+    return _image(_parse_cycles(text), size or 1)
+
+
+def _parse_cycles(text: str) -> list[list[int]]:
+    """The cycles of a cycle-notation string; each symbol at most once."""
     text = text.strip()
     if not text or text in ("()", "id", "e"):
         cycles: list[list[int]] = []
@@ -45,14 +50,19 @@ def parse_permutation(text: str, size: int | None = None) -> tuple[int, ...]:
             if any(x < 1 for x in cyc):
                 raise ValueError(f"permutation symbols must be >= 1 in {text!r}")
             cycles.append(cyc)
-    n = max([size or 1] + [x for cyc in cycles for x in cyc])
+    flat = [x for cyc in cycles for x in cyc]
+    if len(flat) != len(set(flat)):
+        raise ValueError(f"repeated symbol in {text!r}")
+    return cycles
+
+
+def _image(cycles: list[list[int]], size: int) -> tuple[int, ...]:
+    """1-indexed image tuple of disjoint cycles, padded with fixed points to ``size``."""
+    n = max([size] + [x for cyc in cycles for x in cyc])
     image = list(range(1, n + 1))
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             image[a - 1] = b
-    flat = [x for cyc in cycles for x in cyc]
-    if len(flat) != len(set(flat)):
-        raise ValueError(f"repeated symbol in {text!r}")
     return tuple(image)
 
 
@@ -90,10 +100,18 @@ class Origami:
 
     @classmethod
     def from_strings(cls, h: str, v: str) -> "Origami":
-        ph = parse_permutation(h)
-        pv = parse_permutation(v)
-        n = max(len(ph), len(pv))
-        return cls(parse_permutation(h, n), parse_permutation(v, n))
+        # A transitive pair on n > 1 squares moves every square, so each of
+        # 1..n is mentioned; checking this first bounds the image lists by
+        # the length of the input.
+        ch, cv = _parse_cycles(h), _parse_cycles(v)
+        mentioned = {x for cyc in ch + cv for x in cyc}
+        n = max(mentioned, default=1)
+        if n > max(1, len(mentioned)):
+            raise ValueError(
+                f"symbol {n} used but only {len(mentioned)} squares mentioned; "
+                "h and v do not act transitively"
+            )
+        return cls(_image(ch, n), _image(cv, n))
 
     @classmethod
     def from_spec(cls, text: str) -> "Origami":

@@ -3,21 +3,23 @@
 The region cut out by a matching is the set of invariant angle assignments
 whose opposite-angle sum at every edge stays below pi.  Strict inequalities
 are handled by slack maximization: the interior point reported by
-``analyze`` maximizes the least slack, solved by a small dense two-phase
-simplex with Bland's rule.  ``sample`` runs a hit-and-run walk inside the
-equality-affine subspace.
+``analyze`` maximizes the least slack, solved once per polytope by a small
+dense big-M simplex with Bland's rule and certified against the constraints
+before it is reported.  ``sample`` runs a hit-and-run walk inside the
+equality-affine subspace, starting from that point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from . import homology, matching as matching_mod
+from . import matching as matching_mod
 from .angles import AngleAssignment, validate_angles
-from .ribbon import Corner, TriRibbonGraph, other_side, require_valid
+from .ribbon import Corner, TriRibbonGraph
 
 
 def opposite_corner(graph: TriRibbonGraph, h) -> Corner:
@@ -47,6 +49,8 @@ class RegionPolytope:
     # strict inequalities: rows with ax < b, slack b - ax to be kept positive
     ineq_rows: list[dict[Corner, float]]
     ineq_rhs: list[float]
+    # affine dimension of the equality subspace: n_vars minus the exact rank
+    dimension: int
     ineq_labels: list[str] = field(default_factory=list)
 
     @property
@@ -65,6 +69,15 @@ class RegionPolytope:
             abs(sum(c * theta[k] for k, c in row.items()) - b)
             for row, b in zip(self.eq_rows, self.eq_rhs)
         )
+
+    @cached_property
+    def optimum(self) -> tuple[AngleAssignment, float] | None:
+        """The max-min-slack point and its slack; None when the LP has no optimum.
+
+        Solved on first use and kept for the life of the instance, so the
+        rows must not change afterwards.
+        """
+        return _max_min_slack(self)
 
 
 def build_polytope(
@@ -96,14 +109,22 @@ def build_polytope(
             ineq_rows.append(row)
             ineq_rhs.append(math.pi)
             labels.append(f"delaunay {e}")
-    return RegionPolytope(corners, eq_rows, eq_rhs, ineq_rows, ineq_rhs, labels)
+    return RegionPolytope(corners, eq_rows, eq_rhs, ineq_rows, ineq_rhs, space.dimension, labels)
 
 
 # ---------------------------------------------------------------------------
-# dense two-phase simplex (Bland's rule), standard form: max c.x, Ax = b, x >= 0
+# dense big-M simplex (Bland's rule), standard form: max c.x, Ax = b, x >= 0;
+# each polytope's max-min-slack LP is solved once and certified
 
 
-def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
+def _simplex_bigM(A: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Tableau simplex from an all-artificial basis; returns (x, c.x) or (None, None).
+
+    Rows with a negative right-hand side, which hand-built polytopes may
+    have, are negated first.  The artificials
+    carry a big-M penalty; the LP is infeasible when one stays positive at
+    the optimum, and unbounded when no row limits an entering column.
+    """
     m, n = A.shape
     A = A.copy()
     b = b.copy()
@@ -111,80 +132,33 @@ def _simplex_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
         if b[i] < 0:
             A[i] *= -1.0
             b[i] *= -1.0
-    # phase 1: artificials
-    T = np.hstack([A, np.eye(m)])
-    cost = np.concatenate([np.zeros(n), -np.ones(m)])
-    basis = list(range(n, n + m))
-    x = _simplex_core(T, b, cost, basis)
-    if x is None or sum(x[n:]) > 1e-7:
-        return None, None
-    # drive artificials out of the basis where possible, then phase 2
-    T2 = A
-    cost2 = c
-    basis2 = []
-    for i, j in enumerate(basis):
-        if j < n:
-            basis2.append(j)
-        else:
-            row = T[i, :n]
-            nz = np.flatnonzero(np.abs(row) > 1e-9)
-            basis2.append(int(nz[0]) if len(nz) else -1)
-    if -1 in basis2 or len(set(basis2)) != m:
-        # degenerate rows: rebuild a basis greedily from scratch
-        return _simplex_bigM(A, b, c)
-    x = _simplex_core(T2, b, cost2, basis2)
-    if x is None:
-        return None, None
-    return x, float(c @ x)
-
-
-def _simplex_bigM(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    m, n = A.shape
     M = 1e7 * (1.0 + np.abs(c).max())
-    T = np.hstack([A, np.eye(m)])
     cost = np.concatenate([c, -M * np.ones(m)])
-    basis = list(range(n, n + m))
-    x = _simplex_core(T, b, cost, basis)
-    if x is None or np.abs(x[n:]).sum() > 1e-6:
-        return None, None
-    return x[:n], float(c @ x[:n])
-
-
-def _simplex_core(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int]):
-    """Revised simplex on a tableau copy; Bland's rule; returns x or None."""
-    m, n = A.shape
-    T = np.hstack([A.astype(float), b.astype(float).reshape(-1, 1)])
-    # normalize to the given basis
-    for i, j in enumerate(basis):
-        piv = T[i, j]
-        if abs(piv) < 1e-12:
-            k = next(r for r in range(i, m) if abs(T[r, j]) > 1e-12)
-            T[[i, k]] = T[[k, i]]
-            piv = T[i, j]
-        T[i] /= piv
-        for r in range(m):
-            if r != i and abs(T[r, j]) > 1e-14:
-                T[r] -= T[r, j] * T[i]
+    nt = n + m
+    T = np.hstack([A, np.eye(m), b.reshape(-1, 1)])
+    basis = list(range(n, nt))
     for _ in range(200000):
-        z = c.copy().astype(float)
+        z = cost.copy()
         for i, j in enumerate(basis):
-            z -= c[j] * T[i, :n]
+            z -= cost[j] * T[i, :nt]
         entering = -1
-        for j in range(n):
+        for j in range(nt):
             if j not in basis and z[j] > 1e-9:
                 entering = j
                 break  # Bland: least index
         if entering < 0:
-            x = np.zeros(n)
+            x = np.zeros(nt)
             for i, j in enumerate(basis):
-                x[j] = T[i, n]
-            return x
+                x[j] = T[i, nt]
+            if np.abs(x[n:]).sum() > 1e-6:
+                return None, None
+            return x[:n], float(c @ x[:n])
         ratios = []
         for i in range(m):
             if T[i, entering] > 1e-12:
-                ratios.append((T[i, n] / T[i, entering], basis[i], i))
+                ratios.append((T[i, nt] / T[i, entering], basis[i], i))
         if not ratios:
-            return None  # unbounded
+            return None, None  # unbounded
         _, _, leave_row = min(ratios, key=lambda t: (t[0], t[1]))
         piv = T[leave_row, entering]
         T[leave_row] /= piv
@@ -195,19 +169,16 @@ def _simplex_core(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int])
     raise RuntimeError("simplex failed to terminate")
 
 
-@dataclass
-class RegionReport:
-    feasible: bool
-    slack: float
-    interior_point: AngleAssignment | None
-    dimension: int | None
+# a certified optimum reproduces its equalities and its slack to this accuracy
+CERTIFICATE_TOL = 1e-9
 
 
-def analyze(polytope: RegionPolytope) -> RegionReport:
-    """Maximize the least inequality slack subject to the equalities.
+def _max_min_slack(polytope: RegionPolytope) -> tuple[AngleAssignment, float] | None:
+    """Max t subject to the equalities and a.x + t <= b on every inequality.
 
-    Feasible (with interior) iff the optimum slack is positive; the affine
-    dimension is the variable count minus the exact rank of the equalities.
+    A positive optimum is checked against the polytope before it is
+    returned: the equality residual and the recomputed least slack of the
+    point must agree with the LP within ``CERTIFICATE_TOL``.
     """
     corners = polytope.corners
     cidx = {c: i for i, c in enumerate(corners)}
@@ -231,21 +202,42 @@ def analyze(polytope: RegionPolytope) -> RegionReport:
         r[nv + 1 + i] = 1.0
         rows.append(r)
         rhs.append(b)
-    A = np.array(rows)
-    bvec = np.array(rhs)
     c = np.zeros(n)
     c[nv] = 1.0
-    x, opt = _simplex_standard(A, bvec, c)
-    dim = None
-    if x is not None:
-        int_rows = [{k: int(round(v)) for k, v in row.items()} for row in polytope.eq_rows]
-        rank = matching_mod._integer_rank(int_rows, corners)
-        dim = nv - rank
+    x, opt = _simplex_bigM(np.array(rows), np.array(rhs, dtype=float), c)
     if x is None:
-        return RegionReport(False, float("-inf"), None, None)
-    theta = {c_: float(x[cidx[c_]]) for c_ in corners}
+        return None
+    theta = {k: float(x[cidx[k]]) for k in corners}
     slack = float(opt)
-    return RegionReport(slack > 0, slack, theta if slack > 0 else None, dim)
+    if slack > 0:
+        residual = polytope.equality_residual(theta)
+        drift = abs(polytope.slack(theta) - slack)
+        if residual > CERTIFICATE_TOL or drift > CERTIFICATE_TOL:
+            raise RuntimeError(
+                f"LP point fails its certificate: equality residual {residual:.3e}, "
+                f"recomputed slack differs from the optimum by {drift:.3e}"
+            )
+    return theta, slack
+
+
+@dataclass
+class RegionReport:
+    feasible: bool
+    slack: float
+    interior_point: AngleAssignment | None
+    dimension: int | None
+
+
+def analyze(polytope: RegionPolytope) -> RegionReport:
+    """Maximize the least inequality slack subject to the equalities.
+
+    Feasible (with interior) iff the optimum slack is positive; the affine
+    dimension is the exact one carried by the polytope.
+    """
+    if polytope.optimum is None:
+        return RegionReport(False, float("-inf"), None, None)
+    theta, slack = polytope.optimum
+    return RegionReport(slack > 0, slack, dict(theta) if slack > 0 else None, polytope.dimension)
 
 
 def sample(
@@ -258,28 +250,28 @@ def sample(
 ) -> list[AngleAssignment]:
     """Hit-and-run samples from the interior, deterministic per seed.
 
-    The walk lives in the affine subspace of the equalities; every returned
-    point satisfies all strict inequalities with slack at least ``margin``.
+    The walk starts at the max-min-slack point and lives in the affine
+    subspace of the equalities; every returned point satisfies all strict
+    inequalities with slack at least ``margin``.
     """
     if n == 0:
         return []
-    report = analyze(polytope)
-    if not report.feasible:
+    if polytope.optimum is None or polytope.optimum[1] <= 0:
         raise ValueError("cannot sample from an infeasible polytope")
+    start, _ = polytope.optimum
     corners = polytope.corners
     cidx = {c: i for i, c in enumerate(corners)}
     nv = len(corners)
+    dim = polytope.dimension
+    if dim == 0:
+        return [dict(start) for _ in range(n)]
     E = np.zeros((len(polytope.eq_rows), nv))
     for i, row in enumerate(polytope.eq_rows):
         for k, v in row.items():
             E[i, cidx[k]] += v
     # orthonormal nullspace basis of the equality matrix
-    _, s, vt = np.linalg.svd(E)
-    rank = int((s > 1e-10 * max(1.0, s[0] if len(s) else 1.0)).sum())
-    N = vt[rank:].T  # nv x dim
-    dim = N.shape[1]
-    if dim == 0:
-        return [dict(report.interior_point) for _ in range(n)]
+    _, _, vt = np.linalg.svd(E)
+    N = vt[nv - dim:].T  # nv x dim
     G = np.zeros((len(polytope.ineq_rows), nv))
     gb = np.array(polytope.ineq_rhs, dtype=float)
     for i, row in enumerate(polytope.ineq_rows):
@@ -288,7 +280,7 @@ def sample(
     GN = G @ N
 
     rng = np.random.default_rng(seed)
-    x = np.array([report.interior_point[c] for c in corners])
+    x = np.array([start[c] for c in corners])
     out = []
     total_steps = burn_in_per_dim * dim + stride * n
     kept = 0

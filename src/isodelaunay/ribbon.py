@@ -111,7 +111,7 @@ class ValidationReport:
 
 def validate(graph: TriRibbonGraph) -> ValidationReport:
     """Check the trivalent ribbon graph invariants, itemizing every failure."""
-    problems = []
+    problems = [] if graph.faces else ["graph has no faces"]
     seen = set()
     for f, b in graph.faces:
         if f in seen:
@@ -127,7 +127,7 @@ def validate(graph: TriRibbonGraph) -> ValidationReport:
             problems.append(f"edge {e!r} used in a boundary but not listed")
         if len(occ) != 2:
             problems.append(f"edge multiplicity {len(occ)} for edge {e!r}, expected 2")
-    if not problems and graph.faces:
+    if not problems:
         # connectivity of the bipartite graph on E-vertices and F-vertices
         reached = set()
         start = graph.faces[0][0]

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON envelopes, piping, determinism."""
 
+import io
 import json
 import subprocess
 import sys
@@ -179,3 +180,42 @@ def test_shell_pipeline():
     proc = subprocess.run(pipeline, shell=True, capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] >= 1
+
+
+def test_non_object_graph_is_input_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("5\n"))
+    code, _, err = run_cli(capsys, "validate")
+    assert code == 2
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+def test_non_numeric_period_is_input_error(tmp_path, capsys):
+    from isodelaunay import develop, origami
+
+    o = origami.Origami.from_spec("h=();v=()")
+    data = develop.develop(origami.build_origami_graph(o), origami.standard_angles(o)).to_json()
+    data["periods"][next(iter(data["periods"]))] = ["x", 0]
+    surface_file = tmp_path / "surface.json"
+    surface_file.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "delaunay", "check", str(surface_file))
+    assert code == 2
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+def test_empty_graph_is_rejected(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"edges": [], "faces": []}))
+    code, out, _ = run_cli(capsys, "validate", str(empty))
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "problems": ["graph has no faces"]}
+    code, out, err = run_cli(capsys, "info", str(empty))
+    assert code == 1
+    assert out == "" and "graph has no faces" in err
+
+
+def test_empty_surface_is_rejected(tmp_path, capsys):
+    surface_file = tmp_path / "surface.json"
+    surface_file.write_text(json.dumps({"graph": {"edges": [], "faces": []}, "periods": {}}))
+    code, out, err = run_cli(capsys, "delaunay", "check", str(surface_file))
+    assert code == 1
+    assert out == "" and "no faces" in err and "max()" not in err

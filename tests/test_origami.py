@@ -1,6 +1,7 @@
 """Square-tiled surface constructions and cylinder networks."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -92,3 +93,15 @@ def test_transitive_pair_class_counts():
         7,
         26,
     ]
+
+
+def test_from_spec_rejects_an_unmentioned_range_before_allocating():
+    # symbol 1000000 with only two squares mentioned: reject before building images
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            origami.Origami.from_spec("h=(1,1000000);v=()")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from isodelaunay import angles, origami, region
 
 
@@ -107,3 +109,51 @@ def test_circumcircle_cross_check_cocircular():
     d = 0.5 + (0.5 - math.sqrt(0.5)) * 1j
     report = region.circumcircle_cross_check((0 + 1j, 0 + 0j, 1 + 0j, d))
     assert report["degenerate"]
+
+
+def test_infeasible_polytope_reports_and_refuses_to_sample():
+    # one corner with x = 1 and x < 0: the equalities and inequalities conflict
+    c = ("f", 0)
+    poly = region.RegionPolytope([c], [{c: 1.0}], [1.0], [{c: 1.0}], [0.0], dimension=0)
+    report = region.analyze(poly)
+    assert report.feasible is False
+    assert report.slack == float("-inf")
+    assert report.interior_point is None
+    assert report.dimension is None
+    with pytest.raises(ValueError):
+        region.sample(poly, 3)
+
+
+def test_analyze_then_sample_solves_once(square_l, monkeypatch):
+    expected = region.sample(build(square_l)[1], 5, seed=7)
+    solve = region._simplex_bigM
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(region, "_simplex_bigM", counting)
+    _, poly = build(square_l)
+    report = region.analyze(poly)
+    pts = region.sample(poly, 5, seed=7)
+    assert len(calls) == 1
+    assert pts == expected
+    # each report owns its interior point
+    report.interior_point.clear()
+    assert region.analyze(poly).interior_point
+
+
+def test_analyze_refuses_an_uncertified_point(square_l, monkeypatch):
+    solve = region._simplex_bigM
+
+    def perturbed(*args):
+        x, opt = solve(*args)
+        x = x.copy()
+        x[0] += 1e-6  # breaks a face sum by 1e-6
+        return x, opt
+
+    monkeypatch.setattr(region, "_simplex_bigM", perturbed)
+    _, poly = build(square_l)
+    with pytest.raises(RuntimeError, match="certificate"):
+        region.analyze(poly)
