@@ -47,7 +47,7 @@ def angles_from_json(data: dict) -> AngleAssignment:
 
 
 def constant_angles(graph: TriRibbonGraph, value: float = math.pi / 3) -> AngleAssignment:
-    return {c: value for c in graph.corners()}
+    return {c: value for c in graph.half_edges()}
 
 
 @dataclass(frozen=True)

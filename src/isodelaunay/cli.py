@@ -47,11 +47,24 @@ def _load_graph(path: str | None) -> ribbon.TriRibbonGraph:
         raise InputError(f"malformed graph JSON: {ex}")
 
 
-def _load_angles(path: str) -> angles_mod.AngleAssignment:
+def _load_half_edge_map(path: str, value_type, from_json, values: str):
+    data = _read_json(path)
+    if not isinstance(data, dict) or not all(
+        isinstance(v, value_type) and not isinstance(v, bool) for v in data.values()
+    ):
+        raise InputError(f"{path}: expected an object mapping half-edge keys to {values}")
     try:
-        return angles_mod.angles_from_json(_read_json(path))
-    except ValueError as ex:
+        return from_json(data)
+    except (ValueError, OverflowError) as ex:
         raise InputError(str(ex))
+
+
+def _load_angles(path: str) -> angles_mod.AngleAssignment:
+    return _load_half_edge_map(path, (int, float), angles_mod.angles_from_json, "numbers")
+
+
+def _load_matching(path: str) -> matching_mod.TriangleMatching:
+    return _load_half_edge_map(path, str, matching_mod.matching_from_json, "half-edge keys")
 
 
 def _emit(args, command: str, result, diagnostics=None) -> None:
@@ -128,7 +141,7 @@ def cmd_match_find(args) -> int:
 
 def cmd_match_verify(args) -> int:
     g = _load_graph(args.graph)
-    iota = matching_mod.matching_from_json(_read_json(args.matching))
+    iota = _load_matching(args.matching)
     report = matching_mod.verify_matching(g, iota)
     _emit(
         args,
@@ -140,7 +153,7 @@ def cmd_match_verify(args) -> int:
 
 def cmd_region(args) -> int:
     g = _load_graph(args.graph)
-    iota = matching_mod.matching_from_json(_read_json(args.matching))
+    iota = _load_matching(args.matching)
     poly = region_mod.build_polytope(g, iota)
     report = region_mod.analyze(poly)
     result = {

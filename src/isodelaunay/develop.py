@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .angles import AngleAssignment, validate_angles
-from .ribbon import HalfEdge, TriRibbonGraph, he_key, other_side, parse_he_key, require_valid
+from .ribbon import (HalfEdge, TriRibbonGraph, he_key, other_side, parse_he_key,
+                     require_valid, spanning_tree)
 
 
 class HolonomyObstruction(ValueError):
@@ -69,9 +70,13 @@ class DevelopedSurface:
     @classmethod
     def from_json(cls, data: dict) -> "DevelopedSurface":
         graph = TriRibbonGraph.from_json(data["graph"])
+        if not isinstance(data["periods"], dict):
+            raise ValueError("periods must be an object keyed by half-edge")
         periods = {
             parse_he_key(k): complex(re, im) for k, (re, im) in data["periods"].items()
         }
+        if set(periods) != set(graph.half_edges()):
+            raise ValueError("period keys are not exactly the graph's half-edges")
         return cls(graph, periods)
 
     def dumps(self) -> str:
@@ -107,20 +112,11 @@ def develop(graph: TriRibbonGraph, theta: AngleAssignment, tol: float = 1e-9) ->
     """
     require_valid(graph)
     validate_angles(graph, theta)
-    base = min(graph.half_edges())
-    periods: dict[HalfEdge, complex] = {}
-    periods.update(_fill_face(theta, base[0], base[1], 1.0 + 0.0j))
-    placed = {base[0]}
-    frontier = [base[0]]
-    while frontier:
-        frontier.sort()
-        f = frontier.pop(0)
-        for s in range(3):
-            mate = other_side(graph, (f, s))
-            if mate[0] not in placed:
-                periods.update(_fill_face(theta, mate[0], mate[1], -periods[(f, s)]))
-                placed.add(mate[0])
-                frontier.append(mate[0])
+    walk = spanning_tree(graph)
+    base = next(walk)
+    periods = _fill_face(theta, base[0], base[1], 1.0 + 0.0j)
+    for h, mate in walk:
+        periods.update(_fill_face(theta, mate[0], mate[1], -periods[h]))
     scale = max(abs(z) for z in periods.values())
     for h in graph.half_edges():
         mate = other_side(graph, h)
@@ -268,7 +264,6 @@ def _tree_layout(surface: DevelopedSurface):
     """Absolute positions of the three vertices of each face, glued along a
     spanning tree of the face adjacency."""
     g = surface.graph
-    base = min(g.half_edges())
     pos: dict[str, tuple[complex, complex, complex]] = {}
 
     def place(face: str, slot: int, start: complex):
@@ -281,22 +276,14 @@ def _tree_layout(surface: DevelopedSurface):
             ordered[(slot + k) % 3] = pts[k]
         pos[face] = tuple(ordered)
 
+    walk = spanning_tree(g)
+    base = next(walk)
     place(base[0], base[1], 0.0 + 0.0j)
     tree_edges = set()
-    frontier = [base[0]]
-    placed = {base[0]}
-    while frontier:
-        frontier.sort()
-        f = frontier.pop(0)
-        for s in range(3):
-            mate = other_side(g, (f, s))
-            if mate[0] not in placed:
-                # tail of mate edge = head of our edge
-                head = pos[f][s] + surface.periods[(f, s)]
-                place(mate[0], mate[1], head)
-                placed.add(mate[0])
-                frontier.append(mate[0])
-                tree_edges.add(g.edge_of((f, s)))
+    for (f, s), mate in walk:
+        # tail of mate edge = head of our edge
+        place(mate[0], mate[1], pos[f][s] + surface.periods[(f, s)])
+        tree_edges.add(g.edge_of((f, s)))
     return pos, tree_edges
 
 

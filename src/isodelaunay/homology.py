@@ -186,16 +186,6 @@ def phi(graph: TriRibbonGraph, cycle: Chain1) -> AngleChain:
     return _clean(out)
 
 
-def pairing(graph: TriRibbonGraph, alpha: Chain1, h: HalfEdge) -> int:
-    """Intersection number of a cycle with the relative class of ``h``.
-
-    Equals the coefficient of ``h`` in the cycle.
-    """
-    if boundary(graph, alpha):
-        raise ValueError("pairing requires a cycle")
-    return alpha.get((h[0], h[1] % 3), 0)
-
-
 def pairing_vector(graph: TriRibbonGraph, basis: list[Chain1], h: HalfEdge) -> tuple[int, ...]:
     """Pairings of ``h`` against every basis cycle; negates under other_side."""
     return tuple(alpha.get((h[0], h[1] % 3), 0) for alpha in basis)

@@ -16,7 +16,7 @@ from .ribbon import (
     HalfEdge,
     TriRibbonGraph,
     he_key,
-    other_side,
+    orbits,
     parse_he_key,
     require_valid,
     vertex_orbits,
@@ -70,7 +70,7 @@ def verify_matching(
             return MatchingReport(False, problems)
     if len(set(iota.values())) != len(hes):
         problems.append("map is not a bijection on half-edges")
-    for f in sorted(graph._boundary):
+    for f in sorted(graph.face_ids):
         f1, s1 = iota[(f, 0)]
         for s in (1, 2):
             expect = (f1, (s1 + s) % 3)
@@ -113,7 +113,7 @@ def find_matchings(
     """
     require_valid(graph)
     basis = homology.cycle_basis(graph)
-    faces = sorted(graph._boundary)
+    faces = sorted(graph.face_ids)
     pv = {h: homology.pairing_vector(graph, basis, h) for h in graph.half_edges()}
 
     # for each source face, the compatible (target face, offset) assignments
@@ -171,11 +171,6 @@ def find_matchings(
     return SearchResult(found, complete=not timed_out)
 
 
-def induced_angle_involution(iota: TriangleMatching) -> dict[Corner, Corner]:
-    """The corner map (f; e, e+1) -> (f'; e', e'+1) induced by equivariance."""
-    return dict(iota)
-
-
 @dataclass
 class InvariantAngleSpace:
     """The linear equality system cutting out the invariant angle assignments.
@@ -190,25 +185,20 @@ class InvariantAngleSpace:
     dimension: int
 
 
-def _integer_rank(rows: list[dict], keys: list) -> int:
-    """Exact rank of an integer matrix given as sparse rows."""
-    idx = {k: i for i, k in enumerate(keys)}
-    cols = [{} for _ in keys]
-    for r, row in enumerate(rows):
-        for k, v in row.items():
-            if v:
-                cols[idx[k]][r] = cols[idx[k]].get(r, 0) + v
-    kernel = homology._integer_kernel([c for c in cols], list(range(len(keys))))
-    return len(keys) - len(kernel)
-
-
 def invariant_space(graph: TriRibbonGraph, iota: TriangleMatching) -> InvariantAngleSpace:
-    """Equality system for invariant angle assignments, with its affine dimension."""
+    """Equality system for invariant angle assignments, with its affine dimension.
+
+    The orbit rows leave one variable per iota-orbit of corners.  The face
+    rows of one face orbit then coincide, and rows of different face orbits
+    have disjoint supports, so the dimension is the number of corner orbits
+    less the number of face orbits.
+    """
     report = verify_matching(graph, iota)
     if not report:
         raise ValueError("invariant_space requires a verified matching: " + "; ".join(report.problems))
-    corners = graph.corners()
-    face_rows = [{(f, s): 1 for s in range(3)} for f in sorted(graph._boundary)]
+    corners = graph.half_edges()
+    faces = sorted(graph.face_ids)
+    face_rows = [{(f, s): 1 for s in range(3)} for f in faces]
     orbit_rows = []
     seen = set()
     for c in corners:
@@ -217,8 +207,10 @@ def invariant_space(graph: TriRibbonGraph, iota: TriangleMatching) -> InvariantA
             continue
         seen.add((c, img))
         orbit_rows.append({c: 1, img: -1})
-    rank = _integer_rank(face_rows + orbit_rows, corners)
-    return InvariantAngleSpace(corners, face_rows, orbit_rows, len(corners) - rank)
+    corner_orbits = orbits(corners, iota.__getitem__)
+    face_orbits = orbits(faces, lambda f: iota[(f, 0)][0])
+    dimension = len(corner_orbits) - len(face_orbits)
+    return InvariantAngleSpace(corners, face_rows, orbit_rows, dimension)
 
 
 def check_constant_holonomy(
@@ -277,7 +269,7 @@ def check_hyperelliptic_compatibility(
     require_valid(graph)
     if sorted(edge_map) != sorted(graph.edges) or sorted(edge_map.values()) != sorted(graph.edges):
         raise ValueError("edge_map is not a permutation of the edges")
-    fids = sorted(graph._boundary)
+    fids = sorted(graph.face_ids)
     if sorted(face_map) != fids or sorted(face_map.values()) != fids:
         raise ValueError("face_map is not a permutation of the faces")
 
@@ -285,8 +277,8 @@ def check_hyperelliptic_compatibility(
     # is resolved by trying all combinations
     per_face_offsets: list[list[int]] = []
     for f in fids:
-        src = [edge_map[e] for e in graph._boundary[f]]
-        dst = graph._boundary[face_map[f]]
+        src = [edge_map[e] for e in graph.boundary_of(f)]
+        dst = graph.boundary_of(face_map[f])
         offs = [off for off in range(3) if all(src[s] == dst[(s + off) % 3] for s in range(3))]
         if not offs:
             return False

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .angles import AngleAssignment
-from .ribbon import TriRibbonGraph
+from .ribbon import TriRibbonGraph, orbits
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -67,20 +67,7 @@ def _image(cycles: list[list[int]], size: int) -> tuple[int, ...]:
 
 
 def permutation_cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
-    seen = set()
-    cycles = []
-    for start in range(1, len(perm) + 1):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        cur = perm[start - 1]
-        while cur != start:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = perm[cur - 1]
-        cycles.append(tuple(cyc))
-    return cycles
+    return [tuple(c) for c in orbits(range(1, len(perm) + 1), lambda j: perm[j - 1])]
 
 
 @dataclass(frozen=True)
@@ -182,7 +169,7 @@ def standard_angles(o: Origami) -> AngleAssignment:
 
 def equilateral_angles(o: Origami) -> AngleAssignment:
     graph = build_origami_graph(o)
-    return {c: math.pi / 3 for c in graph.corners()}
+    return {c: math.pi / 3 for c in graph.half_edges()}
 
 
 @dataclass(frozen=True)
@@ -200,9 +187,7 @@ class Network:
 def network(o: Origami) -> Network:
     """Cylinder network: one vertex per cylinder, one intersection per square.
 
-    Arboreality is decided both from the intersection graph being a tree and
-    from the cycle-count identity #cycles(h) + #cycles(v) = s + 1; the two
-    must agree.
+    Arboreal means that the intersection graph Lambda is a tree.
     """
     hcyc = permutation_cycles(o.h)
     vcyc = permutation_cycles(o.v)
@@ -210,30 +195,9 @@ def network(o: Origami) -> Network:
     cyl_of_v = {j: i for i, cyc in enumerate(vcyc) for j in cyc}
     pairs = [(cyl_of_h[j], cyl_of_v[j]) for j in range(1, o.squares + 1)]
     simple = len(pairs) == len(set(pairs))
-    # tree check on the bipartite intersection graph Lambda
-    n_vertices = len(hcyc) + len(vcyc)
-    n_edges = o.squares
-    tree = _lambda_connected(hcyc, vcyc, pairs) and n_edges == n_vertices - 1
-    identity = len(hcyc) + len(vcyc) == o.squares + 1
-    assert tree == identity
+    # Lambda is connected (j, h(j) share an h-cylinder, j, v(j) a v-cylinder): tree iff s = V - 1
+    tree = len(hcyc) + len(vcyc) == o.squares + 1
     return Network(tuple(hcyc), tuple(vcyc), simple, tree)
-
-
-def _lambda_connected(hcyc, vcyc, pairs) -> bool:
-    n_h = len(hcyc)
-    adj: dict[int, set[int]] = {i: set() for i in range(n_h + len(vcyc))}
-    for hc, vc in pairs:
-        adj[hc].add(n_h + vc)
-        adj[n_h + vc].add(hc)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(adj)
 
 
 def canonical_matching(o: Origami) -> dict:

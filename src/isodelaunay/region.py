@@ -49,7 +49,7 @@ class RegionPolytope:
     # strict inequalities: rows with ax < b, slack b - ax to be kept positive
     ineq_rows: list[dict[Corner, float]]
     ineq_rhs: list[float]
-    # affine dimension of the equality subspace: n_vars minus the exact rank
+    # affine dimension of the equality subspace, by orbit count
     dimension: int
     ineq_labels: list[str] = field(default_factory=list)
 
@@ -169,6 +169,15 @@ def _simplex_bigM(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     raise RuntimeError("simplex failed to terminate")
 
 
+def _dense(rows: list[dict], cidx: dict, width: int) -> np.ndarray:
+    """Sparse rows keyed by corner as a dense matrix with ``width`` columns."""
+    out = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        for k, v in row.items():
+            out[i, cidx[k]] += v
+    return out
+
+
 # a certified optimum reproduces its equalities and its slack to this accuracy
 CERTIFICATE_TOL = 1e-9
 
@@ -186,25 +195,13 @@ def _max_min_slack(polytope: RegionPolytope) -> tuple[AngleAssignment, float] | 
     n_ineq = len(polytope.ineq_rows)
     # variables: theta (nv), t, ineq slacks (n_ineq)
     n = nv + 1 + n_ineq
-    rows = []
-    rhs = []
-    for row, b in zip(polytope.eq_rows, polytope.eq_rhs):
-        r = np.zeros(n)
-        for k, v in row.items():
-            r[cidx[k]] += v
-        rows.append(r)
-        rhs.append(b)
-    for i, (row, b) in enumerate(zip(polytope.ineq_rows, polytope.ineq_rhs)):
-        r = np.zeros(n)
-        for k, v in row.items():
-            r[cidx[k]] += v
-        r[nv] = 1.0  # a.x + t + s = b
-        r[nv + 1 + i] = 1.0
-        rows.append(r)
-        rhs.append(b)
+    ineq = _dense(polytope.ineq_rows, cidx, n)
+    ineq[:, nv] = 1.0  # a.x + t + s = b
+    ineq[:, nv + 1:] = np.eye(n_ineq)
+    A = np.vstack([_dense(polytope.eq_rows, cidx, n), ineq])
     c = np.zeros(n)
     c[nv] = 1.0
-    x, opt = _simplex_bigM(np.array(rows), np.array(rhs, dtype=float), c)
+    x, opt = _simplex_bigM(A, np.array(polytope.eq_rhs + polytope.ineq_rhs, dtype=float), c)
     if x is None:
         return None
     theta = {k: float(x[cidx[k]]) for k in corners}
@@ -232,12 +229,22 @@ def analyze(polytope: RegionPolytope) -> RegionReport:
     """Maximize the least inequality slack subject to the equalities.
 
     Feasible (with interior) iff the optimum slack is positive; the affine
-    dimension is the exact one carried by the polytope.
+    dimension is the one carried by the polytope.
     """
     if polytope.optimum is None:
         return RegionReport(False, float("-inf"), None, None)
     theta, slack = polytope.optimum
     return RegionReport(slack > 0, slack, dict(theta) if slack > 0 else None, polytope.dimension)
+
+
+def _chord(room: np.ndarray, g_dir: np.ndarray) -> tuple[float, float]:
+    """Step bounds (lo, hi) along a direction that keep every row's room.
+
+    Rows whose rate ``g_dir`` is within 1e-14 of zero bound nothing.
+    """
+    up, down = g_dir > 1e-14, g_dir < -1e-14
+    lo = (room[down] / g_dir[down]).max(initial=-np.inf)
+    return lo, (room[up] / g_dir[up]).min(initial=np.inf)
 
 
 def sample(
@@ -265,18 +272,11 @@ def sample(
     dim = polytope.dimension
     if dim == 0:
         return [dict(start) for _ in range(n)]
-    E = np.zeros((len(polytope.eq_rows), nv))
-    for i, row in enumerate(polytope.eq_rows):
-        for k, v in row.items():
-            E[i, cidx[k]] += v
     # orthonormal nullspace basis of the equality matrix
-    _, _, vt = np.linalg.svd(E)
+    _, _, vt = np.linalg.svd(_dense(polytope.eq_rows, cidx, nv))
     N = vt[nv - dim:].T  # nv x dim
-    G = np.zeros((len(polytope.ineq_rows), nv))
+    G = _dense(polytope.ineq_rows, cidx, nv)
     gb = np.array(polytope.ineq_rhs, dtype=float)
-    for i, row in enumerate(polytope.ineq_rows):
-        for k, v in row.items():
-            G[i, cidx[k]] += v
     GN = G @ N
 
     rng = np.random.default_rng(seed)
@@ -288,14 +288,7 @@ def sample(
         d = rng.standard_normal(dim)
         d /= np.linalg.norm(d)
         direction = N @ d
-        g_dir = GN @ d
-        g_val = G @ x
-        lo, hi = -np.inf, np.inf
-        for gd, room in zip(g_dir, gb - margin - g_val):
-            if gd > 1e-14:
-                hi = min(hi, room / gd)
-            elif gd < -1e-14:
-                lo = max(lo, room / gd)
+        lo, hi = _chord(gb - margin - G @ x, GN @ d)
         if not (lo < hi):
             continue
         t = rng.uniform(lo, hi)

@@ -8,6 +8,7 @@ slot in {0, 1, 2}; slot arithmetic is mod 3.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -73,8 +74,6 @@ class TriRibbonGraph:
         """All half-edges in canonical (lexicographic) order."""
         return [(f, s) for f in sorted(self._boundary) for s in range(3)]
 
-    corners = half_edges
-
     def occurrences(self, edge: str) -> list[HalfEdge]:
         return list(self._occurrences.get(edge, ()))
 
@@ -128,22 +127,7 @@ def validate(graph: TriRibbonGraph) -> ValidationReport:
         if len(occ) != 2:
             problems.append(f"edge multiplicity {len(occ)} for edge {e!r}, expected 2")
     if not problems:
-        # connectivity of the bipartite graph on E-vertices and F-vertices
-        reached = set()
-        start = graph.faces[0][0]
-        stack = [("F", start)]
-        while stack:
-            kind, v = stack.pop()
-            if (kind, v) in reached:
-                continue
-            reached.add((kind, v))
-            if kind == "F":
-                for e in graph._boundary[v]:
-                    stack.append(("E", e))
-            else:
-                for f, _ in graph._occurrences[v]:
-                    stack.append(("F", f))
-        n_reached = sum(1 for k, _ in reached if k == "F")
+        n_reached = len(reachable_faces(graph))
         if n_reached != len(graph.faces):
             problems.append(
                 f"graph is disconnected ({n_reached} of {len(graph.faces)} faces reachable)"
@@ -155,6 +139,42 @@ def require_valid(graph: TriRibbonGraph) -> None:
     report = validate(graph)
     if not report:
         raise InvalidGraphError("; ".join(report.problems))
+
+
+def reachable_faces(graph: TriRibbonGraph, skip: str | None = None) -> set[str]:
+    """Faces reachable from the first listed face across every edge but ``skip``."""
+    start = graph.faces[0][0]
+    reached = {start}
+    stack = [start]
+    while stack:
+        for e in graph._boundary[stack.pop()]:
+            if e != skip:
+                for f, _ in graph._occurrences[e]:
+                    if f not in reached:
+                        reached.add(f)
+                        stack.append(f)
+    return reached
+
+
+def spanning_tree(graph: TriRibbonGraph):
+    """Breadth-first spanning tree of the face adjacency, in canonical order.
+
+    Yields the least half-edge first, then (h, mate) for every tree
+    half-edge h of a face already reached, whose mate lies in a new face.
+    Faces are expanded least id first, each by slots 0, 1, 2.
+    """
+    base = min(graph.half_edges())
+    yield base
+    placed = {base[0]}
+    frontier = [base[0]]
+    while frontier:
+        f = heapq.heappop(frontier)
+        for s in range(3):
+            mate = other_side(graph, (f, s))
+            if mate[0] not in placed:
+                yield (f, s), mate
+                placed.add(mate[0])
+                heapq.heappush(frontier, mate[0])
 
 
 def other_side(graph: TriRibbonGraph, h: HalfEdge) -> HalfEdge:
@@ -178,25 +198,32 @@ def corner_successor(graph: TriRibbonGraph, c: Corner) -> Corner:
     return other_side(graph, (f, slot + 1))
 
 
+def orbits(domain, step) -> list[list]:
+    """Cycles of the permutation ``step`` of ``domain``, in domain order.
+
+    Each cycle starts at its first element in the order of ``domain``.
+    """
+    seen = set()
+    out = []
+    for start in domain:
+        if start not in seen:
+            orbit = [start]
+            cur = step(start)
+            while cur != start:
+                orbit.append(cur)
+                cur = step(cur)
+            seen.update(orbit)
+            out.append(orbit)
+    return out
+
+
 def vertex_orbits(graph: TriRibbonGraph) -> list[list[Corner]]:
     """Orbits of the corner-successor permutation, one per triangulation vertex.
 
-    Deterministic: orbits are keyed by their lexicographically least corner,
-    and listed in that order.
+    Deterministic: orbits start at their lexicographically least corner, and
+    are listed in that order.
     """
-    remaining = set(graph.corners())
-    orbits = []
-    while remaining:
-        start = min(remaining)
-        orbit = [start]
-        remaining.discard(start)
-        cur = corner_successor(graph, start)
-        while cur != start:
-            orbit.append(cur)
-            remaining.discard(cur)
-            cur = corner_successor(graph, cur)
-        orbits.append(orbit)
-    return orbits
+    return orbits(graph.half_edges(), lambda c: corner_successor(graph, c))
 
 
 def topology(graph: TriRibbonGraph) -> dict:

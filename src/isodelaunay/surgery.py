@@ -3,30 +3,13 @@
 from __future__ import annotations
 
 from . import matching as matching_mod
-from .ribbon import HalfEdge, TriRibbonGraph, he_key, require_valid
+from .ribbon import HalfEdge, TriRibbonGraph, he_key, reachable_faces, require_valid
 
 
 def is_nonseparating(graph: TriRibbonGraph, h: HalfEdge) -> bool:
     """True iff removing the edge-vertex of ``h`` leaves the graph connected."""
     require_valid(graph)
-    removed = graph.edge_of(h)
-    faces = sorted(graph._boundary)
-    if len(faces) == 1:
-        return True
-    start = faces[0]
-    reached = {("F", start)}
-    stack = [("F", start)]
-    while stack:
-        kind, v = stack.pop()
-        if kind == "F":
-            nbrs = [("E", e) for e in graph._boundary[v] if e != removed]
-        else:
-            nbrs = [("F", f) for f, _ in graph._occurrences[v]]
-        for nb in nbrs:
-            if nb not in reached:
-                reached.add(nb)
-                stack.append(nb)
-    return sum(1 for k, _ in reached if k == "F") == len(faces)
+    return len(reachable_faces(graph, skip=graph.edge_of(h))) == len(graph.faces)
 
 
 def _prefixed(graph: TriRibbonGraph, prefix: str) -> TriRibbonGraph:

@@ -219,3 +219,62 @@ def test_empty_surface_is_rejected(tmp_path, capsys):
     code, out, err = run_cli(capsys, "delaunay", "check", str(surface_file))
     assert code == 1
     assert out == "" and "no faces" in err and "max()" not in err
+
+
+MATCHING_COMMANDS = [("region", "{graph}", "{file}"), ("match", "verify", "{graph}", "{file}")]
+ANGLE_COMMANDS = [
+    ("holonomy", "{graph}", "{file}"),
+    ("develop", "{graph}", "{file}"),
+    ("info", "{graph}", "--angles", "{file}"),
+]
+BAD_MATCHINGS = ["5", '["f1-/0"]', '{"f1-/0": 1}', '{"f1-/0": null}', '{"f1-/0": "x"}']
+BAD_ANGLES = ["5", "[1.0]", '{"f1-/0": null}', '{"f1-/0": "1.0"}', '{"f1-/0": true}',
+              '{"f1-/0": 1' + "0" * 400 + "}", '{"f1/9": 1.0}']
+
+
+@pytest.mark.parametrize(
+    "command,payload",
+    [(c, p) for c in MATCHING_COMMANDS for p in BAD_MATCHINGS]
+    + [(c, p) for c in ANGLE_COMMANDS for p in BAD_ANGLES],
+)
+def test_malformed_matching_or_angles_is_input_error(l_files, tmp_path, capsys, command, payload):
+    graph, _ = l_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    argv = [a.format(graph=graph, file=bad) for a in command]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+def _torus_surface_json():
+    from isodelaunay import develop, origami
+
+    o = origami.Origami.from_spec("h=();v=()")
+    return develop.develop(origami.build_origami_graph(o), origami.standard_angles(o)).to_json()
+
+
+def _check_surface_is_input_error(tmp_path, capsys, data):
+    surface_file = tmp_path / "surface.json"
+    surface_file.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "delaunay", "check", str(surface_file))
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+def test_empty_periods_are_input_error(tmp_path, capsys):
+    data = _torus_surface_json()
+    data["periods"] = {}
+    _check_surface_is_input_error(tmp_path, capsys, data)
+
+
+def test_missing_period_keys_are_input_error(tmp_path, capsys):
+    data = _torus_surface_json()
+    del data["periods"]["f1-/1"]
+    _check_surface_is_input_error(tmp_path, capsys, data)
+
+
+def test_non_object_periods_are_input_error(tmp_path, capsys):
+    data = _torus_surface_json()
+    data["periods"] = list(data["periods"].values())
+    _check_surface_is_input_error(tmp_path, capsys, data)

@@ -67,13 +67,6 @@ def test_phi_output_is_supported_on_corners(square_l_graph):
         assert set(a) <= corners
 
 
-def test_pairing_reads_coefficients(square_l_graph):
-    basis = homology.cycle_basis(square_l_graph)
-    alpha = basis[0]
-    for h in square_l_graph.half_edges():
-        assert homology.pairing(square_l_graph, alpha, h) == alpha.get(h, 0)
-
-
 def test_pairing_vector_negates_under_other_side(square_l_graph, prym_graph):
     for g in (square_l_graph, prym_graph):
         basis = homology.cycle_basis(g)

@@ -1,6 +1,8 @@
 """Triangle matchings: verification, search, invariant angle space."""
 
-from isodelaunay import homology, matching, origami, ribbon
+import numpy as np
+
+from isodelaunay import homology, matching, origami, ribbon, surgery
 
 
 def canonical(o):
@@ -64,8 +66,35 @@ def test_invariant_space_dimensions(torus, square_l, prym):
         assert space.dimension == dim
 
 
+def _dense_rank(space):
+    idx = {c: i for i, c in enumerate(space.corners)}
+    rows = np.zeros((len(space.face_sum_rows) + len(space.orbit_rows), len(idx)))
+    for r, row in enumerate(space.face_sum_rows + space.orbit_rows):
+        for c, v in row.items():
+            rows[r, idx[c]] += v
+    return np.linalg.matrix_rank(rows)
+
+
+def test_orbit_count_dimension_matches_dense_rank(square_l, prym):
+    cases = []
+    for s in range(1, 5):
+        for o in origami.transitive_pairs_up_to_relabeling(s):
+            if origami.network(o).geometrically_simple:
+                g = origami.build_origami_graph(o)
+                cases += [(g, iota) for iota in matching.find_matchings(g).matchings]
+    cases.append(surgery.sum_matchings(
+        origami.build_origami_graph(square_l), ("f1-", 0), canonical(square_l),
+        origami.build_origami_graph(prym), ("f2+", 1), canonical(prym),
+    ))
+    assert len(cases) >= 10
+    for g, iota in cases:
+        space = matching.invariant_space(g, iota)
+        assert space.dimension == len(space.corners) - _dense_rank(space)
+
+
 def test_induced_angle_involution_is_involution(square_l, square_l_graph):
-    sigma = matching.induced_angle_involution(canonical(square_l))
+    # the corner map induced by equivariance is the matching itself
+    sigma = canonical(square_l)
     assert sorted(sigma) == sorted(square_l_graph.half_edges())
     for c, image in sigma.items():
         assert sigma[image] == c

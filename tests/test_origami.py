@@ -74,6 +74,29 @@ def test_arboreal_iff_cycle_count_identity():
             assert net.arboreal == identity
 
 
+def test_lambda_is_connected_and_arboreal_iff_tree():
+    # the intersection graph Lambda: one vertex per cylinder, one edge per square
+    for s in range(1, 5):
+        for o in origami.transitive_pairs_up_to_relabeling(s):
+            net = origami.network(o)
+            n_h = len(net.horizontal)
+            ends = {}
+            for i, cyc in enumerate(net.horizontal + net.vertical):
+                for j in cyc:
+                    ends.setdefault(j, []).append(i)
+            adj = {x: set() for x in range(n_h + len(net.vertical))}
+            for a, b in ends.values():
+                adj[a].add(b)
+                adj[b].add(a)
+            seen, stack = {0}, [0]
+            while stack:
+                for y in adj[stack.pop()] - seen:
+                    seen.add(y)
+                    stack.append(y)
+            assert len(seen) == len(adj)
+            assert net.arboreal == (len(ends) == len(adj) - 1)
+
+
 def test_canonical_matching_valid_for_arboreal(square_l, prym):
     for o in (square_l, prym):
         g = origami.build_origami_graph(o)

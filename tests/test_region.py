@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from isodelaunay import angles, origami, region
@@ -157,3 +158,29 @@ def test_analyze_refuses_an_uncertified_point(square_l, monkeypatch):
     _, poly = build(square_l)
     with pytest.raises(RuntimeError, match="certificate"):
         region.analyze(poly)
+
+
+def _chord_loop(room, g_dir):
+    # the row-by-row reference for region._chord
+    lo, hi = -np.inf, np.inf
+    for gd, r in zip(g_dir, room):
+        if gd > 1e-14:
+            hi = min(hi, r / gd)
+        elif gd < -1e-14:
+            lo = max(lo, r / gd)
+    return lo, hi
+
+
+def test_chord_bounds_match_the_row_loop_bit_for_bit():
+    rng = np.random.default_rng(7)
+    cases = [(np.zeros(0), np.zeros(0)), (np.ones(4), np.zeros(4)),
+             (np.ones(3), np.array([1e-14, -1e-14, 2e-14]))]
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        g_dir = rng.standard_normal(n) * 10.0 ** rng.integers(-16, 2, n)
+        g_dir[rng.random(n) < 0.2] = 0.0
+        cases.append((rng.random(n) * 4.0 - 0.5, g_dir))
+    for room, g_dir in cases:
+        with np.errstate(all="raise"):
+            got = region._chord(room, g_dir)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in _chord_loop(room, g_dir)]

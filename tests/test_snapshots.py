@@ -1,0 +1,94 @@
+"""Exact stdout and SVG bytes of CLI commands that depend on the face walks.
+
+Developed periods and SVG layouts follow the spanning-tree walk, connected
+sums and validation follow the connectivity walk, so a reordered walk shows
+here even when every invariant still holds.  None of these commands calls
+LAPACK, so the bytes do not depend on the linear-algebra build.
+
+Rewrite the expected files under tests/data only for a deliberate change of
+output:
+
+    PYTHONPATH=src python tests/test_snapshots.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from isodelaunay import cli
+
+DATA = Path(__file__).parent / "data"
+L = "h=(12);v=(13)"
+STAIRCASE_12 = "h=(1,2)(3,4)(5,6)(7,8)(9,10)(11,12);v=(2,3)(4,5)(6,7)(8,9)(10,11)"
+SHEAR = 2.5
+
+
+def _run(argv, expect=0) -> bytes:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.run(argv)
+    assert code == expect, (argv, code)
+    return buf.getvalue().encode()
+
+
+def _develop(spec, tmp):
+    svg = tmp / "surface.svg"
+    out = _run(["--json", "origami", "develop", spec, "--equilateral", "--svg", str(svg)])
+    return {"json": out, "svg": svg.read_bytes()}
+
+
+def _flip_staircase(tmp):
+    surface = json.loads(_run(["origami", "develop", STAIRCASE_12]))
+    surface["periods"] = {
+        k: [re + SHEAR * im, im] for k, (re, im) in surface["periods"].items()
+    }
+    path = tmp / "sheared.json"
+    path.write_text(json.dumps(surface))
+    return {"json": _run(["--json", "delaunay", "flip", str(path)])}
+
+
+def _sum_l(tmp):
+    path = tmp / "l.json"
+    path.write_bytes(_run(["origami", "build", L]))
+    return {"json": _run(["--json", "sum", str(path), "f1-/0", str(path), "f2+/1"])}
+
+
+def _validate_disconnected(tmp):
+    # a torus listed before an L: the count is taken from the first listed face
+    graph = json.loads(_run(["origami", "build", L]))
+    graph["edges"] = ["tb", "tl", "td"] + graph["edges"]
+    graph["faces"] = [
+        {"id": "t-", "boundary": ["tb", "tl", "td"]},
+        {"id": "t+", "boundary": ["td", "tb", "tl"]},
+    ] + graph["faces"]
+    path = tmp / "torus_and_l.json"
+    path.write_text(json.dumps(graph))
+    return {"json": _run(["--json", "validate", str(path)], expect=1)}
+
+
+CASES = {
+    "develop_l": lambda tmp: _develop(L, tmp),
+    "develop_staircase12": lambda tmp: _develop(STAIRCASE_12, tmp),
+    "flip_staircase12": _flip_staircase,
+    "sum_l_l": _sum_l,
+    "validate_disconnected": _validate_disconnected,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_snapshot(name, tmp_path):
+    for suffix, data in CASES[name](tmp_path).items():
+        assert data == (DATA / f"{name}.{suffix}").read_bytes(), f"{name}.{suffix}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    DATA.mkdir(exist_ok=True)
+    for name, case in sorted(CASES.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            for suffix, data in case(Path(tmp)).items():
+                (DATA / f"{name}.{suffix}").write_bytes(data)
