@@ -161,7 +161,7 @@ def cmd_region(args) -> int:
         "slack": report.slack,
         "dimension": report.dimension,
     }
-    if args.samples and report.feasible:
+    if args.samples:
         pts = region_mod.sample(poly, args.samples, seed=args.seed)
         result["samples"] = [angles_mod.angles_to_json(t) for t in pts]
         if args.output:
@@ -169,7 +169,7 @@ def cmd_region(args) -> int:
                 with open(f"{args.output.rstrip('/')}/sample_{i:04d}.json", "w") as fh:
                     json.dump(angles_mod.angles_to_json(t), fh, sort_keys=True)
     _emit(args, "region", result)
-    return EXIT_OK if report.feasible else EXIT_DOMAIN
+    return EXIT_OK
 
 
 def cmd_develop(args) -> int:
@@ -315,6 +315,9 @@ def cmd_sum(args) -> int:
         h_right = ribbon.parse_he_key(args.right_half_edge)
     except ValueError as ex:
         raise InputError(str(ex))
+    for path, graph, h in ((args.left, left, h_left), (args.right, right, h_right)):
+        if h[0] not in graph.face_ids:
+            raise InputError(f"{path}: no face {h[0]!r} for half-edge {ribbon.he_key(h)}")
     result = surgery.connected_sum(left, h_left, right, h_right)
     text = json.dumps(result.to_json(), sort_keys=True)
     if args.output:

@@ -175,14 +175,16 @@ def find_matchings(
 class InvariantAngleSpace:
     """The linear equality system cutting out the invariant angle assignments.
 
-    Rows are integer coefficient maps over corner variables; ``rhs_pi`` rows
-    equal pi (face sums), the rest equal 0 (orbit equalities).
+    Rows are integer coefficient maps over corner variables; face sum rows
+    equal pi, orbit rows equal 0.
     """
 
     corners: list[Corner]
     face_sum_rows: list[dict[Corner, int]]
     orbit_rows: list[dict[Corner, int]]
     dimension: int
+    # index of each corner's iota-orbit, numbered in corner order
+    orbit_of: dict[Corner, int]
 
 
 def invariant_space(graph: TriRibbonGraph, iota: TriangleMatching) -> InvariantAngleSpace:
@@ -210,7 +212,8 @@ def invariant_space(graph: TriRibbonGraph, iota: TriangleMatching) -> InvariantA
     corner_orbits = orbits(corners, iota.__getitem__)
     face_orbits = orbits(faces, lambda f: iota[(f, 0)][0])
     dimension = len(corner_orbits) - len(face_orbits)
-    return InvariantAngleSpace(corners, face_rows, orbit_rows, dimension)
+    orbit_of = {c: i for i, orbit in enumerate(corner_orbits) for c in orbit}
+    return InvariantAngleSpace(corners, face_rows, orbit_rows, dimension, orbit_of)
 
 
 def check_constant_holonomy(

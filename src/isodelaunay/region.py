@@ -2,18 +2,20 @@
 
 The region cut out by a matching is the set of invariant angle assignments
 whose opposite-angle sum at every edge stays below pi.  Strict inequalities
-are handled by slack maximization: the interior point reported by
-``analyze`` maximizes the least slack, solved once per polytope by a small
-dense big-M simplex with Bland's rule and certified against the constraints
-before it is reported.  ``sample`` runs a hit-and-run walk inside the
-equality-affine subspace, starting from that point.
+are handled by slack maximization, whose optimum is known in closed form.
+The slack of a point is at most its least angle, which is at most pi/3
+because every face sums to pi.  The equilateral point theta = pi/3 meets
+every face and orbit equality and has Delaunay sums of 2 pi/3, so its slack
+is pi/3, and it is the only point with that slack.  ``analyze`` reports
+this equilateral optimum, certified against the constraints.  ``sample``
+runs a hit-and-run walk with one variable per iota-orbit of corners,
+starting from that point, so every sample is iota-invariant bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +42,10 @@ def in_delaunay_region(graph: TriRibbonGraph, theta: AngleAssignment, tol: float
     return all(delaunay_sum(graph, theta, e) < math.pi - tol for e in graph.edges)
 
 
+# the equilateral optimum reproduces its equalities and its slack of pi/3 to this accuracy
+CERTIFICATE_TOL = 1e-9
+
+
 @dataclass
 class RegionPolytope:
     corners: list[Corner]
@@ -51,7 +57,8 @@ class RegionPolytope:
     ineq_rhs: list[float]
     # affine dimension of the equality subspace, by orbit count
     dimension: int
-    ineq_labels: list[str] = field(default_factory=list)
+    # index of each corner's iota-orbit: the sampler's variables
+    orbit_of: dict[Corner, int]
 
     @property
     def n_vars(self) -> int:
@@ -70,14 +77,24 @@ class RegionPolytope:
             for row, b in zip(self.eq_rows, self.eq_rhs)
         )
 
-    @cached_property
-    def optimum(self) -> tuple[AngleAssignment, float] | None:
-        """The max-min-slack point and its slack; None when the LP has no optimum.
+    @property
+    def optimum(self) -> tuple[AngleAssignment, float]:
+        """The equilateral point theta = pi/3 and its recomputed slack.
 
-        Solved on first use and kept for the life of the instance, so the
-        rows must not change afterwards.
+        The point is certified before it is returned: its equality residual
+        and the distance of its slack from pi/3 must be within
+        ``CERTIFICATE_TOL``, which holds for every polytope that
+        ``build_polytope`` makes.
         """
-        return _max_min_slack(self)
+        theta = {c: math.pi / 3 for c in self.corners}
+        residual = self.equality_residual(theta)
+        slack = self.slack(theta)
+        if residual > CERTIFICATE_TOL or abs(slack - math.pi / 3) > CERTIFICATE_TOL:
+            raise RuntimeError(
+                f"equilateral point fails its certificate: equality residual {residual:.3e}, "
+                f"slack {slack!r} instead of pi/3"
+            )
+        return theta, slack
 
 
 def build_polytope(
@@ -93,13 +110,8 @@ def build_polytope(
     eq_rows += [dict(r) for r in space.orbit_rows]
     eq_rhs += [0.0] * len(space.orbit_rows)
 
-    ineq_rows: list[dict] = []
-    ineq_rhs: list[float] = []
-    labels: list[str] = []
-    for c in corners:  # theta(a) > 0  <=>  -theta(a) < 0
-        ineq_rows.append({c: -1.0})
-        ineq_rhs.append(0.0)
-        labels.append(f"positivity {c[0]}/{c[1]}")
+    ineq_rows: list[dict] = [{c: -1.0} for c in corners]  # -theta(c) < 0
+    ineq_rhs: list[float] = [0.0] * len(corners)
     if include_delaunay:
         for e in graph.edges:
             row: dict[Corner, float] = {}
@@ -108,69 +120,15 @@ def build_polytope(
                 row[opp] = row.get(opp, 0.0) + 1.0
             ineq_rows.append(row)
             ineq_rhs.append(math.pi)
-            labels.append(f"delaunay {e}")
-    return RegionPolytope(corners, eq_rows, eq_rhs, ineq_rows, ineq_rhs, space.dimension, labels)
-
-
-# ---------------------------------------------------------------------------
-# dense big-M simplex (Bland's rule), standard form: max c.x, Ax = b, x >= 0;
-# each polytope's max-min-slack LP is solved once and certified
-
-
-def _simplex_bigM(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Tableau simplex from an all-artificial basis; returns (x, c.x) or (None, None).
-
-    Rows with a negative right-hand side, which hand-built polytopes may
-    have, are negated first.  The artificials
-    carry a big-M penalty; the LP is infeasible when one stays positive at
-    the optimum, and unbounded when no row limits an entering column.
-    """
-    m, n = A.shape
-    A = A.copy()
-    b = b.copy()
-    for i in range(m):
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-    M = 1e7 * (1.0 + np.abs(c).max())
-    cost = np.concatenate([c, -M * np.ones(m)])
-    nt = n + m
-    T = np.hstack([A, np.eye(m), b.reshape(-1, 1)])
-    basis = list(range(n, nt))
-    for _ in range(200000):
-        z = cost.copy()
-        for i, j in enumerate(basis):
-            z -= cost[j] * T[i, :nt]
-        entering = -1
-        for j in range(nt):
-            if j not in basis and z[j] > 1e-9:
-                entering = j
-                break  # Bland: least index
-        if entering < 0:
-            x = np.zeros(nt)
-            for i, j in enumerate(basis):
-                x[j] = T[i, nt]
-            if np.abs(x[n:]).sum() > 1e-6:
-                return None, None
-            return x[:n], float(c @ x[:n])
-        ratios = []
-        for i in range(m):
-            if T[i, entering] > 1e-12:
-                ratios.append((T[i, nt] / T[i, entering], basis[i], i))
-        if not ratios:
-            return None, None  # unbounded
-        _, _, leave_row = min(ratios, key=lambda t: (t[0], t[1]))
-        piv = T[leave_row, entering]
-        T[leave_row] /= piv
-        for r in range(m):
-            if r != leave_row and abs(T[r, entering]) > 1e-14:
-                T[r] -= T[r, entering] * T[leave_row]
-        basis[leave_row] = entering
-    raise RuntimeError("simplex failed to terminate")
+    return RegionPolytope(corners, eq_rows, eq_rhs, ineq_rows, ineq_rhs,
+                          space.dimension, space.orbit_of)
 
 
 def _dense(rows: list[dict], cidx: dict, width: int) -> np.ndarray:
-    """Sparse rows keyed by corner as a dense matrix with ``width`` columns."""
+    """Sparse rows keyed by corner as a dense matrix with ``width`` columns.
+
+    ``cidx`` gives each corner's column; entries that share a column add up.
+    """
     out = np.zeros((len(rows), width))
     for i, row in enumerate(rows):
         for k, v in row.items():
@@ -178,63 +136,21 @@ def _dense(rows: list[dict], cidx: dict, width: int) -> np.ndarray:
     return out
 
 
-# a certified optimum reproduces its equalities and its slack to this accuracy
-CERTIFICATE_TOL = 1e-9
-
-
-def _max_min_slack(polytope: RegionPolytope) -> tuple[AngleAssignment, float] | None:
-    """Max t subject to the equalities and a.x + t <= b on every inequality.
-
-    A positive optimum is checked against the polytope before it is
-    returned: the equality residual and the recomputed least slack of the
-    point must agree with the LP within ``CERTIFICATE_TOL``.
-    """
-    corners = polytope.corners
-    cidx = {c: i for i, c in enumerate(corners)}
-    nv = len(corners)
-    n_ineq = len(polytope.ineq_rows)
-    # variables: theta (nv), t, ineq slacks (n_ineq)
-    n = nv + 1 + n_ineq
-    ineq = _dense(polytope.ineq_rows, cidx, n)
-    ineq[:, nv] = 1.0  # a.x + t + s = b
-    ineq[:, nv + 1:] = np.eye(n_ineq)
-    A = np.vstack([_dense(polytope.eq_rows, cidx, n), ineq])
-    c = np.zeros(n)
-    c[nv] = 1.0
-    x, opt = _simplex_bigM(A, np.array(polytope.eq_rhs + polytope.ineq_rhs, dtype=float), c)
-    if x is None:
-        return None
-    theta = {k: float(x[cidx[k]]) for k in corners}
-    slack = float(opt)
-    if slack > 0:
-        residual = polytope.equality_residual(theta)
-        drift = abs(polytope.slack(theta) - slack)
-        if residual > CERTIFICATE_TOL or drift > CERTIFICATE_TOL:
-            raise RuntimeError(
-                f"LP point fails its certificate: equality residual {residual:.3e}, "
-                f"recomputed slack differs from the optimum by {drift:.3e}"
-            )
-    return theta, slack
-
-
 @dataclass
 class RegionReport:
     feasible: bool
     slack: float
-    interior_point: AngleAssignment | None
-    dimension: int | None
+    interior_point: AngleAssignment
+    dimension: int
 
 
 def analyze(polytope: RegionPolytope) -> RegionReport:
-    """Maximize the least inequality slack subject to the equalities.
+    """The certified equilateral optimum and the polytope's affine dimension.
 
-    Feasible (with interior) iff the optimum slack is positive; the affine
-    dimension is the one carried by the polytope.
+    Feasible (with interior) iff the optimum slack is positive.
     """
-    if polytope.optimum is None:
-        return RegionReport(False, float("-inf"), None, None)
     theta, slack = polytope.optimum
-    return RegionReport(slack > 0, slack, dict(theta) if slack > 0 else None, polytope.dimension)
+    return RegionReport(slack > 0, slack, theta, polytope.dimension)
 
 
 def _chord(room: np.ndarray, g_dir: np.ndarray) -> tuple[float, float]:
@@ -247,57 +163,51 @@ def _chord(room: np.ndarray, g_dir: np.ndarray) -> tuple[float, float]:
     return lo, (room[up] / g_dir[up]).min(initial=np.inf)
 
 
-def sample(
-    polytope: RegionPolytope,
-    n: int,
-    seed: int = 0,
-    burn_in_per_dim: int = 50,
-    stride: int = 10,
-    margin: float = 1e-9,
-) -> list[AngleAssignment]:
+# hit-and-run schedule: burn-in steps per dimension, steps between kept
+# samples, and the least slack every sample keeps on every inequality
+BURN_IN_PER_DIM = 50
+STRIDE = 10
+MARGIN = 1e-9
+
+
+def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignment]:
     """Hit-and-run samples from the interior, deterministic per seed.
 
-    The walk starts at the max-min-slack point and lives in the affine
-    subspace of the equalities; every returned point satisfies all strict
-    inequalities with slack at least ``margin``.
+    The walk starts at the equilateral optimum and moves one variable per
+    iota-orbit of corners inside the affine subspace of the equalities.
+    Each sample gives every corner the value of its orbit, so it is
+    iota-invariant exactly, and keeps slack ``MARGIN`` on every inequality.
     """
     if n == 0:
         return []
-    if polytope.optimum is None or polytope.optimum[1] <= 0:
-        raise ValueError("cannot sample from an infeasible polytope")
     start, _ = polytope.optimum
-    corners = polytope.corners
-    cidx = {c: i for i, c in enumerate(corners)}
-    nv = len(corners)
     dim = polytope.dimension
     if dim == 0:
         return [dict(start) for _ in range(n)]
-    # orthonormal nullspace basis of the equality matrix
-    _, _, vt = np.linalg.svd(_dense(polytope.eq_rows, cidx, nv))
-    N = vt[nv - dim:].T  # nv x dim
-    G = _dense(polytope.ineq_rows, cidx, nv)
+    orbit_of = polytope.orbit_of
+    width = max(orbit_of.values()) + 1
+    # orthonormal nullspace basis of the equality matrix; orbit rows are zero
+    _, _, vt = np.linalg.svd(_dense(polytope.eq_rows, orbit_of, width))
+    N = vt[width - dim:].T  # width x dim
+    G = _dense(polytope.ineq_rows, orbit_of, width)
     gb = np.array(polytope.ineq_rhs, dtype=float)
     GN = G @ N
 
     rng = np.random.default_rng(seed)
-    x = np.array([start[c] for c in corners])
+    y = np.full(width, math.pi / 3)
     out = []
-    total_steps = burn_in_per_dim * dim + stride * n
-    kept = 0
-    for step in range(total_steps):
+    burn_in = BURN_IN_PER_DIM * dim
+    for step in range(burn_in + STRIDE * n):
         d = rng.standard_normal(dim)
         d /= np.linalg.norm(d)
-        direction = N @ d
-        lo, hi = _chord(gb - margin - G @ x, GN @ d)
+        lo, hi = _chord(gb - MARGIN - G @ y, GN @ d)
         if not (lo < hi):
             continue
-        t = rng.uniform(lo, hi)
-        x = x + t * direction
-        if step >= burn_in_per_dim * dim and (step - burn_in_per_dim * dim) % stride == stride - 1:
-            theta = {c: float(x[cidx[c]]) for c in corners}
-            out.append(theta)
-            kept += 1
-            if kept >= n:
+        y = y + rng.uniform(lo, hi) * (N @ d)
+        if step >= burn_in and (step - burn_in) % STRIDE == STRIDE - 1:
+            values = y.tolist()
+            out.append({c: values[orbit_of[c]] for c in polytope.corners})
+            if len(out) >= n:
                 break
     return out
 

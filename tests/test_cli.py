@@ -160,6 +160,14 @@ def test_sum_command(tmp_path, capsys):
     assert json.loads(out)["rank_h1"] == 3
 
 
+@pytest.mark.parametrize("keys", [("f9-/0", "f1-/0"), ("f1-/0", "f7+/2"), ("f1-/3", "f1-/0")])
+def test_sum_with_a_half_edge_outside_the_graph_is_input_error(l_files, capsys, keys):
+    graph, _ = l_files
+    code, out, err = run_cli(capsys, "sum", str(graph), keys[0], str(graph), keys[1])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
 def test_reports_are_deterministic(l_files, capsys):
     graph, iota = l_files
     outputs = []

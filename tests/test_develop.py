@@ -92,10 +92,12 @@ def test_flip_is_an_involution(torus, torus_graph):
 
 
 def test_flip_requires_convex_quad(square_l, square_l_graph):
-    poly = region.build_polytope(
-        square_l_graph, origami.canonical_matching(square_l), include_delaunay=False
-    )
-    theta = region.sample(poly, 1, seed=5)[0]
+    # invariant angles, equilateral but for f1-/f1+ at (pi/12, pi/12, 5 pi/6):
+    # the quadrilateral around l1 has a reflex corner of 7 pi/6
+    theta = origami.equilateral_angles(square_l)
+    theta.update({("f1+", 0): math.pi / 12, ("f1-", 2): math.pi / 12,
+                  ("f1+", 1): math.pi / 12, ("f1-", 0): math.pi / 12,
+                  ("f1+", 2): 5 * math.pi / 6, ("f1-", 1): 5 * math.pi / 6})
     surface = develop.develop(square_l_graph, theta)
     with pytest.raises(ValueError, match="convex"):
         develop.flip_edge(surface, "l1")

@@ -1,11 +1,11 @@
-"""Convex angle region: polytope construction, LP analysis, sampling."""
+"""Convex angle region: polytope construction, certified optimum, sampling."""
 
 import math
 
 import numpy as np
 import pytest
 
-from isodelaunay import angles, origami, region
+from isodelaunay import angles, homology, origami, region, surgery
 
 
 def build(o, include_delaunay=True):
@@ -112,52 +112,54 @@ def test_circumcircle_cross_check_cocircular():
     assert report["degenerate"]
 
 
-def test_infeasible_polytope_reports_and_refuses_to_sample():
-    # one corner with x = 1 and x < 0: the equalities and inequalities conflict
+def test_analyze_refuses_an_uncertified_point():
+    # one corner with x = 1: the equilateral point misses the equality
     c = ("f", 0)
-    poly = region.RegionPolytope([c], [{c: 1.0}], [1.0], [{c: 1.0}], [0.0], dimension=0)
-    report = region.analyze(poly)
-    assert report.feasible is False
-    assert report.slack == float("-inf")
-    assert report.interior_point is None
-    assert report.dimension is None
-    with pytest.raises(ValueError):
+    poly = region.RegionPolytope([c], [{c: 1.0}], [1.0], [{c: -1.0}], [0.0], 0, {c: 0})
+    with pytest.raises(RuntimeError, match="certificate"):
+        region.analyze(poly)
+    with pytest.raises(RuntimeError, match="certificate"):
         region.sample(poly, 3)
 
 
-def test_analyze_then_sample_solves_once(square_l, monkeypatch):
+def test_analyze_then_sample_matches_a_fresh_polytope(square_l):
     expected = region.sample(build(square_l)[1], 5, seed=7)
-    solve = region._simplex_bigM
-    calls = []
-
-    def counting(*args):
-        calls.append(1)
-        return solve(*args)
-
-    monkeypatch.setattr(region, "_simplex_bigM", counting)
     _, poly = build(square_l)
     report = region.analyze(poly)
-    pts = region.sample(poly, 5, seed=7)
-    assert len(calls) == 1
-    assert pts == expected
+    assert region.sample(poly, 5, seed=7) == expected
     # each report owns its interior point
     report.interior_point.clear()
     assert region.analyze(poly).interior_point
 
 
-def test_analyze_refuses_an_uncertified_point(square_l, monkeypatch):
-    solve = region._simplex_bigM
+def _glued_sum():
+    # region_pipeline seed 3, input 15: a sample of this sum once had a least
+    # angle of 3.5e-6, where drift off the orbit equalities moved the holonomy
+    parts = [origami.Origami.from_spec(spec)
+             for spec in ("h=(1,2,4)(3,6);v=(2,5,6)", "h=(1,2)(3,6,4);v=(2,4)(3,5)")]
+    (gl, il), (gr, ir) = [(origami.build_origami_graph(o), origami.canonical_matching(o))
+                          for o in parts]
+    return surgery.sum_matchings(gl, ("f4-", 2), il, gr, ("f6-", 0), ir)
 
-    def perturbed(*args):
-        x, opt = solve(*args)
-        x = x.copy()
-        x[0] += 1e-6  # breaks a face sum by 1e-6
-        return x, opt
 
-    monkeypatch.setattr(region, "_simplex_bigM", perturbed)
-    _, poly = build(square_l)
-    with pytest.raises(RuntimeError, match="certificate"):
-        region.analyze(poly)
+def test_samples_are_exactly_invariant(square_l, square_l_graph):
+    cases = [(square_l_graph, origami.canonical_matching(square_l), 3),
+             (*_glued_sum(), 1703833409)]
+    for g, iota, seed in cases:
+        pts = region.sample(region.build_polytope(g, iota), 20, seed=seed)
+        assert len(pts) == 20
+        for t in pts:
+            assert all(t[c] == t[iota[c]] for c in t)
+
+
+def test_holonomy_is_constant_across_samples_of_a_thin_region():
+    g, iota = _glued_sum()
+    basis = homology.cycle_basis(g)
+    values = [[angles.holonomy(g, t, a).value for a in basis]
+              for t in region.sample(region.build_polytope(g, iota), 20, seed=1703833409)]
+    assert len(values) == 20
+    dev = max(abs(v - w) for row in values for v, w in zip(row, values[0]))
+    assert dev <= 1e-9
 
 
 def _chord_loop(room, g_dir):

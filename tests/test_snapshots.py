@@ -2,8 +2,10 @@
 
 Developed periods and SVG layouts follow the spanning-tree walk, connected
 sums and validation follow the connectivity walk, so a reordered walk shows
-here even when every invariant still holds.  None of these commands calls
-LAPACK, so the bytes do not depend on the linear-algebra build.
+here even when every invariant still holds.  The region report without
+samples is the certified equilateral optimum and the orbit-count dimension.
+None of these commands calls LAPACK, so the bytes do not depend on the
+linear-algebra build.
 
 Rewrite the expected files under tests/data only for a deliberate change of
 output:
@@ -56,6 +58,13 @@ def _sum_l(tmp):
     return {"json": _run(["--json", "sum", str(path), "f1-/0", str(path), "f2+/1"])}
 
 
+def _region(spec, tmp):
+    graph, iota = tmp / "graph.json", tmp / "matching.json"
+    graph.write_bytes(_run(["origami", "build", spec]))
+    iota.write_text(json.dumps(json.loads(_run(["origami", "matching", spec]))["matching"]))
+    return {"json": _run(["--json", "region", str(graph), str(iota)])}
+
+
 def _validate_disconnected(tmp):
     # a torus listed before an L: the count is taken from the first listed face
     graph = json.loads(_run(["origami", "build", L]))
@@ -73,6 +82,8 @@ CASES = {
     "develop_l": lambda tmp: _develop(L, tmp),
     "develop_staircase12": lambda tmp: _develop(STAIRCASE_12, tmp),
     "flip_staircase12": _flip_staircase,
+    "region_l": lambda tmp: _region(L, tmp),
+    "region_staircase12": lambda tmp: _region(STAIRCASE_12, tmp),
     "sum_l_l": _sum_l,
     "validate_disconnected": _validate_disconnected,
 }
