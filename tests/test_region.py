@@ -112,14 +112,29 @@ def test_circumcircle_cross_check_cocircular():
     assert report["degenerate"]
 
 
-def test_analyze_refuses_an_uncertified_point():
-    # one corner with x = 1: the equilateral point misses the equality
+def test_infeasible_polytope_reports_and_refuses_to_sample():
+    # one corner with x = 1 and x < 0: the equalities and inequalities conflict,
+    # so the equilateral point fails its certificate in analyze and in sample
     c = ("f", 0)
+    poly = region.RegionPolytope([c], [{c: 1.0}], [1.0], [{c: 1.0}], [0.0], 0, {c: 0})
+    with pytest.raises(RuntimeError, match="certificate: equality residual"):
+        region.analyze(poly)
+    with pytest.raises(RuntimeError, match="certificate"):
+        region.sample(poly, 3)
+
+
+def test_analyze_refuses_an_uncertified_point():
+    c = ("f", 0)
+    # x = 1 and x > 0 is feasible, but the equilateral point misses the equality
     poly = region.RegionPolytope([c], [{c: 1.0}], [1.0], [{c: -1.0}], [0.0], 0, {c: 0})
     with pytest.raises(RuntimeError, match="certificate"):
         region.analyze(poly)
     with pytest.raises(RuntimeError, match="certificate"):
         region.sample(poly, 3)
+    # x = pi/3 and x < 2: the point is inside, but its slack is not pi/3
+    poly = region.RegionPolytope([c], [{c: 1.0}], [math.pi / 3], [{c: 1.0}], [2.0], 0, {c: 0})
+    with pytest.raises(RuntimeError, match="certificate"):
+        region.analyze(poly)
 
 
 def test_analyze_then_sample_matches_a_fresh_polytope(square_l):
