@@ -22,6 +22,10 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
+# the sweep enumerates every class of s squares up to this bound; s = 7 takes
+# about a second, and each further square costs more than ten times as much
+MAX_SWEEP_SQUARES = 7
+
 
 class InputError(Exception):
     pass
@@ -278,6 +282,10 @@ def cmd_origami_develop(args) -> int:
 
 
 def cmd_origami_sweep(args) -> int:
+    if not 1 <= args.max_squares <= MAX_SWEEP_SQUARES:
+        raise InputError(
+            f"--max-squares must be in 1..{MAX_SWEEP_SQUARES}, got {args.max_squares}"
+        )
     mismatches = []
     checked = 0
     for s in range(1, args.max_squares + 1):

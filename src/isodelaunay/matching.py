@@ -116,18 +116,18 @@ def find_matchings(
     faces = sorted(graph.face_ids)
     pv = {h: homology.pairing_vector(graph, basis, h) for h in graph.half_edges()}
 
-    # for each source face, the compatible (target face, offset) assignments
-    candidates: dict[str, list[tuple[str, int]]] = {}
-    for f in faces:
-        opts = []
-        for f1 in faces:
-            for off in range(3):
-                if all(
-                    pv[(f1, (s + off) % 3)] == tuple(-x for x in pv[(f, s)])
-                    for s in range(3)
-                ):
-                    opts.append((f1, off))
-        candidates[f] = opts
+    # for each source face, the compatible (target face, offset) assignments:
+    # (f1, off) fits f when its rotated pairing vectors negate f's, so index
+    # every (f1, off) by that triple once, in face then offset order
+    by_vectors: dict[tuple, list[tuple[str, int]]] = {}
+    for f1 in faces:
+        for off in range(3):
+            key = tuple(pv[(f1, (s + off) % 3)] for s in range(3))
+            by_vectors.setdefault(key, []).append((f1, off))
+    candidates = {
+        f: by_vectors.get(tuple(tuple(-x for x in pv[(f, s)]) for s in range(3)), [])
+        for f in faces
+    }
 
     found: list[TriangleMatching] = []
     used: set[str] = set()

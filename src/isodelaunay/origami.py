@@ -220,29 +220,54 @@ def canonical_matching(o: Origami) -> dict:
 def transitive_pairs_up_to_relabeling(s: int):
     """Transitive (h, v) pairs in Sym(s), one per simultaneous-conjugation class.
 
-    Deduplicates by the lexicographically least simultaneous relabeling of
-    the squares.  Intended for small s (exhaustive sweeps).
+    Each class is represented by its lexicographically least pair, and the
+    list is in increasing (h, v) order.  A pair's class is keyed by BFS
+    labeling: from each start square, number the squares in breadth-first
+    order, visiting h(j) before v(j), and rewrite (h, v) in those numbers.
+    Since the action is transitive every start labels all s squares, and
+    the least of the s rewritten pairs is a complete invariant of the
+    class, at O(s^2) per pair.
+
+    The least pair of a class has the least h of h's conjugacy class (a
+    relabeling that lowers h lowers the pair), so h runs only over the
+    lexicographically least permutation of each cycle type.  Pairs are
+    met in (h, v) order, so the first of each class is its least pair.
     """
     perms = list(itertools.permutations(range(1, s + 1)))
+    least_of_type = {}
+    for h in perms:
+        cycle_type = tuple(sorted(len(c) for c in permutation_cycles(h)))
+        least_of_type.setdefault(cycle_type, h)
     seen = set()
     out = []
-    for h in perms:
+    for h in least_of_type.values():
         for v in perms:
-            if not is_transitive(h, v):
-                continue
-            key = min(
-                (
-                    tuple(g[h[_inv(g, x) - 1] - 1] for x in range(1, s + 1)),
-                    tuple(g[v[_inv(g, x) - 1] - 1] for x in range(1, s + 1)),
-                )
-                for g in perms
-            )
-            if key in seen:
+            key = _bfs_key(h, v)
+            if key is None or key in seen:
                 continue
             seen.add(key)
             out.append(Origami(h, v))
     return out
 
 
-def _inv(g: tuple[int, ...], x: int) -> int:
-    return g.index(x) + 1
+def _bfs_key(h: tuple[int, ...], v: tuple[int, ...]):
+    """Least BFS relabeling of (h, v) over all start squares; None if intransitive."""
+    s = len(h)
+    best = None
+    for start in range(1, s + 1):
+        label = {start: 1}
+        order = [start]
+        for j in order:
+            for img in (h[j - 1], v[j - 1]):
+                if img not in label:
+                    label[img] = len(order) + 1
+                    order.append(img)
+        if len(order) < s:
+            return None
+        key = (
+            tuple(label[h[j - 1]] for j in order),
+            tuple(label[v[j - 1]] for j in order),
+        )
+        if best is None or key < best:
+            best = key
+    return best

@@ -193,3 +193,45 @@ def test_criterion_12_homology_core(torus_graph, square_l_graph, staircase_graph
             w = homology.pairing_vector(g, basis, ribbon.other_side(g, h))
             ok = ok and tuple(-x for x in v) == w
     report(12, "p after phi is the identity; pairing vectors negate across edges", ok)
+
+
+def staircase_origami(n: int) -> origami.Origami:
+    """h = (1,2)(3,4)..., v = (2,3)(4,5)... on n squares: hyperelliptic and arboreal."""
+    h, v = list(range(1, n + 1)), list(range(1, n + 1))
+    for i in range(0, n - 1, 2):
+        h[i], h[i + 1] = h[i + 1], h[i]
+    for i in range(1, n - 1, 2):
+        v[i], v[i + 1] = v[i + 1], v[i]
+    return origami.Origami(tuple(h), tuple(v))
+
+
+def test_criterion_13_delaunay_triangulations_carry_matchings():
+    # the paper's corollary: a Delaunay triangulation in a hyperelliptic
+    # component carries a triangle matching, and its own angles lie inside
+    # that matching's (convex) iso-Delaunay region
+    ok = True
+    surfaces = 0
+    for a, b in ((1.3, 0.4), (2.41, -0.62), (0.7, 1.9)):
+        for n in range(3, 11):
+            o = staircase_origami(n)
+            start = develop.develop(origami.build_origami_graph(o), origami.standard_angles(o))
+            # (x, y) -> (x + a y, y), then (x, y) -> (x, y + b x)
+            periods = {}
+            for h, z in start.periods.items():
+                x = z.real + a * z.imag
+                periods[h] = complex(x, z.imag + b * x)
+            surface, flips, degenerate = develop.make_delaunay(
+                develop.DevelopedSurface(start.graph, periods)
+            )
+            surfaces += 1
+            ok = ok and len(flips) > 0 and degenerate == []
+            found = matching.find_matchings(surface.graph, limit=1).matchings
+            if not found:
+                ok = False
+                continue
+            iota = found[0]
+            theta = develop.angles_of(surface)
+            ok = ok and max(abs(theta[c] - theta[iota[c]]) for c in theta) < TOL
+            poly = region.build_polytope(surface.graph, iota)
+            ok = ok and poly.equality_residual(theta) < TOL and poly.slack(theta) > 0
+    report(13, f"{surfaces} sheared staircases: Delaunay, matched, angles in the region", ok)

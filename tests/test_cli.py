@@ -168,6 +168,13 @@ def test_sum_with_a_half_edge_outside_the_graph_is_input_error(l_files, capsys, 
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", ["0", "8", "-3"])
+def test_sweep_outside_its_bound_is_input_error(capsys, n):
+    code, out, err = run_cli(capsys, "origami", "sweep", "--max-squares", n)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
 def test_reports_are_deterministic(l_files, capsys):
     graph, iota = l_files
     outputs = []

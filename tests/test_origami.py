@@ -1,5 +1,6 @@
 """Square-tiled surface constructions and cylinder networks."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -109,13 +110,55 @@ def test_canonical_matching_invalid_for_staircase(staircase, staircase_graph):
     assert not matching.verify_matching(staircase_graph, iota).ok
 
 
-def test_transitive_pair_class_counts():
-    assert [len(origami.transitive_pairs_up_to_relabeling(s)) for s in range(1, 5)] == [
-        1,
-        3,
-        7,
-        26,
-    ]
+@pytest.fixture(scope="module")
+def classes():
+    return {s: origami.transitive_pairs_up_to_relabeling(s) for s in range(1, 8)}
+
+
+def test_transitive_pair_class_counts(classes):
+    # OEIS A057005
+    assert [len(classes[s]) for s in range(1, 8)] == [1, 3, 7, 26, 97, 624, 4163]
+
+
+def _least_conjugate(h, v):
+    s = len(h)
+    conjugates = []
+    for g in itertools.permutations(range(1, s + 1)):
+        g_inv = {x: j for j, x in enumerate(g, start=1)}
+        conjugates.append((
+            tuple(g[h[g_inv[x] - 1] - 1] for x in range(1, s + 1)),
+            tuple(g[v[g_inv[x] - 1] - 1] for x in range(1, s + 1)),
+        ))
+    return min(conjugates)
+
+
+@pytest.mark.parametrize("s", range(1, 6))
+def test_class_representatives_are_least_pairs_in_order(classes, s):
+    # with the class count, this pins the list: every least transitive pair
+    # of a class, in increasing (h, v) order
+    pairs = [(o.h, o.v) for o in classes[s]]
+    assert all(a < b for a, b in zip(pairs, pairs[1:]))
+    for h, v in pairs:
+        assert origami.is_transitive(h, v)
+        assert _least_conjugate(h, v) == (h, v)
+
+
+def test_arboreal_sweep_for_six_and_seven_squares(classes):
+    checked = {6: 0, 7: 0}
+    mismatches = []
+    for s in (6, 7):
+        for o in classes[s]:
+            net = origami.network(o)
+            if not net.geometrically_simple:
+                continue
+            checked[s] += 1
+            result = matching.find_matchings(origami.build_origami_graph(o), limit=1)
+            assert result.complete
+            identity = net.cylinder_count == o.squares + 1
+            if not (net.arboreal == identity == bool(result.matchings)):
+                mismatches.append((o.h, o.v))
+    assert checked == {6: 47, 7: 127}
+    assert mismatches == []
 
 
 def test_from_spec_rejects_an_unmentioned_range_before_allocating():
