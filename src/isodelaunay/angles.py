@@ -80,20 +80,6 @@ def _log_dilation_sum(theta: AngleAssignment, a: homology.AngleChain) -> float:
     return total
 
 
-def rotational(theta: AngleAssignment, a: homology.AngleChain) -> complex:
-    """Unit complex exp(i * theta(a)), with theta extended linearly."""
-    return cmath.rect(1.0, _phase_sum(theta, a))
-
-
-def dilational(theta: AngleAssignment, a: homology.AngleChain) -> float:
-    """Multiplicative extension of the opposite-sine ratio over the chain.
-
-    On a single corner at slot s of face f this is
-    sin(theta at slot s+1) / sin(theta at slot s+2).
-    """
-    return math.exp(_log_dilation_sum(theta, a))
-
-
 def holonomy(graph: TriRibbonGraph, theta: AngleAssignment, cycle: homology.Chain1) -> HolonomyValue:
     """Total holonomy of a cycle: dilation times rotation of its corner chain."""
     a = homology.phi(graph, cycle)

@@ -2,21 +2,15 @@
 
 1-chains are sparse integer maps keyed by half-edges (face, slot); the
 reversed half-edge (e, f) is a negative coefficient.  Angle chains are
-sparse integer maps keyed by corners.  Everything here is exact integer
-arithmetic; no floats.
+sparse integer maps keyed by corners.  The cycle basis is the set of
+fundamental cycles of a spanning tree of the face/edge incidence graph, and
+``phi`` inverts ``p_map`` one face at a time.  Everything here is exact
+integer arithmetic; no floats.
 """
 
 from __future__ import annotations
 
-from .ribbon import (
-    Corner,
-    HalfEdge,
-    TriRibbonGraph,
-    he_key,
-    other_side,
-    parse_he_key,
-    require_valid,
-)
+from .ribbon import Corner, HalfEdge, TriRibbonGraph, he_key, parse_he_key, require_valid
 
 Chain1 = dict[HalfEdge, int]
 AngleChain = dict[Corner, int]
@@ -49,9 +43,10 @@ def boundary(graph: TriRibbonGraph, chain: Chain1) -> dict:
     """Linear extension of d(f, e) = e - f, as a chain on the vertices E u F."""
     out: dict[tuple[str, str], int] = {}
     for (f, slot), coeff in chain.items():
-        if f not in graph._boundary:
-            raise KeyError(f"unknown face {f!r} in chain")
-        e = graph.edge_of((f, slot))
+        try:
+            e = graph.edge_of((f, slot))
+        except KeyError:
+            raise KeyError(f"unknown face {f!r} in chain") from None
         out[("E", e)] = out.get(("E", e), 0) + coeff
         out[("F", f)] = out.get(("F", f), 0) - coeff
     return {k: v for k, v in out.items() if v != 0}
@@ -61,54 +56,57 @@ def is_cycle(graph: TriRibbonGraph, chain: Chain1) -> bool:
     return not boundary(graph, chain)
 
 
-def _integer_kernel(columns: list[dict], keys: list) -> list[dict]:
-    """Integral basis of the kernel of the matrix whose columns are given.
-
-    Column-style Hermite reduction on (M | I): eliminate rows in a fixed
-    order with exact integer Euclidean steps; the columns of the transform
-    whose image column vanished form a kernel basis.  ``keys`` fixes the
-    column order of the identity part.
-    """
-    n = len(columns)
-    cols = [dict(c) for c in columns]
-    transform = [{j: 1} for j in range(n)]
-
-    rows = sorted({r for c in cols for r in c})
-    active = list(range(n))
-    for row in rows:
-        live = [j for j in active if cols[j].get(row, 0) != 0]
-        if not live:
-            continue
-        # gcd elimination across the live columns, keeping one pivot
-        while len(live) > 1:
-            live.sort(key=lambda j: (abs(cols[j].get(row, 0)), j))
-            p, q = live[0], live[1]
-            a, b = cols[p].get(row, 0), cols[q].get(row, 0)
-            k = b // a
-            cols[q] = chain_add(cols[q], cols[p], -k)
-            transform[q] = chain_add(transform[q], transform[p], -k)
-            if cols[q].get(row, 0) == 0:
-                live.remove(q)
-        active.remove(live[0])
-    kernel = []
-    for j in active:
-        if not cols[j]:
-            kernel.append({keys[idx]: v for idx, v in sorted(transform[j].items())})
-    return kernel
-
-
 def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
-    """An integral basis of Z1 = ker d, deterministic per canonical orderings."""
+    """The fundamental cycles of a spanning tree T of the faces.
+
+    Each edge has an earlier half-edge g and a later one h.  In sorted order,
+    each face puts into T the edge of least h that leaves its current class,
+    and its class merges into the class at the other end.  Every other edge
+    gives the cycle h - g + (the path in T from the face of g to that of h).
+    """
     require_valid(graph)
-    hes = graph.half_edges()
-    columns = []
-    for h in hes:
-        e = graph.edge_of(h)
-        columns.append({("E", e): 1, ("F", h[0]): -1})
-    basis = _integer_kernel(columns, hes)
+    first, pairs = {}, []  # edge -> earlier half-edge g; (h, g) per edge, in order of h
+    for h in graph.half_edges():
+        g = first.setdefault(graph.edge_of(h), h)
+        if g != h:
+            pairs.append((h, g))
+    at: dict[str, list] = {f: [] for f in graph.face_ids}  # face -> its edges, by index
+    for j, (h, g) in enumerate(pairs):
+        at[h[0]].append(j)
+        at[g[0]].append(j)
+    cls = {f: f for f in at}  # face -> the one face of its class still to come
+    members = {f: [f] for f in at}
+    across: dict[str, list] = {f: [] for f in at}  # face -> (neighbour in T, step there)
+    tree = set()
+    # This is the tree that integer column reduction of the incidence matrix
+    # picks, rows E then F in sorted order; it fixes the basis that
+    # `isodel holonomy` prints.
+    for f in sorted(at):
+        live = [j for x in members[f] for j in at[x]
+                if cls[pairs[j][0][0]] != cls[pairs[j][1][0]]]
+        if live:
+            j = min(live)
+            tree.add(j)
+            h, g = pairs[j]
+            across[h[0]].append((g[0], {h: 1, g: -1}))
+            across[g[0]].append((h[0], {g: 1, h: -1}))
+            u = cls[g[0]] if cls[h[0]] == f else cls[h[0]]
+            for x in members[f]:
+                cls[x] = u
+            members[u] += members.pop(f)
+    stack = [min(at)]
+    path = {stack[0]: {}}  # face -> chain of the path in T from the least face
+    while stack:
+        x = stack.pop()
+        for y, step in across[x]:
+            if y not in path:
+                path[y] = chain_add(path[x], step)
+                stack.append(y)
+    basis = [chain_add(chain_add({h: 1, g: -1}, path[h[0]]), path[g[0]], -1)
+             for j, (h, g) in enumerate(pairs) if j not in tree]
     for alpha in basis:
         assert not boundary(graph, alpha)
-    return [_clean(alpha) for alpha in basis]
+    return basis
 
 
 def p_map(a: AngleChain) -> Chain1:
@@ -121,68 +119,20 @@ def p_map(a: AngleChain) -> Chain1:
 
 
 def phi(graph: TriRibbonGraph, cycle: Chain1) -> AngleChain:
-    """Express a cycle as a sum of corners by extracting closed walks.
+    """The corner chain a with p_map(a) == cycle, solved face by face.
 
-    The chain is consumed greedily: repeatedly start at the least half-edge
-    with positive coefficient, walk forward (faces exit through positive
-    half-edges, enter through negative ones), and close up at the starting
-    face.  Raises ValueError if the chain is not a sum of closed walks.
+    On face f the cycle reads (c0, c1, c2), summing to zero, and the corner
+    chains that p_map sends there are b + k(1, 1, 1) with b = (0, -c1,
+    -c1 - c2).  The one of median 0 has the least sum of |coefficients|.
+    Raises ValueError if the chain is not a cycle.
     """
     if boundary(graph, cycle):
         raise ValueError("chain is not a cycle (nonzero boundary)")
-    remaining = {k: v for k, v in cycle.items() if v != 0}
     out: AngleChain = {}
-
-    def take(h: HalfEdge, sign: int) -> None:
-        remaining[h] = remaining.get(h, 0) - sign
-        if remaining[h] == 0:
-            del remaining[h]
-
-    # index from edge id to half-edges currently carrying negative coefficient
-    def entries_at(edge: str) -> list[HalfEdge]:
-        return sorted(
-            h for h, v in remaining.items() if v < 0 and graph.edge_of(h) == edge
-        )
-
-    def exits_at(face: str) -> list[HalfEdge]:
-        return sorted(h for h, v in remaining.items() if v > 0 and h[0] == face)
-
-    while remaining:
-        start = min(h for h, v in remaining.items() if v > 0)
-        f0 = start[0]
-        take(start, +1)
-        walk = [start]  # alternating exit, entry, exit, ... half-edges
-        cur_edge = graph.edge_of(start)
-        while True:
-            entries = entries_at(cur_edge)
-            if not entries:
-                raise ValueError(f"walk stuck at edge {cur_edge!r}; not a closed walk")
-            h_in = entries[0]
-            take(h_in, -1)
-            walk.append(h_in)
-            face = h_in[0]
-            if face == f0:
-                break
-            exits = exits_at(face)
-            if not exits:
-                raise ValueError(f"walk stuck at face {face!r}; not a closed walk")
-            h_out = exits[0]
-            take(h_out, +1)
-            walk.append(h_out)
-            cur_edge = graph.edge_of(h_out)
-        # corners: each face visit pairs an entering slot with the exiting slot
-        exits_seq = walk[0::2]
-        entries_seq = walk[1::2]
-        for j, h_out in enumerate(exits_seq):
-            h_in = entries_seq[j - 1]  # entry into the face of h_out
-            f = h_out[0]
-            s_in, s_out = h_in[1], h_out[1]
-            if (s_in + 1) % 3 == s_out:
-                out[(f, s_in)] = out.get((f, s_in), 0) + 1
-            elif (s_out + 1) % 3 == s_in:
-                out[(f, s_out)] = out.get((f, s_out), 0) - 1
-            else:  # pragma: no cover - slots of a face differ by 1 or 2
-                raise AssertionError("inconsistent walk slots")
+    for f in {h[0] for h in cycle}:
+        c1, c2 = cycle.get((f, 1), 0), cycle.get((f, 2), 0)
+        b = (0, -c1, -c1 - c2)
+        out.update({(f, slot): x - sorted(b)[1] for slot, x in enumerate(b)})
     return _clean(out)
 
 
@@ -202,20 +152,17 @@ def enumerate_simple_cycles(graph: TriRibbonGraph) -> list[Chain1]:
     hes = graph.half_edges()
     out = []
     seen = set()
-    for start_idx, start in enumerate(hes):
+    for start in hes:
         # walk forward from face start[0] through positive half-edge `start`
         f0 = start[0]
 
         def extend(chain, cur_edge, used_faces, used_edges):
-            for h in hes:
+            for h in sorted(graph.occurrences(cur_edge)):
                 if h in chain:
-                    continue
-                if graph.edge_of(h) != cur_edge:
                     continue
                 face = h[0]
                 if face == f0:
-                    cand = dict(chain)
-                    cand[h] = -1
+                    cand = {**chain, h: -1}
                     if len(cand) >= 2:
                         key = tuple(sorted(cand.items()))
                         lo = min(cand)
@@ -225,15 +172,13 @@ def enumerate_simple_cycles(graph: TriRibbonGraph) -> list[Chain1]:
                     continue
                 if face in used_faces:
                     continue
-                for h_out in hes:
-                    if h_out[0] != face or h_out == h or h_out in chain:
+                for h_out in [(face, slot) for slot in range(3)]:
+                    if h_out == h or h_out in chain:
                         continue
                     e_next = graph.edge_of(h_out)
                     if e_next in used_edges:
                         continue
-                    cand = dict(chain)
-                    cand[h] = -1
-                    cand[h_out] = 1
+                    cand = {**chain, h: -1, h_out: 1}
                     extend(cand, e_next, used_faces | {face}, used_edges | {e_next})
 
         e0 = graph.edge_of(start)

@@ -12,6 +12,11 @@ def test_boundary_of_single_half_edge(torus_graph):
     assert b == {("E", edge): 1, ("F", "f1-"): -1}
 
 
+def test_boundary_names_an_unknown_face(torus_graph):
+    with pytest.raises(KeyError, match="unknown face 'f9-'"):
+        homology.boundary(torus_graph, {("f1-", 0): 1, ("f9-", 2): 1})
+
+
 def test_boundary_additivity(square_l_graph):
     g = square_l_graph
     hs = g.half_edges()

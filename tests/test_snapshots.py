@@ -4,6 +4,8 @@ Developed periods and SVG layouts follow the spanning-tree walk, connected
 sums and validation follow the connectivity walk, so a reordered walk shows
 here even when every invariant still holds.  The region report without
 samples is the certified equilateral optimum and the orbit-count dimension.
+The holonomy reports print the cycle basis, and under non-constant angles
+each phase pins the corner chain that phi gives for its cycle.
 None of these commands calls LAPACK, so the bytes do not depend on the
 linear-algebra build.
 
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from isodelaunay import cli
+from isodelaunay import angles, cli, develop, origami
 
 DATA = Path(__file__).parent / "data"
 L = "h=(12);v=(13)"
@@ -43,13 +45,35 @@ def _develop(spec, tmp):
 
 
 def _flip_staircase(tmp):
+    return {"json": _run(["--json", "delaunay", "flip", str(_sheared_staircase(tmp))])}
+
+
+def _sheared_staircase(tmp):
     surface = json.loads(_run(["origami", "develop", STAIRCASE_12]))
     surface["periods"] = {
         k: [re + SHEAR * im, im] for k, (re, im) in surface["periods"].items()
     }
     path = tmp / "sheared.json"
     path.write_text(json.dumps(surface))
-    return {"json": _run(["--json", "delaunay", "flip", str(path)])}
+    return path
+
+
+def _holonomy(graph, theta, tmp):
+    graph_path, angles_path = tmp / "graph.json", tmp / "angles.json"
+    graph_path.write_text(json.dumps(graph.to_json()))
+    angles_path.write_text(json.dumps(angles.angles_to_json(theta)))
+    return {"json": _run(["--json", "holonomy", str(graph_path), str(angles_path)])}
+
+
+def _holonomy_staircase(tmp):
+    o = origami.Origami.from_spec(STAIRCASE_12)
+    return _holonomy(origami.build_origami_graph(o), origami.standard_angles(o), tmp)
+
+
+def _holonomy_flip_staircase(tmp):
+    flipped = json.loads(_run(["delaunay", "flip", str(_sheared_staircase(tmp))]))
+    surface = develop.DevelopedSurface.from_json(flipped)
+    return _holonomy(surface.graph, develop.angles_of(surface), tmp)
 
 
 def _sum_l(tmp):
@@ -82,6 +106,8 @@ CASES = {
     "develop_l": lambda tmp: _develop(L, tmp),
     "develop_staircase12": lambda tmp: _develop(STAIRCASE_12, tmp),
     "flip_staircase12": _flip_staircase,
+    "holonomy_flip_staircase12": _holonomy_flip_staircase,
+    "holonomy_staircase12": _holonomy_staircase,
     "region_l": lambda tmp: _region(L, tmp),
     "region_staircase12": lambda tmp: _region(STAIRCASE_12, tmp),
     "sum_l_l": _sum_l,
