@@ -113,18 +113,17 @@ def cmd_holonomy(args) -> int:
     theta = _load_angles(args.angles)
     angles_mod.validate_angles(g, theta)
     basis = homology.cycle_basis(g)
-    values = []
-    for alpha in basis:
-        hol = angles_mod.holonomy(g, theta, alpha)
-        values.append(
-            {
-                "cycle": homology.chain_to_json(alpha),
-                "value": [hol.value.real, hol.value.imag],
-                "modulus": hol.modulus,
-                "phase": hol.phase,
-            }
-        )
-    trivial = angles_mod.is_trivial_holonomy(g, theta, basis, tol=args.tol)
+    hols = [angles_mod.holonomy(g, theta, alpha) for alpha in basis]
+    values = [
+        {
+            "cycle": homology.chain_to_json(alpha),
+            "value": [hol.value.real, hol.value.imag],
+            "modulus": hol.modulus,
+            "phase": hol.phase,
+        }
+        for alpha, hol in zip(basis, hols)
+    ]
+    trivial = all(hol.distance_to_one() < args.tol for hol in hols)
     _emit(args, "holonomy", {"cycles": values, "trivial": trivial})
     return EXIT_OK
 
@@ -436,7 +435,7 @@ def run(argv: list[str] | None = None) -> int:
     except InputError as ex:
         print(f"input error: {ex}", file=sys.stderr)
         return EXIT_INPUT
-    except (ribbon.InvalidGraphError, ValueError, KeyError) as ex:
+    except (ribbon.InvalidGraphError, develop_mod.FlipCapError, ValueError, KeyError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_DOMAIN
 

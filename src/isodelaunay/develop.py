@@ -9,7 +9,9 @@ the edges not used by the spanning tree.
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -126,41 +128,47 @@ def develop(graph: TriRibbonGraph, theta: AngleAssignment, tol: float = 1e-9) ->
     return DevelopedSurface(graph, periods)
 
 
+def _corner_angles(f: str, z: list[complex]) -> list[float]:
+    """Angles at the corners of face ``f`` from its three periods ``z``."""
+    out = []
+    for s in range(3):
+        w1 = -z[s]
+        w2 = z[(s + 1) % 3]
+        if w1 == 0 or w2 == 0:
+            raise DegenerateTriangleError(f"zero period in face {f!r}")
+        ang = (cmath.phase(w1) - cmath.phase(w2)) % (2 * math.pi)
+        if not (0.0 < ang < math.pi):
+            raise DegenerateTriangleError(
+                f"degenerate corner {f}/{s} (angle {ang:.6f})"
+            )
+        out.append(ang)
+    return out
+
+
 def angles_of(surface: DevelopedSurface) -> AngleAssignment:
     """Angle at each corner from the outward edge vectors at its vertex."""
     theta: AngleAssignment = {}
     for f, _ in surface.graph.faces:
-        for s in range(3):
-            w1 = -surface.periods[(f, s)]
-            w2 = surface.periods[(f, (s + 1) % 3)]
-            if w1 == 0 or w2 == 0:
-                raise DegenerateTriangleError(f"zero period in face {f!r}")
-            ang = (cmath.phase(w1) - cmath.phase(w2)) % (2 * math.pi)
-            if not (0.0 < ang < math.pi):
-                raise DegenerateTriangleError(
-                    f"degenerate corner {f}/{s} (angle {ang:.6f})"
-                )
+        z = [surface.periods[(f, s)] for s in range(3)]
+        for s, ang in enumerate(_corner_angles(f, z)):
             theta[(f, s)] = ang
     return theta
 
 
-def _edge_quad(surface: DevelopedSurface, edge: str):
-    """Develop the two faces at ``edge`` into a common plane.
+def _quad(p_h: complex, p_next: complex, p_mate_next: complex):
+    """The two triangles at an edge developed into a common plane.
 
-    Returns (A, B, C, D, h, mate): the CCW triangle of face h = (f, s) as
-    (A, B, C) with the edge from A to B, and D the apex of the mate face.
+    For the edge's first half-edge h, with period ``p_h`` and the next
+    period of its face ``p_next``, returns (A, B, C, D): the CCW triangle of
+    h as (A, B, C) with the edge from A to B, and D the apex of the mate
+    face, whose next period is ``p_mate_next``.
     """
-    occ = surface.graph.occurrences(edge)
-    if len(occ) != 2:
-        raise KeyError(f"unknown edge {edge!r}")
-    h, mate = occ
-    p = surface.periods
     a = 0.0 + 0.0j
-    b = p[h]
-    cpt = b + p[(h[0], (h[1] + 1) % 3)]
+    b = p_h
+    cpt = b + p_next
     # mate face laid across the shared edge: its edge runs B -> A
-    d = b + (-p[h]) + p[(mate[0], (mate[1] + 1) % 3)]
-    return a, b, cpt, d, h, mate
+    d = b + (-p_h) + p_mate_next
+    return a, b, cpt, d
 
 
 def is_geometric_delaunay(surface: DevelopedSurface, tol: float = 1e-9) -> bool:
@@ -172,12 +180,14 @@ def is_geometric_delaunay(surface: DevelopedSurface, tol: float = 1e-9) -> bool:
     from . import region
 
     theta = angles_of(surface)
+    p = surface.periods
     result = True
     for e in surface.graph.edges:
         s = region.delaunay_sum(surface.graph, theta, e)
         if abs(s - math.pi) < tol:
             raise DegenerateTriangleError(f"degenerate Delaunay edge {e!r}")
-        a, b, c, d, _, _ = _edge_quad(surface, e)
+        (f, k), (f2, k2) = surface.graph.occurrences(e)
+        a, b, c, d = _quad(p[(f, k)], p[(f, (k + 1) % 3)], p[(f2, (k2 + 1) % 3)])
         check = region.circumcircle_cross_check((c, a, b, d), tol=tol)
         if not check["degenerate"]:
             assert check["agree"], f"angle/in-circle disagreement at edge {e!r}"
@@ -186,78 +196,146 @@ def is_geometric_delaunay(surface: DevelopedSurface, tol: float = 1e-9) -> bool:
     return result
 
 
+class FlipCapError(RuntimeError):
+    """Lawson flips hit their cap before the surface became Delaunay."""
+
+
+class _Triangulation:
+    """A developed surface held in mutable form, for flips in place.
+
+    Faces are addressed by their position in ``graph.faces``.  Each edge
+    keeps its two occurrences as (position, slot) pairs in ascending order,
+    so the first is the half-edge that ``graph.occurrences`` lists first.
+    """
+
+    def __init__(self, surface: DevelopedSurface):
+        g = surface.graph
+        self.edges = g.edges
+        self.ids = [f for f, _ in g.faces]
+        self.faces = [list(b) for _, b in g.faces]
+        self.periods = [[surface.periods[(f, k)] for k in range(3)] for f in self.ids]
+        self.occ: dict[str, list[tuple[int, int]]] = {e: [] for e in g.edges}
+        for i, bnd in enumerate(self.faces):
+            for k, e in enumerate(bnd):
+                self.occ.setdefault(e, []).append((i, k))
+
+    def flip(self, edge: str) -> tuple[int, int]:
+        """Replace ``edge`` by the opposite diagonal of its quadrilateral.
+
+        The face of the edge's first half-edge h = (i, s) becomes the
+        triangle (A, D, C) with boundary (e_m1, edge, e_f2), the mate's face
+        becomes (D, B, C) with boundary (e_m2, e_f1, edge); see ``_quad``.
+        Returns the positions (i, j) of the two rebuilt faces.
+        """
+        occ = self.occ.get(edge, ())
+        if len(occ) != 2:
+            raise KeyError(f"unknown edge {edge!r}")
+        (i, s), (j, s2) = occ
+        p, q = self.periods[i], self.periods[j]
+        a, b, c, d = _quad(p[s], p[(s + 1) % 3], q[(s2 + 1) % 3])
+        if i == j:
+            raise ValueError(f"cannot flip edge {edge!r}: both sides in one face")
+        # quadrilateral in ccw order: A, D, B, C
+        quad = [a, d, b, c]
+        for k in range(4):
+            u = quad[(k + 1) % 4] - quad[k]
+            v = quad[(k + 2) % 4] - quad[(k + 1) % 4]
+            if (u.conjugate() * v).imag <= 0:
+                raise ValueError(f"cannot flip edge {edge!r}: quadrilateral not strictly convex")
+        fi, fj = self.faces[i], self.faces[j]
+        e_f1, e_f2 = fi[(s + 1) % 3], fi[(s + 2) % 3]
+        e_m1, e_m2 = fj[(s2 + 1) % 3], fj[(s2 + 2) % 3]
+        for pos in (i, j):
+            for k, e in enumerate(self.faces[pos]):
+                self.occ[e].remove((pos, k))
+        # triangle (A, D, C): edges A->D, D->C (new diagonal), C->A
+        self.faces[i] = [e_m1, edge, e_f2]
+        self.periods[i] = [d - a, c - d, a - c]
+        # triangle (D, B, C): edges D->B, B->C, C->D (new diagonal)
+        self.faces[j] = [e_m2, e_f1, edge]
+        self.periods[j] = [b - d, c - b, d - c]
+        for pos in (i, j):
+            for k, e in enumerate(self.faces[pos]):
+                bisect.insort(self.occ[e], (pos, k))
+        return i, j
+
+    def surface(self) -> DevelopedSurface:
+        graph = TriRibbonGraph(self.edges, zip(self.ids, self.faces))
+        periods = {
+            (f, k): z for f, zs in zip(self.ids, self.periods) for k, z in enumerate(zs)
+        }
+        return DevelopedSurface(graph, periods)
+
+
 def flip_edge(surface: DevelopedSurface, edge: str) -> DevelopedSurface:
     """Replace ``edge`` by the opposite diagonal of its developed quadrilateral.
 
     Requires the two faces to be distinct and the quadrilateral strictly
     convex; the new diagonal's period is the sum of the two adjacent sides.
     """
-    a, b, c, d, h, mate = _edge_quad(surface, edge)
-    f, s = h
-    f2, s2 = mate
-    if f == f2:
-        raise ValueError(f"cannot flip edge {edge!r}: both sides in one face")
-    # quadrilateral in ccw order: A, D, B, C
-    quad = [a, d, b, c]
-    for i in range(4):
-        u = quad[(i + 1) % 4] - quad[i]
-        v = quad[(i + 2) % 4] - quad[(i + 1) % 4]
-        if (u.conjugate() * v).imag <= 0:
-            raise ValueError(f"cannot flip edge {edge!r}: quadrilateral not strictly convex")
-
-    g = surface.graph
-    p = surface.periods
-    e_f1, e_f2 = g.edge_of((f, (s + 1) % 3)), g.edge_of((f, (s + 2) % 3))
-    e_m1, e_m2 = g.edge_of((f2, (s2 + 1) % 3)), g.edge_of((f2, (s2 + 2) % 3))
-    new_faces = []
-    new_periods: dict[HalfEdge, complex] = {}
-    for fid, bnd in g.faces:
-        if fid == f:
-            # triangle (A, D, C): edges A->D, D->C (new diagonal), C->A
-            new_faces.append((fid, (e_m1, edge, e_f2)))
-            new_periods[(fid, 0)] = d - a
-            new_periods[(fid, 1)] = c - d
-            new_periods[(fid, 2)] = a - c
-        elif fid == f2:
-            # triangle (D, B, C): edges D->B, B->C, C->D (new diagonal)
-            new_faces.append((fid, (e_m2, e_f1, edge)))
-            new_periods[(fid, 0)] = b - d
-            new_periods[(fid, 1)] = c - b
-            new_periods[(fid, 2)] = d - c
-        else:
-            new_faces.append((fid, bnd))
-            for k in range(3):
-                new_periods[(fid, k)] = p[(fid, k)]
-    flipped = DevelopedSurface(TriRibbonGraph(g.edges, new_faces), new_periods)
-    return flipped
+    tri = _Triangulation(surface)
+    tri.flip(edge)
+    return tri.surface()
 
 
 def make_delaunay(surface: DevelopedSurface, max_flips: int = 1000, tol: float = 1e-9):
     """Lawson flips until no opposite-angle sum exceeds pi + tol.
 
-    Returns (surface, flip_log, degenerate_edges).
-    """
-    from . import region
+    Each step flips the edge whose Delaunay sum (the two angles opposite
+    it) is largest among those above pi + tol; on a tie, the edge that
+    comes first in ``graph.edges``.  The angles, the sums and a heap of
+    candidates keyed by (-sum, edge index) are set up once in O(F log F).
+    A flip then recomputes the six corners of its two faces and the sums of
+    the five edges of its quadrilateral, and pushes those edges again, so
+    it costs O(log F); heap entries left behind by a later update of their
+    edge are skipped by a version count.  Faces that no flip touches keep
+    their periods bit for bit, and the graph is built once, at the end.
 
+    Returns (surface, flip_log, degenerate_edges), the last being the edges
+    whose sum is within ``tol`` of pi.  Raises FlipCapError if the surface
+    needs more than ``max_flips`` flips.
+    """
+    tri = _Triangulation(surface)
+    angles = [_corner_angles(f, z) for f, z in zip(tri.ids, tri.periods)]
+    index = {e: k for k, e in enumerate(tri.edges)}
+    sums: dict[str, float] = {}
+    version = [0] * len(tri.edges)
+    heap: list[tuple[float, int, int]] = []
+    limit = math.pi + tol
+
+    def update(e: str) -> None:
+        occ = tri.occ[e]
+        if len(occ) != 2:
+            raise KeyError(f"unknown or malformed edge {e!r}")
+        (i, s), (j, s2) = occ
+        sums[e] = x = angles[i][(s + 1) % 3] + angles[j][(s2 + 1) % 3]
+        k = index[e]
+        version[k] += 1
+        if x > limit:
+            heapq.heappush(heap, (-x, k, version[k]))
+
+    for e in tri.edges:
+        update(e)
     flips: list[str] = []
-    current = surface
-    for _ in range(max_flips + 1):
-        theta = angles_of(current)
-        worst = None
-        degenerate = []
-        for e in current.graph.edges:
-            s = region.delaunay_sum(current.graph, theta, e)
-            if s > math.pi + tol and (worst is None or s > worst[1]):
-                worst = (e, s)
-            elif abs(s - math.pi) <= tol:
-                degenerate.append(e)
-        if worst is None:
-            return current, flips, degenerate
+    while True:
+        while heap and heap[0][2] != version[heap[0][1]]:
+            heapq.heappop(heap)
+        if not heap:
+            break
         if len(flips) >= max_flips:
-            raise RuntimeError(f"exceeded {max_flips} flips; last state returned")
-        current = flip_edge(current, worst[0])
-        flips.append(worst[0])
-    raise RuntimeError("unreachable")
+            raise FlipCapError(
+                f"flip cap hit: the surface is still not Delaunay after {max_flips} flips"
+            )
+        edge = tri.edges[heap[0][1]]
+        i, j = tri.flip(edge)
+        flips.append(edge)
+        for pos in sorted((i, j)):
+            angles[pos] = _corner_angles(tri.ids[pos], tri.periods[pos])
+        for e in dict.fromkeys(tri.faces[i] + tri.faces[j]):
+            if e in index:
+                update(e)
+    degenerate = [e for e in tri.edges if abs(sums[e] - math.pi) <= tol]
+    return (tri.surface() if flips else surface), flips, degenerate
 
 
 def _tree_layout(surface: DevelopedSurface):

@@ -136,7 +136,7 @@ def phi(graph: TriRibbonGraph, cycle: Chain1) -> AngleChain:
     return _clean(out)
 
 
-def pairing_vector(graph: TriRibbonGraph, basis: list[Chain1], h: HalfEdge) -> tuple[int, ...]:
+def pairing_vector(basis: list[Chain1], h: HalfEdge) -> tuple[int, ...]:
     """Pairings of ``h`` against every basis cycle; negates under other_side."""
     return tuple(alpha.get((h[0], h[1] % 3), 0) for alpha in basis)
 

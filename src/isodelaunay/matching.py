@@ -114,7 +114,7 @@ def find_matchings(
     require_valid(graph)
     basis = homology.cycle_basis(graph)
     faces = sorted(graph.face_ids)
-    pv = {h: homology.pairing_vector(graph, basis, h) for h in graph.half_edges()}
+    pv = {h: homology.pairing_vector(basis, h) for h in graph.half_edges()}
 
     # for each source face, the compatible (target face, offset) assignments:
     # (f1, off) fits f when its rotated pairing vectors negate f's, so index

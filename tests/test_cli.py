@@ -145,6 +145,24 @@ def test_delaunay_flip_roundtrip(tmp_path, capsys):
     assert report["flips"] == ["d1"]
 
 
+def test_delaunay_flip_past_the_flip_cap_is_one_error_line(tmp_path, capsys):
+    from isodelaunay import develop, origami
+
+    h = "".join(f"({i},{i + 1})" for i in range(1, 96, 2))
+    v = "".join(f"({i},{i + 1})" for i in range(2, 96, 2))
+    o = origami.Origami.from_spec(f"h={h};v={v}")
+    s = develop.develop(origami.build_origami_graph(o), origami.standard_angles(o))
+    # the 96-square staircase under (x, y) -> (x + 25.3 y, y) needs 1,248 flips
+    sheared = develop.DevelopedSurface(
+        s.graph, {k: complex(z.real + 25.3 * z.imag, z.imag) for k, z in s.periods.items()}
+    )
+    surface_file = tmp_path / "sheared.json"
+    surface_file.write_text(sheared.dumps())
+    code, out, err = run_cli(capsys, "delaunay", "flip", str(surface_file))
+    assert code == 1 and out == ""
+    assert err.startswith("error: flip cap hit") and err.count("\n") == 1
+
+
 def test_sum_command(tmp_path, capsys):
     torus_file = tmp_path / "torus.json"
     code, out, _ = run_cli(capsys, "origami", "build", "h=();v=()")

@@ -112,6 +112,17 @@ def test_make_delaunay_flips_to_optimum(torus, torus_graph):
     assert abs(result.area() - surface.area()) < 1e-12
 
 
+def test_make_delaunay_raises_past_its_flip_cap(torus, torus_graph):
+    surface = develop.develop(torus_graph, origami.standard_angles(torus))
+    sheared = develop.DevelopedSurface(
+        torus_graph, {h: complex(p.real + 3.5 * p.imag, p.imag) for h, p in surface.periods.items()}
+    )
+    _, flips, _ = develop.make_delaunay(sheared)
+    assert len(flips) == 2
+    with pytest.raises(develop.FlipCapError, match="flip cap hit"):
+        develop.make_delaunay(sheared, max_flips=1)
+
+
 def test_make_delaunay_idempotent_on_delaunay_input(square_l, square_l_graph):
     surface = develop.develop(square_l_graph, origami.equilateral_angles(square_l))
     result, flips, degenerate = develop.make_delaunay(surface)

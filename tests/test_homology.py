@@ -76,8 +76,8 @@ def test_pairing_vector_negates_under_other_side(square_l_graph, prym_graph):
     for g in (square_l_graph, prym_graph):
         basis = homology.cycle_basis(g)
         for h in g.half_edges():
-            v = homology.pairing_vector(g, basis, h)
-            w = homology.pairing_vector(g, basis, ribbon.other_side(g, h))
+            v = homology.pairing_vector(basis, h)
+            w = homology.pairing_vector(basis, ribbon.other_side(g, h))
             assert tuple(-x for x in v) == w
 
 

@@ -1,4 +1,4 @@
-"""Properties of the homology layer on generated surfaces.
+"""Properties of the homology layer and of Lawson flips on generated surfaces.
 
 Each example is a random transitive origami with at most 8 squares, taken
 both as built and after a horizontal shear and Lawson flips to a Delaunay
@@ -6,17 +6,20 @@ triangulation.  Runs are derandomized, so every run checks the same
 examples.
 """
 
+import math
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isodelaunay import develop, homology, origami, ribbon
+from isodelaunay import develop, homology, origami, region, ribbon
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 @st.composite
-def graphs(draw):
-    """The origami's graph and the graph of its sheared, Delaunay-flipped surface."""
+def sheared_surfaces(draw, max_shear=3.0):
+    """A random origami's surface under (x, y) -> (x + t y, y), t in [0.1, max_shear]."""
     s = draw(st.integers(1, 8))
     h = tuple(draw(st.permutations(range(1, s + 1))))
     v = tuple(draw(st.permutations(range(1, s + 1))))
@@ -24,10 +27,17 @@ def graphs(draw):
     o = origami.Origami(h, v)
     g = origami.build_origami_graph(o)
     surface = develop.develop(g, origami.standard_angles(o))
-    t = draw(st.floats(0.1, 3.0))
+    t = draw(st.floats(0.1, max_shear))
     periods = {k: complex(z.real + t * z.imag, z.imag) for k, z in surface.periods.items()}
-    flipped, _, _ = develop.make_delaunay(develop.DevelopedSurface(g, periods))
-    return g, flipped.graph
+    return develop.DevelopedSurface(g, periods)
+
+
+@st.composite
+def graphs(draw):
+    """The origami's graph and the graph of its sheared, Delaunay-flipped surface."""
+    sheared = draw(sheared_surfaces())
+    flipped, _, _ = develop.make_delaunay(sheared)
+    return sheared.graph, flipped.graph
 
 
 @PROPERTY
@@ -65,6 +75,120 @@ def test_pairing_vectors_negate_across_edges(pair):
     for g in pair:
         basis = homology.cycle_basis(g)
         for h in g.half_edges():
-            v = homology.pairing_vector(g, basis, h)
-            w = homology.pairing_vector(g, basis, ribbon.other_side(g, h))
+            v = homology.pairing_vector(basis, h)
+            w = homology.pairing_vector(basis, ribbon.other_side(g, h))
             assert w == tuple(-x for x in v)
+
+
+def _flip_rebuilding_the_graph(surface, edge):
+    # the reference flip: develops the quadrilateral from the graph's
+    # occurrences and builds a new graph
+    g, p = surface.graph, surface.periods
+    (f, s), (f2, s2) = g.occurrences(edge)
+    assert f != f2
+    a = 0.0 + 0.0j
+    b = p[(f, s)]
+    c = b + p[(f, (s + 1) % 3)]
+    d = b + (-p[(f, s)]) + p[(f2, (s2 + 1) % 3)]
+    quad = [a, d, b, c]
+    for i in range(4):
+        u = quad[(i + 1) % 4] - quad[i]
+        v = quad[(i + 2) % 4] - quad[(i + 1) % 4]
+        assert (u.conjugate() * v).imag > 0
+    e_f1, e_f2 = g.edge_of((f, s + 1)), g.edge_of((f, s + 2))
+    e_m1, e_m2 = g.edge_of((f2, s2 + 1)), g.edge_of((f2, s2 + 2))
+    faces, periods = [], {}
+    for fid, bnd in g.faces:
+        if fid == f:
+            faces.append((fid, (e_m1, edge, e_f2)))
+            periods.update({(fid, 0): d - a, (fid, 1): c - d, (fid, 2): a - c})
+        elif fid == f2:
+            faces.append((fid, (e_m2, e_f1, edge)))
+            periods.update({(fid, 0): b - d, (fid, 1): c - b, (fid, 2): d - c})
+        else:
+            faces.append((fid, bnd))
+            periods.update({(fid, k): p[(fid, k)] for k in range(3)})
+    return develop.DevelopedSurface(ribbon.TriRibbonGraph(g.edges, faces), periods)
+
+
+def _make_delaunay_by_full_rescan(surface, tol=1e-9):
+    # the reference loop: every step recomputes every angle and every edge sum
+    flips = []
+    while True:
+        theta = develop.angles_of(surface)
+        worst, degenerate = None, []
+        for e in surface.graph.edges:
+            s = region.delaunay_sum(surface.graph, theta, e)
+            if s > math.pi + tol and (worst is None or s > worst[1]):
+                worst = (e, s)
+            elif abs(s - math.pi) <= tol:
+                degenerate.append(e)
+        if worst is None:
+            return surface, flips, degenerate
+        surface = _flip_rebuilding_the_graph(surface, worst[0])
+        flips.append(worst[0])
+
+
+def _hex_periods(surface):
+    return [(h, z.real.hex(), z.imag.hex()) for h, z in surface.periods.items()]
+
+
+@PROPERTY
+@given(sheared_surfaces(max_shear=20.0))
+def test_make_delaunay_matches_the_full_rescan_bit_for_bit(sheared):
+    got, flips, degenerate = develop.make_delaunay(sheared)
+    want, want_flips, want_degenerate = _make_delaunay_by_full_rescan(sheared)
+    assert flips == want_flips
+    assert degenerate == want_degenerate
+    assert got.graph.faces == want.graph.faces and got.graph.edges == want.graph.edges
+    assert _hex_periods(got) == _hex_periods(want)
+
+
+def _triangles(surface):
+    # each face as its edges and periods in cyclic order, rotated to start at its least edge
+    out = []
+    for f, bnd in surface.graph.faces:
+        r = min(range(3), key=lambda k: bnd[k:] + bnd[:k])
+        slots = [(r + k) % 3 for k in range(3)]
+        out.append((tuple(bnd[k] for k in slots), [surface.periods[(f, k)] for k in slots]))
+    return out
+
+
+def _same_triangles(left, right, tol):
+    """Whether the triangles pair up with equal edges and periods within ``tol``."""
+    unmatched = list(left)
+    for edges, periods in right:
+        for i, (edges0, periods0) in enumerate(unmatched):
+            if edges == edges0 and all(abs(z - w) < tol for z, w in zip(periods, periods0)):
+                del unmatched[i]
+                break
+        else:
+            return False
+    return not unmatched
+
+
+@PROPERTY
+@given(sheared_surfaces())
+def test_flip_edge_is_an_involution(sheared):
+    surface, _, _ = develop.make_delaunay(sheared)
+    before = _triangles(surface)
+    for e in surface.graph.edges:
+        try:
+            once = develop.flip_edge(surface, e)
+        except ValueError as ex:
+            assert "convex" in str(ex)
+            continue
+        assert once.graph.faces != surface.graph.faces
+        twice = develop.flip_edge(once, e)
+        assert _same_triangles(_triangles(twice), before, 1e-12 * surface.scale())
+
+
+@PROPERTY
+@given(sheared_surfaces())
+def test_make_delaunay_output_is_geometric_delaunay(sheared):
+    surface, _, degenerate = develop.make_delaunay(sheared)
+    if degenerate:
+        with pytest.raises(develop.DegenerateTriangleError):
+            develop.is_geometric_delaunay(surface)
+    else:
+        assert develop.is_geometric_delaunay(surface)
