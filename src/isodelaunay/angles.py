@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import homology
+from .homology import AngleChain
 from .ribbon import Corner, TriRibbonGraph, he_key, parse_he_key
 
 AngleAssignment = dict[Corner, float]
@@ -67,23 +68,33 @@ class HolonomyValue:
         return abs(self.value - 1.0)
 
 
-def _phase_sum(theta: AngleAssignment, a: homology.AngleChain) -> float:
-    return sum(coeff * theta[c] for c, coeff in a.items())
+def corner_holonomies(theta: AngleAssignment, chains: list[AngleChain]) -> list[HolonomyValue]:
+    """Holonomy of each corner chain, with each corner's log-sine ratio taken once."""
+    log_ratio: dict[Corner, float] = {}
+    out = []
+    for a in chains:
+        total = 0.0
+        for (f, slot), coeff in a.items():
+            d = log_ratio.get((f, slot))
+            if d is None:
+                num = math.sin(theta[(f, (slot + 1) % 3)])
+                den = math.sin(theta[(f, (slot + 2) % 3)])
+                d = log_ratio[(f, slot)] = math.log(num) - math.log(den)
+            total += coeff * d
+        out.append(HolonomyValue(total, sum(coeff * theta[c] for c, coeff in a.items())))
+    return out
 
 
-def _log_dilation_sum(theta: AngleAssignment, a: homology.AngleChain) -> float:
-    total = 0.0
-    for (f, slot), coeff in a.items():
-        num = math.sin(theta[(f, (slot + 1) % 3)])
-        den = math.sin(theta[(f, (slot + 2) % 3)])
-        total += coeff * (math.log(num) - math.log(den))
-    return total
+def holonomies(
+    graph: TriRibbonGraph, theta: AngleAssignment, basis: list[homology.Chain1]
+) -> list[HolonomyValue]:
+    """Holonomy of every cycle of ``basis``; ValueError if one is not a cycle."""
+    return corner_holonomies(theta, [homology.phi(graph, alpha) for alpha in basis])
 
 
 def holonomy(graph: TriRibbonGraph, theta: AngleAssignment, cycle: homology.Chain1) -> HolonomyValue:
     """Total holonomy of a cycle: dilation times rotation of its corner chain."""
-    a = homology.phi(graph, cycle)
-    return HolonomyValue(_log_dilation_sum(theta, a), _phase_sum(theta, a))
+    return holonomies(graph, theta, [cycle])[0]
 
 
 def is_trivial_holonomy(
@@ -95,4 +106,4 @@ def is_trivial_holonomy(
     """True iff holonomy is within ``tol`` of 1 on every basis cycle."""
     if basis is None:
         basis = homology.cycle_basis(graph)
-    return all(holonomy(graph, theta, alpha).distance_to_one() < tol for alpha in basis)
+    return all(hol.distance_to_one() < tol for hol in holonomies(graph, theta, basis))

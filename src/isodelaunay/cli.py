@@ -113,7 +113,7 @@ def cmd_holonomy(args) -> int:
     theta = _load_angles(args.angles)
     angles_mod.validate_angles(g, theta)
     basis = homology.cycle_basis(g)
-    hols = [angles_mod.holonomy(g, theta, alpha) for alpha in basis]
+    hols = angles_mod.holonomies(g, theta, basis)
     values = [
         {
             "cycle": homology.chain_to_json(alpha),

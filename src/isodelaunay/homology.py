@@ -10,21 +10,12 @@ integer arithmetic; no floats.
 
 from __future__ import annotations
 
-from .ribbon import Corner, HalfEdge, TriRibbonGraph, he_key, parse_he_key, require_valid
+import heapq
+
+from .ribbon import Corner, HalfEdge, TriRibbonGraph, he_key, require_valid
 
 Chain1 = dict[HalfEdge, int]
 AngleChain = dict[Corner, int]
-
-
-def _clean(chain: dict) -> dict:
-    return {k: v for k, v in sorted(chain.items()) if v != 0}
-
-
-def chain_add(a: dict, b: dict, scale: int = 1) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + scale * v
-    return _clean(out)
 
 
 def chain_neg(a: dict) -> dict:
@@ -35,16 +26,13 @@ def chain_to_json(chain: dict) -> dict:
     return {he_key(k): v for k, v in sorted(chain.items())}
 
 
-def chain_from_json(data: dict) -> dict:
-    return _clean({parse_he_key(k): int(v) for k, v in data.items()})
-
-
 def boundary(graph: TriRibbonGraph, chain: Chain1) -> dict:
     """Linear extension of d(f, e) = e - f, as a chain on the vertices E u F."""
+    edge_of = graph.edge_of
     out: dict[tuple[str, str], int] = {}
     for (f, slot), coeff in chain.items():
         try:
-            e = graph.edge_of((f, slot))
+            e = edge_of((f, slot))
         except KeyError:
             raise KeyError(f"unknown face {f!r} in chain") from None
         out[("E", e)] = out.get(("E", e), 0) + coeff
@@ -52,17 +40,21 @@ def boundary(graph: TriRibbonGraph, chain: Chain1) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
-def is_cycle(graph: TriRibbonGraph, chain: Chain1) -> bool:
-    return not boundary(graph, chain)
-
-
 def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
     """The fundamental cycles of a spanning tree T of the faces.
 
-    Each edge has an earlier half-edge g and a later one h.  In sorted order,
-    each face puts into T the edge of least h that leaves its current class,
-    and its class merges into the class at the other end.  Every other edge
-    gives the cycle h - g + (the path in T from the face of g to that of h).
+    Each edge has an earlier half-edge g and a later one h; edges are indexed
+    in order of h.  In sorted order, each face puts into T the edge of least
+    index that leaves its current class, and its class merges into the class
+    at the other end.  Every other edge gives the cycle h - g + (the path in T
+    from the face of g to that of h).
+
+    Classes are kept under union-find, each with a heap of the edge indices
+    at its faces; entries whose ends share a class are popped when they reach
+    the top.  A merge pushes the smaller class's heap into the larger's, so
+    each of the 3F entries moves O(log F) times: the pick takes O(E log^2 E).
+    Each cycle walks parent pointers from its two faces to their common
+    ancestor, so it costs its own length.
     """
     require_valid(graph)
     first, pairs = {}, []  # edge -> earlier half-edge g; (h, g) per edge, in order of h
@@ -70,42 +62,72 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
         g = first.setdefault(graph.edge_of(h), h)
         if g != h:
             pairs.append((h, g))
-    at: dict[str, list] = {f: [] for f in graph.face_ids}  # face -> its edges, by index
-    for j, (h, g) in enumerate(pairs):
-        at[h[0]].append(j)
-        at[g[0]].append(j)
-    cls = {f: f for f in at}  # face -> the one face of its class still to come
-    members = {f: [f] for f in at}
-    across: dict[str, list] = {f: [] for f in at}  # face -> (neighbour in T, step there)
+    faces = sorted(graph.face_ids)
+    index = {f: i for i, f in enumerate(faces)}
+    ends = [(index[h[0]], index[g[0]]) for h, g in pairs]
+    heaps: list[list[int]] = [[] for _ in faces]  # class root -> edge indices at its faces
+    for j, (a, b) in enumerate(ends):
+        heaps[a].append(j)  # appended in increasing order, so already a heap
+        heaps[b].append(j)
+    root, size = list(range(len(faces))), [1] * len(faces)  # union-find, by class size
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    across: list[list] = [[] for _ in faces]  # face -> (neighbour in T, edge index)
     tree = set()
     # This is the tree that integer column reduction of the incidence matrix
     # picks, rows E then F in sorted order; it fixes the basis that
     # `isodel holonomy` prints.
-    for f in sorted(at):
-        live = [j for x in members[f] for j in at[x]
-                if cls[pairs[j][0][0]] != cls[pairs[j][1][0]]]
-        if live:
-            j = min(live)
+    for i in range(len(faces)):
+        r = find(i)
+        heap = heaps[r]
+        while heap and find(ends[heap[0]][0]) == find(ends[heap[0]][1]):
+            heapq.heappop(heap)
+        if heap:
+            j = heap[0]
+            a, b = ends[j]
             tree.add(j)
-            h, g = pairs[j]
-            across[h[0]].append((g[0], {h: 1, g: -1}))
-            across[g[0]].append((h[0], {g: 1, h: -1}))
-            u = cls[g[0]] if cls[h[0]] == f else cls[h[0]]
-            for x in members[f]:
-                cls[x] = u
-            members[u] += members.pop(f)
-    stack = [min(at)]
-    path = {stack[0]: {}}  # face -> chain of the path in T from the least face
+            across[a].append((b, j))
+            across[b].append((a, j))
+            other = find(b) if find(a) == r else find(a)
+            small, big = (r, other) if size[r] <= size[other] else (other, r)
+            root[small] = big
+            size[big] += size[small]
+            moved, heaps[small] = heaps[small], []
+            for k in moved:
+                heapq.heappush(heaps[big], k)
+    # parent pointers of T rooted at the least face: up[y] = (parent, h, g,
+    # o), where the step from the parent to y is the chain o * (h - g)
+    up: list = [None] * len(faces)
+    depth = [0] + [-1] * (len(faces) - 1)  # -1: not reached yet
+    stack = [0]
     while stack:
         x = stack.pop()
-        for y, step in across[x]:
-            if y not in path:
-                path[y] = chain_add(path[x], step)
+        for y, j in across[x]:
+            if depth[y] < 0:
+                h, g = pairs[j]
+                up[y] = (x, h, g, 1 if ends[j][0] == x else -1)
+                depth[y] = depth[x] + 1
                 stack.append(y)
-    basis = [chain_add(chain_add({h: 1, g: -1}, path[h[0]]), path[g[0]], -1)
-             for j, (h, g) in enumerate(pairs) if j not in tree]
-    for alpha in basis:
+    basis = []
+    for j, (h, g) in enumerate(pairs):
+        if j in tree:
+            continue
+        alpha = {h: 1, g: -1}
+        a, b = ends[j]
+        while a != b:  # add the path up from h's face, subtract the path up from g's
+            if depth[a] >= depth[b]:
+                a, hk, gk, o = up[a]
+                alpha[hk], alpha[gk] = o, -o
+            else:
+                b, hk, gk, o = up[b]
+                alpha[hk], alpha[gk] = -o, o
         assert not boundary(graph, alpha)
+        basis.append(dict(sorted(alpha.items())))
     return basis
 
 
@@ -115,7 +137,7 @@ def p_map(a: AngleChain) -> Chain1:
     for (f, slot), coeff in a.items():
         out[(f, (slot + 1) % 3)] = out.get((f, (slot + 1) % 3), 0) + coeff
         out[(f, slot % 3)] = out.get((f, slot % 3), 0) - coeff
-    return _clean(out)
+    return {k: v for k, v in sorted(out.items()) if v != 0}
 
 
 def phi(graph: TriRibbonGraph, cycle: Chain1) -> AngleChain:
@@ -129,58 +151,16 @@ def phi(graph: TriRibbonGraph, cycle: Chain1) -> AngleChain:
     if boundary(graph, cycle):
         raise ValueError("chain is not a cycle (nonzero boundary)")
     out: AngleChain = {}
-    for f in {h[0] for h in cycle}:
+    for f in sorted({h[0] for h in cycle}):
         c1, c2 = cycle.get((f, 1), 0), cycle.get((f, 2), 0)
         b = (0, -c1, -c1 - c2)
-        out.update({(f, slot): x - sorted(b)[1] for slot, x in enumerate(b)})
-    return _clean(out)
+        median = sorted(b)[1]
+        for slot, x in enumerate(b):
+            if x != median:
+                out[(f, slot)] = x - median
+    return out
 
 
 def pairing_vector(basis: list[Chain1], h: HalfEdge) -> tuple[int, ...]:
     """Pairings of ``h`` against every basis cycle; negates under other_side."""
     return tuple(alpha.get((h[0], h[1] % 3), 0) for alpha in basis)
-
-
-def enumerate_simple_cycles(graph: TriRibbonGraph) -> list[Chain1]:
-    """All simple cycles, by brute-force DFS on the bipartite multigraph.
-
-    A simple cycle visits distinct E- and F-vertices, alternating.  Each
-    undirected cycle is reported once, oriented so that its least half-edge
-    carries coefficient +1.  Intended for small graphs (tests and oracles).
-    """
-    require_valid(graph)
-    hes = graph.half_edges()
-    out = []
-    seen = set()
-    for start in hes:
-        # walk forward from face start[0] through positive half-edge `start`
-        f0 = start[0]
-
-        def extend(chain, cur_edge, used_faces, used_edges):
-            for h in sorted(graph.occurrences(cur_edge)):
-                if h in chain:
-                    continue
-                face = h[0]
-                if face == f0:
-                    cand = {**chain, h: -1}
-                    if len(cand) >= 2:
-                        key = tuple(sorted(cand.items()))
-                        lo = min(cand)
-                        if cand[lo] == 1 and key not in seen:
-                            seen.add(key)
-                            out.append(dict(cand))
-                    continue
-                if face in used_faces:
-                    continue
-                for h_out in [(face, slot) for slot in range(3)]:
-                    if h_out == h or h_out in chain:
-                        continue
-                    e_next = graph.edge_of(h_out)
-                    if e_next in used_edges:
-                        continue
-                    cand = {**chain, h: -1, h_out: 1}
-                    extend(cand, e_next, used_faces | {face}, used_edges | {e_next})
-
-        e0 = graph.edge_of(start)
-        extend({start: 1}, e0, {f0}, {e0})
-    return out

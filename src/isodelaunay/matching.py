@@ -235,14 +235,14 @@ def check_constant_holonomy(
     basis = homology.cycle_basis(graph)
     poly = region.build_polytope(graph, iota, include_delaunay=False)
     thetas = region.sample(poly, samples, seed=seed)
+    chains = [homology.phi(graph, alpha) for alpha in basis]
     bary = angles_mod.constant_angles(graph)
-    reference = [angles_mod.holonomy(graph, bary, a).value for a in basis]
+    reference = [hol.value for hol in angles_mod.corner_holonomies(bary, chains)]
     max_dev = 0.0
     max_mod_dev = 0.0
     counterexample = None
     for theta in thetas:
-        for ref, alpha in zip(reference, basis):
-            val = angles_mod.holonomy(graph, theta, alpha)
+        for ref, val in zip(reference, angles_mod.corner_holonomies(theta, chains)):
             max_dev = max(max_dev, abs(val.value - ref))
             max_mod_dev = max(max_mod_dev, abs(val.modulus - 1.0))
             if abs(val.value - ref) >= tol and counterexample is None:

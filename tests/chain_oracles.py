@@ -1,0 +1,68 @@
+"""Chain helpers and the brute-force cycle oracle that only tests need."""
+
+from isodelaunay import homology
+from isodelaunay.ribbon import TriRibbonGraph, parse_he_key, require_valid
+
+
+def _clean(chain: dict) -> dict:
+    return {k: v for k, v in sorted(chain.items()) if v != 0}
+
+
+def chain_add(a: dict, b: dict, scale: int = 1) -> dict:
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + scale * v
+    return _clean(out)
+
+
+def chain_from_json(data: dict) -> dict:
+    return _clean({parse_he_key(k): int(v) for k, v in data.items()})
+
+
+def is_cycle(graph: TriRibbonGraph, chain: homology.Chain1) -> bool:
+    return not homology.boundary(graph, chain)
+
+
+def enumerate_simple_cycles(graph: TriRibbonGraph) -> list[homology.Chain1]:
+    """All simple cycles, by brute-force DFS on the bipartite multigraph.
+
+    A simple cycle visits distinct E- and F-vertices, alternating.  Each
+    undirected cycle is reported once, oriented so that its least half-edge
+    carries coefficient +1.  Intended for small graphs.
+    """
+    require_valid(graph)
+    hes = graph.half_edges()
+    out = []
+    seen = set()
+    for start in hes:
+        # walk forward from face start[0] through positive half-edge `start`
+        f0 = start[0]
+
+        def extend(chain, cur_edge, used_faces, used_edges):
+            for h in sorted(graph.occurrences(cur_edge)):
+                if h in chain:
+                    continue
+                face = h[0]
+                if face == f0:
+                    cand = {**chain, h: -1}
+                    if len(cand) >= 2:
+                        key = tuple(sorted(cand.items()))
+                        lo = min(cand)
+                        if cand[lo] == 1 and key not in seen:
+                            seen.add(key)
+                            out.append(dict(cand))
+                    continue
+                if face in used_faces:
+                    continue
+                for h_out in [(face, slot) for slot in range(3)]:
+                    if h_out == h or h_out in chain:
+                        continue
+                    e_next = graph.edge_of(h_out)
+                    if e_next in used_edges:
+                        continue
+                    cand = {**chain, h: -1, h_out: 1}
+                    extend(cand, e_next, used_faces | {face}, used_edges | {e_next})
+
+        e0 = graph.edge_of(start)
+        extend({start: 1}, e0, {f0}, {e0})
+    return out

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from chain_oracles import chain_add
 from isodelaunay import angles, homology, origami
 
 
@@ -76,7 +77,7 @@ def test_holonomy_is_homomorphism(torus_graph):
     a, b = homology.cycle_basis(torus_graph)
     hol_a = angles.holonomy(torus_graph, theta, a).value
     hol_b = angles.holonomy(torus_graph, theta, b).value
-    hol_ab = angles.holonomy(torus_graph, theta, homology.chain_add(a, b)).value
+    hol_ab = angles.holonomy(torus_graph, theta, chain_add(a, b)).value
     assert abs(hol_ab - hol_a * hol_b) < 1e-9
 
 
@@ -120,3 +121,25 @@ def test_holonomy_inverse_on_negated_cycle(torus_graph):
     hol = angles.holonomy(torus_graph, theta, a).value
     hol_inv = angles.holonomy(torus_graph, theta, homology.chain_neg(a)).value
     assert abs(hol * hol_inv - 1.0) < 1e-12
+
+
+def test_a_non_cycle_in_the_basis_raises_instead_of_returning(torus_graph):
+    theta = {
+        ("f1-", 0): 0.9,
+        ("f1-", 1): 1.1,
+        ("f1-", 2): math.pi - 2.0,
+        ("f1+", 0): 0.7,
+        ("f1+", 1): 1.4,
+        ("f1+", 2): math.pi - 2.1,
+    }
+    a = homology.cycle_basis(torus_graph)[0]
+    assert angles.holonomy(torus_graph, theta, a).distance_to_one() > 1e-3
+    # the non-cycle comes after a cycle of nontrivial holonomy, so a check
+    # that stops at the first nontrivial cycle would return False instead
+    basis = [a, {("f1-", 0): 1}]
+    with pytest.raises(ValueError, match="not a cycle"):
+        angles.is_trivial_holonomy(torus_graph, theta, basis)
+    with pytest.raises(ValueError, match="not a cycle"):
+        angles.holonomies(torus_graph, theta, basis)
+    with pytest.raises(ValueError, match="not a cycle"):
+        angles.holonomy(torus_graph, theta, {("f1-", 0): 1})

@@ -3,7 +3,9 @@
 Each example is a random transitive origami with at most 8 squares, taken
 both as built and after a horizontal shear and Lawson flips to a Delaunay
 triangulation.  Runs are derandomized, so every run checks the same
-examples.
+examples.  The cycle basis, ``phi`` and holonomy are also checked against
+straightforward references kept here: a quadratic tree pick with path
+chains, a ``phi`` that sorts every slot, and per-cycle holonomy sums.
 """
 
 import math
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isodelaunay import develop, homology, origami, region, ribbon
+from chain_oracles import chain_add
+from isodelaunay import angles, develop, homology, origami, region, ribbon
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -65,8 +68,110 @@ def test_p_after_phi_is_the_identity_on_combinations_of_basis_cycles(pair, data)
             scales = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
             c: homology.Chain1 = {}
             for alpha, k in zip(basis, scales):
-                c = homology.chain_add(c, alpha, k)
+                c = chain_add(c, alpha, k)
             assert homology.p_map(homology.phi(g, c)) == c
+
+
+def _cycle_basis_by_live_lists(graph):
+    # the reference pick: each face lists every edge of its whole class
+    first, pairs = {}, []
+    for h in graph.half_edges():
+        g = first.setdefault(graph.edge_of(h), h)
+        if g != h:
+            pairs.append((h, g))
+    at = {f: [] for f in graph.face_ids}
+    for j, (h, g) in enumerate(pairs):
+        at[h[0]].append(j)
+        at[g[0]].append(j)
+    cls = {f: f for f in at}
+    members = {f: [f] for f in at}
+    across = {f: [] for f in at}
+    tree = set()
+    for f in sorted(at):
+        live = [j for x in members[f] for j in at[x]
+                if cls[pairs[j][0][0]] != cls[pairs[j][1][0]]]
+        if live:
+            j = min(live)
+            tree.add(j)
+            h, g = pairs[j]
+            across[h[0]].append((g[0], {h: 1, g: -1}))
+            across[g[0]].append((h[0], {g: 1, h: -1}))
+            u = cls[g[0]] if cls[h[0]] == f else cls[h[0]]
+            for x in members[f]:
+                cls[x] = u
+            members[u] += members.pop(f)
+    stack = [min(at)]
+    path = {stack[0]: {}}
+    while stack:
+        x = stack.pop()
+        for y, step in across[x]:
+            if y not in path:
+                path[y] = chain_add(path[x], step)
+                stack.append(y)
+    return [chain_add(chain_add({h: 1, g: -1}, path[h[0]]), path[g[0]], -1)
+            for j, (h, g) in enumerate(pairs) if j not in tree]
+
+
+def _phi_sorting_every_slot(graph, cycle):
+    # the reference phi: the median per slot, then every corner sorted
+    assert not homology.boundary(graph, cycle)
+    out = {}
+    for f in {h[0] for h in cycle}:
+        c1, c2 = cycle.get((f, 1), 0), cycle.get((f, 2), 0)
+        b = (0, -c1, -c1 - c2)
+        out.update({(f, slot): x - sorted(b)[1] for slot, x in enumerate(b)})
+    return {k: v for k, v in sorted(out.items()) if v != 0}
+
+
+def _holonomy_by_sums(theta, a):
+    # the reference holonomy of a corner chain: both logs taken per corner
+    total = 0.0
+    for (f, slot), coeff in a.items():
+        num = math.sin(theta[(f, (slot + 1) % 3)])
+        den = math.sin(theta[(f, (slot + 2) % 3)])
+        total += coeff * (math.log(num) - math.log(den))
+    return total.hex(), sum(coeff * theta[c] for c, coeff in a.items()).hex()
+
+
+@st.composite
+def surfaces(draw):
+    """The sheared surface and its Delaunay flip, each as (graph, corner angles)."""
+    sheared = draw(sheared_surfaces())
+    flipped, _, _ = develop.make_delaunay(sheared)
+    return [(s.graph, develop.angles_of(s)) for s in (sheared, flipped)]
+
+
+@PROPERTY
+@given(graphs())
+def test_cycle_basis_matches_the_quadratic_pick(pair):
+    for g in pair:
+        got = [list(alpha.items()) for alpha in homology.cycle_basis(g)]
+        assert got == [list(alpha.items()) for alpha in _cycle_basis_by_live_lists(g)]
+
+
+@PROPERTY
+@given(graphs(), st.data())
+def test_phi_matches_the_slot_by_slot_reference(pair, data):
+    for g in pair:
+        basis = homology.cycle_basis(g)
+        scales = data.draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
+        combination: homology.Chain1 = {}
+        for alpha, k in zip(basis, scales):
+            combination = chain_add(combination, alpha, k)
+        for c in basis + [combination]:
+            assert list(homology.phi(g, c).items()) == list(_phi_sorting_every_slot(g, c).items())
+
+
+@PROPERTY
+@given(surfaces())
+def test_holonomies_match_per_cycle_holonomy_bit_for_bit(pair):
+    for g, theta in pair:
+        basis = homology.cycle_basis(g)
+        got = [(v.log_modulus.hex(), v.phase.hex()) for v in angles.holonomies(g, theta, basis)]
+        one_by_one = [angles.holonomy(g, theta, alpha) for alpha in basis]
+        assert got == [(v.log_modulus.hex(), v.phase.hex()) for v in one_by_one]
+        assert got == [_holonomy_by_sums(theta, _phi_sorting_every_slot(g, alpha))
+                       for alpha in basis]
 
 
 @PROPERTY
