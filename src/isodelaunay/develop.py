@@ -16,6 +16,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .angles import AngleAssignment, validate_angles
 from .ribbon import (HalfEdge, TriRibbonGraph, he_key, other_side, parse_he_key,
                      require_valid, spanning_tree)
@@ -171,29 +173,44 @@ def _quad(p_h: complex, p_next: complex, p_mate_next: complex):
     return a, b, cpt, d
 
 
-def is_geometric_delaunay(surface: DevelopedSurface, tol: float = 1e-9) -> bool:
-    """Angle criterion at every edge, cross-checked by the in-circle predicate.
+def _incircle_det(a: complex, b: complex, c: complex, d: complex) -> float:
+    """Positive iff d is inside the circumcircle of ccw triangle abc."""
+    rows = []
+    for p in (a, b, c):
+        q = p - d
+        rows.append([q.real, q.imag, q.real * q.real + q.imag * q.imag])
+    m = np.array(rows)
+    return float(np.linalg.det(m))
 
-    Raises DegenerateTriangleError if any edge sits within ``tol`` of the
-    cocircular configuration.
+
+def _angle_at(p: complex, q: complex, r: complex) -> float:
+    """Unsigned angle at p between segments pq and pr."""
+    u, v = q - p, r - p
+    return abs(math.atan2((u.conjugate() * v).imag, (u.conjugate() * v).real))
+
+
+def circumcircle_cross_check(
+    quad: tuple[complex, complex, complex, complex],
+    tol: float = 1e-9,
+) -> dict:
+    """Agreement of the in-circle predicate with the opposite-angle criterion.
+
+    ``quad`` is (A, B, C, D): triangle ABC counterclockwise sharing edge BC
+    with the point D on the other side of line BC.  Near-degenerate cases
+    (both indicators inside ``tol``) are flagged instead of judged.
     """
-    from . import region
-
-    theta = angles_of(surface)
-    p = surface.periods
-    result = True
-    for e in surface.graph.edges:
-        s = region.delaunay_sum(surface.graph, theta, e)
-        if abs(s - math.pi) < tol:
-            raise DegenerateTriangleError(f"degenerate Delaunay edge {e!r}")
-        (f, k), (f2, k2) = surface.graph.occurrences(e)
-        a, b, c, d = _quad(p[(f, k)], p[(f, (k + 1) % 3)], p[(f2, (k2 + 1) % 3)])
-        check = region.circumcircle_cross_check((c, a, b, d), tol=tol)
-        if not check["degenerate"]:
-            assert check["agree"], f"angle/in-circle disagreement at edge {e!r}"
-        if s >= math.pi:
-            result = False
-    return result
+    a, b, c, d = quad
+    angle_sum = _angle_at(a, b, c) + _angle_at(d, c, b)
+    det = _incircle_det(a, b, c, d)
+    scale = max(abs(b - a), abs(c - a), abs(d - a)) ** 4
+    degenerate = abs(det) < tol * max(scale, 1.0) and abs(math.pi - angle_sum) < tol
+    outside = det < 0
+    return {
+        "degenerate": degenerate,
+        "in_circle_outside": outside,
+        "angle_sum": angle_sum,
+        "agree": degenerate or (outside == (angle_sum < math.pi)),
+    }
 
 
 class FlipCapError(RuntimeError):
@@ -218,6 +235,18 @@ class _Triangulation:
         for i, bnd in enumerate(self.faces):
             for k, e in enumerate(bnd):
                 self.occ.setdefault(e, []).append((i, k))
+
+    def corner_angles(self) -> list[list[float]]:
+        """The three corner angles of each face, by position."""
+        return [_corner_angles(f, z) for f, z in zip(self.ids, self.periods)]
+
+    def delaunay_sum(self, angles: list[list[float]], edge: str) -> float:
+        """Sum of the two angles opposite ``edge`` (slot + 1 in each of its faces)."""
+        occ = self.occ.get(edge, ())
+        if len(occ) != 2:
+            raise KeyError(f"unknown or malformed edge {edge!r}")
+        (i, s), (j, s2) = occ
+        return angles[i][(s + 1) % 3] + angles[j][(s2 + 1) % 3]
 
     def flip(self, edge: str) -> tuple[int, int]:
         """Replace ``edge`` by the opposite diagonal of its quadrilateral.
@@ -278,6 +307,32 @@ def flip_edge(surface: DevelopedSurface, edge: str) -> DevelopedSurface:
     return tri.surface()
 
 
+def is_geometric_delaunay(surface: DevelopedSurface, tol: float = 1e-9) -> bool:
+    """Angle criterion at every edge, cross-checked by the in-circle predicate.
+
+    The sums are those ``make_delaunay`` flips by.  Raises
+    DegenerateTriangleError if any edge sits within ``tol`` of the
+    cocircular configuration, and AssertionError if the two criteria
+    disagree at an edge that is not near-degenerate.
+    """
+    tri = _Triangulation(surface)
+    angles = tri.corner_angles()
+    result = True
+    for e in tri.edges:
+        s = tri.delaunay_sum(angles, e)
+        if abs(s - math.pi) < tol:
+            raise DegenerateTriangleError(f"degenerate Delaunay edge {e!r}")
+        (i, k), (j, k2) = tri.occ[e]
+        p, q = tri.periods[i], tri.periods[j]
+        a, b, c, d = _quad(p[k], p[(k + 1) % 3], q[(k2 + 1) % 3])
+        check = circumcircle_cross_check((c, a, b, d), tol=tol)
+        if not check["degenerate"] and not check["agree"]:
+            raise AssertionError(f"angle/in-circle disagreement at edge {e!r}")
+        if s >= math.pi:
+            result = False
+    return result
+
+
 def make_delaunay(surface: DevelopedSurface, max_flips: int = 1000, tol: float = 1e-9):
     """Lawson flips until no opposite-angle sum exceeds pi + tol.
 
@@ -296,7 +351,7 @@ def make_delaunay(surface: DevelopedSurface, max_flips: int = 1000, tol: float =
     needs more than ``max_flips`` flips.
     """
     tri = _Triangulation(surface)
-    angles = [_corner_angles(f, z) for f, z in zip(tri.ids, tri.periods)]
+    angles = tri.corner_angles()
     index = {e: k for k, e in enumerate(tri.edges)}
     sums: dict[str, float] = {}
     version = [0] * len(tri.edges)
@@ -304,11 +359,7 @@ def make_delaunay(surface: DevelopedSurface, max_flips: int = 1000, tol: float =
     limit = math.pi + tol
 
     def update(e: str) -> None:
-        occ = tri.occ[e]
-        if len(occ) != 2:
-            raise KeyError(f"unknown or malformed edge {e!r}")
-        (i, s), (j, s2) = occ
-        sums[e] = x = angles[i][(s + 1) % 3] + angles[j][(s2 + 1) % 3]
+        sums[e] = x = tri.delaunay_sum(angles, e)
         k = index[e]
         version[k] += 1
         if x > limit:

@@ -126,7 +126,10 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
             else:
                 b, hk, gk, o = up[b]
                 alpha[hk], alpha[gk] = -o, o
-        assert not boundary(graph, alpha)
+        if boundary(graph, alpha):
+            raise AssertionError(
+                f"basis cycle through {min(alpha)} has nonzero boundary (implementation fault)"
+            )
         basis.append(dict(sorted(alpha.items())))
     return basis
 

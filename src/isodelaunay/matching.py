@@ -1,4 +1,4 @@
-"""Triangle matchings: verification, exhaustive search, induced structures.
+"""Triangle matchings: verification, exhaustive search, constant holonomy.
 
 A matching is a bijection on half-edges that commutes with the Z/3 slot
 rotation and acts as -1 on every cycle.  As a map it is stored as a plain
@@ -11,16 +11,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import homology
-from .ribbon import (
-    Corner,
-    HalfEdge,
-    TriRibbonGraph,
-    he_key,
-    orbits,
-    parse_he_key,
-    require_valid,
-    vertex_orbits,
-)
+from .ribbon import HalfEdge, TriRibbonGraph, he_key, parse_he_key, require_valid
 
 TriangleMatching = dict[HalfEdge, HalfEdge]
 
@@ -171,51 +162,6 @@ def find_matchings(
     return SearchResult(found, complete=not timed_out)
 
 
-@dataclass
-class InvariantAngleSpace:
-    """The linear equality system cutting out the invariant angle assignments.
-
-    Rows are integer coefficient maps over corner variables; face sum rows
-    equal pi, orbit rows equal 0.
-    """
-
-    corners: list[Corner]
-    face_sum_rows: list[dict[Corner, int]]
-    orbit_rows: list[dict[Corner, int]]
-    dimension: int
-    # index of each corner's iota-orbit, numbered in corner order
-    orbit_of: dict[Corner, int]
-
-
-def invariant_space(graph: TriRibbonGraph, iota: TriangleMatching) -> InvariantAngleSpace:
-    """Equality system for invariant angle assignments, with its affine dimension.
-
-    The orbit rows leave one variable per iota-orbit of corners.  The face
-    rows of one face orbit then coincide, and rows of different face orbits
-    have disjoint supports, so the dimension is the number of corner orbits
-    less the number of face orbits.
-    """
-    report = verify_matching(graph, iota)
-    if not report:
-        raise ValueError("invariant_space requires a verified matching: " + "; ".join(report.problems))
-    corners = graph.half_edges()
-    faces = sorted(graph.face_ids)
-    face_rows = [{(f, s): 1 for s in range(3)} for f in faces]
-    orbit_rows = []
-    seen = set()
-    for c in corners:
-        img = iota[c]
-        if img == c or (img, c) in seen:
-            continue
-        seen.add((c, img))
-        orbit_rows.append({c: 1, img: -1})
-    corner_orbits = orbits(corners, iota.__getitem__)
-    face_orbits = orbits(faces, lambda f: iota[(f, 0)][0])
-    dimension = len(corner_orbits) - len(face_orbits)
-    orbit_of = {c: i for i, orbit in enumerate(corner_orbits) for c in orbit}
-    return InvariantAngleSpace(corners, face_rows, orbit_rows, dimension, orbit_of)
-
-
 def check_constant_holonomy(
     graph: TriRibbonGraph,
     iota: TriangleMatching,
@@ -254,56 +200,3 @@ def check_constant_holonomy(
         "ok": counterexample is None and max_mod_dev < tol,
         "counterexample": counterexample,
     }
-
-
-def check_hyperelliptic_compatibility(
-    graph: TriRibbonGraph,
-    edge_map: dict[str, str],
-    face_map: dict[str, str],
-) -> bool:
-    """Decide whether a simplicial involution certifies a triangle matching.
-
-    ``edge_map`` and ``face_map`` are permutations of the edge and face
-    identifiers.  The induced half-edge map must align boundaries by a slot
-    rotation (orientation preserving); the vertex set must have size 1, or
-    size 2 with the two vertices swapped; and the half-edge map must verify
-    as a triangle matching.
-    """
-    require_valid(graph)
-    if sorted(edge_map) != sorted(graph.edges) or sorted(edge_map.values()) != sorted(graph.edges):
-        raise ValueError("edge_map is not a permutation of the edges")
-    fids = sorted(graph.face_ids)
-    if sorted(face_map) != fids or sorted(face_map.values()) != fids:
-        raise ValueError("face_map is not a permutation of the faces")
-
-    # every consistent slot rotation per face; ambiguity from repeated edges
-    # is resolved by trying all combinations
-    per_face_offsets: list[list[int]] = []
-    for f in fids:
-        src = [edge_map[e] for e in graph.boundary_of(f)]
-        dst = graph.boundary_of(face_map[f])
-        offs = [off for off in range(3) if all(src[s] == dst[(s + off) % 3] for s in range(3))]
-        if not offs:
-            return False
-        per_face_offsets.append(offs)
-
-    import itertools
-
-    orbits = vertex_orbits(graph)
-    orbit_of = {c: i for i, orbit in enumerate(orbits) for c in orbit}
-    basis = homology.cycle_basis(graph)
-    for combo in itertools.product(*per_face_offsets):
-        iota = {
-            (f, s): (face_map[f], (s + off) % 3)
-            for f, off in zip(fids, combo)
-            for s in range(3)
-        }
-        if len(orbits) == 1:
-            vertex_ok = True
-        elif len(orbits) == 2:
-            vertex_ok = all(orbit_of[iota[c]] != orbit_of[c] for c in iota)
-        else:
-            vertex_ok = False
-        if vertex_ok and verify_matching(graph, iota, basis):
-            return True
-    return False

@@ -35,8 +35,6 @@ def _parse_cycles(text: str) -> list[list[int]]:
     if not text or text in ("()", "id", "e"):
         cycles: list[list[int]] = []
     else:
-        if not _CYCLE_RE.fullmatch(text.replace(")(", ")(").replace(" ", "")) and "(" not in text:
-            raise ValueError(f"cannot parse permutation {text!r}")
         chunks = _CYCLE_RE.findall(text)
         if "".join(f"({c})" for c in chunks).replace(" ", "") != text.replace(" ", ""):
             raise ValueError(f"cannot parse permutation {text!r}")

@@ -20,26 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matching as matching_mod
-from .angles import AngleAssignment, validate_angles
-from .ribbon import Corner, TriRibbonGraph
+from .angles import AngleAssignment
+from .ribbon import Corner, TriRibbonGraph, orbits
 
 
 def opposite_corner(graph: TriRibbonGraph, h) -> Corner:
     """The corner of face h[0] opposite the edge of ``h`` (slot + 1)."""
     return (h[0], (h[1] + 1) % 3)
-
-
-def delaunay_sum(graph: TriRibbonGraph, theta: AngleAssignment, edge: str) -> float:
-    """Sum of the two angles opposite ``edge``."""
-    occ = graph.occurrences(edge)
-    if len(occ) != 2:
-        raise KeyError(f"unknown or malformed edge {edge!r}")
-    return sum(theta[opposite_corner(graph, h)] for h in occ)
-
-
-def in_delaunay_region(graph: TriRibbonGraph, theta: AngleAssignment, tol: float = 1e-9) -> bool:
-    validate_angles(graph, theta)
-    return all(delaunay_sum(graph, theta, e) < math.pi - tol for e in graph.edges)
 
 
 # the equilateral optimum reproduces its equalities and its slack of pi/3 to this accuracy
@@ -102,13 +89,33 @@ def build_polytope(
     iota: matching_mod.TriangleMatching,
     include_delaunay: bool = True,
 ) -> RegionPolytope:
-    """Constraint system over corner variables for a verified matching."""
-    space = matching_mod.invariant_space(graph, iota)
-    corners = space.corners
-    eq_rows: list[dict] = [dict(r) for r in space.face_sum_rows]
-    eq_rhs = [math.pi] * len(space.face_sum_rows)
-    eq_rows += [dict(r) for r in space.orbit_rows]
-    eq_rhs += [0.0] * len(space.orbit_rows)
+    """Constraint system over corner variables for a verified matching.
+
+    The equalities are one row per face (angles sum to pi, faces sorted),
+    then one row theta(c) = theta(iota(c)) per corner pair that iota moves,
+    in corner order.  The orbit rows leave one variable per iota-orbit of
+    corners.  The face rows of one face orbit then coincide, and rows of
+    different face orbits have disjoint supports, so the dimension is the
+    number of corner orbits less the number of face orbits.
+    """
+    report = matching_mod.verify_matching(graph, iota)
+    if not report:
+        raise ValueError("invariant_space requires a verified matching: " + "; ".join(report.problems))
+    corners = graph.half_edges()
+    faces = sorted(graph.face_ids)
+    eq_rows: list[dict] = [{(f, s): 1 for s in range(3)} for f in faces]
+    eq_rhs = [math.pi] * len(faces)
+    seen = set()
+    for c in corners:
+        img = iota[c]
+        if img == c or (img, c) in seen:
+            continue
+        seen.add((c, img))
+        eq_rows.append({c: 1, img: -1})
+        eq_rhs.append(0.0)
+    corner_orbits = orbits(corners, iota.__getitem__)
+    dimension = len(corner_orbits) - len(orbits(faces, lambda f: iota[(f, 0)][0]))
+    orbit_of = {c: i for i, orbit in enumerate(corner_orbits) for c in orbit}
 
     ineq_rows: list[dict] = [{c: -1.0} for c in corners]  # -theta(c) < 0
     ineq_rhs: list[float] = [0.0] * len(corners)
@@ -120,8 +127,7 @@ def build_polytope(
                 row[opp] = row.get(opp, 0.0) + 1.0
             ineq_rows.append(row)
             ineq_rhs.append(math.pi)
-    return RegionPolytope(corners, eq_rows, eq_rhs, ineq_rows, ineq_rhs,
-                          space.dimension, space.orbit_of)
+    return RegionPolytope(corners, eq_rows, eq_rhs, ineq_rows, ineq_rhs, dimension, orbit_of)
 
 
 def _dense(rows: list[dict], cidx: dict, width: int) -> np.ndarray:
@@ -210,47 +216,3 @@ def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignm
             if len(out) >= n:
                 break
     return out
-
-
-# ---------------------------------------------------------------------------
-# planar in-circle cross-check
-
-
-def _incircle_det(a: complex, b: complex, c: complex, d: complex) -> float:
-    """Positive iff d is inside the circumcircle of ccw triangle abc."""
-    rows = []
-    for p in (a, b, c):
-        q = p - d
-        rows.append([q.real, q.imag, q.real * q.real + q.imag * q.imag])
-    m = np.array(rows)
-    return float(np.linalg.det(m))
-
-
-def _angle_at(p: complex, q: complex, r: complex) -> float:
-    """Unsigned angle at p between segments pq and pr."""
-    u, v = q - p, r - p
-    return abs(math.atan2((u.conjugate() * v).imag, (u.conjugate() * v).real))
-
-
-def circumcircle_cross_check(
-    quad: tuple[complex, complex, complex, complex],
-    tol: float = 1e-9,
-) -> dict:
-    """Agreement of the in-circle predicate with the opposite-angle criterion.
-
-    ``quad`` is (A, B, C, D): triangle ABC counterclockwise sharing edge BC
-    with the point D on the other side of line BC.  Near-degenerate cases
-    (both indicators inside ``tol``) are flagged instead of judged.
-    """
-    a, b, c, d = quad
-    angle_sum = _angle_at(a, b, c) + _angle_at(d, c, b)
-    det = _incircle_det(a, b, c, d)
-    scale = max(abs(b - a), abs(c - a), abs(d - a)) ** 4
-    degenerate = abs(det) < tol * max(scale, 1.0) and abs(math.pi - angle_sum) < tol
-    outside = det < 0
-    return {
-        "degenerate": degenerate,
-        "in_circle_outside": outside,
-        "angle_sum": angle_sum,
-        "agree": degenerate or (outside == (angle_sum < math.pi)),
-    }

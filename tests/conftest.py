@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import isodelaunay
 from isodelaunay import origami
 
 
@@ -41,3 +47,20 @@ def prym_graph(prym):
 @pytest.fixture(scope="session")
 def staircase_graph(staircase):
     return origami.build_origami_graph(staircase)
+
+
+@pytest.fixture()
+def run_optimized():
+    """Run a script under ``python -O`` against this checkout's package.
+
+    Returns the last line of its stderr; a script whose checks all pass
+    prints nothing there.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(isodelaunay.__file__).resolve().parents[1]))
+
+    def run(script: str) -> str:
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        return (proc.stderr.strip().splitlines() or [""])[-1]
+
+    return run

@@ -154,7 +154,7 @@ def test_criterion_10_delaunay_predicates_agree():
         side = ((c - b).conjugate() * (d - b)).imag
         if side >= 0:  # need d across edge bc from a
             continue
-        rep = region.circumcircle_cross_check((a, b, c, d), tol=TOL)
+        rep = develop.circumcircle_cross_check((a, b, c, d), tol=TOL)
         if rep["degenerate"]:
             continue
         checked += 1

@@ -100,6 +100,28 @@ def test_region_report(l_files, capsys):
     assert report["feasible"] and report["dimension"] == 6
 
 
+def test_region_rejects_an_unverified_matching(l_files, tmp_path, capsys):
+    graph, iota_file = l_files
+    iota = json.loads(iota_file.read_text())
+    identity = {k: k for k in iota}
+    swapped = dict(iota)
+    keys = sorted(swapped)
+    swapped[keys[0]], swapped[keys[4]] = swapped[keys[4]], swapped[keys[0]]
+    cases = [
+        (identity, "does not act as -1 on the basis cycle through ('f1+', 0)"),
+        (swapped, "not Z/3-equivariant at f1+/1: got f1-/0, expected f1+/0; "
+                  "not Z/3-equivariant at f1+/2: got f1-/1, expected f1+/1; "
+                  "not Z/3-equivariant at f1-/1: got f1-/2, expected f1+/2"),
+    ]
+    bad = tmp_path / "bad.json"
+    for data, problems in cases:
+        bad.write_text(json.dumps(data))
+        for flags in ([], ["--json"]):
+            code, out, err = run_cli(capsys, *flags, "region", str(graph), str(bad))
+            assert (code, out) == (1, "")
+            assert err == f"error: invariant_space requires a verified matching: {problems}\n"
+
+
 def test_holonomy_report(l_files, tmp_path, capsys):
     graph, _ = l_files
     from isodelaunay import angles as angles_mod, origami

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from isodelaunay import angles, develop, origami, region, ribbon
+from delaunay_oracles import in_delaunay_region
+from isodelaunay import angles, develop, origami, ribbon
 
 
 def scaled(surface, sx, sy):
@@ -132,7 +133,7 @@ def test_make_delaunay_idempotent_on_delaunay_input(square_l, square_l_graph):
 def test_delaunay_angles_match_region_membership(square_l, square_l_graph):
     surface = develop.develop(square_l_graph, origami.equilateral_angles(square_l))
     theta = develop.angles_of(surface)
-    assert region.in_delaunay_region(square_l_graph, theta)
+    assert in_delaunay_region(square_l_graph, theta)
 
 
 def test_export_svg(tmp_path, square_l, square_l_graph):
@@ -141,3 +142,18 @@ def test_export_svg(tmp_path, square_l, square_l_graph):
     develop.export_svg(surface, str(out))
     text = out.read_text()
     assert text.startswith("<svg") and "polygon" in text
+
+
+def test_in_circle_disagreement_survives_python_O(run_optimized):
+    # a sign error planted in the in-circle determinant contradicts the
+    # angle criterion at every edge of the equilateral L
+    last = run_optimized(
+        "from isodelaunay import develop, origami\n"
+        "assert False, 'not run under -O'\n"
+        "o = origami.Origami.from_spec('h=(12);v=(13)')\n"
+        "surface = develop.develop(origami.build_origami_graph(o), origami.equilateral_angles(o))\n"
+        "incircle = develop._incircle_det\n"
+        "develop._incircle_det = lambda a, b, c, d: -incircle(a, b, c, d)\n"
+        "develop.is_geometric_delaunay(surface)\n"
+    )
+    assert last == "AssertionError: angle/in-circle disagreement at edge 'b1'"

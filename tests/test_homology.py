@@ -92,3 +92,17 @@ def test_enumerate_simple_cycles_are_unique(square_l_graph):
     cycles = enumerate_simple_cycles(square_l_graph)
     as_sets = [tuple(sorted(c.items())) for c in cycles]
     assert len(as_sets) == len(set(as_sets))
+
+
+def test_cycle_basis_certificate_survives_python_O(run_optimized):
+    # a boundary that never vanishes stands for a wrong cycle; under -O a
+    # bare assert (skipped here) would let the basis through unchecked
+    last = run_optimized(
+        "from isodelaunay import homology, origami\n"
+        "assert False, 'not run under -O'\n"
+        "homology.boundary = lambda graph, chain: {'b1': 1}\n"
+        "homology.cycle_basis(origami.build_origami_graph("
+        "origami.Origami.from_spec('h=(12);v=(13)')))\n"
+    )
+    assert last == ("AssertionError: basis cycle through ('f1+', 0) "
+                    "has nonzero boundary (implementation fault)")

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from isodelaunay import homology, matching, origami, ribbon, surgery
+from isodelaunay import homology, matching, origami, region, ribbon, surgery
 
 
 def canonical(o):
@@ -62,14 +62,14 @@ def test_matching_json_round_trip(square_l):
 def test_invariant_space_dimensions(torus, square_l, prym):
     for o, dim in [(torus, 2), (square_l, 6), (prym, 10)]:
         g = origami.build_origami_graph(o)
-        space = matching.invariant_space(g, canonical(o))
+        space = region.build_polytope(g, canonical(o), include_delaunay=False)
         assert space.dimension == dim
 
 
 def _dense_rank(space):
     idx = {c: i for i, c in enumerate(space.corners)}
-    rows = np.zeros((len(space.face_sum_rows) + len(space.orbit_rows), len(idx)))
-    for r, row in enumerate(space.face_sum_rows + space.orbit_rows):
+    rows = np.zeros((len(space.eq_rows), len(idx)))
+    for r, row in enumerate(space.eq_rows):
         for c, v in row.items():
             rows[r, idx[c]] += v
     return np.linalg.matrix_rank(rows)
@@ -88,7 +88,7 @@ def test_orbit_count_dimension_matches_dense_rank(square_l, prym):
     ))
     assert len(cases) >= 10
     for g, iota in cases:
-        space = matching.invariant_space(g, iota)
+        space = region.build_polytope(g, iota, include_delaunay=False)
         assert space.dimension == len(space.corners) - _dense_rank(space)
 
 
@@ -107,17 +107,6 @@ def test_constant_holonomy_on_invariant_angles(square_l, square_l_graph):
     assert report["ok"]
     assert report["max_deviation"] < 1e-9
     assert report["max_modulus_deviation"] < 1e-9
-
-
-def test_hyperelliptic_compatibility_square_l(square_l, square_l_graph):
-    # the elliptic involution of the L: squares 1<->1 (via half turn), 2<->3
-    edge_map = {"b1": "b3", "b3": "b1", "b2": "b2", "l1": "l2", "l2": "l1", "l3": "l3",
-                "d1": "d1", "d2": "d2", "d3": "d3"}
-    face_map = {}
-    for j in (1, 2, 3):
-        face_map[f"f{j}-"] = f"f{j}+"
-        face_map[f"f{j}+"] = f"f{j}-"
-    assert matching.check_hyperelliptic_compatibility(square_l_graph, edge_map, face_map)
 
 
 def test_search_prunes_with_pairing_vectors(prym_graph):

@@ -5,7 +5,8 @@ both as built and after a horizontal shear and Lawson flips to a Delaunay
 triangulation.  Runs are derandomized, so every run checks the same
 examples.  The cycle basis, ``phi`` and holonomy are also checked against
 straightforward references kept here: a quadratic tree pick with path
-chains, a ``phi`` that sorts every slot, and per-cycle holonomy sums.
+chains, a ``phi`` that sorts every slot, per-cycle holonomy sums, and a
+Delaunay test on angle dicts.
 """
 
 import math
@@ -15,7 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chain_oracles import chain_add
-from isodelaunay import angles, develop, homology, origami, region, ribbon
+from delaunay_oracles import delaunay_sum
+from isodelaunay import angles, develop, homology, origami, ribbon
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -223,7 +225,7 @@ def _make_delaunay_by_full_rescan(surface, tol=1e-9):
         theta = develop.angles_of(surface)
         worst, degenerate = None, []
         for e in surface.graph.edges:
-            s = region.delaunay_sum(surface.graph, theta, e)
+            s = delaunay_sum(surface.graph, theta, e)
             if s > math.pi + tol and (worst is None or s > worst[1]):
                 worst = (e, s)
             elif abs(s - math.pi) <= tol:
@@ -297,3 +299,38 @@ def test_make_delaunay_output_is_geometric_delaunay(sheared):
             develop.is_geometric_delaunay(surface)
     else:
         assert develop.is_geometric_delaunay(surface)
+
+
+def _is_geometric_delaunay_on_angle_dicts(surface, tol=1e-9):
+    # the reference: angles_of, the angle-dict sum and the graph's occurrences
+    theta = develop.angles_of(surface)
+    p = surface.periods
+    result = True
+    for e in surface.graph.edges:
+        s = delaunay_sum(surface.graph, theta, e)
+        if abs(s - math.pi) < tol:
+            raise develop.DegenerateTriangleError(f"degenerate Delaunay edge {e!r}")
+        (f, k), (f2, k2) = surface.graph.occurrences(e)
+        a, b, c, d = develop._quad(p[(f, k)], p[(f, (k + 1) % 3)], p[(f2, (k2 + 1) % 3)])
+        check = develop.circumcircle_cross_check((c, a, b, d), tol=tol)
+        if not check["degenerate"] and not check["agree"]:
+            raise AssertionError(f"angle/in-circle disagreement at edge {e!r}")
+        if s >= math.pi:
+            result = False
+    return result
+
+
+def _outcome(is_delaunay, surface):
+    try:
+        return is_delaunay(surface)
+    except (develop.DegenerateTriangleError, AssertionError, KeyError) as ex:
+        return type(ex), str(ex)
+
+
+@PROPERTY
+@given(sheared_surfaces())
+def test_is_geometric_delaunay_matches_the_angle_dict_reference(sheared):
+    flipped, _, _ = develop.make_delaunay(sheared)
+    for surface in (sheared, flipped):
+        expected = _outcome(_is_geometric_delaunay_on_angle_dicts, surface)
+        assert _outcome(develop.is_geometric_delaunay, surface) == expected

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from isodelaunay import angles, homology, origami, region, surgery
+from delaunay_oracles import delaunay_sum, in_delaunay_region
+from isodelaunay import angles, develop, homology, origami, region, surgery
 
 
 def build(o, include_delaunay=True):
@@ -23,16 +24,16 @@ def test_opposite_corner(torus_graph):
 def test_delaunay_sum_equilateral(square_l, square_l_graph):
     theta = origami.equilateral_angles(square_l)
     for e in square_l_graph.edges:
-        assert abs(region.delaunay_sum(square_l_graph, theta, e) - 2 * math.pi / 3) < 1e-12
-    assert region.in_delaunay_region(square_l_graph, theta)
+        assert abs(delaunay_sum(square_l_graph, theta, e) - 2 * math.pi / 3) < 1e-12
+    assert in_delaunay_region(square_l_graph, theta)
 
 
 def test_standard_angles_on_delaunay_boundary(square_l, square_l_graph):
     # diagonals of squares are cocircular: sum exactly pi, outside the open region
     theta = origami.standard_angles(square_l)
-    sums = [region.delaunay_sum(square_l_graph, theta, e) for e in square_l_graph.edges]
+    sums = [delaunay_sum(square_l_graph, theta, e) for e in square_l_graph.edges]
     assert any(abs(s - math.pi) < 1e-12 for s in sums)
-    assert not region.in_delaunay_region(square_l_graph, theta)
+    assert not in_delaunay_region(square_l_graph, theta)
 
 
 def test_analyze_feasible_dimensions(torus, square_l, prym):
@@ -62,7 +63,7 @@ def test_samples_satisfy_all_constraints(square_l):
         angles.validate_angles(g, theta)
         assert poly.slack(theta) > 0
         assert poly.equality_residual(theta) < 1e-9
-        assert region.in_delaunay_region(g, theta)
+        assert in_delaunay_region(g, theta)
 
 
 def test_sampling_is_deterministic(square_l):
@@ -87,19 +88,19 @@ def test_midpoint_stays_inside(square_l):
     for a, b in zip(pts[::2], pts[1::2]):
         mid = {c: (a[c] + b[c]) / 2 for c in a}
         assert poly.slack(mid) > 0
-        assert region.in_delaunay_region(g, mid)
+        assert in_delaunay_region(g, mid)
 
 
 def test_circumcircle_cross_check_agreement():
     # (A, B, C, D): ccw triangle ABC sharing edge BC with D across the line
     far = (0.3 + 1.2j, 0 + 0j, 1 + 0j, 0.5 - 2j)  # D outside the circumcircle
-    report = region.circumcircle_cross_check(far)
+    report = develop.circumcircle_cross_check(far)
     assert not report["degenerate"]
     assert report["in_circle_outside"] and report["angle_sum"] < math.pi
     assert report["agree"]
 
     near = (0.3 + 1.2j, 0 + 0j, 1 + 0j, 0.5 - 0.05j)  # D inside the circumcircle
-    report = region.circumcircle_cross_check(near)
+    report = develop.circumcircle_cross_check(near)
     assert not report["degenerate"]
     assert not report["in_circle_outside"] and report["angle_sum"] > math.pi
     assert report["agree"]
@@ -108,7 +109,7 @@ def test_circumcircle_cross_check_agreement():
 def test_circumcircle_cross_check_cocircular():
     # four concyclic points around the circle through (0,0), (1,0), (0,1)
     d = 0.5 + (0.5 - math.sqrt(0.5)) * 1j
-    report = region.circumcircle_cross_check((0 + 1j, 0 + 0j, 1 + 0j, d))
+    report = develop.circumcircle_cross_check((0 + 1j, 0 + 0j, 1 + 0j, d))
     assert report["degenerate"]
 
 
