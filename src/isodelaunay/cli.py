@@ -325,14 +325,13 @@ def cmd_sum(args) -> int:
     for path, graph, h in ((args.left, left, h_left), (args.right, right, h_right)):
         if h[0] not in graph.face_ids:
             raise InputError(f"{path}: no face {h[0]!r} for half-edge {ribbon.he_key(h)}")
-    result = surgery.connected_sum(left, h_left, right, h_right)
-    text = json.dumps(result.to_json(), sort_keys=True)
+    result = surgery.connected_sum(left, h_left, right, h_right).to_json()
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            fh.write(json.dumps(result, sort_keys=True))
         _emit(args, "sum", {"written": args.output})
     else:
-        _emit(args, "sum", result.to_json())
+        _emit(args, "sum", result)
     return EXIT_OK
 
 
@@ -435,7 +434,7 @@ def run(argv: list[str] | None = None) -> int:
     except InputError as ex:
         print(f"input error: {ex}", file=sys.stderr)
         return EXIT_INPUT
-    except (ribbon.InvalidGraphError, develop_mod.FlipCapError, ValueError, KeyError) as ex:
+    except (develop_mod.FlipCapError, ValueError, KeyError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -10,16 +10,10 @@ integer arithmetic; no floats.
 
 from __future__ import annotations
 
-import heapq
-
 from .ribbon import Corner, HalfEdge, TriRibbonGraph, he_key, require_valid
 
 Chain1 = dict[HalfEdge, int]
 AngleChain = dict[Corner, int]
-
-
-def chain_neg(a: dict) -> dict:
-    return {k: -v for k, v in a.items()}
 
 
 def chain_to_json(chain: dict) -> dict:
@@ -44,15 +38,13 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
     """The fundamental cycles of a spanning tree T of the faces.
 
     Each edge has an earlier half-edge g and a later one h; edges are indexed
-    in order of h.  In sorted order, each face puts into T the edge of least
-    index that leaves its current class, and its class merges into the class
-    at the other end.  Every other edge gives the cycle h - g + (the path in T
-    from the face of g to that of h).
+    in order of h.  T is the spanning tree of least total index, picked in one
+    Kruskal pass: in index order, an edge joins T when union-find still puts
+    its two faces in different classes.  It is also the tree that "each face
+    in sorted order takes the least edge leaving its class" picks, since each
+    such edge is the least across a cut.  Every other edge gives the cycle
+    h - g + (the path in T from the face of g to that of h).
 
-    Classes are kept under union-find, each with a heap of the edge indices
-    at its faces; entries whose ends share a class are popped when they reach
-    the top.  A merge pushes the smaller class's heap into the larger's, so
-    each of the 3F entries moves O(log F) times: the pick takes O(E log^2 E).
     Each cycle walks parent pointers from its two faces to their common
     ancestor, so it costs its own length.
     """
@@ -65,11 +57,7 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
     faces = sorted(graph.face_ids)
     index = {f: i for i, f in enumerate(faces)}
     ends = [(index[h[0]], index[g[0]]) for h, g in pairs]
-    heaps: list[list[int]] = [[] for _ in faces]  # class root -> edge indices at its faces
-    for j, (a, b) in enumerate(ends):
-        heaps[a].append(j)  # appended in increasing order, so already a heap
-        heaps[b].append(j)
-    root, size = list(range(len(faces))), [1] * len(faces)  # union-find, by class size
+    root = list(range(len(faces)))  # union-find with path halving
 
     def find(x: int) -> int:
         while root[x] != x:
@@ -82,24 +70,13 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
     # This is the tree that integer column reduction of the incidence matrix
     # picks, rows E then F in sorted order; it fixes the basis that
     # `isodel holonomy` prints.
-    for i in range(len(faces)):
-        r = find(i)
-        heap = heaps[r]
-        while heap and find(ends[heap[0]][0]) == find(ends[heap[0]][1]):
-            heapq.heappop(heap)
-        if heap:
-            j = heap[0]
-            a, b = ends[j]
+    for j, (a, b) in enumerate(ends):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[ra] = rb
             tree.add(j)
             across[a].append((b, j))
             across[b].append((a, j))
-            other = find(b) if find(a) == r else find(a)
-            small, big = (r, other) if size[r] <= size[other] else (other, r)
-            root[small] = big
-            size[big] += size[small]
-            moved, heaps[small] = heaps[small], []
-            for k in moved:
-                heapq.heappush(heaps[big], k)
     # parent pointers of T rooted at the least face: up[y] = (parent, h, g,
     # o), where the step from the parent to y is the chain o * (h - g)
     up: list = [None] * len(faces)

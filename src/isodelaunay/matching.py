@@ -1,4 +1,4 @@
-"""Triangle matchings: verification, exhaustive search, constant holonomy.
+"""Triangle matchings: verification and exhaustive search.
 
 A matching is a bijection on half-edges that commutes with the Z/3 slot
 rotation and acts as -1 on every cycle.  As a map it is stored as a plain
@@ -22,14 +22,6 @@ def matching_to_json(iota: TriangleMatching) -> dict:
 
 def matching_from_json(data: dict) -> TriangleMatching:
     return {parse_he_key(k): parse_he_key(v) for k, v in data.items()}
-
-
-def apply_to_chain(iota: TriangleMatching, chain: homology.Chain1) -> homology.Chain1:
-    out: homology.Chain1 = {}
-    for h, coeff in chain.items():
-        img = iota[(h[0], h[1] % 3)]
-        out[img] = out.get(img, 0) + coeff
-    return {k: v for k, v in sorted(out.items()) if v != 0}
 
 
 @dataclass
@@ -74,7 +66,9 @@ def verify_matching(
         if basis is None:
             basis = homology.cycle_basis(graph)
         for alpha in basis:
-            if apply_to_chain(iota, alpha) != homology.chain_neg(alpha):
+            # for a bijection, alpha(iota h) = -alpha(h) on the support of alpha
+            # makes iota map that support onto itself, so iota acts as -1
+            if any(alpha.get(iota[h], 0) != -c for h, c in alpha.items()):
                 problems.append(
                     f"does not act as -1 on the basis cycle through {min(alpha)}"
                 )
@@ -160,43 +154,3 @@ def find_matchings(
 
     backtrack(0)
     return SearchResult(found, complete=not timed_out)
-
-
-def check_constant_holonomy(
-    graph: TriRibbonGraph,
-    iota: TriangleMatching,
-    samples: int = 100,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> dict:
-    """Sample invariant angle assignments and compare their holonomies.
-
-    All sampled points must agree with the barycenter's holonomy on every
-    basis cycle within ``tol``, with unit modulus and phase a multiple of pi.
-    Returns a report dict; a counterexample signals an implementation fault.
-    """
-    from . import angles as angles_mod
-    from . import region
-
-    basis = homology.cycle_basis(graph)
-    poly = region.build_polytope(graph, iota, include_delaunay=False)
-    thetas = region.sample(poly, samples, seed=seed)
-    chains = [homology.phi(graph, alpha) for alpha in basis]
-    bary = angles_mod.constant_angles(graph)
-    reference = [hol.value for hol in angles_mod.corner_holonomies(bary, chains)]
-    max_dev = 0.0
-    max_mod_dev = 0.0
-    counterexample = None
-    for theta in thetas:
-        for ref, val in zip(reference, angles_mod.corner_holonomies(theta, chains)):
-            max_dev = max(max_dev, abs(val.value - ref))
-            max_mod_dev = max(max_mod_dev, abs(val.modulus - 1.0))
-            if abs(val.value - ref) >= tol and counterexample is None:
-                counterexample = theta
-    return {
-        "samples": len(thetas),
-        "max_deviation": max_dev,
-        "max_modulus_deviation": max_mod_dev,
-        "ok": counterexample is None and max_mod_dev < tol,
-        "counterexample": counterexample,
-    }

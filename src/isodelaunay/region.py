@@ -10,6 +10,7 @@ is pi/3, and it is the only point with that slack.  ``analyze`` reports
 this equilateral optimum, certified against the constraints.  ``sample``
 runs a hit-and-run walk with one variable per iota-orbit of corners,
 starting from that point, so every sample is iota-invariant bit for bit.
+``check_constant_holonomy`` compares the holonomies of such samples.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matching as matching_mod
+from . import angles as angles_mod
+from . import homology, matching as matching_mod
 from .angles import AngleAssignment
 from .ribbon import Corner, TriRibbonGraph, orbits
 
@@ -216,3 +218,40 @@ def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignm
             if len(out) >= n:
                 break
     return out
+
+
+def check_constant_holonomy(
+    graph: TriRibbonGraph,
+    iota: matching_mod.TriangleMatching,
+    samples: int = 100,
+    seed: int = 0,
+    tol: float = 1e-9,
+) -> dict:
+    """Sample invariant angle assignments and compare their holonomies.
+
+    All sampled points must agree with the barycenter's holonomy on every
+    basis cycle within ``tol``, with unit modulus and phase a multiple of pi.
+    Returns a report dict; a counterexample signals an implementation fault.
+    """
+    basis = homology.cycle_basis(graph)
+    poly = build_polytope(graph, iota, include_delaunay=False)
+    thetas = sample(poly, samples, seed=seed)
+    chains = [homology.phi(graph, alpha) for alpha in basis]
+    bary = angles_mod.constant_angles(graph)
+    reference = [hol.value for hol in angles_mod.corner_holonomies(bary, chains)]
+    max_dev = 0.0
+    max_mod_dev = 0.0
+    counterexample = None
+    for theta in thetas:
+        for ref, val in zip(reference, angles_mod.corner_holonomies(theta, chains)):
+            max_dev = max(max_dev, abs(val.value - ref))
+            max_mod_dev = max(max_mod_dev, abs(val.modulus - 1.0))
+            if abs(val.value - ref) >= tol and counterexample is None:
+                counterexample = theta
+    return {
+        "samples": len(thetas),
+        "max_deviation": max_dev,
+        "max_modulus_deviation": max_mod_dev,
+        "ok": counterexample is None and max_mod_dev < tol,
+        "counterexample": counterexample,
+    }

@@ -31,7 +31,6 @@ def connected_sum(
     chosen half-edges must be nonseparating in their graphs.
     """
     for g, h in ((left, h_left), (right, h_right)):
-        require_valid(g)
         if not is_nonseparating(g, h):
             raise ValueError(f"half-edge {he_key(h)} is separating; sum rejected")
     e_left = "L." + left.edge_of(h_left)

@@ -8,6 +8,19 @@ def _clean(chain: dict) -> dict:
     return {k: v for k, v in sorted(chain.items()) if v != 0}
 
 
+def chain_neg(a: dict) -> dict:
+    return {k: -v for k, v in a.items()}
+
+
+def apply_to_chain(iota: dict, chain: homology.Chain1) -> homology.Chain1:
+    """The image chain iota . chain, with zero coefficients dropped and keys sorted."""
+    out: homology.Chain1 = {}
+    for h, coeff in chain.items():
+        img = iota[(h[0], h[1] % 3)]
+        out[img] = out.get(img, 0) + coeff
+    return _clean(out)
+
+
 def chain_add(a: dict, b: dict, scale: int = 1) -> dict:
     out = dict(a)
     for k, v in b.items():

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from chain_oracles import enumerate_simple_cycles, is_cycle
+from chain_oracles import apply_to_chain, chain_neg, enumerate_simple_cycles, is_cycle
 from isodelaunay import (
     angles,
     develop,
@@ -46,7 +46,7 @@ def test_criterion_01_square_l_golden(square_l, square_l_graph):
     # horizontal core curve of the top square, exact integer coefficients
     alpha = {("f3-", 1): 1, ("f3-", 2): -1, ("f3+", 0): 1, ("f3+", 2): -1}
     ok = ok and is_cycle(g, alpha)
-    ok = ok and matching.apply_to_chain(iota, alpha) == homology.chain_neg(alpha)
+    ok = ok and apply_to_chain(iota, alpha) == chain_neg(alpha)
     report(1, "square L: genus 2, (2), rank 4, matching negates a core curve", ok)
 
 
@@ -90,7 +90,7 @@ def test_criterion_05_constant_holonomy(torus, square_l, prym):
     for o in (torus, square_l, prym):
         g = origami.build_origami_graph(o)
         iota = origami.canonical_matching(o)
-        rep = matching.check_constant_holonomy(g, iota, samples=100, seed=0, tol=TOL)
+        rep = region.check_constant_holonomy(g, iota, samples=100, seed=0, tol=TOL)
         ok = ok and rep["ok"] and rep["max_deviation"] < TOL
         ok = ok and rep["max_modulus_deviation"] < TOL
     report(5, "holonomy constant of modulus 1 across 100 invariant samples each", ok)

@@ -1,12 +1,13 @@
-"""Properties of the homology layer and of Lawson flips on generated surfaces.
+"""Properties of the homology layer, matchings and Lawson flips on generated surfaces.
 
 Each example is a random transitive origami with at most 8 squares, taken
 both as built and after a horizontal shear and Lawson flips to a Delaunay
-triangulation.  Runs are derandomized, so every run checks the same
-examples.  The cycle basis, ``phi`` and holonomy are also checked against
-straightforward references kept here: a quadratic tree pick with path
-chains, a ``phi`` that sorts every slot, per-cycle holonomy sums, and a
-Delaunay test on angle dicts.
+triangulation, and for homology also with its face ids renamed and
+reordered.  Runs are derandomized, so every run checks the same examples.
+The cycle basis, ``phi``, holonomy and ``verify_matching`` are also checked
+against straightforward references kept here: a quadratic tree pick with
+path chains, a ``phi`` that sorts every slot, per-cycle holonomy sums, a
+Delaunay test on angle dicts and a -1 test on whole image chains.
 """
 
 import math
@@ -15,21 +16,27 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chain_oracles import chain_add
+from chain_oracles import apply_to_chain, chain_add, chain_neg
 from delaunay_oracles import delaunay_sum
-from isodelaunay import angles, develop, homology, origami, ribbon
+from isodelaunay import angles, develop, homology, matching, origami, ribbon
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 @st.composite
-def sheared_surfaces(draw, max_shear=3.0):
-    """A random origami's surface under (x, y) -> (x + t y, y), t in [0.1, max_shear]."""
+def origamis(draw):
+    """A random transitive origami with at most 8 squares."""
     s = draw(st.integers(1, 8))
     h = tuple(draw(st.permutations(range(1, s + 1))))
     v = tuple(draw(st.permutations(range(1, s + 1))))
     assume(origami.is_transitive(h, v))
-    o = origami.Origami(h, v)
+    return origami.Origami(h, v)
+
+
+@st.composite
+def sheared_surfaces(draw, max_shear=3.0):
+    """A random origami's surface under (x, y) -> (x + t y, y), t in [0.1, max_shear]."""
+    o = draw(origamis())
     g = origami.build_origami_graph(o)
     surface = develop.develop(g, origami.standard_angles(o))
     t = draw(st.floats(0.1, max_shear))
@@ -39,10 +46,18 @@ def sheared_surfaces(draw, max_shear=3.0):
 
 @st.composite
 def graphs(draw):
-    """The origami's graph and the graph of its sheared, Delaunay-flipped surface."""
+    """The origami's graph, the graph of its sheared, Delaunay-flipped surface,
+    and the flipped graph with its face ids permuted and listed in a drawn order.
+
+    The origami's face ids always sort as f1+ < f1- < f2+ ..., so the renamed
+    copy gives the tree pick other face orders on the same surface.
+    """
     sheared = draw(sheared_surfaces())
     flipped, _, _ = develop.make_delaunay(sheared)
-    return sheared.graph, flipped.graph
+    g = flipped.graph
+    name = dict(zip(g.face_ids, draw(st.permutations(g.face_ids))))
+    faces = draw(st.permutations([(name[f], b) for f, b in g.faces]))
+    return sheared.graph, g, ribbon.TriRibbonGraph(g.edges, faces)
 
 
 @PROPERTY
@@ -185,6 +200,35 @@ def test_pairing_vectors_negate_across_edges(pair):
             v = homology.pairing_vector(basis, h)
             w = homology.pairing_vector(basis, ribbon.other_side(g, h))
             assert w == tuple(-x for x in v)
+
+
+def _verify_by_image_chains(graph, iota):
+    # the reference -1 test: iota . alpha == -alpha as whole chains, after
+    # verify_matching's own bijection and equivariance checks (an empty
+    # basis skips its -1 test)
+    report = matching.verify_matching(graph, iota, basis=[])
+    if report:
+        for alpha in homology.cycle_basis(graph):
+            if apply_to_chain(iota, alpha) != chain_neg(alpha):
+                problem = f"does not act as -1 on the basis cycle through {min(alpha)}"
+                return matching.MatchingReport(False, [problem])
+    return report
+
+
+@PROPERTY
+@given(origamis(), st.data())
+def test_verify_matching_matches_the_image_chain_reference(o, data):
+    g = origami.build_origami_graph(o)
+    faces = sorted(g.face_ids)
+    targets = data.draw(st.permutations(faces))
+    offsets = data.draw(st.lists(st.integers(0, 2), min_size=len(faces), max_size=len(faces)))
+    drawn = {(f, s): (t, (s + k) % 3) for f, t, k in zip(faces, targets, offsets) for s in range(3)}
+    canonical = origami.canonical_matching(o)
+    for iota in [canonical, drawn] + matching.find_matchings(g, limit=1).matchings:
+        got, want = matching.verify_matching(g, iota), _verify_by_image_chains(g, iota)
+        assert (got.ok, got.problems, got.is_involution) == (
+            want.ok, want.problems, want.is_involution)
+    assert matching.verify_matching(g, canonical).ok == origami.network(o).arboreal
 
 
 def _flip_rebuilding_the_graph(surface, edge):

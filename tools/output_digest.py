@@ -36,7 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import inputs  # noqa: E402  (bench/inputs.py)
-from isodelaunay import angles, cli, develop, matching, origami, region, surgery  # noqa: E402
+from isodelaunay import angles, cli, develop, origami, region, surgery  # noqa: E402
 
 ORIGAMIS = [
     "h=();v=()",
@@ -125,7 +125,7 @@ def holonomy_dump(out: list[str]) -> None:
     for spec in ORIGAMIS[:3]:
         o = origami.Origami.from_spec(spec)
         g = origami.build_origami_graph(o)
-        rep = matching.check_constant_holonomy(g, origami.canonical_matching(o), samples=20, seed=1)
+        rep = region.check_constant_holonomy(g, origami.canonical_matching(o), samples=20, seed=1)
         out.append(f"{spec} samples={rep['samples']} ok={rep['ok']} "
                    f"{_hex([rep['max_deviation'], rep['max_modulus_deviation']])}")
 
