@@ -16,8 +16,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .angles import AngleAssignment, validate_angles
 from .ribbon import (HalfEdge, TriRibbonGraph, he_key, other_side, parse_he_key,
                      require_valid, spanning_tree)
@@ -124,6 +122,8 @@ def develop(graph: TriRibbonGraph, theta: AngleAssignment, tol: float = 1e-9) ->
     scale = max(abs(z) for z in periods.values())
     for h in graph.half_edges():
         mate = other_side(graph, h)
+        if mate < h:  # the edge was checked from its first half-edge
+            continue
         residual = abs(periods[mate] + periods[h])
         if residual > tol * scale:
             raise HolonomyObstruction(graph.edge_of(h), residual / scale)
@@ -174,13 +174,12 @@ def _quad(p_h: complex, p_next: complex, p_mate_next: complex):
 
 
 def _incircle_det(a: complex, b: complex, c: complex, d: complex) -> float:
-    """Positive iff d is inside the circumcircle of ccw triangle abc."""
-    rows = []
-    for p in (a, b, c):
-        q = p - d
-        rows.append([q.real, q.imag, q.real * q.real + q.imag * q.imag])
-    m = np.array(rows)
-    return float(np.linalg.det(m))
+    """Positive iff d is inside the circumcircle of ccw triangle abc: the 3x3 determinant
+    of rows (x, y, x^2 + y^2) of a - d, b - d and c - d, expanded by cofactors."""
+    p, q, r = a - d, b - d, c - d
+    return ((p.real * p.real + p.imag * p.imag) * (q.real * r.imag - r.real * q.imag)
+            + (q.real * q.real + q.imag * q.imag) * (r.real * p.imag - p.real * r.imag)
+            + (r.real * r.real + r.imag * r.imag) * (p.real * q.imag - q.real * p.imag))
 
 
 def _angle_at(p: complex, q: complex, r: complex) -> float:

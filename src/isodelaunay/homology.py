@@ -20,18 +20,18 @@ def chain_to_json(chain: dict) -> dict:
     return {he_key(k): v for k, v in sorted(chain.items())}
 
 
-def boundary(graph: TriRibbonGraph, chain: Chain1) -> dict:
-    """Linear extension of d(f, e) = e - f, as a chain on the vertices E u F."""
-    edge_of = graph.edge_of
-    out: dict[tuple[str, str], int] = {}
+def is_cycle(graph: TriRibbonGraph, chain: Chain1) -> bool:
+    """Whether d(chain) = 0 for d(f, e) = e - f: each edge and each face sums to zero."""
+    boundary_of = graph.boundary_of
+    at_edge, at_face = {}, {}
     for (f, slot), coeff in chain.items():
         try:
-            e = edge_of((f, slot))
+            e = boundary_of(f)[slot % 3]
         except KeyError:
             raise KeyError(f"unknown face {f!r} in chain") from None
-        out[("E", e)] = out.get(("E", e), 0) + coeff
-        out[("F", f)] = out.get(("F", f), 0) - coeff
-    return {k: v for k, v in out.items() if v != 0}
+        at_edge[e] = at_edge.get(e, 0) + coeff
+        at_face[f] = at_face.get(f, 0) + coeff
+    return not any(at_edge.values()) and not any(at_face.values())
 
 
 def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
@@ -103,7 +103,7 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
             else:
                 b, hk, gk, o = up[b]
                 alpha[hk], alpha[gk] = -o, o
-        if boundary(graph, alpha):
+        if not is_cycle(graph, alpha):
             raise AssertionError(
                 f"basis cycle through {min(alpha)} has nonzero boundary (implementation fault)"
             )
@@ -128,7 +128,7 @@ def phi(graph: TriRibbonGraph, cycle: Chain1) -> AngleChain:
     -c1 - c2).  The one of median 0 has the least sum of |coefficients|.
     Raises ValueError if the chain is not a cycle.
     """
-    if boundary(graph, cycle):
+    if not is_cycle(graph, cycle):
         raise ValueError("chain is not a cycle (nonzero boundary)")
     out: AngleChain = {}
     for f in sorted({h[0] for h in cycle}):

@@ -1,4 +1,4 @@
-"""Chain helpers and the brute-force cycle oracle that only tests need."""
+"""Chain helpers, the boundary map and the brute-force cycle oracle that only tests need."""
 
 from isodelaunay import homology
 from isodelaunay.ribbon import TriRibbonGraph, parse_he_key, require_valid
@@ -32,8 +32,18 @@ def chain_from_json(data: dict) -> dict:
     return _clean({parse_he_key(k): int(v) for k, v in data.items()})
 
 
-def is_cycle(graph: TriRibbonGraph, chain: homology.Chain1) -> bool:
-    return not homology.boundary(graph, chain)
+def boundary(graph: TriRibbonGraph, chain: homology.Chain1) -> dict:
+    """Linear extension of d(f, e) = e - f, as a chain on the vertices E u F."""
+    edge_of = graph.edge_of
+    out: dict[tuple[str, str], int] = {}
+    for (f, slot), coeff in chain.items():
+        try:
+            e = edge_of((f, slot))
+        except KeyError:
+            raise KeyError(f"unknown face {f!r} in chain") from None
+        out[("E", e)] = out.get(("E", e), 0) + coeff
+        out[("F", f)] = out.get(("F", f), 0) - coeff
+    return {k: v for k, v in out.items() if v != 0}
 
 
 def enumerate_simple_cycles(graph: TriRibbonGraph) -> list[homology.Chain1]:

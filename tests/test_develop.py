@@ -5,7 +5,7 @@ import math
 import pytest
 
 from delaunay_oracles import in_delaunay_region
-from isodelaunay import angles, develop, origami, ribbon
+from isodelaunay import develop, origami
 
 
 def scaled(surface, sx, sy):

@@ -3,7 +3,7 @@
 import numpy as np
 
 from chain_oracles import apply_to_chain, chain_neg
-from isodelaunay import homology, matching, origami, region, ribbon, surgery
+from isodelaunay import homology, matching, origami, region, surgery
 
 
 def canonical(o):

@@ -7,17 +7,21 @@ reordered.  Runs are derandomized, so every run checks the same examples.
 The cycle basis, ``phi``, holonomy and ``verify_matching`` are also checked
 against straightforward references kept here: a quadratic tree pick with
 path chains, a ``phi`` that sorts every slot, per-cycle holonomy sums, a
-Delaunay test on angle dicts and a -1 test on whole image chains.
+Delaunay test on angle dicts and a -1 test on whole image chains.  The
+certificates are checked against references too: ``is_cycle`` against the
+boundary map, the in-circle determinant against numpy's, and the closure
+check of ``develop`` against a residual taken from both sides of every edge.
 """
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chain_oracles import apply_to_chain, chain_add, chain_neg
-from delaunay_oracles import delaunay_sum
+from chain_oracles import apply_to_chain, boundary, chain_add, chain_neg
+from delaunay_oracles import delaunay_sum, incircle_det
 from isodelaunay import angles, develop, homology, matching, origami, ribbon
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -67,7 +71,7 @@ def test_basis_has_rank_h1_cycles_each_with_its_own_half_edge(pair):
         basis = homology.cycle_basis(g)
         assert len(basis) == ribbon.topology(g)["rank_h1"]
         for i, alpha in enumerate(basis):
-            assert not homology.boundary(g, alpha)
+            assert not boundary(g, alpha)
             others = basis[:i] + basis[i + 1:]
             assert any(
                 coeff == 1 and all(h not in beta for beta in others)
@@ -131,7 +135,7 @@ def _cycle_basis_by_live_lists(graph):
 
 def _phi_sorting_every_slot(graph, cycle):
     # the reference phi: the median per slot, then every corner sorted
-    assert not homology.boundary(graph, cycle)
+    assert not boundary(graph, cycle)
     out = {}
     for f in {h[0] for h in cycle}:
         c1, c2 = cycle.get((f, 1), 0), cycle.get((f, 2), 0)
@@ -200,6 +204,29 @@ def test_pairing_vectors_negate_across_edges(pair):
             v = homology.pairing_vector(basis, h)
             w = homology.pairing_vector(basis, ribbon.other_side(g, h))
             assert w == tuple(-x for x in v)
+
+
+@PROPERTY
+@given(graphs(), st.randoms(use_true_random=True))
+def test_is_cycle_matches_the_boundary_reference(triple, rng):
+    for g in triple:
+        hes = g.half_edges()
+        basis = homology.cycle_basis(g)
+        alpha = rng.choice(basis)
+        h = rng.choice(sorted(alpha))
+        changed = {**alpha, h: alpha[h] + rng.choice([-2, -1, 1, 2])}
+        sparse = {k: rng.randint(-3, 3) for k in rng.sample(hes, rng.randint(0, 6))}
+        # zero at every edge, generally not at every face
+        across: homology.Chain1 = {}
+        for k in rng.sample(hes, rng.randint(0, 4)):
+            across = chain_add(across, {k: 1, ribbon.other_side(g, k): -1})
+        # zero at every face, generally not at every edge
+        corners = {k: rng.randint(-2, 2) for k in rng.sample(hes, rng.randint(0, 4))}
+        unknown = [*alpha.items(), (("f0?", 1), 1)]
+        rng.shuffle(unknown)
+        for c in basis + [changed, sparse, across, homology.p_map(corners), dict(unknown)]:
+            want = _outcome(lambda graph, chain: not boundary(graph, chain), g, c)
+            assert _outcome(homology.is_cycle, g, c) == want
 
 
 def _verify_by_image_chains(graph, iota):
@@ -364,9 +391,9 @@ def _is_geometric_delaunay_on_angle_dicts(surface, tol=1e-9):
     return result
 
 
-def _outcome(is_delaunay, surface):
+def _outcome(check, *args):
     try:
-        return is_delaunay(surface)
+        return check(*args)
     except (develop.DegenerateTriangleError, AssertionError, KeyError) as ex:
         return type(ex), str(ex)
 
@@ -378,3 +405,65 @@ def test_is_geometric_delaunay_matches_the_angle_dict_reference(sheared):
     for surface in (sheared, flipped):
         expected = _outcome(_is_geometric_delaunay_on_angle_dicts, surface)
         assert _outcome(develop.is_geometric_delaunay, surface) == expected
+        # the same outcome with the in-circle determinant taken by numpy
+        with mock.patch.object(develop, "_incircle_det", incircle_det):
+            assert _outcome(develop.is_geometric_delaunay, surface) == expected
+
+
+@PROPERTY
+@given(st.randoms(use_true_random=True))
+def test_incircle_det_has_the_sign_of_the_numpy_determinant(rng):
+    # 20 quads with coordinates up to a scale drawn from 1e-3 to 1e3, some
+    # nearly cocircular: a unit square's corners, each moved by up to 1e-5
+    for _ in range(20):
+        size = 10.0 ** rng.uniform(-3, 3)
+        if rng.random() < 0.5:
+            quad = [complex(rng.uniform(-size, size), rng.uniform(-size, size)) for _ in range(4)]
+        else:
+            quad = [size * complex(x + rng.uniform(-1e-5, 1e-5), y + rng.uniform(-1e-5, 1e-5))
+                    for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))]
+        a, b, c, d = quad
+        want = incircle_det(a, b, c, d)
+        if abs(want) > 1e-6 * max(abs(b - a), abs(c - a), abs(d - a)) ** 4:
+            assert (develop._incircle_det(a, b, c, d) > 0) == (want > 0)
+
+
+@st.composite
+def obstructed(draw):
+    """A random origami's graph with random angles closing every face, which
+    almost never have trivial holonomy."""
+    g = origami.build_origami_graph(draw(origamis()))
+    rng = draw(st.randoms(use_true_random=True))
+    theta = {}
+    for f in g.face_ids:
+        a, b = rng.uniform(0.3, 1.3), rng.uniform(0.3, 1.3)
+        theta.update({(f, 0): a, (f, 1): b, (f, 2): math.pi - a - b})
+    return g, theta
+
+
+def _obstruction_from_both_sides(graph, theta, tol=1e-9):
+    # the reference closure check: the residual from each side of every edge,
+    # in half-edge order
+    walk = ribbon.spanning_tree(graph)
+    base = next(walk)
+    periods = develop._fill_face(theta, base[0], base[1], 1.0 + 0.0j)
+    for h, mate in walk:
+        periods.update(develop._fill_face(theta, mate[0], mate[1], -periods[h]))
+    scale = max(abs(z) for z in periods.values())
+    for h in graph.half_edges():
+        residual = abs(periods[ribbon.other_side(graph, h)] + periods[h])
+        if residual > tol * scale:
+            return graph.edge_of(h), residual / scale
+    return None
+
+
+@PROPERTY
+@given(obstructed())
+def test_holonomy_obstruction_matches_the_two_sided_reference(pair):
+    g, theta = pair
+    try:
+        develop.develop(g, theta)
+        got = None
+    except develop.HolonomyObstruction as ex:
+        got = (ex.edge, ex.residual)
+    assert got == _obstruction_from_both_sides(g, theta)
