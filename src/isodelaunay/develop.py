@@ -182,36 +182,6 @@ def _incircle_det(a: complex, b: complex, c: complex, d: complex) -> float:
             + (r.real * r.real + r.imag * r.imag) * (p.real * q.imag - q.real * p.imag))
 
 
-def _angle_at(p: complex, q: complex, r: complex) -> float:
-    """Unsigned angle at p between segments pq and pr."""
-    u, v = q - p, r - p
-    return abs(math.atan2((u.conjugate() * v).imag, (u.conjugate() * v).real))
-
-
-def circumcircle_cross_check(
-    quad: tuple[complex, complex, complex, complex],
-    tol: float = 1e-9,
-) -> dict:
-    """Agreement of the in-circle predicate with the opposite-angle criterion.
-
-    ``quad`` is (A, B, C, D): triangle ABC counterclockwise sharing edge BC
-    with the point D on the other side of line BC.  Near-degenerate cases
-    (both indicators inside ``tol``) are flagged instead of judged.
-    """
-    a, b, c, d = quad
-    angle_sum = _angle_at(a, b, c) + _angle_at(d, c, b)
-    det = _incircle_det(a, b, c, d)
-    scale = max(abs(b - a), abs(c - a), abs(d - a)) ** 4
-    degenerate = abs(det) < tol * max(scale, 1.0) and abs(math.pi - angle_sum) < tol
-    outside = det < 0
-    return {
-        "degenerate": degenerate,
-        "in_circle_outside": outside,
-        "angle_sum": angle_sum,
-        "agree": degenerate or (outside == (angle_sum < math.pi)),
-    }
-
-
 class FlipCapError(RuntimeError):
     """Lawson flips hit their cap before the surface became Delaunay."""
 
@@ -307,12 +277,12 @@ def flip_edge(surface: DevelopedSurface, edge: str) -> DevelopedSurface:
 
 
 def is_geometric_delaunay(surface: DevelopedSurface, tol: float = 1e-9) -> bool:
-    """Angle criterion at every edge, cross-checked by the in-circle predicate.
+    """Angle criterion at every edge, certified by the in-circle sign.
 
     The sums are those ``make_delaunay`` flips by.  Raises
     DegenerateTriangleError if any edge sits within ``tol`` of the
-    cocircular configuration, and AssertionError if the two criteria
-    disagree at an edge that is not near-degenerate.
+    cocircular configuration, and AssertionError if the sign of the
+    in-circle determinant contradicts an edge's sum.
     """
     tri = _Triangulation(surface)
     angles = tri.corner_angles()
@@ -324,8 +294,7 @@ def is_geometric_delaunay(surface: DevelopedSurface, tol: float = 1e-9) -> bool:
         (i, k), (j, k2) = tri.occ[e]
         p, q = tri.periods[i], tri.periods[j]
         a, b, c, d = _quad(p[k], p[(k + 1) % 3], q[(k2 + 1) % 3])
-        check = circumcircle_cross_check((c, a, b, d), tol=tol)
-        if not check["degenerate"] and not check["agree"]:
+        if (_incircle_det(c, a, b, d) < 0) != (s < math.pi):
             raise AssertionError(f"angle/in-circle disagreement at edge {e!r}")
         if s >= math.pi:
             result = False

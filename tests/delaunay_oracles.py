@@ -1,10 +1,12 @@
-"""The angle-dict Delaunay sum, region membership and the numpy in-circle
-determinant that only tests need."""
+"""The angle-dict Delaunay sum, region membership, the numpy in-circle
+determinant and the atan2 cross-check of the in-circle sign that only tests
+need."""
 
 import math
 
 import numpy as np
 
+from isodelaunay import develop
 from isodelaunay.angles import AngleAssignment, validate_angles
 from isodelaunay.region import opposite_corner
 from isodelaunay.ribbon import TriRibbonGraph
@@ -31,3 +33,33 @@ def incircle_det(a: complex, b: complex, c: complex, d: complex) -> float:
         q = p - d
         rows.append([q.real, q.imag, q.real * q.real + q.imag * q.imag])
     return float(np.linalg.det(np.array(rows)))
+
+
+def _angle_at(p: complex, q: complex, r: complex) -> float:
+    """Unsigned angle at p between segments pq and pr."""
+    u, v = q - p, r - p
+    return abs(math.atan2((u.conjugate() * v).imag, (u.conjugate() * v).real))
+
+
+def circumcircle_cross_check(
+    quad: tuple[complex, complex, complex, complex],
+    tol: float = 1e-9,
+) -> dict:
+    """Agreement of the in-circle predicate with the opposite-angle criterion.
+
+    ``quad`` is (A, B, C, D): triangle ABC counterclockwise sharing edge BC
+    with the point D on the other side of line BC.  Near-degenerate cases
+    (both indicators inside ``tol``) are flagged instead of judged.
+    """
+    a, b, c, d = quad
+    angle_sum = _angle_at(a, b, c) + _angle_at(d, c, b)
+    det = develop._incircle_det(a, b, c, d)
+    scale = max(abs(b - a), abs(c - a), abs(d - a)) ** 4
+    degenerate = abs(det) < tol * max(scale, 1.0) and abs(math.pi - angle_sum) < tol
+    outside = det < 0
+    return {
+        "degenerate": degenerate,
+        "in_circle_outside": outside,
+        "angle_sum": angle_sum,
+        "agree": degenerate or (outside == (angle_sum < math.pi)),
+    }

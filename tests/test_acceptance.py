@@ -8,6 +8,7 @@ the lines for passing criteria too.
 import time
 
 from chain_oracles import apply_to_chain, chain_neg, enumerate_simple_cycles
+from delaunay_oracles import circumcircle_cross_check
 from isodelaunay import (
     angles,
     develop,
@@ -151,7 +152,7 @@ def test_criterion_10_delaunay_predicates_agree():
         side = ((c - b).conjugate() * (d - b)).imag
         if side >= 0:  # need d across edge bc from a
             continue
-        rep = develop.circumcircle_cross_check((a, b, c, d), tol=TOL)
+        rep = circumcircle_cross_check((a, b, c, d), tol=TOL)
         if rep["degenerate"]:
             continue
         checked += 1

@@ -11,6 +11,8 @@ Delaunay test on angle dicts and a -1 test on whole image chains.  The
 certificates are checked against references too: ``is_cycle`` against the
 boundary map, the in-circle determinant against numpy's, and the closure
 check of ``develop`` against a residual taken from both sides of every edge.
+On region samples of origamis that carry a matching, ``angles_of`` inverts
+``develop``.
 """
 
 import math
@@ -21,8 +23,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chain_oracles import apply_to_chain, boundary, chain_add, chain_neg
-from delaunay_oracles import delaunay_sum, incircle_det
-from isodelaunay import angles, develop, homology, matching, origami, ribbon
+from delaunay_oracles import circumcircle_cross_check, delaunay_sum, incircle_det
+from isodelaunay import angles, develop, homology, matching, origami, region, ribbon
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -258,6 +260,19 @@ def test_verify_matching_matches_the_image_chain_reference(o, data):
     assert matching.verify_matching(g, canonical).ok == origami.network(o).arboreal
 
 
+@PROPERTY
+@given(origamis(), st.integers(0, 2**32 - 1))
+def test_angles_of_develop_round_trips_on_region_samples(o, seed):
+    g = origami.build_origami_graph(o)
+    found = matching.find_matchings(g, limit=1).matchings
+    assume(found)
+    poly = region.build_polytope(g, found[0])
+    for theta in region.sample(poly, 3, seed=seed):
+        back = develop.angles_of(develop.develop(g, theta))
+        assert back.keys() == theta.keys()
+        assert max(abs(back[c] - theta[c]) for c in theta) < 1e-12
+
+
 def _flip_rebuilding_the_graph(surface, edge):
     # the reference flip: develops the quadrilateral from the graph's
     # occurrences and builds a new graph
@@ -383,7 +398,7 @@ def _is_geometric_delaunay_on_angle_dicts(surface, tol=1e-9):
             raise develop.DegenerateTriangleError(f"degenerate Delaunay edge {e!r}")
         (f, k), (f2, k2) = surface.graph.occurrences(e)
         a, b, c, d = develop._quad(p[(f, k)], p[(f, (k + 1) % 3)], p[(f2, (k2 + 1) % 3)])
-        check = develop.circumcircle_cross_check((c, a, b, d), tol=tol)
+        check = circumcircle_cross_check((c, a, b, d), tol=tol)
         if not check["degenerate"] and not check["agree"]:
             raise AssertionError(f"angle/in-circle disagreement at edge {e!r}")
         if s >= math.pi:

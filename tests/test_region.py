@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from delaunay_oracles import delaunay_sum, in_delaunay_region
-from isodelaunay import angles, develop, homology, origami, region, surgery
+from delaunay_oracles import circumcircle_cross_check, delaunay_sum, in_delaunay_region
+from isodelaunay import angles, homology, origami, region, surgery
 
 
 def build(o, include_delaunay=True):
@@ -94,13 +94,13 @@ def test_midpoint_stays_inside(square_l):
 def test_circumcircle_cross_check_agreement():
     # (A, B, C, D): ccw triangle ABC sharing edge BC with D across the line
     far = (0.3 + 1.2j, 0 + 0j, 1 + 0j, 0.5 - 2j)  # D outside the circumcircle
-    report = develop.circumcircle_cross_check(far)
+    report = circumcircle_cross_check(far)
     assert not report["degenerate"]
     assert report["in_circle_outside"] and report["angle_sum"] < math.pi
     assert report["agree"]
 
     near = (0.3 + 1.2j, 0 + 0j, 1 + 0j, 0.5 - 0.05j)  # D inside the circumcircle
-    report = develop.circumcircle_cross_check(near)
+    report = circumcircle_cross_check(near)
     assert not report["degenerate"]
     assert not report["in_circle_outside"] and report["angle_sum"] > math.pi
     assert report["agree"]
@@ -109,7 +109,7 @@ def test_circumcircle_cross_check_agreement():
 def test_circumcircle_cross_check_cocircular():
     # four concyclic points around the circle through (0,0), (1,0), (0,1)
     d = 0.5 + (0.5 - math.sqrt(0.5)) * 1j
-    report = develop.circumcircle_cross_check((0 + 1j, 0 + 0j, 1 + 0j, d))
+    report = circumcircle_cross_check((0 + 1j, 0 + 0j, 1 + 0j, d))
     assert report["degenerate"]
 
 
