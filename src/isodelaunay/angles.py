@@ -47,10 +47,6 @@ def angles_from_json(data: dict) -> AngleAssignment:
     return {parse_he_key(k): float(v) for k, v in data.items()}
 
 
-def constant_angles(graph: TriRibbonGraph, value: float = math.pi / 3) -> AngleAssignment:
-    return {c: value for c in graph.half_edges()}
-
-
 @dataclass(frozen=True)
 class HolonomyValue:
     log_modulus: float

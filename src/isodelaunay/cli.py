@@ -2,7 +2,7 @@
 
 Subcommands read graphs and angle data as JSON from files or stdin, so they
 compose in pipelines.  Exit status: 0 success, 1 domain failure (for
-example no matching with --expect-some), 2 input error.
+example an invalid graph, or no matching with --expect-some), 2 input error.
 """
 
 from __future__ import annotations
@@ -99,10 +99,13 @@ def _emit_or_write(args, command: str, result: dict) -> None:
 
 
 def cmd_validate(args) -> int:
-    g = _load_graph(args.graph)
-    report = ribbon.validate(g)
-    _emit(args, "validate", {"valid": report.ok, "problems": report.problems})
-    return EXIT_OK if report.ok else EXIT_DOMAIN
+    try:
+        _load_graph(args.graph)
+    except ribbon.InvalidGraphError as ex:
+        _emit(args, "validate", {"valid": False, "problems": ex.problems})
+        return EXIT_DOMAIN
+    _emit(args, "validate", {"valid": True, "problems": []})
+    return EXIT_OK
 
 
 def cmd_info(args) -> int:
@@ -201,6 +204,8 @@ def cmd_develop(args) -> int:
 def cmd_delaunay(args) -> int:
     try:
         surface = develop_mod.DevelopedSurface.from_json(_read_json(args.surface))
+    except ribbon.InvalidGraphError:
+        raise
     except (KeyError, TypeError, ValueError) as ex:
         raise InputError(f"malformed surface JSON: {ex}")
     surface.check()

@@ -12,13 +12,11 @@ from __future__ import annotations
 import bisect
 import cmath
 import heapq
-import json
 import math
 from dataclasses import dataclass
 
 from .angles import AngleAssignment, validate_angles
-from .ribbon import (HalfEdge, TriRibbonGraph, he_key, other_side, parse_he_key,
-                     require_valid, spanning_tree)
+from .ribbon import HalfEdge, TriRibbonGraph, he_key, other_side, parse_he_key, spanning_tree
 
 
 class HolonomyObstruction(ValueError):
@@ -40,17 +38,7 @@ class DevelopedSurface:
     def scale(self) -> float:
         return max(abs(z) for z in self.periods.values())
 
-    def area(self) -> float:
-        """Total flat area, half the cross product per face."""
-        total = 0.0
-        for f, _ in self.graph.faces:
-            z1, z2 = self.periods[(f, 0)], self.periods[(f, 1)]
-            total += abs((z1.conjugate() * z2).imag) / 2.0
-        return total
-
     def check(self, tol: float = 1e-9) -> None:
-        if not self.graph.faces:
-            raise ValueError("developed surface has no faces")
         s = self.scale()
         for f, _ in self.graph.faces:
             closure = sum(self.periods[(f, k)] for k in range(3))
@@ -81,13 +69,6 @@ class DevelopedSurface:
             raise ValueError("period keys are not exactly the graph's half-edges")
         return cls(graph, periods)
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, text: str) -> "DevelopedSurface":
-        return cls.from_json(json.loads(text))
-
 
 def _fill_face(theta: AngleAssignment, f: str, slot: int, period: complex) -> dict[HalfEdge, complex]:
     """Periods of all slots of a face given one of them.
@@ -112,7 +93,6 @@ def develop(graph: TriRibbonGraph, theta: AngleAssignment, tol: float = 1e-9) ->
     order; any non-tree edge whose periods fail to oppose within
     ``tol * scale`` raises HolonomyObstruction.
     """
-    require_valid(graph)
     validate_angles(graph, theta)
     walk = spanning_tree(graph)
     base = next(walk)
@@ -203,7 +183,7 @@ class _Triangulation:
         self.occ: dict[str, list[tuple[int, int]]] = {e: [] for e in g.edges}
         for i, bnd in enumerate(self.faces):
             for k, e in enumerate(bnd):
-                self.occ.setdefault(e, []).append((i, k))
+                self.occ[e].append((i, k))
 
     def corner_angles(self) -> list[list[float]]:
         """The three corner angles of each face, by position."""
@@ -263,17 +243,6 @@ class _Triangulation:
             (f, k): z for f, zs in zip(self.ids, self.periods) for k, z in enumerate(zs)
         }
         return DevelopedSurface(graph, periods)
-
-
-def flip_edge(surface: DevelopedSurface, edge: str) -> DevelopedSurface:
-    """Replace ``edge`` by the opposite diagonal of its developed quadrilateral.
-
-    Requires the two faces to be distinct and the quadrilateral strictly
-    convex; the new diagonal's period is the sum of the two adjacent sides.
-    """
-    tri = _Triangulation(surface)
-    tri.flip(edge)
-    return tri.surface()
 
 
 def is_geometric_delaunay(surface: DevelopedSurface, tol: float = 1e-9) -> bool:

@@ -4,13 +4,14 @@
 reversed half-edge (e, f) is a negative coefficient.  Angle chains are
 sparse integer maps keyed by corners.  The cycle basis is the set of
 fundamental cycles of a spanning tree of the face/edge incidence graph, and
-``phi`` inverts ``p_map`` one face at a time.  Everything here is exact
+``phi`` inverts, one face at a time, the map ``p_map`` that sends corner
+(f, s) to the chain (f, s + 1) - (f, s).  Everything here is exact
 integer arithmetic; no floats.
 """
 
 from __future__ import annotations
 
-from .ribbon import Corner, HalfEdge, TriRibbonGraph, he_key, require_valid
+from .ribbon import Corner, HalfEdge, TriRibbonGraph, he_key
 
 Chain1 = dict[HalfEdge, int]
 AngleChain = dict[Corner, int]
@@ -48,7 +49,6 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
     Each cycle walks parent pointers from its two faces to their common
     ancestor, so it costs its own length.
     """
-    require_valid(graph)
     first, pairs = {}, []  # edge -> earlier half-edge g; (h, g) per edge, in order of h
     for h in graph.half_edges():
         g = first.setdefault(graph.edge_of(h), h)
@@ -109,15 +109,6 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
             )
         basis.append(dict(sorted(alpha.items())))
     return basis
-
-
-def p_map(a: AngleChain) -> Chain1:
-    """The homomorphism sending a corner to its incident half-edges."""
-    out: Chain1 = {}
-    for (f, slot), coeff in a.items():
-        out[(f, (slot + 1) % 3)] = out.get((f, (slot + 1) % 3), 0) + coeff
-        out[(f, slot % 3)] = out.get((f, slot % 3), 0) - coeff
-    return {k: v for k, v in sorted(out.items()) if v != 0}
 
 
 def phi(graph: TriRibbonGraph, cycle: Chain1) -> AngleChain:

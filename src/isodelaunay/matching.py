@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import homology
-from .ribbon import HalfEdge, TriRibbonGraph, he_key, parse_he_key, require_valid
+from .ribbon import HalfEdge, TriRibbonGraph, he_key, parse_he_key
 
 TriangleMatching = dict[HalfEdge, HalfEdge]
 
@@ -40,7 +40,6 @@ def verify_matching(
     basis: list[homology.Chain1] | None = None,
 ) -> MatchingReport:
     """Check bijectivity, Z/3-equivariance and the -1 action on a cycle basis."""
-    require_valid(graph)
     problems = []
     hes = graph.half_edges()
     domain = set(iota)
@@ -96,7 +95,6 @@ def find_matchings(
     Deterministic order; ``limit`` caps the number of matchings returned and
     ``deadline`` (seconds) truncates the search, flagging incompleteness.
     """
-    require_valid(graph)
     basis = homology.cycle_basis(graph)
     faces = sorted(graph.face_ids)
     pv = {h: homology.pairing_vector(basis, h) for h in graph.half_edges()}

@@ -20,15 +20,6 @@ from .ribbon import TriRibbonGraph, orbits
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_permutation(text: str, size: int | None = None) -> tuple[int, ...]:
-    """Parse cycle notation like "(12)(3)(45)" into a 1-indexed image tuple.
-
-    Entries may be comma- or whitespace-separated for values above 9;
-    unmentioned symbols are fixed points.  ``size`` pads with fixed points.
-    """
-    return _image(_parse_cycles(text), size or 1)
-
-
 def _parse_cycles(text: str) -> list[list[int]]:
     """The cycles of a cycle-notation string; each symbol at most once."""
     text = text.strip()
@@ -176,10 +167,6 @@ class Network:
     vertical: tuple[tuple[int, ...], ...]
     geometrically_simple: bool
     arboreal: bool
-
-    @property
-    def cylinder_count(self) -> int:
-        return len(self.horizontal) + len(self.vertical)
 
 
 def network(o: Origami) -> Network:

@@ -10,7 +10,6 @@ is pi/3, and it is the only point with that slack.  ``analyze`` reports
 this equilateral optimum, certified against the constraints.  ``sample``
 runs a hit-and-run walk with one variable per iota-orbit of corners,
 starting from that point, so every sample is iota-invariant bit for bit.
-``check_constant_holonomy`` compares the holonomies of such samples.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import angles as angles_mod
-from . import homology, matching as matching_mod
+from . import matching as matching_mod
 from .angles import AngleAssignment
 from .ribbon import Corner, TriRibbonGraph, orbits
 
@@ -89,7 +87,6 @@ class RegionPolytope:
 def build_polytope(
     graph: TriRibbonGraph,
     iota: matching_mod.TriangleMatching,
-    include_delaunay: bool = True,
 ) -> RegionPolytope:
     """Constraint system over corner variables for a verified matching.
 
@@ -99,6 +96,9 @@ def build_polytope(
     corners.  The face rows of one face orbit then coincide, and rows of
     different face orbits have disjoint supports, so the dimension is the
     number of corner orbits less the number of face orbits.
+
+    The inequalities are one positivity row -theta(c) < 0 per corner, in
+    corner order, then one Delaunay row per edge, in edge order.
     """
     report = matching_mod.verify_matching(graph, iota)
     if not report:
@@ -121,14 +121,13 @@ def build_polytope(
 
     ineq_rows: list[dict] = [{c: -1.0} for c in corners]  # -theta(c) < 0
     ineq_rhs: list[float] = [0.0] * len(corners)
-    if include_delaunay:
-        for e in graph.edges:
-            row: dict[Corner, float] = {}
-            for h in graph.occurrences(e):
-                opp = opposite_corner(graph, h)
-                row[opp] = row.get(opp, 0.0) + 1.0
-            ineq_rows.append(row)
-            ineq_rhs.append(math.pi)
+    for e in graph.edges:
+        row: dict[Corner, float] = {}
+        for h in graph.occurrences(e):
+            opp = opposite_corner(graph, h)
+            row[opp] = row.get(opp, 0.0) + 1.0
+        ineq_rows.append(row)
+        ineq_rhs.append(math.pi)
     return RegionPolytope(corners, eq_rows, eq_rhs, ineq_rows, ineq_rhs, dimension, orbit_of)
 
 
@@ -219,39 +218,3 @@ def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignm
                 break
     return out
 
-
-def check_constant_holonomy(
-    graph: TriRibbonGraph,
-    iota: matching_mod.TriangleMatching,
-    samples: int = 100,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> dict:
-    """Sample invariant angle assignments and compare their holonomies.
-
-    All sampled points must agree with the barycenter's holonomy on every
-    basis cycle within ``tol``, with unit modulus and phase a multiple of pi.
-    Returns a report dict; a counterexample signals an implementation fault.
-    """
-    basis = homology.cycle_basis(graph)
-    poly = build_polytope(graph, iota, include_delaunay=False)
-    thetas = sample(poly, samples, seed=seed)
-    chains = [homology.phi(graph, alpha) for alpha in basis]
-    bary = angles_mod.constant_angles(graph)
-    reference = [hol.value for hol in angles_mod.corner_holonomies(bary, chains)]
-    max_dev = 0.0
-    max_mod_dev = 0.0
-    counterexample = None
-    for theta in thetas:
-        for ref, val in zip(reference, angles_mod.corner_holonomies(theta, chains)):
-            max_dev = max(max_dev, abs(val.value - ref))
-            max_mod_dev = max(max_mod_dev, abs(val.modulus - 1.0))
-            if abs(val.value - ref) >= tol and counterexample is None:
-                counterexample = theta
-    return {
-        "samples": len(thetas),
-        "max_deviation": max_dev,
-        "max_modulus_deviation": max_mod_dev,
-        "ok": counterexample is None and max_mod_dev < tol,
-        "counterexample": counterexample,
-    }

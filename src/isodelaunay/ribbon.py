@@ -9,7 +9,6 @@ slot in {0, 1, 2}; slot arithmetic is mod 3.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +19,11 @@ TWO_PI = 2.0 * math.pi
 
 
 class InvalidGraphError(ValueError):
-    """Raised when an operation requires a valid graph and gets a broken one."""
+    """Raised when a graph is built that breaks the invariants; ``problems`` itemizes them."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("; ".join(problems))
+        self.problems = problems
 
 
 def he_key(h: HalfEdge) -> str:
@@ -41,11 +44,14 @@ class StratumSignature:
 
 
 class TriRibbonGraph:
-    """Immutable trivalent ribbon graph.
+    """Immutable trivalent ribbon graph, valid by construction.
 
     ``edges`` is the ordered list of edge identifiers, ``faces`` maps each
     face identifier to its boundary triple.  Rotating a boundary list is a
-    semantic no-op; we keep boundaries exactly as given.
+    semantic no-op; we keep boundaries exactly as given.  The constructor
+    runs ``validate`` and raises InvalidGraphError if any check fails, so
+    every graph that exists is connected, has triangular faces, and has
+    every edge listed once and used exactly twice.
     """
 
     def __init__(self, edges, faces):
@@ -58,6 +64,9 @@ class TriRibbonGraph:
             for slot, e in enumerate(b):
                 occ.setdefault(e, []).append((f, slot))
         self._occurrences = occ
+        report = validate(self)
+        if not report:
+            raise InvalidGraphError(report.problems)
 
     @property
     def face_ids(self) -> tuple[str, ...]:
@@ -88,13 +97,6 @@ class TriRibbonGraph:
         faces = [(rec["id"], tuple(rec["boundary"])) for rec in data["faces"]]
         return cls(data["edges"], faces)
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, text: str) -> "TriRibbonGraph":
-        return cls.from_json(json.loads(text))
-
     def __repr__(self):
         return f"TriRibbonGraph({len(self.edges)} edges, {len(self.faces)} faces)"
 
@@ -109,7 +111,11 @@ class ValidationReport:
 
 
 def validate(graph: TriRibbonGraph) -> ValidationReport:
-    """Check the trivalent ribbon graph invariants, itemizing every failure."""
+    """Check the trivalent ribbon graph invariants, itemizing every failure.
+
+    ``TriRibbonGraph`` runs this when it is built and raises on any problem,
+    so a graph that exists always passes.
+    """
     problems = [] if graph.faces else ["graph has no faces"]
     seen = set()
     for f, b in graph.faces:
@@ -133,12 +139,6 @@ def validate(graph: TriRibbonGraph) -> ValidationReport:
                 f"graph is disconnected ({n_reached} of {len(graph.faces)} faces reachable)"
             )
     return ValidationReport(not problems, problems)
-
-
-def require_valid(graph: TriRibbonGraph) -> None:
-    report = validate(graph)
-    if not report:
-        raise InvalidGraphError("; ".join(report.problems))
 
 
 def reachable_faces(graph: TriRibbonGraph, skip: str | None = None) -> set[str]:
@@ -181,10 +181,7 @@ def other_side(graph: TriRibbonGraph, h: HalfEdge) -> HalfEdge:
     """The other occurrence of the edge of ``h``; a fixed-point-free involution."""
     f, slot = h[0], h[1] % 3
     e = graph._boundary[f][slot]
-    occ = graph._occurrences[e]
-    if len(occ) != 2:
-        raise InvalidGraphError(f"edge {e!r} has multiplicity {len(occ)}")
-    a, b = occ
+    a, b = graph._occurrences[e]
     return b if a == (f, slot) else a
 
 
@@ -228,14 +225,11 @@ def vertex_orbits(graph: TriRibbonGraph) -> list[list[Corner]]:
 
 def topology(graph: TriRibbonGraph) -> dict:
     """Vertex/edge/face counts, Euler characteristic, genus and rank of H1."""
-    require_valid(graph)
     n_v = len(vertex_orbits(graph))
     n_e = len(graph.edges)
     n_f = len(graph.faces)
     n_h = 3 * n_f
     chi = n_v - n_e + n_f
-    if (2 - chi) % 2 != 0:
-        raise InvalidGraphError(f"odd Euler characteristic {chi}; not a closed surface")
     genus = (2 - chi) // 2
     rank_h1 = 1 - (n_e + n_f - n_h)
     assert rank_h1 == 2 * genus + n_v - 1

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from . import matching as matching_mod
-from .ribbon import HalfEdge, TriRibbonGraph, he_key, reachable_faces, require_valid
+from .ribbon import HalfEdge, TriRibbonGraph, he_key, reachable_faces
 
 
 def is_nonseparating(graph: TriRibbonGraph, h: HalfEdge) -> bool:
     """True iff removing the edge-vertex of ``h`` leaves the graph connected."""
-    require_valid(graph)
     return len(reachable_faces(graph, skip=graph.edge_of(h))) == len(graph.faces)
 
 
@@ -46,9 +45,7 @@ def connected_sum(
             if f == target_face:
                 b = tuple(new_edge if s == target_slot else b[s] for s in range(3))
             faces.append((f, b))
-    graph = TriRibbonGraph(list(lg.edges) + list(rg.edges), faces)
-    require_valid(graph)
-    return graph
+    return TriRibbonGraph(list(lg.edges) + list(rg.edges), faces)
 
 
 def sum_matchings(

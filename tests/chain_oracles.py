@@ -1,7 +1,8 @@
-"""Chain helpers, the boundary map and the brute-force cycle oracle that only tests need."""
+"""Chain helpers, the boundary map, ``p_map`` and the brute-force cycle oracle that only
+tests need."""
 
 from isodelaunay import homology
-from isodelaunay.ribbon import TriRibbonGraph, parse_he_key, require_valid
+from isodelaunay.ribbon import TriRibbonGraph, parse_he_key
 
 
 def _clean(chain: dict) -> dict:
@@ -46,6 +47,16 @@ def boundary(graph: TriRibbonGraph, chain: homology.Chain1) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def p_map(a: homology.AngleChain) -> homology.Chain1:
+    """The homomorphism sending a corner to its incident half-edges, which
+    ``homology.phi`` inverts on cycles."""
+    out: homology.Chain1 = {}
+    for (f, slot), coeff in a.items():
+        out[(f, (slot + 1) % 3)] = out.get((f, (slot + 1) % 3), 0) + coeff
+        out[(f, slot % 3)] = out.get((f, slot % 3), 0) - coeff
+    return _clean(out)
+
+
 def enumerate_simple_cycles(graph: TriRibbonGraph) -> list[homology.Chain1]:
     """All simple cycles, by brute-force DFS on the bipartite multigraph.
 
@@ -53,7 +64,6 @@ def enumerate_simple_cycles(graph: TriRibbonGraph) -> list[homology.Chain1]:
     undirected cycle is reported once, oriented so that its least half-edge
     carries coefficient +1.  Intended for small graphs.
     """
-    require_valid(graph)
     hes = graph.half_edges()
     out = []
     seen = set()

@@ -1,6 +1,6 @@
 """The angle-dict Delaunay sum, region membership, the numpy in-circle
-determinant and the atan2 cross-check of the in-circle sign that only tests
-need."""
+determinant, the atan2 cross-check of the in-circle sign, one flip at a time
+and the flat area that only tests need."""
 
 import math
 
@@ -33,6 +33,26 @@ def incircle_det(a: complex, b: complex, c: complex, d: complex) -> float:
         q = p - d
         rows.append([q.real, q.imag, q.real * q.real + q.imag * q.imag])
     return float(np.linalg.det(np.array(rows)))
+
+
+def flip_edge(surface: develop.DevelopedSurface, edge: str) -> develop.DevelopedSurface:
+    """Replace ``edge`` by the opposite diagonal of its developed quadrilateral.
+
+    Requires the two faces to be distinct and the quadrilateral strictly
+    convex; the new diagonal's period is the sum of the two adjacent sides.
+    """
+    tri = develop._Triangulation(surface)
+    tri.flip(edge)
+    return tri.surface()
+
+
+def area(surface: develop.DevelopedSurface) -> float:
+    """Total flat area, half the cross product per face."""
+    total = 0.0
+    for f, _ in surface.graph.faces:
+        z1, z2 = surface.periods[(f, 0)], surface.periods[(f, 1)]
+        total += abs((z1.conjugate() * z2).imag) / 2.0
+    return total
 
 
 def _angle_at(p: complex, q: complex, r: complex) -> float:

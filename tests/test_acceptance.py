@@ -7,7 +7,7 @@ the lines for passing criteria too.
 
 import time
 
-from chain_oracles import apply_to_chain, chain_neg, enumerate_simple_cycles
+from chain_oracles import apply_to_chain, chain_neg, enumerate_simple_cycles, p_map
 from delaunay_oracles import circumcircle_cross_check
 from isodelaunay import (
     angles,
@@ -19,6 +19,8 @@ from isodelaunay import (
     ribbon,
     surgery,
 )
+from origami_oracles import tree_count_holds
+from region_oracles import check_constant_holonomy, open_polytope
 
 TOL = 1e-9
 
@@ -28,10 +30,10 @@ def report(num: int, description: str, ok: bool) -> None:
     assert ok, f"criterion {num}: {description}"
 
 
-def invariant_polytope(o, include_delaunay):
+def invariant_polytope(o, delaunay_rows):
     g = origami.build_origami_graph(o)
     iota = origami.canonical_matching(o)
-    return g, region.build_polytope(g, iota, include_delaunay=include_delaunay)
+    return g, region.build_polytope(g, iota) if delaunay_rows else open_polytope(g, iota)
 
 
 def test_criterion_01_square_l_golden(square_l, square_l_graph):
@@ -50,7 +52,7 @@ def test_criterion_01_square_l_golden(square_l, square_l_graph):
 
 def test_criterion_02_staircase_has_no_matching(staircase, staircase_graph):
     net = origami.network(staircase)
-    ok = not net.arboreal and net.cylinder_count == 6
+    ok = not net.arboreal and len(net.horizontal) + len(net.vertical) == 6
     start = time.monotonic()
     res = matching.find_matchings(staircase_graph)
     elapsed = time.monotonic() - start
@@ -76,7 +78,7 @@ def test_criterion_04_arboreal_sweep():
                 continue
             g = origami.build_origami_graph(o)
             arboreal = net.arboreal
-            identity = net.cylinder_count == o.squares + 1
+            identity = tree_count_holds(o)
             exists = bool(matching.find_matchings(g, limit=1).matchings)
             if not (arboreal == identity == exists):
                 mismatches += 1
@@ -88,7 +90,7 @@ def test_criterion_05_constant_holonomy(torus, square_l, prym):
     for o in (torus, square_l, prym):
         g = origami.build_origami_graph(o)
         iota = origami.canonical_matching(o)
-        rep = region.check_constant_holonomy(g, iota, samples=100, seed=0, tol=TOL)
+        rep = check_constant_holonomy(g, iota, samples=100, seed=0, tol=TOL)
         ok = ok and rep["ok"] and rep["max_deviation"] < TOL
         ok = ok and rep["max_modulus_deviation"] < TOL
     report(5, "holonomy constant of modulus 1 across 100 invariant samples each", ok)
@@ -97,7 +99,7 @@ def test_criterion_05_constant_holonomy(torus, square_l, prym):
 def test_criterion_06_invariant_angles_develop(torus, square_l, prym):
     ok = True
     for o in (torus, square_l, prym):
-        g, poly = invariant_polytope(o, include_delaunay=False)
+        g, poly = invariant_polytope(o, delaunay_rows=False)
         for theta in region.sample(poly, 25, seed=1):
             ok = ok and angles.is_trivial_holonomy(g, theta, tol=TOL)
             surface = develop.develop(g, theta, tol=TOL)  # raises on obstruction
@@ -106,7 +108,7 @@ def test_criterion_06_invariant_angles_develop(torus, square_l, prym):
 
 
 def test_criterion_07_region_is_convex(square_l):
-    g, poly = invariant_polytope(square_l, include_delaunay=True)
+    g, poly = invariant_polytope(square_l, delaunay_rows=True)
     pts = region.sample(poly, 2000, seed=2)
     ok = True
     for a, b in zip(pts[:1000], pts[1000:]):
@@ -124,7 +126,7 @@ def test_criterion_07_region_is_convex(square_l):
 def test_criterion_08_develop_round_trip(torus, square_l, prym):
     worst = 0.0
     for o in (torus, square_l, prym):
-        g, poly = invariant_polytope(o, include_delaunay=False)
+        g, poly = invariant_polytope(o, delaunay_rows=False)
         for theta in region.sample(poly, 100, seed=3):
             back = develop.angles_of(develop.develop(g, theta))
             worst = max(worst, max(abs(back[c] - theta[c]) for c in theta))
@@ -134,7 +136,7 @@ def test_criterion_08_develop_round_trip(torus, square_l, prym):
 def test_criterion_09_region_dimensions(torus, square_l, prym):
     ok = True
     for o, dim in [(square_l, 6), (torus, 2), (prym, 10)]:
-        _, poly = invariant_polytope(o, include_delaunay=True)
+        _, poly = invariant_polytope(o, delaunay_rows=True)
         ok = ok and region.analyze(poly).dimension == dim
     report(9, "region dimensions 6 / 2 / 10 by exact integer rank", ok)
 
@@ -184,7 +186,7 @@ def test_criterion_12_homology_core(torus_graph, square_l_graph, staircase_graph
     for g in graphs:
         assert len(g.face_ids) <= 8
         for alpha in enumerate_simple_cycles(g):
-            ok = ok and homology.p_map(homology.phi(g, alpha)) == alpha
+            ok = ok and p_map(homology.phi(g, alpha)) == alpha
     for g in (torus_graph, square_l_graph, staircase_graph):
         basis = homology.cycle_basis(g)
         for h in g.half_edges():

@@ -14,16 +14,16 @@ def test_validate_accepts_standard_and_equilateral(square_l, square_l_graph):
     angles.validate_angles(square_l_graph, origami.equilateral_angles(square_l))
 
 
-def test_validate_rejects_bad_range(torus_graph):
-    theta = angles.constant_angles(torus_graph)
+def test_validate_rejects_bad_range(torus, torus_graph):
+    theta = origami.equilateral_angles(torus)
     theta[("f1-", 0)] -= math.pi / 2  # negative, but face sum still pi
     theta[("f1-", 1)] += math.pi / 2
     with pytest.raises(ValueError):
         angles.validate_angles(torus_graph, theta)
 
 
-def test_validate_rejects_bad_face_sum(torus_graph):
-    theta = angles.constant_angles(torus_graph)
+def test_validate_rejects_bad_face_sum(torus, torus_graph):
+    theta = origami.equilateral_angles(torus)
     theta[("f1-", 0)] += 0.01
     with pytest.raises(ValueError):
         angles.validate_angles(torus_graph, theta)

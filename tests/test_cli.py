@@ -160,7 +160,7 @@ def test_delaunay_flip_roundtrip(tmp_path, capsys):
         g, {h: complex(p.real, p.imag * 0.5) for h, p in s.periods.items()}
     )
     surface_file = tmp_path / "squashed.json"
-    surface_file.write_text(squashed.dumps())
+    surface_file.write_text(json.dumps(squashed.to_json()))
     code, out, _ = run_cli(capsys, "delaunay", "flip", str(surface_file))
     assert code == 0
     report = json.loads(out)
@@ -179,7 +179,7 @@ def test_delaunay_flip_past_the_flip_cap_is_one_error_line(tmp_path, capsys):
         s.graph, {k: complex(z.real + 25.3 * z.imag, z.imag) for k, z in s.periods.items()}
     )
     surface_file = tmp_path / "sheared.json"
-    surface_file.write_text(sheared.dumps())
+    surface_file.write_text(json.dumps(sheared.to_json()))
     code, out, err = run_cli(capsys, "delaunay", "flip", str(surface_file))
     assert code == 1 and out == ""
     assert err.startswith("error: flip cap hit") and err.count("\n") == 1
@@ -274,6 +274,34 @@ def test_empty_surface_is_rejected(tmp_path, capsys):
     code, out, err = run_cli(capsys, "delaunay", "check", str(surface_file))
     assert code == 1
     assert out == "" and "no faces" in err and "max()" not in err
+
+
+def test_disconnected_surface_is_one_error_line(tmp_path, capsys):
+    from isodelaunay import develop, origami
+
+    o = origami.Origami.from_spec("h=();v=()")
+    torus = develop.develop(origami.build_origami_graph(o), origami.standard_angles(o)).to_json()
+    # two tori side by side: every face closes and every edge pairs up, but
+    # neither copy reaches the other
+    surface = {
+        "graph": {
+            "edges": [p + e for p in "AB" for e in torus["graph"]["edges"]],
+            "faces": [{"id": p + f["id"], "boundary": [p + e for e in f["boundary"]]}
+                      for p in "AB" for f in torus["graph"]["faces"]],
+        },
+        "periods": {p + k: z for p in "AB" for k, z in torus["periods"].items()},
+    }
+    surface_file = tmp_path / "two_tori.json"
+    surface_file.write_text(json.dumps(surface))
+    bad_matching = tmp_path / "bad.json"
+    bad_matching.write_text("5")
+    for argv in (("delaunay", "check", str(surface_file)),
+                 ("delaunay", "flip", str(surface_file)),
+                 # the graph is read, and rejected, before the malformed second file
+                 ("match", "verify", str(surface_file), str(bad_matching))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: graph is disconnected (2 of 4 faces reachable)\n"
 
 
 MATCHING_COMMANDS = [("region", "{graph}", "{file}"), ("match", "verify", "{graph}", "{file}")]

@@ -30,23 +30,45 @@ def test_no_unused_top_level_imports():
     assert [msg for p in files for msg in _unused_imports(p)] == []
 
 
-def test_no_unread_private_top_level_definitions():
-    # a top-level _private function or class that no module of the package
-    # reads (by name, attribute or import) is dead code or belongs in tests/
-    trees = {p: ast.parse(p.read_text(), str(p))
-             for p in sorted((ROOT / "src/isodelaunay").glob("*.py"))}
+def _read_names(paths) -> set[str]:
+    """Every name the modules at ``paths`` read, as a name, an attribute or a
+    ``from`` import."""
     read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
+    for p in paths:
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    defined = [(p, node) for p, tree in trees.items() for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_") and not node.name.startswith("__")]
+    return read
+
+
+def _top_level_definitions(private: bool) -> list[tuple[Path, ast.AST]]:
+    """The package's top-level functions and classes, _private or public."""
+    return [(p, node) for p in sorted((ROOT / "src/isodelaunay").glob("*.py"))
+            for node in ast.parse(p.read_text(), str(p)).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") == private and not node.name.startswith("__")]
+
+
+def test_no_unread_private_top_level_definitions():
+    # a top-level _private function or class that no module of the package
+    # reads (by name, attribute or import) is dead code or belongs in tests/
+    read = _read_names(sorted((ROOT / "src/isodelaunay").glob("*.py")))
+    defined = _top_level_definitions(private=True)
     assert len(defined) > 10
+    assert [f"{p.relative_to(ROOT)}:{node.lineno}: {node.name}"
+            for p, node in defined if node.name not in read] == []
+
+
+def test_no_public_top_level_definition_only_tests_read():
+    # the library's surface is the pipeline's surface: a public function or
+    # class that neither the package nor the benchmark reads belongs in tests/
+    read = _read_names(sorted((ROOT / "src/isodelaunay").glob("*.py"))
+                       + sorted((ROOT / "bench").glob("*.py")))
+    defined = _top_level_definitions(private=False)
+    assert len(defined) > 50
     assert [f"{p.relative_to(ROOT)}:{node.lineno}: {node.name}"
             for p, node in defined if node.name not in read] == []

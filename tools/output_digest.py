@@ -16,7 +16,8 @@ against the dump of another tree.  The dump covers:
 - for the first 24 region_pipeline inputs of seeds 1-3 (from
   bench/inputs.py): the ``float.hex`` of the analysis, of 20 samples and of
   the developed first sample;
-- ``check_constant_holonomy`` on three arboreal origamis;
+- ``check_constant_holonomy`` (from tests/region_oracles.py) on three
+  arboreal origamis;
 - ``network`` on every transitive pair class with at most 4 squares.
 """
 
@@ -33,9 +34,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 import inputs  # noqa: E402  (bench/inputs.py)
+import region_oracles  # noqa: E402  (tests/region_oracles.py)
 from isodelaunay import angles, cli, develop, origami, region, surgery  # noqa: E402
 
 ORIGAMIS = [
@@ -125,7 +127,8 @@ def holonomy_dump(out: list[str]) -> None:
     for spec in ORIGAMIS[:3]:
         o = origami.Origami.from_spec(spec)
         g = origami.build_origami_graph(o)
-        rep = region.check_constant_holonomy(g, origami.canonical_matching(o), samples=20, seed=1)
+        rep = region_oracles.check_constant_holonomy(g, origami.canonical_matching(o),
+                                                     samples=20, seed=1)
         out.append(f"{spec} samples={rep['samples']} ok={rep['ok']} "
                    f"{_hex([rep['max_deviation'], rep['max_modulus_deviation']])}")
 
