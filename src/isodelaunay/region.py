@@ -7,17 +7,30 @@ The slack of a point is at most its least angle, which is at most pi/3
 because every face sums to pi.  The equilateral point theta = pi/3 meets
 every face and orbit equality and has Delaunay sums of 2 pi/3, so its slack
 is pi/3, and it is the only point with that slack.  ``analyze`` reports
-this equilateral optimum, certified against the constraints.  ``sample``
-runs a hit-and-run walk with one variable per iota-orbit of corners,
-starting from that point, so every sample is iota-invariant bit for bit.
+this equilateral optimum, certified against the constraints.
+
+``sample`` runs a coordinate hit-and-run walk from that point, with one
+variable per iota-orbit of corners, so every sample is iota-invariant bit
+for bit.  In orbit coordinates the equalities split into blocks: one face
+row per face orbit, with at most three variables and disjoint from every
+other block.  A block with coefficients (1, 1, 1) leaves a plane of
+directions and one with (2, 1), a face whose corners iota pairs up, leaves
+a line.  A block step picks a block uniformly, a uniform direction in its
+null space, and a uniform point on the chord that the inequality rows
+touching the block leave open, so a step costs a few rows and no matrix.
+The schedule is counted in block steps: ``BURN_IN_PER_DIM`` steps per
+dimension of burn-in, then one sample kept every ``STRIDE`` steps.  All
+randomness is drawn from ``random.Random(seed).random()``, whose stream
+Python keeps fixed across versions, and turned into directions with ``+``,
+``*`` and ``sqrt`` alone, so the samples of a seed depend on no numerical
+library.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import matching as matching_mod
 from .angles import AngleAssignment
@@ -102,7 +115,7 @@ def build_polytope(
     """
     report = matching_mod.verify_matching(graph, iota)
     if not report:
-        raise ValueError("invariant_space requires a verified matching: " + "; ".join(report.problems))
+        raise ValueError("build_polytope requires a verified matching: " + "; ".join(report.problems))
     corners = graph.half_edges()
     faces = sorted(graph.face_ids)
     eq_rows: list[dict] = [{(f, s): 1 for s in range(3)} for f in faces]
@@ -131,18 +144,6 @@ def build_polytope(
     return RegionPolytope(corners, eq_rows, eq_rhs, ineq_rows, ineq_rhs, dimension, orbit_of)
 
 
-def _dense(rows: list[dict], cidx: dict, width: int) -> np.ndarray:
-    """Sparse rows keyed by corner as a dense matrix with ``width`` columns.
-
-    ``cidx`` gives each corner's column; entries that share a column add up.
-    """
-    out = np.zeros((len(rows), width))
-    for i, row in enumerate(rows):
-        for k, v in row.items():
-            out[i, cidx[k]] += v
-    return out
-
-
 @dataclass
 class RegionReport:
     feasible: bool
@@ -160,30 +161,95 @@ def analyze(polytope: RegionPolytope) -> RegionReport:
     return RegionReport(slack > 0, slack, theta, polytope.dimension)
 
 
-def _chord(room: np.ndarray, g_dir: np.ndarray) -> tuple[float, float]:
-    """Step bounds (lo, hi) along a direction that keep every row's room.
-
-    Rows whose rate ``g_dir`` is within 1e-14 of zero bound nothing.
-    """
-    up, down = g_dir > 1e-14, g_dir < -1e-14
-    lo = (room[down] / g_dir[down]).max(initial=-np.inf)
-    return lo, (room[up] / g_dir[up]).min(initial=np.inf)
 
 
-# hit-and-run schedule: burn-in steps per dimension, steps between kept
-# samples, and the least slack every sample keeps on every inequality
+# hit-and-run schedule: burn-in block steps per dimension, block steps
+# between kept samples, and the least slack every sample keeps on every
+# inequality
 BURN_IN_PER_DIM = 50
 STRIDE = 10
 MARGIN = 1e-9
 
 
+def _collapse(row: dict[Corner, float], orbit_of: dict[Corner, int]) -> tuple:
+    """A sparse corner row in orbit coordinates: sorted (orbit, coefficient)
+    pairs, zero coefficients dropped."""
+    out: dict[int, float] = {}
+    for c, v in row.items():
+        o = orbit_of[c]
+        out[o] = out.get(o, 0) + v
+    return tuple(sorted((o, v) for o, v in out.items() if v != 0))
+
+
+def _null_basis(coeffs: list[float]) -> list[list[float]]:
+    """Orthonormal basis of the vectors orthogonal to ``coeffs``, by
+    Gram-Schmidt on the unit vectors; meant for at most three coordinates."""
+    k = len(coeffs)
+    norm = math.sqrt(sum(a * a for a in coeffs))
+    basis = [[a / norm for a in coeffs]]
+    for i in range(k):
+        w = [float(j == i) for j in range(k)]
+        for q in basis:
+            dot = sum(a * b for a, b in zip(w, q))
+            w = [a - dot * b for a, b in zip(w, q)]
+        size = math.sqrt(sum(a * a for a in w))
+        # a unit vector already in the span leaves only a rounding residue;
+        # one that adds a direction to (1, 1, 1) or (2, 1) leaves more than 0.4
+        if size > 1e-6:
+            basis.append([a / size for a in w])
+    return basis[1:]
+
+
+def _blocks(polytope: RegionPolytope) -> list[tuple]:
+    """The walk's blocks: one per distinct face row in orbit coordinates.
+
+    Each block is (orbits, basis, rows): the block's orbit variables, an
+    orthonormal basis of its null space as two vectors (the second all zero
+    for a line), and every inequality row touching its variables as
+    (terms, bound, rate0, rate1), where ``bound`` is the row's right-hand
+    side less ``MARGIN`` and the rates are along the two basis vectors.  The
+    blocks must partition the orbits, have at most three orbits each, and
+    have null dimensions that sum to ``polytope.dimension``.
+    """
+    orbit_of = polytope.orbit_of
+    face_rows = sorted({r for r in (_collapse(row, orbit_of) for row in polytope.eq_rows) if r})
+    block_of = {o: b for b, row in enumerate(face_rows) for o, _ in row}
+    bases = [_null_basis([v for _, v in row]) for row in face_rows]
+    if (len(block_of) != sum(len(row) for row in face_rows)
+            or len(block_of) != max(orbit_of.values()) + 1
+            or any(len(row) > 3 for row in face_rows)
+            or sum(map(len, bases)) != polytope.dimension):
+        raise AssertionError(
+            f"equality rows do not split into face-orbit blocks of total null dimension "
+            f"{polytope.dimension}: null dimensions {[len(b) for b in bases]}"
+        )
+    for basis, row in zip(bases, face_rows):
+        basis.extend([[0.0] * len(row)] * (2 - len(basis)))
+    rows: list[list[tuple]] = [[] for _ in face_rows]
+    ineqs = dict.fromkeys(
+        (_collapse(row, orbit_of), b) for row, b in zip(polytope.ineq_rows, polytope.ineq_rhs)
+    )
+    for terms, b in ineqs:
+        for blk in sorted({block_of[o] for o, _ in terms}):
+            pos = {o: i for i, (o, _) in enumerate(face_rows[blk])}
+            rates = [sum(v * u[pos[o]] for o, v in terms if o in pos) for u in bases[blk]]
+            rows[blk].append((terms, b - MARGIN, *rates))
+    return [(tuple(o for o, _ in row), basis, block_rows)
+            for row, basis, block_rows in zip(face_rows, bases, rows) if any(basis[0])]
+
+
 def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignment]:
     """Hit-and-run samples from the interior, deterministic per seed.
 
-    The walk starts at the equilateral optimum and moves one variable per
-    iota-orbit of corners inside the affine subspace of the equalities.
+    The walk starts at the equilateral optimum, with one variable per
+    iota-orbit of corners.  Each block step picks a face-orbit block, a
+    direction in the block's null space (uniform on the circle for a plane,
+    the basis vector for a line) and a uniform point on the chord that the
+    block's inequality rows leave.  The burn-in is ``BURN_IN_PER_DIM`` block
+    steps per dimension, and a sample is kept every ``STRIDE`` block steps.
     Each sample gives every corner the value of its orbit, so it is
     iota-invariant exactly, and keeps slack ``MARGIN`` on every inequality.
+    All randomness comes from ``random.Random(seed).random()``.
     """
     if n == 0:
         return []
@@ -191,30 +257,47 @@ def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignm
     dim = polytope.dimension
     if dim == 0:
         return [dict(start) for _ in range(n)]
-    orbit_of = polytope.orbit_of
-    width = max(orbit_of.values()) + 1
-    # orthonormal nullspace basis of the equality matrix; orbit rows are zero
-    _, _, vt = np.linalg.svd(_dense(polytope.eq_rows, orbit_of, width))
-    N = vt[width - dim:].T  # width x dim
-    G = _dense(polytope.ineq_rows, orbit_of, width)
-    gb = np.array(polytope.ineq_rhs, dtype=float)
-    GN = G @ N
-
-    rng = np.random.default_rng(seed)
-    y = np.full(width, math.pi / 3)
+    blocks = _blocks(polytope)
+    rand = random.Random(seed).random
+    third = math.pi / 3
+    y = [third] * (max(polytope.orbit_of.values()) + 1)
+    # each block's offset from the start in its basis; y is recomputed from
+    # it, so rounding does not pile up on the face sums as the walk goes on
+    z = [[0.0, 0.0] for _ in blocks]
+    corner_orbit = [(c, polytope.orbit_of[c]) for c in polytope.corners]
     out = []
     burn_in = BURN_IN_PER_DIM * dim
     for step in range(burn_in + STRIDE * n):
-        d = rng.standard_normal(dim)
-        d /= np.linalg.norm(d)
-        lo, hi = _chord(gb - MARGIN - G @ y, GN @ d)
-        if not (lo < hi):
-            continue
-        y = y + rng.uniform(lo, hi) * (N @ d)
+        b = int(rand() * len(blocks))
+        orbits, (u0, u1), rows = blocks[b]
+        if any(u1):
+            r2 = 0.0
+            while not 0.0 < r2 <= 1.0:
+                p, q = 2.0 * rand() - 1.0, 2.0 * rand() - 1.0
+                r2 = p * p + q * q
+            r = math.sqrt(r2)
+            d0, d1 = p / r, q / r
+        else:
+            d0, d1 = 1.0, 0.0
+        lo, hi = -math.inf, math.inf
+        for terms, bound, rate0, rate1 in rows:
+            g = d0 * rate0 + d1 * rate1
+            if -1e-14 <= g <= 1e-14:
+                continue
+            room = bound
+            for o, v in terms:
+                room -= v * y[o]
+            if g > 0.0:
+                hi = min(hi, room / g)
+            else:
+                lo = max(lo, room / g)
+        if lo < hi:
+            t = lo + (hi - lo) * rand()
+            zb = z[b]
+            zb[0] += t * d0
+            zb[1] += t * d1
+            for o, w0, w1 in zip(orbits, u0, u1):
+                y[o] = third + zb[0] * w0 + zb[1] * w1
         if step >= burn_in and (step - burn_in) % STRIDE == STRIDE - 1:
-            values = y.tolist()
-            out.append({c: values[orbit_of[c]] for c in polytope.corners})
-            if len(out) >= n:
-                break
+            out.append({c: y[o] for c, o in corner_orbit})
     return out
-

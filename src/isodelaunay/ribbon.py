@@ -119,11 +119,14 @@ def validate(graph: TriRibbonGraph) -> ValidationReport:
     problems = [] if graph.faces else ["graph has no faces"]
     seen = set()
     for f, b in graph.faces:
+        if not isinstance(f, str):
+            problems.append(f"face id {f!r} is not a string")
         if f in seen:
             problems.append(f"duplicate face id {f!r}")
         seen.add(f)
         if len(b) != 3:
             problems.append(f"face {f!r} has {len(b)} boundary slots, expected 3")
+    problems.extend(f"edge id {e!r} is not a string" for e in graph.edges if not isinstance(e, str))
     edge_set = set(graph.edges)
     if len(edge_set) != len(graph.edges):
         problems.append("duplicate edge identifiers in edge list")

@@ -119,7 +119,7 @@ def test_region_rejects_an_unverified_matching(l_files, tmp_path, capsys):
         for flags in ([], ["--json"]):
             code, out, err = run_cli(capsys, *flags, "region", str(graph), str(bad))
             assert (code, out) == (1, "")
-            assert err == f"error: invariant_space requires a verified matching: {problems}\n"
+            assert err == f"error: build_polytope requires a verified matching: {problems}\n"
 
 
 def test_holonomy_report(l_files, tmp_path, capsys):
@@ -274,6 +274,20 @@ def test_empty_surface_is_rejected(tmp_path, capsys):
     code, out, err = run_cli(capsys, "delaunay", "check", str(surface_file))
     assert code == 1
     assert out == "" and "no faces" in err and "max()" not in err
+
+
+def test_non_string_face_id_is_one_error_line(tmp_path, capsys):
+    graph = tmp_path / "int_id.json"
+    graph.write_text(json.dumps({"edges": ["a", "b", "c"], "faces": [
+        {"id": 1, "boundary": ["a", "b", "c"]},
+        {"id": "g", "boundary": ["c", "b", "a"]},
+    ]}))
+    code, out, _ = run_cli(capsys, "validate", str(graph))
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "problems": ["face id 1 is not a string"]}
+    for argv in (("info", str(graph)), ("match", "find", str(graph))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: face id 1 is not a string\n")
 
 
 def test_disconnected_surface_is_one_error_line(tmp_path, capsys):

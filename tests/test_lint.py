@@ -1,6 +1,9 @@
 """Source checks that need only the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,3 +75,16 @@ def test_no_public_top_level_definition_only_tests_read():
     assert len(defined) > 50
     assert [f"{p.relative_to(ROOT)}:{node.lineno}: {node.name}"
             for p, node in defined if node.name not in read] == []
+
+
+def test_the_package_loads_no_numpy():
+    # numpy is a test dependency only: no module of the library may load it
+    modules = sorted(p.stem for p in (ROOT / "src/isodelaunay").glob("*.py")
+                     if p.name != "__init__.py")
+    assert len(modules) > 5
+    script = ("import sys, isodelaunay\n" + "".join(f"import isodelaunay.{m}\n" for m in modules)
+              + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -12,7 +12,8 @@ certificates are checked against references too: ``is_cycle`` against the
 boundary map, the in-circle determinant against numpy's, and the closure
 check of ``develop`` against a residual taken from both sides of every edge.
 On region samples of origamis that carry a matching, ``angles_of`` inverts
-``develop``.
+``develop``, and every sample is exactly invariant, keeps ``MARGIN`` of
+slack, meets the face sums within 1e-14 and comes again from its seed.
 """
 
 import math
@@ -271,6 +272,23 @@ def test_angles_of_develop_round_trips_on_region_samples(o, seed):
         back = develop.angles_of(develop.develop(g, theta))
         assert back.keys() == theta.keys()
         assert max(abs(back[c] - theta[c]) for c in theta) < 1e-12
+
+
+@PROPERTY
+@given(origamis(), st.integers(0, 2**32 - 1))
+def test_region_samples_are_invariant_inside_and_reproducible(o, seed):
+    g = origami.build_origami_graph(o)
+    found = matching.find_matchings(g, limit=1).matchings
+    assume(found)
+    iota = found[0]
+    poly = region.build_polytope(g, iota)
+    pts = region.sample(poly, 5, seed=seed)
+    assert len(pts) == 5
+    for theta in pts:
+        assert all(theta[c] == theta[iota[c]] for c in theta)
+        assert poly.slack(theta) >= region.MARGIN
+        assert poly.equality_residual(theta) <= 1e-14
+    assert region.sample(poly, 5, seed=seed) == pts
 
 
 def _flip_rebuilding_the_graph(surface, edge):

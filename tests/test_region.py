@@ -1,13 +1,13 @@
 """Convex angle region: polytope construction, certified optimum, sampling."""
 
+import dataclasses
 import math
 
-import numpy as np
 import pytest
 
 from delaunay_oracles import circumcircle_cross_check, delaunay_sum, in_delaunay_region
 from isodelaunay import angles, homology, origami, region, surgery
-from region_oracles import open_polytope
+from region_oracles import dense_sample, open_polytope
 
 
 def build(o):
@@ -149,6 +149,11 @@ def test_analyze_then_sample_matches_a_fresh_polytope(square_l):
     assert region.analyze(poly).interior_point
 
 
+# a seed at which a sample of the glued sum below comes within 1e-4 of an
+# angle of 0, so the thin-region tests walk next to a wall
+THIN_SEED = 230
+
+
 def _glued_sum():
     # region_pipeline seed 3, input 15: a sample of this sum once had a least
     # angle of 3.5e-6, where drift off the orbit equalities moved the holonomy
@@ -161,45 +166,91 @@ def _glued_sum():
 
 def test_samples_are_exactly_invariant(square_l, square_l_graph):
     cases = [(square_l_graph, origami.canonical_matching(square_l), 3),
-             (*_glued_sum(), 1703833409)]
+             (*_glued_sum(), THIN_SEED)]
     for g, iota, seed in cases:
         pts = region.sample(region.build_polytope(g, iota), 20, seed=seed)
         assert len(pts) == 20
         for t in pts:
             assert all(t[c] == t[iota[c]] for c in t)
+    assert min(min(t.values()) for t in pts) < 1e-4
 
 
 def test_holonomy_is_constant_across_samples_of_a_thin_region():
     g, iota = _glued_sum()
     basis = homology.cycle_basis(g)
     values = [[angles.holonomy(g, t, a).value for a in basis]
-              for t in region.sample(region.build_polytope(g, iota), 20, seed=1703833409)]
+              for t in region.sample(region.build_polytope(g, iota), 20, seed=THIN_SEED)]
     assert len(values) == 20
     dev = max(abs(v - w) for row in values for v, w in zip(row, values[0]))
     assert dev <= 1e-9
 
 
-def _chord_loop(room, g_dir):
-    # the row-by-row reference for region._chord
-    lo, hi = -np.inf, np.inf
-    for gd, r in zip(g_dir, room):
-        if gd > 1e-14:
-            hi = min(hi, r / gd)
-        elif gd < -1e-14:
-            lo = max(lo, r / gd)
-    return lo, hi
+def _batch_means(values, batches):
+    """The mean of ``values`` and its squared standard error, from
+    ``batches`` means of consecutive values."""
+    k = len(values) // batches
+    means = [sum(values[i * k:(i + 1) * k]) / k for i in range(batches)]
+    mean = sum(means) / batches
+    return mean, sum((m - mean) ** 2 for m in means) / (batches - 1) / batches
 
 
-def test_chord_bounds_match_the_row_loop_bit_for_bit():
-    rng = np.random.default_rng(7)
-    cases = [(np.zeros(0), np.zeros(0)), (np.ones(4), np.zeros(4)),
-             (np.ones(3), np.array([1e-14, -1e-14, 2e-14]))]
-    for _ in range(200):
-        n = int(rng.integers(1, 40))
-        g_dir = rng.standard_normal(n) * 10.0 ** rng.integers(-16, 2, n)
-        g_dir[rng.random(n) < 0.2] = 0.0
-        cases.append((rng.random(n) * 4.0 - 0.5, g_dir))
-    for room, g_dir in cases:
-        with np.errstate(all="raise"):
-            got = region._chord(room, g_dir)
-        assert [float(x).hex() for x in got] == [float(x).hex() for x in _chord_loop(room, g_dir)]
+def test_block_walk_agrees_with_the_dense_walk(square_l, prym):
+    # per corner, the mean of theta and of (theta - pi/3)^2 over 1500 samples
+    # of each walk, in 30 batches of 50; the dense walk moves all variables
+    # at once, so agreement checks the block walk's stationary law.  The
+    # second moment catches a walk that keeps only the middle half of each
+    # chord (z above 7 at this seed), which the means alone do not
+    for o in (square_l, prym):
+        poly = region.build_polytope(origami.build_origami_graph(o), origami.canonical_matching(o))
+        walks = region.sample(poly, 1500, seed=5), dense_sample(poly, 1500, seed=5)
+        z = []
+        for c in poly.corners:
+            for f in (lambda x: x, lambda x: (x - math.pi / 3) ** 2):
+                (m1, v1), (m2, v2) = (_batch_means([f(t[c]) for t in w], 30) for w in walks)
+                z.append(abs(m1 - m2) / math.sqrt(v1 + v2))
+        assert max(z) < 4.5
+
+
+def _reflected_face():
+    # one face whose corners 1 and 2 share an orbit, as under a map that
+    # reflects the face onto itself: theta0 + 2 theta1 = pi is a 1-D block
+    a, b, c = ("f", 0), ("f", 1), ("f", 2)
+    return region.RegionPolytope(
+        [a, b, c], [{a: 1, b: 1, c: 1}, {b: 1, c: -1}], [math.pi, 0.0],
+        [{a: -1.0}, {b: -1.0}, {c: -1.0}], [0.0, 0.0, 0.0], 1, {a: 0, b: 1, c: 1})
+
+
+def test_a_face_with_paired_corners_is_a_line():
+    poly = _reflected_face()
+    (orbits, (u0, u1), _), = region._blocks(poly)
+    assert orbits == (0, 1) and not any(u1)
+    assert abs(u0[0] + 2 * u0[1]) < 1e-15
+    pts = region.sample(poly, 400, seed=2)
+    for t in pts:
+        assert t[("f", 1)] == t[("f", 2)]
+        assert poly.slack(t) >= region.MARGIN
+        assert poly.equality_residual(t) <= 1e-14
+    # theta1 is uniform on (0, pi/2): mean pi/4, and both ends are reached
+    ys = [t[("f", 1)] for t in pts]
+    assert abs(sum(ys) / len(ys) - math.pi / 4) < 0.1
+    assert min(ys) < 0.1 and max(ys) > math.pi / 2 - 0.1
+
+
+def test_a_zero_dimensional_polytope_repeats_its_point():
+    c = ("f", 0)
+    poly = region.RegionPolytope([c], [{c: 1.0}], [math.pi / 3], [{c: -1.0}], [0.0], 0, {c: 0})
+    assert region.sample(poly, 3, seed=4) == [{c: math.pi / 3}] * 3
+
+
+def test_blocks_that_miss_the_dimension_are_refused(run_optimized):
+    with pytest.raises(AssertionError, match="face-orbit blocks of total null dimension 2"):
+        region.sample(dataclasses.replace(_reflected_face(), dimension=2), 1)
+    # the certificate is no assert statement, so it holds under python -O too
+    assert run_optimized(
+        "import math\n"
+        "from isodelaunay import region\n"
+        "a, b, c = ('f', 0), ('f', 1), ('f', 2)\n"
+        "poly = region.RegionPolytope([a, b, c], [{a: 1, b: 1, c: 1}, {b: 1, c: -1}],\n"
+        "    [math.pi, 0.0], [{a: -1.0}, {b: -1.0}, {c: -1.0}], [0.0] * 3, 2, {a: 0, b: 1, c: 1})\n"
+        "region.sample(poly, 1)"
+    ).startswith("AssertionError: equality rows do not split")

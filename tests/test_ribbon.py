@@ -81,6 +81,11 @@ def test_validate_rejects_unlisted_edge():
                     ["edge 'c' used in a boundary but not listed"])
 
 
+def test_validate_rejects_non_string_ids():
+    assert_rejected(["a", "b", 3], [(1, ("a", "b", 3)), ("g", (3, "b", "a"))],
+                    ["face id 1 is not a string", "edge id 3 is not a string"])
+
+
 def test_other_side_is_fixed_point_free_involution(square_l_graph):
     g = square_l_graph
     for h in g.half_edges():

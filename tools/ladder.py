@@ -1,0 +1,95 @@
+"""Time each pipeline stage on a ladder of staircase origamis, and print JSON.
+
+The staircase on n squares has h = (1,2)(3,4)..., v = (2,3)(4,5)...; its
+canonical matching is a triangle matching, and its region has dimension
+F = 2n, the number of faces.  For F = 24, 48, 96, 192 and 384 the script
+times, each as the best of three runs in wall seconds:
+
+- ``cycle_basis``, ``find_matchings(limit=1)`` and ``build_polytope`` on the
+  staircase's graph and canonical matching;
+- ``sample(poly, 5)`` with seed 1;
+- the holonomy of every basis cycle at the first sample, and ``develop`` of
+  that sample;
+- ``make_delaunay`` of the square-tiled surface under (x, y) -> (x + 1.3 y, y)
+  and then (x, y) -> (x, y + 0.4 x).
+
+It sets no gate; the output is a record of how each stage grows with F.
+Run it from the root of the tree:
+
+    PYTHONPATH=src python tools/ladder.py
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from isodelaunay import angles, develop, homology, matching, origami, region  # noqa: E402
+
+FACES = (24, 48, 96, 192, 384)
+REPEATS = 3
+SHEAR = (1.3, 0.4)
+
+
+def staircase(n: int) -> origami.Origami:
+    h, v = list(range(1, n + 1)), list(range(1, n + 1))
+    for i in range(0, n - 1, 2):
+        h[i], h[i + 1] = h[i + 1], h[i]
+    for i in range(1, n - 1, 2):
+        v[i], v[i + 1] = v[i + 1], v[i]
+    return origami.Origami(tuple(h), tuple(v))
+
+
+def sheared(o: origami.Origami) -> develop.DevelopedSurface:
+    g = origami.build_origami_graph(o)
+    surface = develop.develop(g, origami.standard_angles(o))
+    a, b = SHEAR
+    periods = {}
+    for h, z in surface.periods.items():
+        x = z.real + a * z.imag
+        periods[h] = complex(x, z.imag + b * x)
+    return develop.DevelopedSurface(g, periods)
+
+
+def timed(record: dict, stage: str, fn):
+    """Run ``fn`` REPEATS times, keep its best time under ``stage``, return its value."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        value = fn()
+        best = min(best, time.perf_counter() - start)
+    record.setdefault(stage, []).append(best)
+    return value
+
+
+def ladder() -> dict:
+    seconds: dict[str, list[float]] = {}
+    dimensions = []
+    for faces in FACES:
+        o = staircase(faces // 2)
+        g = origami.build_origami_graph(o)
+        iota = origami.canonical_matching(o)
+        basis = timed(seconds, "cycle_basis", lambda: homology.cycle_basis(g))
+        found = timed(seconds, "find_matchings(limit=1)",
+                      lambda: matching.find_matchings(g, limit=1).matchings)
+        if not found:
+            raise RuntimeError(f"no matching found on the staircase with {faces} faces")
+        poly = timed(seconds, "build_polytope", lambda: region.build_polytope(g, iota))
+        dimensions.append(poly.dimension)
+        samples = timed(seconds, "sample(poly, 5)", lambda: region.sample(poly, 5, seed=1))
+        timed(seconds, "holonomy of every basis cycle",
+              lambda: angles.holonomies(g, samples[0], basis))
+        timed(seconds, "develop", lambda: develop.develop(g, samples[0]))
+        start = sheared(o)
+        timed(seconds, "make_delaunay", lambda: develop.make_delaunay(start))
+    return {"faces": list(FACES), "dimension": dimensions, "repeats": REPEATS,
+            "seconds": seconds}
+
+
+if __name__ == "__main__":
+    print(json.dumps(ladder(), indent=1))
