@@ -14,8 +14,8 @@ variable per iota-orbit of corners, so every sample is iota-invariant bit
 for bit.  In orbit coordinates the equalities split into blocks: one face
 row per face orbit, with at most three variables and disjoint from every
 other block.  A block with coefficients (1, 1, 1) leaves a plane of
-directions and one with (2, 1), a face whose corners iota pairs up, leaves
-a line.  A block step picks a block uniformly, a uniform direction in its
+directions, one with (2, 1), where two corners of a face share an orbit, a
+line, and one with (3) no direction.  A block step picks a block uniformly, a uniform direction in its
 null space, and a uniform point on the chord that the inequality rows
 touching the block leave open, so a step costs a few rows and no matrix.
 The schedule is counted in block steps: ``BURN_IN_PER_DIM`` steps per
@@ -161,8 +161,6 @@ def analyze(polytope: RegionPolytope) -> RegionReport:
     return RegionReport(slack > 0, slack, theta, polytope.dimension)
 
 
-
-
 # hit-and-run schedule: burn-in block steps per dimension, block steps
 # between kept samples, and the least slack every sample keeps on every
 # inequality
@@ -239,17 +237,11 @@ def _blocks(polytope: RegionPolytope) -> list[tuple]:
 
 
 def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignment]:
-    """Hit-and-run samples from the interior, deterministic per seed.
+    """Coordinate hit-and-run samples from the interior, deterministic per
+    seed; the module docstring describes the walk.
 
-    The walk starts at the equilateral optimum, with one variable per
-    iota-orbit of corners.  Each block step picks a face-orbit block, a
-    direction in the block's null space (uniform on the circle for a plane,
-    the basis vector for a line) and a uniform point on the chord that the
-    block's inequality rows leave.  The burn-in is ``BURN_IN_PER_DIM`` block
-    steps per dimension, and a sample is kept every ``STRIDE`` block steps.
     Each sample gives every corner the value of its orbit, so it is
     iota-invariant exactly, and keeps slack ``MARGIN`` on every inequality.
-    All randomness comes from ``random.Random(seed).random()``.
     """
     if n == 0:
         return []

@@ -199,7 +199,7 @@ def test_block_walk_agrees_with_the_dense_walk(square_l, prym):
     # of each walk, in 30 batches of 50; the dense walk moves all variables
     # at once, so agreement checks the block walk's stationary law.  The
     # second moment catches a walk that keeps only the middle half of each
-    # chord (z above 7 at this seed), which the means alone do not
+    # chord (z of 14 at this seed), which the means alone miss
     for o in (square_l, prym):
         poly = region.build_polytope(origami.build_origami_graph(o), origami.canonical_matching(o))
         walks = region.sample(poly, 1500, seed=5), dense_sample(poly, 1500, seed=5)

@@ -19,6 +19,10 @@ against the dump of another tree.  The dump covers:
 - ``check_constant_holonomy`` (from tests/region_oracles.py) on three
   arboreal origamis;
 - ``network`` on every transitive pair class with at most 4 squares.
+
+Samples draw only on ``random.Random``, whose stream Python keeps fixed, and
+on float ``+``, ``*``, ``/`` and ``sqrt``, so the digest does not depend on
+the installed numpy or linear-algebra build.
 """
 
 from __future__ import annotations
