@@ -227,9 +227,10 @@ def _blocks(polytope: RegionPolytope) -> list[tuple]:
     ineqs = dict.fromkeys(
         (_collapse(row, orbit_of), b) for row, b in zip(polytope.ineq_rows, polytope.ineq_rhs)
     )
+    position = [{o: i for i, (o, _) in enumerate(row)} for row in face_rows]
     for terms, b in ineqs:
         for blk in sorted({block_of[o] for o, _ in terms}):
-            pos = {o: i for i, (o, _) in enumerate(face_rows[blk])}
+            pos = position[blk]
             rates = [sum(v * u[pos[o]] for o, v in terms if o in pos) for u in bases[blk]]
             rows[blk].append((terms, b - MARGIN, *rates))
     return [(tuple(o for o, _ in row), basis, block_rows)
