@@ -20,6 +20,8 @@ from .ribbon import Corner, TriRibbonGraph, he_key, parse_he_key
 AngleAssignment = dict[Corner, float]
 
 FACE_SUM_TOL = 1e-12
+# ``is_trivial_holonomy`` accepts a cycle whose holonomy is this close to 1
+HOLONOMY_TOL = 1e-9
 
 
 class InvalidAnglesError(ValueError):
@@ -97,9 +99,8 @@ def is_trivial_holonomy(
     graph: TriRibbonGraph,
     theta: AngleAssignment,
     basis: list[homology.Chain1] | None = None,
-    tol: float = 1e-9,
 ) -> bool:
-    """True iff holonomy is within ``tol`` of 1 on every basis cycle."""
+    """True iff holonomy is within ``HOLONOMY_TOL`` of 1 on every basis cycle."""
     if basis is None:
         basis = homology.cycle_basis(graph)
-    return all(hol.distance_to_one() < tol for hol in holonomies(graph, theta, basis))
+    return all(hol.distance_to_one() < HOLONOMY_TOL for hol in holonomies(graph, theta, basis))

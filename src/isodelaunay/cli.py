@@ -71,22 +71,19 @@ def _load_matching(path: str) -> matching_mod.TriangleMatching:
     return _load_half_edge_map(path, str, matching_mod.matching_from_json, "half-edge keys")
 
 
-def _emit(args, command: str, result, diagnostics=None) -> None:
+def _emit(args, command: str, result) -> None:
     if getattr(args, "json", False):
         envelope = {
             "command": command,
             "seed": getattr(args, "seed", 0),
             "result": result,
-            "diagnostics": diagnostics or [],
+            "diagnostics": [],
         }
         print(json.dumps(envelope, indent=2, sort_keys=True))
+    elif isinstance(result, (dict, list)):
+        print(json.dumps(result, indent=2, sort_keys=True))
     else:
-        if isinstance(result, (dict, list)):
-            print(json.dumps(result, indent=2, sort_keys=True))
-        else:
-            print(result)
-        for d in diagnostics or []:
-            print(d, file=sys.stderr)
+        print(result)
 
 
 def _emit_or_write(args, command: str, result: dict) -> None:

@@ -30,6 +30,13 @@ class DegenerateTriangleError(ValueError):
     pass
 
 
+# Lawson flips ``make_delaunay`` makes before it gives up with FlipCapError
+MAX_FLIPS = 1000
+# relative tolerance of ``DevelopedSurface.check``: closure and mismatch
+# against the largest period
+CHECK_TOL = 1e-9
+
+
 @dataclass
 class DevelopedSurface:
     graph: TriRibbonGraph
@@ -38,17 +45,17 @@ class DevelopedSurface:
     def scale(self) -> float:
         return max(abs(z) for z in self.periods.values())
 
-    def check(self, tol: float = 1e-9) -> None:
+    def check(self) -> None:
         s = self.scale()
         for f, _ in self.graph.faces:
             closure = sum(self.periods[(f, k)] for k in range(3))
-            if abs(closure) > tol * s:
+            if abs(closure) > CHECK_TOL * s:
                 raise ValueError(f"face {f!r} does not close up ({abs(closure):.3e})")
         for h, z in self.periods.items():
             if z == 0:
                 raise ValueError(f"zero period at {he_key(h)}")
             mate = other_side(self.graph, h)
-            if abs(self.periods[mate] + z) > tol * s:
+            if abs(self.periods[mate] + z) > CHECK_TOL * s:
                 raise ValueError(f"period mismatch across edge of {he_key(h)}")
 
     def to_json(self) -> dict:
@@ -191,10 +198,7 @@ class _Triangulation:
 
     def delaunay_sum(self, angles: list[list[float]], edge: str) -> float:
         """Sum of the two angles opposite ``edge`` (slot + 1 in each of its faces)."""
-        occ = self.occ.get(edge, ())
-        if len(occ) != 2:
-            raise KeyError(f"unknown or malformed edge {edge!r}")
-        (i, s), (j, s2) = occ
+        (i, s), (j, s2) = self.occ[edge]
         return angles[i][(s + 1) % 3] + angles[j][(s2 + 1) % 3]
 
     def flip(self, edge: str) -> tuple[int, int]:
@@ -205,10 +209,7 @@ class _Triangulation:
         becomes (D, B, C) with boundary (e_m2, e_f1, edge); see ``_quad``.
         Returns the positions (i, j) of the two rebuilt faces.
         """
-        occ = self.occ.get(edge, ())
-        if len(occ) != 2:
-            raise KeyError(f"unknown edge {edge!r}")
-        (i, s), (j, s2) = occ
+        (i, s), (j, s2) = self.occ[edge]
         p, q = self.periods[i], self.periods[j]
         a, b, c, d = _quad(p[s], p[(s + 1) % 3], q[(s2 + 1) % 3])
         if i == j:
@@ -270,7 +271,7 @@ def is_geometric_delaunay(surface: DevelopedSurface, tol: float = 1e-9) -> bool:
     return result
 
 
-def make_delaunay(surface: DevelopedSurface, max_flips: int = 1000, tol: float = 1e-9):
+def make_delaunay(surface: DevelopedSurface, tol: float = 1e-9):
     """Lawson flips until no opposite-angle sum exceeds pi + tol.
 
     Each step flips the edge whose Delaunay sum (the two angles opposite
@@ -285,7 +286,7 @@ def make_delaunay(surface: DevelopedSurface, max_flips: int = 1000, tol: float =
 
     Returns (surface, flip_log, degenerate_edges), the last being the edges
     whose sum is within ``tol`` of pi.  Raises FlipCapError if the surface
-    needs more than ``max_flips`` flips.
+    needs more than ``MAX_FLIPS`` flips.
     """
     tri = _Triangulation(surface)
     angles = tri.corner_angles()
@@ -310,9 +311,9 @@ def make_delaunay(surface: DevelopedSurface, max_flips: int = 1000, tol: float =
             heapq.heappop(heap)
         if not heap:
             break
-        if len(flips) >= max_flips:
+        if len(flips) >= MAX_FLIPS:
             raise FlipCapError(
-                f"flip cap hit: the surface is still not Delaunay after {max_flips} flips"
+                f"flip cap hit: the surface is still not Delaunay after {MAX_FLIPS} flips"
             )
         edge = tri.edges[heap[0][1]]
         i, j = tri.flip(edge)
@@ -320,8 +321,7 @@ def make_delaunay(surface: DevelopedSurface, max_flips: int = 1000, tol: float =
         for pos in sorted((i, j)):
             angles[pos] = _corner_angles(tri.ids[pos], tri.periods[pos])
         for e in dict.fromkeys(tri.faces[i] + tri.faces[j]):
-            if e in index:
-                update(e)
+            update(e)
     degenerate = [e for e in tri.edges if abs(sums[e] - math.pi) <= tol]
     return (tri.surface() if flips else surface), flips, degenerate
 

@@ -8,10 +8,10 @@ dict (face, slot) -> (face, slot).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import homology
-from .ribbon import HalfEdge, TriRibbonGraph, he_key, parse_he_key
+from .ribbon import HalfEdge, TriRibbonGraph, ValidationReport, he_key, parse_he_key
 
 TriangleMatching = dict[HalfEdge, HalfEdge]
 
@@ -25,13 +25,8 @@ def matching_from_json(data: dict) -> TriangleMatching:
 
 
 @dataclass
-class MatchingReport:
-    ok: bool
-    problems: list[str] = field(default_factory=list)
+class MatchingReport(ValidationReport):
     is_involution: bool = False
-
-    def __bool__(self):
-        return self.ok
 
 
 def verify_matching(

@@ -157,8 +157,9 @@ def standard_angles(o: Origami) -> AngleAssignment:
 
 
 def equilateral_angles(o: Origami) -> AngleAssignment:
-    graph = build_origami_graph(o)
-    return {c: math.pi / 3 for c in graph.half_edges()}
+    """Equilateral triangles: every corner is pi/3."""
+    return {(f"f{j}{side}", s): math.pi / 3
+            for j in range(1, o.squares + 1) for side in "-+" for s in range(3)}
 
 
 @dataclass(frozen=True)

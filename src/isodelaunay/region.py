@@ -37,7 +37,7 @@ from .angles import AngleAssignment
 from .ribbon import Corner, TriRibbonGraph, orbits
 
 
-def opposite_corner(graph: TriRibbonGraph, h) -> Corner:
+def opposite_corner(h) -> Corner:
     """The corner of face h[0] opposite the edge of ``h`` (slot + 1)."""
     return (h[0], (h[1] + 1) % 3)
 
@@ -137,7 +137,7 @@ def build_polytope(
     for e in graph.edges:
         row: dict[Corner, float] = {}
         for h in graph.occurrences(e):
-            opp = opposite_corner(graph, h)
+            opp = opposite_corner(h)
             row[opp] = row.get(opp, 0.0) + 1.0
         ineq_rows.append(row)
         ineq_rhs.append(math.pi)

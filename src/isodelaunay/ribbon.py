@@ -16,6 +16,8 @@ HalfEdge = tuple[str, int]
 Corner = tuple[str, int]
 
 TWO_PI = 2.0 * math.pi
+# ``stratum_signature`` rejects a cone angle this far (in turns) from a whole turn
+CONE_TOL = 1e-6
 
 
 class InvalidGraphError(ValueError):
@@ -94,8 +96,17 @@ class TriRibbonGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "TriRibbonGraph":
-        faces = [(rec["id"], tuple(rec["boundary"])) for rec in data["faces"]]
-        return cls(data["edges"], faces)
+        """The graph of ``to_json``'s form; TypeError unless the edges, the
+        faces and each boundary are lists."""
+        edges, faces = data["edges"], data["faces"]
+        if not (isinstance(edges, list) and isinstance(faces, list)):
+            raise TypeError("graph edges and faces must be lists")
+        out = []
+        for rec in faces:
+            if not isinstance(rec["boundary"], list):
+                raise TypeError(f"boundary of face {rec['id']!r} is not a list")
+            out.append((rec["id"], tuple(rec["boundary"])))
+        return cls(edges, out)
 
     def __repr__(self):
         return f"TriRibbonGraph({len(self.edges)} edges, {len(self.faces)} faces)"
@@ -246,11 +257,11 @@ def topology(graph: TriRibbonGraph) -> dict:
     }
 
 
-def stratum_signature(graph: TriRibbonGraph, theta, tol: float = 1e-6) -> StratumSignature:
+def stratum_signature(graph: TriRibbonGraph, theta) -> StratumSignature:
     """Zero orders from cone angles: each vertex orbit contributes its angle sum.
 
     ``theta`` maps corners to radians.  A residual of the cone angle from an
-    integer multiple of 2*pi beyond ``tol`` is an error.
+    integer multiple of 2*pi beyond ``CONE_TOL`` turns is an error.
     """
     info = topology(graph)
     orders = []
@@ -258,7 +269,7 @@ def stratum_signature(graph: TriRibbonGraph, theta, tol: float = 1e-6) -> Stratu
         cone = sum(theta[c] for c in orbit)
         ratio = cone / TWO_PI
         k = round(ratio) - 1
-        if abs(ratio - round(ratio)) >= tol:
+        if abs(ratio - round(ratio)) >= CONE_TOL:
             raise ValueError(
                 f"angles do not close up to integer cone angle at orbit of {orbit[0]}"
                 f" (cone {cone:.12f})"

@@ -11,13 +11,6 @@ def is_nonseparating(graph: TriRibbonGraph, h: HalfEdge) -> bool:
     return len(reachable_faces(graph, skip=graph.edge_of(h))) == len(graph.faces)
 
 
-def _prefixed(graph: TriRibbonGraph, prefix: str) -> TriRibbonGraph:
-    return TriRibbonGraph(
-        [prefix + e for e in graph.edges],
-        [(prefix + f, tuple(prefix + e for e in b)) for f, b in graph.faces],
-    )
-
-
 def connected_sum(
     left: TriRibbonGraph,
     h_left: HalfEdge,
@@ -34,18 +27,14 @@ def connected_sum(
             raise ValueError(f"half-edge {he_key(h)} is separating; sum rejected")
     e_left = "L." + left.edge_of(h_left)
     e_right = "R." + right.edge_of(h_right)
-    lg = _prefixed(left, "L.")
-    rg = _prefixed(right, "R.")
-    faces = []
-    for g, target_face, target_slot, new_edge in (
-        (lg, "L." + h_left[0], h_left[1] % 3, e_right),
-        (rg, "R." + h_right[0], h_right[1] % 3, e_left),
-    ):
+    edges, faces = [], []
+    for prefix, g, h, new_edge in (("L.", left, h_left, e_right), ("R.", right, h_right, e_left)):
+        edges += [prefix + e for e in g.edges]
+        target = (h[0], h[1] % 3)
         for f, b in g.faces:
-            if f == target_face:
-                b = tuple(new_edge if s == target_slot else b[s] for s in range(3))
-            faces.append((f, b))
-    return TriRibbonGraph(list(lg.edges) + list(rg.edges), faces)
+            faces.append((prefix + f, tuple(
+                new_edge if (f, s) == target else prefix + e for s, e in enumerate(b))))
+    return TriRibbonGraph(edges, faces)
 
 
 def sum_matchings(

@@ -17,7 +17,7 @@ def delaunay_sum(graph: TriRibbonGraph, theta: AngleAssignment, edge: str) -> fl
     occ = graph.occurrences(edge)
     if len(occ) != 2:
         raise KeyError(f"unknown or malformed edge {edge!r}")
-    return sum(theta[opposite_corner(graph, h)] for h in occ)
+    return sum(theta[opposite_corner(h)] for h in occ)
 
 
 def in_delaunay_region(graph: TriRibbonGraph, theta: AngleAssignment, tol: float = 1e-9) -> bool:

@@ -101,9 +101,9 @@ def test_criterion_06_invariant_angles_develop(torus, square_l, prym):
     for o in (torus, square_l, prym):
         g, poly = invariant_polytope(o, delaunay_rows=False)
         for theta in region.sample(poly, 25, seed=1):
-            ok = ok and angles.is_trivial_holonomy(g, theta, tol=TOL)
+            ok = ok and angles.is_trivial_holonomy(g, theta)
             surface = develop.develop(g, theta, tol=TOL)  # raises on obstruction
-            surface.check(TOL)
+            surface.check()
     report(6, "every sampled invariant angle vector is holonomy-free and develops", ok)
 
 

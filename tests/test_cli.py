@@ -290,6 +290,25 @@ def test_non_string_face_id_is_one_error_line(tmp_path, capsys):
         assert (code, out, err) == (1, "", "error: face id 1 is not a string\n")
 
 
+@pytest.mark.parametrize("graph", [
+    {"edges": ["a", "b", "c"], "faces": [{"id": "f", "boundary": "abc"},
+                                         {"id": "g", "boundary": ["c", "b", "a"]}]},
+    {"edges": "abc", "faces": [{"id": "f", "boundary": ["a", "b", "c"]},
+                               {"id": "g", "boundary": ["c", "b", "a"]}]},
+])
+def test_string_edges_or_boundary_is_input_error(tmp_path, capsys, graph):
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps(graph))
+    code, out, err = run_cli(capsys, "validate", str(graph_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: malformed graph JSON:") and err.count("\n") == 1
+    surface_file = tmp_path / "surface.json"
+    surface_file.write_text(json.dumps({"graph": graph, "periods": {}}))
+    code, out, err = run_cli(capsys, "delaunay", "check", str(surface_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: malformed surface JSON:") and err.count("\n") == 1
+
+
 def test_disconnected_surface_is_one_error_line(tmp_path, capsys):
     from isodelaunay import develop, origami
 

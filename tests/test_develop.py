@@ -114,15 +114,16 @@ def test_make_delaunay_flips_to_optimum(torus, torus_graph):
     assert abs(area(result) - area(surface)) < 1e-12
 
 
-def test_make_delaunay_raises_past_its_flip_cap(torus, torus_graph):
+def test_make_delaunay_raises_past_its_flip_cap(torus, torus_graph, monkeypatch):
     surface = develop.develop(torus_graph, origami.standard_angles(torus))
     sheared = develop.DevelopedSurface(
         torus_graph, {h: complex(p.real + 3.5 * p.imag, p.imag) for h, p in surface.periods.items()}
     )
     _, flips, _ = develop.make_delaunay(sheared)
     assert len(flips) == 2
-    with pytest.raises(develop.FlipCapError, match="flip cap hit"):
-        develop.make_delaunay(sheared, max_flips=1)
+    monkeypatch.setattr(develop, "MAX_FLIPS", 1)
+    with pytest.raises(develop.FlipCapError, match="after 1 flips"):
+        develop.make_delaunay(sheared)
 
 
 def test_make_delaunay_idempotent_on_delaunay_input(square_l, square_l_graph):

@@ -88,3 +88,76 @@ def test_the_package_loads_no_numpy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def _functions(tree: ast.AST):
+    """Every function of ``tree`` as (node, is_method): a method is defined
+    directly in a class body."""
+    out = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                out.append((child, in_class))
+            visit(child, isinstance(child, ast.ClassDef))
+
+    visit(tree, False)
+    return out
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is an argument every caller
+    # passes for nothing
+    unread = []
+    count = 0
+    for p in sorted((ROOT / "src/isodelaunay").glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+                          + [x for x in (a.vararg, a.kwarg) if x]]
+                body = node.body if isinstance(node.body, list) else [node.body]
+                read = {n.id for b in body for n in ast.walk(b) if isinstance(n, ast.Name)}
+                count += len(params)
+                unread += [f"{p.relative_to(ROOT)}:{node.lineno}: {q}"
+                           for q in params if q not in ("self", "cls") and q not in read]
+    assert count > 100
+    assert unread == []
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    # a default that no call in the package or the benchmark overrides is a
+    # constant dressed as an option.  Calls are matched by the bare name of
+    # the callee (a name or an attribute), so a same-named function elsewhere
+    # that passes that many arguments, or that keyword, hides a knob.
+    paths = sorted((ROOT / "src/isodelaunay").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    calls = {}
+    for p in paths:
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passed(call, index, name):
+        return (index is not None and (len(call.args) > index
+                                       or any(isinstance(x, ast.Starred) for x in call.args))
+                or any(k.arg in (name, None) for k in call.keywords))
+
+    knobs = []
+    count = 0
+    for p in sorted((ROOT / "src/isodelaunay").glob("*.py")):
+        for node, method in _functions(ast.parse(p.read_text(), str(p))):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            if method and positional and positional[0].arg in ("self", "cls"):
+                positional = positional[1:]
+            first = len(positional) - len(a.defaults)
+            defaulted = [(i, x.arg) for i, x in enumerate(positional) if i >= first]
+            defaulted += [(None, x.arg) for x, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+            count += len(defaulted)
+            knobs += [f"{p.relative_to(ROOT)}:{node.lineno}: {node.name}({name})"
+                      for i, name in defaulted
+                      if not any(passed(c, i, name) for c in calls.get(node.name, ()))]
+    assert count > 5
+    assert knobs == []

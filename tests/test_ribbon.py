@@ -86,6 +86,20 @@ def test_validate_rejects_non_string_ids():
                     ["face id 1 is not a string", "edge id 3 is not a string"])
 
 
+@pytest.mark.parametrize("data", [
+    {"edges": ["a", "b", "c"], "faces": [{"id": "f", "boundary": "abc"},
+                                         {"id": "g", "boundary": ["c", "b", "a"]}]},
+    {"edges": "abc", "faces": [{"id": "f", "boundary": ["a", "b", "c"]},
+                               {"id": "g", "boundary": ["c", "b", "a"]}]},
+    {"edges": {"a": 0, "b": 0, "c": 0}, "faces": [{"id": "f", "boundary": ["a", "b", "c"]},
+                                                 {"id": "g", "boundary": ["c", "b", "a"]}]},
+])
+def test_from_json_takes_only_lists(data):
+    # a string would pass as a sequence of one-letter ids, an object as its keys
+    with pytest.raises(TypeError, match="not a list|must be lists"):
+        TriRibbonGraph.from_json(data)
+
+
 def test_other_side_is_fixed_point_free_involution(square_l_graph):
     g = square_l_graph
     for h in g.half_edges():
