@@ -90,21 +90,6 @@ def test_the_package_loads_no_numpy():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-def _functions(tree: ast.AST):
-    """Every function of ``tree`` as (node, is_method): a method is defined
-    directly in a class body."""
-    out = []
-
-    def visit(node, in_class):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.FunctionDef):
-                out.append((child, in_class))
-            visit(child, isinstance(child, ast.ClassDef))
-
-    visit(tree, False)
-    return out
-
-
 def test_every_parameter_is_read():
     # a parameter that its function never reads is an argument every caller
     # passes for nothing
@@ -147,10 +132,12 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
     knobs = []
     count = 0
     for p in sorted((ROOT / "src/isodelaunay").glob("*.py")):
-        for node, method in _functions(ast.parse(p.read_text(), str(p))):
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
             a = node.args
             positional = a.posonlyargs + a.args
-            if method and positional and positional[0].arg in ("self", "cls"):
+            if positional and positional[0].arg in ("self", "cls"):  # a method's callers skip it
                 positional = positional[1:]
             first = len(positional) - len(a.defaults)
             defaulted = [(i, x.arg) for i, x in enumerate(positional) if i >= first]
