@@ -91,8 +91,17 @@ def holonomies(
 
 
 def holonomy(graph: TriRibbonGraph, theta: AngleAssignment, cycle: homology.Chain1) -> HolonomyValue:
-    """Total holonomy of a cycle: dilation times rotation of its corner chain."""
-    return holonomies(graph, theta, [cycle])[0]
+    """Total holonomy of a cycle: dilation times rotation of its corner chain.
+
+    The corner chain is solved by ``homology.phi`` once per graph and cycle
+    contents, and cached on the graph; ValueError, on every call, if
+    ``cycle`` is not a cycle.
+    """
+    key = tuple(cycle.items())
+    chain = graph._corner_chains.get(key)
+    if chain is None:
+        chain = graph._corner_chains[key] = homology.phi(graph, cycle)
+    return corner_holonomies(theta, [chain])[0]
 
 
 def is_trivial_holonomy(

@@ -8,6 +8,8 @@ example an invalid graph, or no matching with --expect-some), 2 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 
@@ -86,10 +88,19 @@ def _emit(args, command: str, result) -> None:
         print(result)
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an OSError while writing ``path``, such as a missing directory, into an input error."""
+    try:
+        yield
+    except OSError as ex:
+        raise InputError(f"cannot write {path}: {ex}")
+
+
 def _emit_or_write(args, command: str, result: dict) -> None:
     """Emit ``result``, or write it as sorted JSON to ``args.output`` and emit the path."""
     if args.output:
-        with open(args.output, "w") as fh:
+        with _writing(args.output), open(args.output, "w") as fh:
             json.dump(result, fh, sort_keys=True)
         result = {"written": args.output}
     _emit(args, command, result)
@@ -138,6 +149,8 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_match_find(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise InputError(f"--limit must be at least 1, got {args.limit}")
     g = _load_graph(args.graph)
     res = matching_mod.find_matchings(g, limit=args.limit, deadline=args.deadline)
     result = {
@@ -164,6 +177,8 @@ def cmd_match_verify(args) -> int:
 
 
 def cmd_region(args) -> int:
+    if args.samples < 0:
+        raise InputError(f"--samples must be at least 0, got {args.samples}")
     g = _load_graph(args.graph)
     iota = _load_matching(args.matching)
     poly = region_mod.build_polytope(g, iota)
@@ -178,7 +193,8 @@ def cmd_region(args) -> int:
         result["samples"] = [angles_mod.angles_to_json(t) for t in pts]
         if args.output:
             for i, t in enumerate(pts):
-                with open(f"{args.output.rstrip('/')}/sample_{i:04d}.json", "w") as fh:
+                path = f"{args.output.rstrip('/')}/sample_{i:04d}.json"
+                with _writing(path), open(path, "w") as fh:
                     json.dump(angles_mod.angles_to_json(t), fh, sort_keys=True)
     _emit(args, "region", result)
     return EXIT_OK
@@ -193,7 +209,8 @@ def cmd_develop(args) -> int:
         _emit(args, "develop", {"error": str(ex), "edge": ex.edge, "residual": ex.residual})
         return EXIT_DOMAIN
     if args.svg:
-        develop_mod.export_svg(surface, args.svg)
+        with _writing(args.svg):
+            develop_mod.export_svg(surface, args.svg)
     _emit_or_write(args, "develop", surface.to_json())
     return EXIT_OK
 
@@ -280,7 +297,8 @@ def cmd_origami_develop(args) -> int:
     )
     surface = develop_mod.develop(g, theta, tol=args.tol)
     if args.svg:
-        develop_mod.export_svg(surface, args.svg)
+        with _writing(args.svg):
+            develop_mod.export_svg(surface, args.svg)
     _emit(args, "origami develop", surface.to_json())
     return EXIT_OK
 
@@ -332,7 +350,10 @@ def cmd_sum(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; ``parse_args`` leaves it unchanged and
+    returns a fresh namespace each call."""
     parser = argparse.ArgumentParser(
         prog="isodel",
         description="Triangulated translation surfaces: ribbon graphs, holonomy, "
@@ -424,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as ex:

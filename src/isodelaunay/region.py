@@ -250,8 +250,11 @@ def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignm
     dim = polytope.dimension
     if dim == 0:
         return [dict(start) for _ in range(n)]
-    blocks = _blocks(polytope)
+    # each block as (orbits, u0, u1, whether it is a plane, rows)
+    blocks = [(orbits, u0, u1, any(u1), rows) for orbits, (u0, u1), rows in _blocks(polytope)]
+    n_blocks = len(blocks)
     rand = random.Random(seed).random
+    sqrt, inf = math.sqrt, math.inf
     third = math.pi / 3
     y = [third] * (max(polytope.orbit_of.values()) + 1)
     # each block's offset from the start in its basis; y is recomputed from
@@ -261,18 +264,18 @@ def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignm
     out = []
     burn_in = BURN_IN_PER_DIM * dim
     for step in range(burn_in + STRIDE * n):
-        b = int(rand() * len(blocks))
-        orbits, (u0, u1), rows = blocks[b]
-        if any(u1):
+        b = int(rand() * n_blocks)
+        orbits, u0, u1, plane, rows = blocks[b]
+        if plane:
             r2 = 0.0
             while not 0.0 < r2 <= 1.0:
                 p, q = 2.0 * rand() - 1.0, 2.0 * rand() - 1.0
                 r2 = p * p + q * q
-            r = math.sqrt(r2)
+            r = sqrt(r2)
             d0, d1 = p / r, q / r
         else:
             d0, d1 = 1.0, 0.0
-        lo, hi = -math.inf, math.inf
+        lo, hi = -inf, inf
         for terms, bound, rate0, rate1 in rows:
             g = d0 * rate0 + d1 * rate1
             if -1e-14 <= g <= 1e-14:
@@ -280,10 +283,12 @@ def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignm
             room = bound
             for o, v in terms:
                 room -= v * y[o]
+            x = room / g
             if g > 0.0:
-                hi = min(hi, room / g)
-            else:
-                lo = max(lo, room / g)
+                if x < hi:
+                    hi = x
+            elif x > lo:
+                lo = x
         if lo < hi:
             t = lo + (hi - lo) * rand()
             zb = z[b]

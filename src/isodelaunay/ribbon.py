@@ -66,6 +66,9 @@ class TriRibbonGraph:
             for slot, e in enumerate(b):
                 occ.setdefault(e, []).append((f, slot))
         self._occurrences = occ
+        # cycle items -> its corner chain, filled by ``angles.holonomy``; the
+        # graph never changes, so a chain solved once stays right
+        self._corner_chains: dict[tuple, dict] = {}
         report = validate(self)
         if not report:
             raise InvalidGraphError(report.problems)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import pytest
 
@@ -143,3 +144,52 @@ def test_a_non_cycle_in_the_basis_raises_instead_of_returning(torus_graph):
         angles.holonomies(torus_graph, theta, basis)
     with pytest.raises(ValueError, match="not a cycle"):
         angles.holonomy(torus_graph, theta, {("f1-", 0): 1})
+
+
+def _random_angles(graph, rng):
+    """A point of angle space: each face's three corners are positive and sum to pi."""
+    theta = {}
+    for f, _ in graph.faces:
+        w = [rng.random() + 0.05 for _ in range(3)]
+        for s in range(3):
+            theta[(f, s)] = math.pi * w[s] / sum(w)
+    return theta
+
+
+def test_holonomy_of_one_cycle_matches_the_whole_basis(square_l_graph, prym_graph):
+    # holonomy caches each cycle's corner chain on the graph; holonomies
+    # solves the chains afresh, so the two must agree to the last bit
+    rng = random.Random(19)
+    for g in (square_l_graph, prym_graph):
+        basis = homology.cycle_basis(g)
+        for _ in range(50):
+            theta = _random_angles(g, rng)
+            whole = angles.holonomies(g, theta, basis)
+            for alpha, hol in zip(basis, whole):
+                one = angles.holonomy(g, theta, alpha)
+                assert (one.log_modulus.hex(), one.phase.hex()) == (
+                    hol.log_modulus.hex(), hol.phase.hex())
+
+
+def test_a_non_cycle_raises_on_every_call(torus):
+    g = origami.build_origami_graph(torus)
+    theta = origami.standard_angles(torus)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a cycle"):
+            angles.holonomy(g, theta, {("f1-", 0): 1})
+
+
+def test_a_cycle_mutated_after_a_call_gets_the_holonomy_of_its_new_contents(torus):
+    g = origami.build_origami_graph(torus)
+    rng = random.Random(3)
+    theta = _random_angles(g, rng)
+    a, b = homology.cycle_basis(g)
+    cycle = dict(a)
+    assert angles.holonomy(g, theta, cycle) == angles.holonomies(g, theta, [a])[0]
+    cycle.clear()
+    cycle.update(chain_add(a, b))
+    assert angles.holonomy(g, theta, cycle) == angles.holonomies(g, theta, [chain_add(a, b)])[0]
+    assert angles.holonomy(g, theta, cycle) != angles.holonomy(g, theta, a)
+    cycle[("f1-", 0)] = cycle.get(("f1-", 0), 0) + 1  # no longer a cycle
+    with pytest.raises(ValueError, match="not a cycle"):
+        angles.holonomy(g, theta, cycle)

@@ -394,3 +394,62 @@ def test_non_object_periods_are_input_error(tmp_path, capsys):
     data = _torus_surface_json()
     data["periods"] = list(data["periods"].values())
     _check_surface_is_input_error(tmp_path, capsys, data)
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_the_shared_parser_carries_nothing_from_one_call_to_the_next(capsys):
+    spec = "h=(12);v=(13)"
+    calls = [["origami", "build"],  # no spec: argparse exits 2
+             ["--json", "--seed", "5", "origami", "build", spec],
+             ["--json", "origami", "build", spec]]
+    results = []
+    for argv in calls:
+        try:
+            code = cli.run(argv)
+        except SystemExit as ex:
+            code = ex.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert results[0][0] == 2
+    assert [json.loads(out)["seed"] for _, out, _ in results[1:]] == [5, 0]
+    for argv, result in zip(calls, results):
+        alone = subprocess.run([sys.executable, "-m", "isodelaunay.cli", *argv],
+                               capture_output=True, text=True)
+        assert result == (alone.returncode, alone.stdout, alone.stderr)
+
+
+@pytest.mark.parametrize("command", ["region", "develop -o", "develop --svg",
+                                     "origami develop", "sum"])
+def test_an_unwritable_output_path_is_input_error(l_files, tmp_path, capsys, command):
+    from isodelaunay import angles as angles_mod, origami
+
+    graph, iota = l_files
+    theta = origami.standard_angles(origami.Origami.from_spec("h=(12);v=(13)"))
+    angles_file = tmp_path / "angles.json"
+    angles_file.write_text(json.dumps(angles_mod.angles_to_json(theta)))
+    missing = str(tmp_path / "missing" / "out")
+    argv = {
+        "region": ["region", str(graph), str(iota), "--samples", "2", "-o", missing],
+        "develop -o": ["develop", str(graph), str(angles_file), "-o", missing],
+        "develop --svg": ["develop", str(graph), str(angles_file), "--svg", missing],
+        "origami develop": ["origami", "develop", "h=(12);v=(13)", "--svg", missing],
+        "sum": ["sum", str(graph), "f1-/0", str(graph), "f1-/0", "-o", missing],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: cannot write {missing}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--samples", "-3"), ("--limit", "0"), ("--limit", "-1")])
+def test_a_count_below_its_least_value_is_input_error(l_files, capsys, flag, value):
+    graph, iota = l_files
+    if flag == "--samples":
+        argv = ["region", str(graph), str(iota), flag, value]
+    else:
+        argv = ["match", "find", str(graph), flag, value]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"input error: {flag} must be at least {1 if flag == '--limit' else 0}, got {value}\n"

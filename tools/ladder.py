@@ -8,8 +8,12 @@ times, each as the best of three runs in wall seconds:
 - ``cycle_basis``, ``find_matchings(limit=1)`` and ``build_polytope`` on the
   staircase's graph and canonical matching;
 - ``sample(poly, 5)`` with seed 1;
-- the holonomy of every basis cycle at the first sample, and ``develop`` of
-  that sample;
+- the holonomy of every basis cycle at the first sample, in one
+  ``holonomies`` call, and ``develop`` of that sample;
+- the holonomy of every basis cycle at each of the 5 samples, one
+  ``holonomy`` call per cycle and sample, as the region pipeline makes them
+  (each repeat on a fresh copy of the graph, built outside the timing, so
+  every repeat solves each cycle's corner chain once);
 - ``make_delaunay`` of the square-tiled surface under (x, y) -> (x + 1.3 y, y)
   and then (x, y) -> (x, y + 0.4 x).
 
@@ -56,6 +60,12 @@ def sheared(o: origami.Origami) -> develop.DevelopedSurface:
     return develop.DevelopedSurface(g, periods)
 
 
+def per_point_holonomy(g, samples: list, basis: list) -> None:
+    for theta in samples:
+        for alpha in basis:
+            angles.holonomy(g, theta, alpha)
+
+
 def timed(record: dict, stage: str, fn):
     """Run ``fn`` REPEATS times, keep its best time under ``stage``, return its value."""
     best = float("inf")
@@ -84,6 +94,9 @@ def ladder() -> dict:
         samples = timed(seconds, "sample(poly, 5)", lambda: region.sample(poly, 5, seed=1))
         timed(seconds, "holonomy of every basis cycle",
               lambda: angles.holonomies(g, samples[0], basis))
+        fresh = [origami.build_origami_graph(o) for _ in range(REPEATS)]
+        timed(seconds, "holonomy, one call per cycle at each of 5 samples",
+              lambda: per_point_holonomy(fresh.pop(), samples, basis))
         timed(seconds, "develop", lambda: develop.develop(g, samples[0]))
         start = sheared(o)
         timed(seconds, "make_delaunay", lambda: develop.make_delaunay(start))
