@@ -87,9 +87,12 @@ def find_matchings(
     Candidates are face bijections with a per-face slot offset (the only
     Z/3-equivariant bijections of half-edges), pruned by the necessary
     condition that matched half-edges carry opposite pairing vectors.
-    Deterministic order; ``limit`` caps the number of matchings returned and
-    ``deadline`` (seconds) truncates the search, flagging incompleteness.
+    Deterministic order; ``limit`` (at least 1, or None for no cap) caps the
+    number of matchings returned and ``deadline`` (seconds) truncates the
+    search, flagging incompleteness.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     basis = homology.cycle_basis(graph)
     faces = sorted(graph.face_ids)
     pv = {h: homology.pairing_vector(basis, h) for h in graph.half_edges()}

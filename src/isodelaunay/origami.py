@@ -67,6 +67,9 @@ class Origami:
     def __post_init__(self):
         if len(self.h) != len(self.v):
             raise ValueError("h and v act on different numbers of squares")
+        for name, perm in (("h", self.h), ("v", self.v)):
+            if sorted(perm) != list(range(1, len(perm) + 1)):
+                raise ValueError(f"{name} = {perm} is not a permutation of 1..{len(perm)}")
         if not is_transitive(self.h, self.v):
             raise ValueError("h and v do not act transitively; surface is disconnected")
 
@@ -207,53 +210,43 @@ def transitive_pairs_up_to_relabeling(s: int):
     """Transitive (h, v) pairs in Sym(s), one per simultaneous-conjugation class.
 
     Each class is represented by its lexicographically least pair, and the
-    list is in increasing (h, v) order.  A pair's class is keyed by BFS
-    labeling: from each start square, number the squares in breadth-first
-    order, visiting h(j) before v(j), and rewrite (h, v) in those numbers.
-    Since the action is transitive every start labels all s squares, and
-    the least of the s rewritten pairs is a complete invariant of the
-    class, at O(s^2) per pair.
-
-    The least pair of a class has the least h of h's conjugacy class (a
-    relabeling that lowers h lowers the pair), so h runs only over the
-    lexicographically least permutation of each cycle type.  Pairs are
-    met in (h, v) order, so the first of each class is its least pair.
+    list is in increasing (h, v) order.  The least pair of a class has the
+    least h of h's conjugacy class (a relabeling that lowers h lowers the
+    pair), so h runs only over the lexicographically least permutation of
+    each cycle type.  A relabeling g keeps h iff g is in the centralizer
+    C(h) = {g : gh = hg}, so the pairs of a class whose first entry is h are
+    exactly (h, g v g^-1) for g in C(h).  Hence a transitive (h, v) with
+    that h is the least pair of its class iff no g in C(h) gives
+    g v g^-1 < v, and each class yields exactly one pair.  The test is made
+    on v itself (the orderly-generation idea of Read and McKay), stopping at
+    the first lesser conjugate, instead of computing a canonical form of
+    every pair; h and v are met in increasing order, so the list is sorted.
     """
     perms = list(itertools.permutations(range(1, s + 1)))
     least_of_type = {}
     for h in perms:
         cycle_type = tuple(sorted(len(c) for c in permutation_cycles(h)))
         least_of_type.setdefault(cycle_type, h)
-    seen = set()
     out = []
     for h in least_of_type.values():
+        # each g of C(h) but the identity, 1-indexed by (0,) + g, with the
+        # 0-based positions of 1..s in g, so that (g v g^-1)(y) = g[v[gi[y - 1]]]
+        centralizer = [((0,) + g, [g.index(y) for y in range(1, s + 1)])
+                       for g in perms[1:]
+                       if all(g[x - 1] == h[g[j] - 1] for j, x in enumerate(h))]
         for v in perms:
-            key = _bfs_key(h, v)
-            if key is None or key in seen:
-                continue
-            seen.add(key)
-            out.append(Origami(h, v))
+            if not _has_lesser_conjugate(v, centralizer) and is_transitive(h, v):
+                out.append(Origami(h, v))
     return out
 
 
-def _bfs_key(h: tuple[int, ...], v: tuple[int, ...]):
-    """Least BFS relabeling of (h, v) over all start squares; None if intransitive."""
-    s = len(h)
-    best = None
-    for start in range(1, s + 1):
-        label = {start: 1}
-        order = [start]
-        for j in order:
-            for img in (h[j - 1], v[j - 1]):
-                if img not in label:
-                    label[img] = len(order) + 1
-                    order.append(img)
-        if len(order) < s:
-            return None
-        key = (
-            tuple(label[h[j - 1]] for j in order),
-            tuple(label[v[j - 1]] for j in order),
-        )
-        if best is None or key < best:
-            best = key
-    return best
+def _has_lesser_conjugate(v: tuple[int, ...], centralizer: list) -> bool:
+    """Whether some g v g^-1 is lexicographically below v, compared entry by entry."""
+    for g, gi in centralizer:
+        for i, x in zip(gi, v):
+            w = g[v[i]]
+            if w != x:
+                if w < x:
+                    return True
+                break
+    return False

@@ -1,6 +1,7 @@
 """Triangle matchings: verification, search, invariant angle space."""
 
 import numpy as np
+import pytest
 
 from chain_oracles import apply_to_chain, chain_neg
 from isodelaunay import homology, matching, origami, surgery
@@ -53,6 +54,12 @@ def test_find_matchings_staircase_empty(staircase_graph):
 def test_find_matchings_respects_limit(torus_graph):
     res = matching.find_matchings(torus_graph, limit=1)
     assert len(res.matchings) == 1
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_find_matchings_rejects_a_limit_below_one(square_l_graph, limit):
+    with pytest.raises(ValueError, match=f"limit must be at least 1, got {limit}"):
+        matching.find_matchings(square_l_graph, limit=limit)
 
 
 def test_matching_json_round_trip(square_l):

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from isodelaunay import angles, matching, origami, ribbon
-from origami_oracles import tree_count_holds
+from origami_oracles import pairs_by_bfs_keys, tree_count_holds
 
 
 def parse_permutation(text, size):
@@ -28,6 +28,17 @@ def test_parse_permutation_cycle_notation():
 def test_from_spec_requires_transitivity():
     with pytest.raises(ValueError):
         origami.Origami.from_spec("h=(12);v=(12)(3)(4)")
+
+
+@pytest.mark.parametrize("h, v, name", [
+    ((1, 1), (2, 2), "h"),
+    ((3, 1), (1, 2), "h"),
+    ((0, 1), (2, 1), "h"),
+    ((2, 1), (2, 2), "v"),
+], ids=["repeated", "out-of-range", "zero", "v-repeated"])
+def test_origami_rejects_a_tuple_that_is_not_a_permutation(h, v, name):
+    with pytest.raises(ValueError, match=rf"^{name} = .* is not a permutation of 1\.\.2$"):
+        origami.Origami(h, v)
 
 
 def test_permutation_cycles():
@@ -135,6 +146,11 @@ def _least_conjugate(h, v):
             tuple(g[v[g_inv[x] - 1] - 1] for x in range(1, s + 1)),
         ))
     return min(conjugates)
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_enumeration_equals_the_bfs_key_reference(classes, s):
+    assert [(o.h, o.v) for o in classes[s]] == pairs_by_bfs_keys(s)
 
 
 @pytest.mark.parametrize("s", range(1, 6))

@@ -17,7 +17,11 @@ times, each as the best of three runs in wall seconds:
 - ``make_delaunay`` of the square-tiled surface under (x, y) -> (x + 1.3 y, y)
   and then (x, y) -> (x, y + 0.4 x).
 
-It sets no gate; the output is a record of how each stage grows with F.
+It also times ``transitive_pairs_up_to_relabeling(s)`` for s = 5, 6 and 7,
+best of three, under its own key ``enumeration``, since that stage grows
+with the number of squares s and not with F.
+
+It sets no gate; the output is a record of how each stage grows with F or s.
 Run it from the root of the tree:
 
     PYTHONPATH=src python tools/ladder.py
@@ -36,6 +40,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from isodelaunay import angles, develop, homology, matching, origami, region  # noqa: E402
 
 FACES = (24, 48, 96, 192, 384)
+SQUARES = (5, 6, 7)
 REPEATS = 3
 SHEAR = (1.3, 0.4)
 
@@ -100,8 +105,11 @@ def ladder() -> dict:
         timed(seconds, "develop", lambda: develop.develop(g, samples[0]))
         start = sheared(o)
         timed(seconds, "make_delaunay", lambda: develop.make_delaunay(start))
+    enumeration = {"squares": list(SQUARES)}
+    for s in SQUARES:
+        timed(enumeration, "seconds", lambda: origami.transitive_pairs_up_to_relabeling(s))
     return {"faces": list(FACES), "dimension": dimensions, "repeats": REPEATS,
-            "seconds": seconds}
+            "seconds": seconds, "enumeration": enumeration}
 
 
 if __name__ == "__main__":
