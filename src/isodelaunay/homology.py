@@ -47,8 +47,11 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
     h - g + (the path in T from the face of g to that of h).
 
     Each cycle walks parent pointers from its two faces to their common
-    ancestor, so it costs its own length.
+    ancestor, so it costs its own length; the graph keeps the basis, and
+    every call returns a fresh copy.
     """
+    if graph._cycle_basis is not None:
+        return [alpha.copy() for alpha in graph._cycle_basis]
     first, pairs = {}, []  # edge -> earlier half-edge g; (h, g) per edge, in order of h
     for h in graph.half_edges():
         g = first.setdefault(graph.edge_of(h), h)
@@ -108,7 +111,8 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
                 f"basis cycle through {min(alpha)} has nonzero boundary (implementation fault)"
             )
         basis.append(dict(sorted(alpha.items())))
-    return basis
+    graph._cycle_basis = basis
+    return [alpha.copy() for alpha in basis]
 
 
 def phi(graph: TriRibbonGraph, cycle: Chain1) -> AngleChain:
@@ -131,7 +135,3 @@ def phi(graph: TriRibbonGraph, cycle: Chain1) -> AngleChain:
                 out[(f, slot)] = x - median
     return out
 
-
-def pairing_vector(basis: list[Chain1], h: HalfEdge) -> tuple[int, ...]:
-    """Pairings of ``h`` against every basis cycle; negates under other_side."""
-    return tuple(alpha.get((h[0], h[1] % 3), 0) for alpha in basis)

@@ -1,4 +1,4 @@
-"""Triangle matchings: verification and exhaustive search.
+"""Triangle matchings: verification and search.
 
 A matching is a bijection on half-edges that commutes with the Z/3 slot
 rotation and acts as -1 on every cycle.  As a map it is stored as a plain
@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 
 from . import homology
-from .ribbon import HalfEdge, TriRibbonGraph, ValidationReport, he_key, parse_he_key
+from .ribbon import HalfEdge, TriRibbonGraph, ValidationReport, he_key, other_side, parse_he_key
 
 TriangleMatching = dict[HalfEdge, HalfEdge]
 
@@ -82,71 +82,69 @@ def find_matchings(
     limit: int | None = None,
     deadline: float | None = None,
 ) -> SearchResult:
-    """Exhaustive backtracking search for triangle matchings.
+    """Every triangle matching, in a fixed order, by a search with no dead end.
 
-    Candidates are face bijections with a per-face slot offset (the only
-    Z/3-equivariant bijections of half-edges), pruned by the necessary
-    condition that matched half-edges carry opposite pairing vectors.
-    Deterministic order; ``limit`` (at least 1, or None for no cap) caps the
-    number of matchings returned and ``deadline`` (seconds) truncates the
-    search, flagging incompleteness.
+    Face f goes to a face t with a slot offset off (the only Z/3-equivariant
+    bijections), which fits when t's pairing triple with the basis, rotated
+    by off, negates f's triple T.  So a matching exists iff each class [T]
+    of triples up to rotation is as large as [-T], and then no partial
+    assignment is a dead end.  ``limit`` (at least 1, or None) caps the
+    matchings returned, each checked by ``verify_matching``; ``deadline``
+    (seconds) truncates the search, flagging incompleteness.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     basis = homology.cycle_basis(graph)
     faces = sorted(graph.face_ids)
-    pv = {h: homology.pairing_vector(basis, h) for h in graph.half_edges()}
-
-    # for each source face, the compatible (target face, offset) assignments:
-    # (f1, off) fits f when its rotated pairing vectors negate f's, so index
-    # every (f1, off) by that triple once, in face then offset order
-    by_vectors: dict[tuple, list[tuple[str, int]]] = {}
+    pairings: dict[HalfEdge, list] = {h: [] for h in graph.half_edges()}
+    for i, alpha in enumerate(basis):
+        for h, c in alpha.items():
+            pairings[h].append((i, c))
+    pairing = {h: tuple(p) for h, p in pairings.items()}
+    triple = {f: (pairing[(f, 0)], pairing[(f, 1)], pairing[(f, 2)]) for f in faces}
+    # every (face, offset) indexed by its rotated triple, in face then offset order
+    by_rotation: dict[tuple, list[tuple[str, int]]] = {}
     for f1 in faces:
         for off in range(3):
-            key = tuple(pv[(f1, (s + off) % 3)] for s in range(3))
-            by_vectors.setdefault(key, []).append((f1, off))
+            by_rotation.setdefault(triple[f1][off:] + triple[f1][:off], []).append((f1, off))
+    # a cycle sums to zero at each edge, so the mate of h pairs as -h does
     candidates = {
-        f: by_vectors.get(tuple(tuple(-x for x in pv[(f, s)]) for s in range(3)), [])
+        f: by_rotation.get(tuple(pairing[other_side(graph, (f, s))] for s in range(3)), [])
         for f in faces
     }
+    # by_rotation[T] holds each face of [T] once per rotation fixing T, and
+    # candidates[f] likewise for [-T], so the classes balance iff the sizes agree
+    if any(len(candidates[f]) != len(by_rotation[triple[f]]) for f in faces):
+        return SearchResult([], complete=True)
 
     found: list[TriangleMatching] = []
     used: set[str] = set()
-    assignment: dict[str, tuple[str, int]] = {}
+    chosen: list[tuple[str, int]] = [("", 0)] * len(faces)
     start_time = time.monotonic()
     timed_out = False
 
-    def ran_out() -> bool:
-        return deadline is not None and time.monotonic() - start_time > deadline
-
-    def backtrack(idx: int) -> bool:
+    def fill(idx: int) -> bool:
         # returns True to stop the whole search
         nonlocal timed_out
-        if ran_out():
+        if deadline is not None and time.monotonic() - start_time > deadline:
             timed_out = True
             return True
         if idx == len(faces):
-            iota = {
-                (f, s): (t, (s + off) % 3)
-                for f, (t, off) in assignment.items()
-                for s in range(3)
-            }
-            if verify_matching(graph, iota, basis):
-                found.append(iota)
-                if limit is not None and len(found) >= limit:
+            found.append({(f, s): (t, (s + off) % 3)
+                          for f, (t, off) in zip(faces, chosen) for s in range(3)})
+            return limit is not None and len(found) >= limit
+        for t, off in candidates[faces[idx]]:
+            if t not in used:
+                used.add(t)
+                chosen[idx] = (t, off)
+                if fill(idx + 1):
                     return True
-            return False
-        f = faces[idx]
-        for t, off in candidates[f]:
-            if t in used:
-                continue
-            used.add(t)
-            assignment[f] = (t, off)
-            if backtrack(idx + 1):
-                return True
-            del assignment[f]
-            used.discard(t)
+                used.discard(t)
         return False
 
-    backtrack(0)
+    fill(0)
+    for iota in found:
+        report = verify_matching(graph, iota, basis)
+        if not report:
+            raise AssertionError(f"found matching fails verification: {report.problems}")
     return SearchResult(found, complete=not timed_out)

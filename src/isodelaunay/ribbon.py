@@ -69,6 +69,9 @@ class TriRibbonGraph:
         # cycle items -> its corner chain, filled by ``angles.holonomy``; the
         # graph never changes, so a chain solved once stays right
         self._corner_chains: dict[tuple, dict] = {}
+        # the cycle basis, built once by ``homology.cycle_basis``, which hands
+        # out copies so that no caller can change it
+        self._cycle_basis: list[dict] | None = None
         report = validate(self)
         if not report:
             raise InvalidGraphError(report.problems)

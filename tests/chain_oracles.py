@@ -1,5 +1,5 @@
-"""Chain helpers, the boundary map, ``p_map`` and the brute-force cycle oracle that only
-tests need."""
+"""Chain helpers, the boundary map, ``p_map``, dense pairing vectors and the brute-force
+cycle oracle that only tests need."""
 
 from isodelaunay import homology
 from isodelaunay.ribbon import TriRibbonGraph, parse_he_key
@@ -55,6 +55,11 @@ def p_map(a: homology.AngleChain) -> homology.Chain1:
         out[(f, (slot + 1) % 3)] = out.get((f, (slot + 1) % 3), 0) + coeff
         out[(f, slot % 3)] = out.get((f, slot % 3), 0) - coeff
     return _clean(out)
+
+
+def pairing_vector(basis: list[homology.Chain1], h) -> tuple[int, ...]:
+    """Pairings of ``h`` against every basis cycle; negates under other_side."""
+    return tuple(alpha.get((h[0], h[1] % 3), 0) for alpha in basis)
 
 
 def enumerate_simple_cycles(graph: TriRibbonGraph) -> list[homology.Chain1]:

@@ -1,7 +1,10 @@
-"""Origami facts computed without the library: the cylinder tree count, and
-the relabeling classes of transitive pairs by canonical BFS labels."""
+"""Origami facts computed without the library (the cylinder tree count, and
+the relabeling classes of transitive pairs by canonical BFS labels), and the
+staircase origamis that several tests build."""
 
 import itertools
+
+from isodelaunay import origami
 
 
 def cycle_lengths(perm: tuple[int, ...]) -> list[int]:
@@ -79,3 +82,13 @@ def pairs_by_bfs_keys(s: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
             seen.add(key)
             out.append((h, v))
     return out
+
+
+def staircase_origami(n: int) -> origami.Origami:
+    """h = (1,2)(3,4)..., v = (2,3)(4,5)... on n squares: hyperelliptic and arboreal."""
+    h, v = list(range(1, n + 1)), list(range(1, n + 1))
+    for i in range(0, n - 1, 2):
+        h[i], h[i + 1] = h[i + 1], h[i]
+    for i in range(1, n - 1, 2):
+        v[i], v[i + 1] = v[i + 1], v[i]
+    return origami.Origami(tuple(h), tuple(v))

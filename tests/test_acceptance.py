@@ -7,7 +7,8 @@ the lines for passing criteria too.
 
 import time
 
-from chain_oracles import apply_to_chain, chain_neg, enumerate_simple_cycles, p_map
+from chain_oracles import (apply_to_chain, chain_neg, enumerate_simple_cycles, p_map,
+                           pairing_vector)
 from delaunay_oracles import circumcircle_cross_check
 from isodelaunay import (
     angles,
@@ -19,7 +20,7 @@ from isodelaunay import (
     ribbon,
     surgery,
 )
-from origami_oracles import tree_count_holds
+from origami_oracles import staircase_origami, tree_count_holds
 from region_oracles import check_constant_holonomy, open_polytope
 
 TOL = 1e-9
@@ -190,20 +191,10 @@ def test_criterion_12_homology_core(torus_graph, square_l_graph, staircase_graph
     for g in (torus_graph, square_l_graph, staircase_graph):
         basis = homology.cycle_basis(g)
         for h in g.half_edges():
-            v = homology.pairing_vector(basis, h)
-            w = homology.pairing_vector(basis, ribbon.other_side(g, h))
+            v = pairing_vector(basis, h)
+            w = pairing_vector(basis, ribbon.other_side(g, h))
             ok = ok and tuple(-x for x in v) == w
     report(12, "p after phi is the identity; pairing vectors negate across edges", ok)
-
-
-def staircase_origami(n: int) -> origami.Origami:
-    """h = (1,2)(3,4)..., v = (2,3)(4,5)... on n squares: hyperelliptic and arboreal."""
-    h, v = list(range(1, n + 1)), list(range(1, n + 1))
-    for i in range(0, n - 1, 2):
-        h[i], h[i + 1] = h[i + 1], h[i]
-    for i in range(1, n - 1, 2):
-        v[i], v[i + 1] = v[i + 1], v[i]
-    return origami.Origami(tuple(h), tuple(v))
 
 
 def test_criterion_13_delaunay_triangulations_carry_matchings():

@@ -1,9 +1,11 @@
-"""Integer homology: boundaries, cycle bases, phi, p, and pairings."""
+"""Integer homology: boundaries, cycle bases and the copy kept on the graph, phi, p, and
+pairings."""
 
 import pytest
 
-from chain_oracles import boundary, chain_add, chain_from_json, enumerate_simple_cycles, p_map
-from isodelaunay import homology, ribbon
+from chain_oracles import (boundary, chain_add, chain_from_json, enumerate_simple_cycles, p_map,
+                           pairing_vector)
+from isodelaunay import homology, matching, origami, ribbon
 
 
 def test_boundary_of_single_half_edge(torus_graph):
@@ -77,8 +79,8 @@ def test_pairing_vector_negates_under_other_side(square_l_graph, prym_graph):
     for g in (square_l_graph, prym_graph):
         basis = homology.cycle_basis(g)
         for h in g.half_edges():
-            v = homology.pairing_vector(basis, h)
-            w = homology.pairing_vector(basis, ribbon.other_side(g, h))
+            v = pairing_vector(basis, h)
+            w = pairing_vector(basis, ribbon.other_side(g, h))
             assert tuple(-x for x in v) == w
 
 
@@ -92,6 +94,20 @@ def test_enumerate_simple_cycles_are_unique(square_l_graph):
     cycles = enumerate_simple_cycles(square_l_graph)
     as_sets = [tuple(sorted(c.items())) for c in cycles]
     assert len(as_sets) == len(set(as_sets))
+
+
+def test_a_caller_cannot_change_the_basis_kept_on_the_graph(square_l):
+    g = origami.build_origami_graph(square_l)
+    iota = origami.canonical_matching(square_l)
+    for _ in range(2):  # the call that builds the basis, then one that finds it kept
+        basis = homology.cycle_basis(g)
+        basis[0][next(iter(basis[0]))] += 1
+        basis.pop()
+        basis.append({("f1+", 0): 1, ("f1-", 0): 1})
+    fresh = homology.cycle_basis(ribbon.TriRibbonGraph(g.edges, g.faces))
+    assert [list(a.items()) for a in homology.cycle_basis(g)] == [list(a.items()) for a in fresh]
+    assert matching.find_matchings(g).matchings == [iota]
+    assert matching.verify_matching(g, iota).ok
 
 
 def test_cycle_basis_certificate_survives_python_O(run_optimized):

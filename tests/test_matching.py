@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from chain_oracles import apply_to_chain, chain_neg
-from isodelaunay import homology, matching, origami, surgery
+from isodelaunay import develop, homology, matching, origami, surgery
+from matching_oracles import backtracking_matchings
+from origami_oracles import staircase_origami
 from region_oracles import check_constant_holonomy, open_polytope
 
 
@@ -49,6 +51,20 @@ def test_find_matchings_square_l_contains_canonical(square_l, square_l_graph):
 def test_find_matchings_staircase_empty(staircase_graph):
     res = matching.find_matchings(staircase_graph)
     assert res.complete and res.matchings == []
+
+
+def test_a_class_imbalance_returns_a_complete_empty_result_before_any_deadline(staircase_graph):
+    # the class count proves that no matching exists, so no search runs
+    res = matching.find_matchings(staircase_graph, deadline=0.0)
+    assert res.complete and res.matchings == []
+
+
+def test_search_raises_when_a_found_matching_fails_verification(square_l_graph, monkeypatch):
+    # a verify that always says no stands for a wrong matching from the search
+    monkeypatch.setattr(matching, "verify_matching",
+                        lambda graph, iota, basis: matching.MatchingReport(False, ["stand-in"]))
+    with pytest.raises(AssertionError, match="found matching fails verification.*stand-in"):
+        matching.find_matchings(square_l_graph)
 
 
 def test_find_matchings_respects_limit(torus_graph):
@@ -125,3 +141,37 @@ def test_search_prunes_with_pairing_vectors(prym_graph):
     assert res.complete and res.matchings
     for iota in res.matchings:
         assert matching.verify_matching(prym_graph, iota).ok
+
+
+def _sheared_delaunay_staircase(n, a, b):
+    o = staircase_origami(n)
+    start = develop.develop(origami.build_origami_graph(o), origami.standard_angles(o))
+    periods = {}
+    for h, z in start.periods.items():
+        x = z.real + a * z.imag
+        periods[h] = complex(x, z.imag + b * x)
+    return develop.make_delaunay(develop.DevelopedSurface(start.graph, periods))[0].graph
+
+
+def _same_matchings(got, want):
+    assert [list(iota.items()) for iota in got] == [list(iota.items()) for iota in want]
+
+
+def test_search_returns_what_the_backtracking_reference_returns(square_l, prym):
+    for s in range(1, 6):
+        limit = None if s <= 4 else 1
+        for o in origami.transitive_pairs_up_to_relabeling(s):
+            g = origami.build_origami_graph(o)
+            res = matching.find_matchings(g, limit=limit)
+            assert res.complete
+            _same_matchings(res.matchings, backtracking_matchings(g, limit))
+    graphs = [_sheared_delaunay_staircase(n, a, b)
+              for a, b in ((1.3, 0.4), (2.41, -0.62)) for n in (3, 6, 9)]
+    graphs.append(surgery.sum_matchings(
+        origami.build_origami_graph(square_l), ("f1-", 0), canonical(square_l),
+        origami.build_origami_graph(prym), ("f2+", 1), canonical(prym),
+    )[0])
+    for g in graphs:
+        found = matching.find_matchings(g).matchings
+        assert found
+        _same_matchings(found, backtracking_matchings(g))

@@ -3,11 +3,13 @@
 Each example is a random transitive origami with at most 8 squares, taken
 both as built and after a horizontal shear and Lawson flips to a Delaunay
 triangulation, and for homology also with its face ids renamed and
-reordered.  Runs are derandomized, so every run checks the same examples.
+reordered; the matching count also runs on 2 to 12 triangles glued at
+random.  Runs are derandomized, so every run checks the same examples.
 The cycle basis, ``phi``, holonomy and ``verify_matching`` are also checked
 against straightforward references kept here: a quadratic tree pick with
 path chains, a ``phi`` that sorts every slot, per-cycle holonomy sums, a
-Delaunay test on angle dicts and a -1 test on whole image chains.  The
+Delaunay test on angle dicts and a -1 test on whole image chains, and the
+number of matchings against a count of pairing-triple classes.  The
 certificates are checked against references too: ``is_cycle`` against the
 boundary map, the in-circle determinant against numpy's, and the closure
 check of ``develop`` against a residual taken from both sides of every edge.
@@ -17,13 +19,14 @@ slack, meets the face sums within 1e-14 and comes again from its seed.
 """
 
 import math
+from collections import Counter
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chain_oracles import apply_to_chain, boundary, chain_add, chain_neg, p_map
+from chain_oracles import apply_to_chain, boundary, chain_add, chain_neg, p_map, pairing_vector
 from delaunay_oracles import circumcircle_cross_check, delaunay_sum, flip_edge, incircle_det
 from isodelaunay import angles, develop, homology, matching, origami, region, ribbon
 
@@ -38,6 +41,23 @@ def origamis(draw):
     v = tuple(draw(st.permutations(range(1, s + 1))))
     assume(origami.is_transitive(h, v))
     return origami.Origami(h, v)
+
+
+@st.composite
+def glued_triangles(draw):
+    """2 to 12 triangles with their sides glued in random pairs, kept when
+    connected.  Unlike origami graphs, these have pairing-triple classes of
+    two or three faces, and triples that a rotation fixes."""
+    n = 2 * draw(st.integers(1, 6))
+    sides = draw(st.permutations([(f, s) for f in range(n) for s in range(3)]))
+    boundary = [[""] * 3 for _ in range(n)]
+    for k, (f, s) in enumerate(sides):
+        boundary[f][s] = f"e{k // 2}"
+    try:
+        return ribbon.TriRibbonGraph([f"e{k}" for k in range(3 * n // 2)],
+                                     [(f"f{f}", tuple(b)) for f, b in enumerate(boundary)])
+    except ribbon.InvalidGraphError:
+        assume(False)
 
 
 @st.composite
@@ -204,9 +224,39 @@ def test_pairing_vectors_negate_across_edges(pair):
     for g in pair:
         basis = homology.cycle_basis(g)
         for h in g.half_edges():
-            v = homology.pairing_vector(basis, h)
-            w = homology.pairing_vector(basis, ribbon.other_side(g, h))
+            v = pairing_vector(basis, h)
+            w = pairing_vector(basis, ribbon.other_side(g, h))
             assert w == tuple(-x for x in v)
+
+
+def _matching_count_by_classes(g) -> tuple[bool, int]:
+    """Whether every class of pairing triples (up to rotation) is as large as
+    its negation, and the product over classes of n! * m**n, for n faces in
+    the class and m rotations fixing its triple."""
+    basis = homology.cycle_basis(g)
+
+    def rotations(t):
+        return [t[k:] + t[:k] for k in range(3)]
+
+    sizes = Counter(min(rotations(tuple(pairing_vector(basis, (f, s)) for s in range(3))))
+                    for f in g.face_ids)
+    balanced = all(sizes[c] == sizes[min(rotations(tuple(tuple(-x for x in v) for v in c)))]
+                   for c in sizes)
+    count = 1
+    for c, n in sizes.items():
+        count *= math.factorial(n) * rotations(c).count(c) ** n
+    return balanced, count
+
+
+@PROPERTY
+@given(graphs(), glued_triangles())
+def test_a_matching_exists_iff_every_class_matches_its_negation(triple, glued):
+    for g in (*triple, glued):
+        balanced, count = _matching_count_by_classes(g)
+        res = matching.find_matchings(g)
+        assert res.complete and bool(res.matchings) == balanced
+        if balanced:
+            assert len(res.matchings) == count
 
 
 @PROPERTY
