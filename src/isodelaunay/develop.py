@@ -13,7 +13,7 @@ import bisect
 import cmath
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .angles import AngleAssignment, validate_angles
 from .ribbon import HalfEdge, TriRibbonGraph, he_key, other_side, parse_he_key, spanning_tree
@@ -39,13 +39,24 @@ CHECK_TOL = 1e-9
 
 @dataclass
 class DevelopedSurface:
+    """A flat surface as one period per half-edge of its graph.
+
+    A surface is never changed after it is built (flips build a new one),
+    so its corner angles, solved once, stay right.
+    """
+
     graph: TriRibbonGraph
     periods: dict[HalfEdge, complex]
+    # the three corner angles of each face, in the order of ``graph.faces``:
+    # filled by ``make_delaunay`` with the angles it holds, or on first use
+    _angles: list[list[float]] | None = field(default=None, init=False, repr=False,
+                                               compare=False)
 
     def scale(self) -> float:
         return max(abs(z) for z in self.periods.values())
 
     def check(self) -> None:
+        _require_finite(self.periods)
         s = self.scale()
         for f, _ in self.graph.faces:
             closure = sum(self.periods[(f, k)] for k in range(3))
@@ -74,7 +85,16 @@ class DevelopedSurface:
         }
         if set(periods) != set(graph.half_edges()):
             raise ValueError("period keys are not exactly the graph's half-edges")
+        _require_finite(periods)
         return cls(graph, periods)
+
+
+def _require_finite(periods: dict[HalfEdge, complex]) -> None:
+    """ValueError at the first NaN or infinite period, which every tolerance
+    comparison would let through."""
+    for h, z in periods.items():
+        if not cmath.isfinite(z):
+            raise ValueError(f"non-finite period at {he_key(h)}")
 
 
 def _fill_face(theta: AngleAssignment, f: str, slot: int, period: complex) -> dict[HalfEdge, complex]:
@@ -134,14 +154,19 @@ def _corner_angles(f: str, z: list[complex]) -> list[float]:
     return out
 
 
+def _face_angles(surface: DevelopedSurface) -> list[list[float]]:
+    """The corner angles of each face of ``surface``, by position, solved once."""
+    if surface._angles is None:
+        p = surface.periods
+        surface._angles = [_corner_angles(f, [p[(f, 0)], p[(f, 1)], p[(f, 2)]])
+                           for f, _ in surface.graph.faces]
+    return surface._angles
+
+
 def angles_of(surface: DevelopedSurface) -> AngleAssignment:
     """Angle at each corner from the outward edge vectors at its vertex."""
-    theta: AngleAssignment = {}
-    for f, _ in surface.graph.faces:
-        z = [surface.periods[(f, s)] for s in range(3)]
-        for s, ang in enumerate(_corner_angles(f, z)):
-            theta[(f, s)] = ang
-    return theta
+    return {(f, s): ang for (f, _), row in zip(surface.graph.faces, _face_angles(surface))
+            for s, ang in enumerate(row)}
 
 
 def _quad(p_h: complex, p_next: complex, p_mate_next: complex):
@@ -191,10 +216,6 @@ class _Triangulation:
         for i, bnd in enumerate(self.faces):
             for k, e in enumerate(bnd):
                 self.occ[e].append((i, k))
-
-    def corner_angles(self) -> list[list[float]]:
-        """The three corner angles of each face, by position."""
-        return [_corner_angles(f, z) for f, z in zip(self.ids, self.periods)]
 
     def delaunay_sum(self, angles: list[list[float]], edge: str) -> float:
         """Sum of the two angles opposite ``edge`` (slot + 1 in each of its faces)."""
@@ -255,7 +276,7 @@ def is_geometric_delaunay(surface: DevelopedSurface, tol: float = 1e-9) -> bool:
     in-circle determinant contradicts an edge's sum.
     """
     tri = _Triangulation(surface)
-    angles = tri.corner_angles()
+    angles = _face_angles(surface)
     result = True
     for e in tri.edges:
         s = tri.delaunay_sum(angles, e)
@@ -285,11 +306,12 @@ def make_delaunay(surface: DevelopedSurface, tol: float = 1e-9):
     their periods bit for bit, and the graph is built once, at the end.
 
     Returns (surface, flip_log, degenerate_edges), the last being the edges
-    whose sum is within ``tol`` of pi.  Raises FlipCapError if the surface
-    needs more than ``MAX_FLIPS`` flips.
+    whose sum is within ``tol`` of pi; the surface keeps the corner angles
+    the flips left, for ``angles_of`` and ``is_geometric_delaunay``.  Raises
+    FlipCapError if the surface needs more than ``MAX_FLIPS`` flips.
     """
     tri = _Triangulation(surface)
-    angles = tri.corner_angles()
+    angles = list(_face_angles(surface))  # flips replace rows of this copy
     index = {e: k for k, e in enumerate(tri.edges)}
     sums: dict[str, float] = {}
     version = [0] * len(tri.edges)
@@ -323,7 +345,11 @@ def make_delaunay(surface: DevelopedSurface, tol: float = 1e-9):
         for e in dict.fromkeys(tri.faces[i] + tri.faces[j]):
             update(e)
     degenerate = [e for e in tri.edges if abs(sums[e] - math.pi) <= tol]
-    return (tri.surface() if flips else surface), flips, degenerate
+    if not flips:
+        return surface, flips, degenerate
+    flipped = tri.surface()
+    flipped._angles = angles
+    return flipped, flips, degenerate
 
 
 def _tree_layout(surface: DevelopedSurface):

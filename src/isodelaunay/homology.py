@@ -23,11 +23,11 @@ def chain_to_json(chain: dict) -> dict:
 
 def is_cycle(graph: TriRibbonGraph, chain: Chain1) -> bool:
     """Whether d(chain) = 0 for d(f, e) = e - f: each edge and each face sums to zero."""
-    boundary_of = graph.boundary_of
+    boundary = graph._boundary
     at_edge, at_face = {}, {}
     for (f, slot), coeff in chain.items():
         try:
-            e = boundary_of(f)[slot % 3]
+            e = boundary[f][slot % 3]
         except KeyError:
             raise KeyError(f"unknown face {f!r} in chain") from None
         at_edge[e] = at_edge.get(e, 0) + coeff
@@ -52,15 +52,18 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
     """
     if graph._cycle_basis is not None:
         return [alpha.copy() for alpha in graph._cycle_basis]
-    first, pairs = {}, []  # edge -> earlier half-edge g; (h, g) per edge, in order of h
-    for h in graph.half_edges():
-        g = first.setdefault(graph.edge_of(h), h)
+    # half-edges are handled by their rank r in ``half_edges()`` order, which
+    # lists the faces in sorted order, three slots each: r // 3 is the face's index
+    hes = graph.half_edges()
+    boundary = graph._boundary
+    first, pairs = {}, []  # edge -> rank of its earlier half-edge g; (h, g) per edge, in order of h
+    for h, (f, slot) in enumerate(hes):
+        g = first.setdefault(boundary[f][slot], h)
         if g != h:
             pairs.append((h, g))
-    faces = sorted(graph.face_ids)
-    index = {f: i for i, f in enumerate(faces)}
-    ends = [(index[h[0]], index[g[0]]) for h, g in pairs]
-    root = list(range(len(faces)))  # union-find with path halving
+    n_faces = len(hes) // 3
+    ends = [(h // 3, g // 3) for h, g in pairs]
+    root = list(range(n_faces))  # union-find with path halving
 
     def find(x: int) -> int:
         while root[x] != x:
@@ -68,7 +71,7 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
             x = root[x]
         return x
 
-    across: list[list] = [[] for _ in faces]  # face -> (neighbour in T, edge index)
+    across: list[list] = [[] for _ in range(n_faces)]  # face -> (neighbour in T, edge index)
     tree = set()
     # This is the tree that integer column reduction of the incidence matrix
     # picks, rows E then F in sorted order; it fixes the basis that
@@ -82,8 +85,8 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
             across[b].append((a, j))
     # parent pointers of T rooted at the least face: up[y] = (parent, h, g,
     # o), where the step from the parent to y is the chain o * (h - g)
-    up: list = [None] * len(faces)
-    depth = [0] + [-1] * (len(faces) - 1)  # -1: not reached yet
+    up: list = [None] * n_faces
+    depth = [0] + [-1] * (n_faces - 1)  # -1: not reached yet
     stack = [0]
     while stack:
         x = stack.pop()
@@ -106,11 +109,12 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
             else:
                 b, hk, gk, o = up[b]
                 alpha[hk], alpha[gk] = -o, o
-        if not is_cycle(graph, alpha):
+        cycle = {hes[r]: c for r, c in sorted(alpha.items())}
+        if not is_cycle(graph, cycle):
             raise AssertionError(
-                f"basis cycle through {min(alpha)} has nonzero boundary (implementation fault)"
+                f"basis cycle through {min(cycle)} has nonzero boundary (implementation fault)"
             )
-        basis.append(dict(sorted(alpha.items())))
+        basis.append(cycle)
     graph._cycle_basis = basis
     return [alpha.copy() for alpha in basis]
 
@@ -121,17 +125,35 @@ def phi(graph: TriRibbonGraph, cycle: Chain1) -> AngleChain:
     On face f the cycle reads (c0, c1, c2), summing to zero, and the corner
     chains that p_map sends there are b + k(1, 1, 1) with b = (0, -c1,
     -c1 - c2).  The one of median 0 has the least sum of |coefficients|.
-    Raises ValueError if the chain is not a cycle.
+    The boundary is checked in the same pass that reads each face's triple:
+    ValueError if the chain is not a cycle.
     """
-    if not is_cycle(graph, cycle):
+    boundary = graph._boundary
+    at_edge: dict[str, int] = {}
+    at_face: dict[str, list[int]] = {}
+    for (f, slot), coeff in cycle.items():
+        slot %= 3
+        try:
+            e = boundary[f][slot]
+        except KeyError:
+            raise KeyError(f"unknown face {f!r} in chain") from None
+        at_edge[e] = at_edge.get(e, 0) + coeff
+        c = at_face.get(f)
+        if c is None:
+            c = at_face[f] = [0, 0, 0]
+        c[slot] += coeff
+    if any(at_edge.values()) or any(c0 + c1 + c2 for c0, c1, c2 in at_face.values()):
         raise ValueError("chain is not a cycle (nonzero boundary)")
     out: AngleChain = {}
-    for f in sorted({h[0] for h in cycle}):
-        c1, c2 = cycle.get((f, 1), 0), cycle.get((f, 2), 0)
-        b = (0, -c1, -c1 - c2)
-        median = sorted(b)[1]
-        for slot, x in enumerate(b):
-            if x != median:
-                out[(f, slot)] = x - median
+    for f in sorted(at_face):
+        _, c1, c2 = at_face[f]
+        b1, b2 = -c1, -c1 - c2
+        lo, hi = (b1, b2) if b1 <= b2 else (b2, b1)
+        median = lo if lo > 0 else hi if hi < 0 else 0  # the median of (0, b1, b2)
+        if median:
+            out[(f, 0)] = -median
+        if b1 != median:
+            out[(f, 1)] = b1 - median
+        if b2 != median:
+            out[(f, 2)] = b2 - median
     return out
-

@@ -120,29 +120,41 @@ def find_matchings(
     found: list[TriangleMatching] = []
     used: set[str] = set()
     chosen: list[tuple[str, int]] = [("", 0)] * len(faces)
+    # tried[i] counts the candidates of faces[i] tried so far; a loop in
+    # place of recursion, so that no graph is too large for the call stack
+    tried = [0] * len(faces)
     start_time = time.monotonic()
     timed_out = False
-
-    def fill(idx: int) -> bool:
-        # returns True to stop the whole search
-        nonlocal timed_out
+    idx = 0
+    while True:  # faces[idx] has just been reached
         if deadline is not None and time.monotonic() - start_time > deadline:
             timed_out = True
-            return True
+            break
         if idx == len(faces):
             found.append({(f, s): (t, (s + off) % 3)
                           for f, (t, off) in zip(faces, chosen) for s in range(3)})
-            return limit is not None and len(found) >= limit
-        for t, off in candidates[faces[idx]]:
-            if t not in used:
-                used.add(t)
-                chosen[idx] = (t, off)
-                if fill(idx + 1):
-                    return True
-                used.discard(t)
-        return False
+            if limit is not None and len(found) >= limit:
+                break
+            idx -= 1
+        # give faces[idx] its next unused candidate, backing up past faces
+        # that have none left
+        while idx >= 0:
+            options, k = candidates[faces[idx]], tried[idx]
+            if k:
+                used.discard(chosen[idx][0])
+            while k < len(options) and options[k][0] in used:
+                k += 1
+            if k < len(options):
+                break
+            tried[idx] = 0
+            idx -= 1
+        if idx < 0:
+            break
+        tried[idx] = k + 1
+        chosen[idx] = options[k]
+        used.add(options[k][0])
+        idx += 1
 
-    fill(0)
     for iota in found:
         report = verify_matching(graph, iota, basis)
         if not report:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from chain_oracles import chain_add, chain_neg
-from isodelaunay import angles, homology, origami
+from isodelaunay import angles, homology, origami, ribbon
 
 
 def test_validate_accepts_standard_and_equilateral(square_l, square_l_graph):
@@ -144,6 +144,23 @@ def test_a_non_cycle_in_the_basis_raises_instead_of_returning(torus_graph):
         angles.holonomies(torus_graph, theta, basis)
     with pytest.raises(ValueError, match="not a cycle"):
         angles.holonomy(torus_graph, theta, {("f1-", 0): 1})
+
+
+def test_chains_balanced_only_at_edges_or_only_at_faces_are_not_cycles(torus):
+    g = origami.build_origami_graph(torus)
+    theta = origami.standard_angles(torus)
+    h = ("f1-", 0)
+    mate = ribbon.other_side(g, h)
+    assert mate[0] != h[0] and g.edge_of(h) != g.edge_of(("f1-", 1))
+    for chain in ({h: 1, mate: -1}, {("f1-", 0): 1, ("f1-", 1): -1}):
+        with pytest.raises(ValueError, match="not a cycle"):
+            homology.phi(g, chain)
+        with pytest.raises(ValueError, match="not a cycle"):
+            angles.holonomy(g, theta, chain)
+        with pytest.raises(ValueError, match="not a cycle"):
+            angles.holonomies(g, theta, [chain])
+        with pytest.raises(ValueError, match="not a cycle"):
+            angles.is_trivial_holonomy(g, theta, [chain])
 
 
 def _random_angles(graph, rng):

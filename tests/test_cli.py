@@ -309,6 +309,22 @@ def test_string_edges_or_boundary_is_input_error(tmp_path, capsys, graph):
     assert err.startswith("input error: malformed surface JSON:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_non_finite_period_is_one_input_error_line(tmp_path, capsys, bad):
+    from isodelaunay import develop, origami
+
+    o = origami.Origami.from_spec("h=();v=()")
+    surface = develop.develop(origami.build_origami_graph(o), origami.standard_angles(o)).to_json()
+    surface["periods"]["f1-/0"][1] = bad
+    surface_file = tmp_path / "surface.json"
+    surface_file.write_text(json.dumps(surface))  # written as NaN or Infinity
+    assert ("NaN" if bad != bad else "Infinity") in surface_file.read_text()
+    for action in ("check", "flip"):
+        code, out, err = run_cli(capsys, "delaunay", action, str(surface_file))
+        assert (code, out) == (2, "")
+        assert err == "input error: malformed surface JSON: non-finite period at f1-/0\n"
+
+
 def test_disconnected_surface_is_one_error_line(tmp_path, capsys):
     from isodelaunay import develop, origami
 

@@ -7,6 +7,7 @@ import pytest
 
 from delaunay_oracles import area, flip_edge, in_delaunay_region
 from isodelaunay import develop, origami
+from origami_oracles import staircase_origami
 
 
 def scaled(surface, sx, sy):
@@ -124,6 +125,28 @@ def test_make_delaunay_raises_past_its_flip_cap(torus, torus_graph, monkeypatch)
     monkeypatch.setattr(develop, "MAX_FLIPS", 1)
     with pytest.raises(develop.FlipCapError, match="after 1 flips"):
         develop.make_delaunay(sheared)
+
+
+def _hex_angles(surface):
+    return [(c, a.hex()) for c, a in develop.angles_of(surface).items()]
+
+
+def test_the_surface_make_delaunay_returns_keeps_the_angles_a_fresh_copy_solves():
+    for n, t in ((3, 1.3), (6, 2.41), (12, 3.5), (24, 1.7), (48, 5.2)):
+        o = staircase_origami(n)
+        start = develop.develop(origami.build_origami_graph(o), origami.standard_angles(o))
+        sheared = develop.DevelopedSurface(
+            start.graph, {h: complex(z.real + t * z.imag, z.imag) for h, z in start.periods.items()}
+        )
+        flipped, flips, _ = develop.make_delaunay(sheared)
+        assert flips
+        fresh = develop.DevelopedSurface(flipped.graph, dict(flipped.periods))
+        # the kept angles are no part of the surface's value, its repr or its JSON
+        assert flipped._angles is not None and fresh._angles is None
+        assert flipped == fresh and repr(flipped) == repr(fresh)
+        assert flipped.to_json() == fresh.to_json()
+        assert _hex_angles(flipped) == _hex_angles(fresh)
+        assert develop.is_geometric_delaunay(flipped) and develop.is_geometric_delaunay(fresh)
 
 
 def test_make_delaunay_idempotent_on_delaunay_input(square_l, square_l_graph):

@@ -1,5 +1,7 @@
 """Triangle matchings: verification, search, invariant angle space."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,22 @@ def test_search_prunes_with_pairing_vectors(prym_graph):
     assert res.complete and res.matchings
     for iota in res.matchings:
         assert matching.verify_matching(prym_graph, iota).ok
+
+
+def test_the_search_finds_a_matching_on_a_graph_too_deep_for_recursion():
+    # 1,040 faces, past the default recursion limit of 1,000
+    g = origami.build_origami_graph(staircase_origami(520))
+    res = matching.find_matchings(g, limit=1)
+    assert res.complete and len(res.matchings) == 1
+
+
+def test_the_search_backs_up_in_the_order_of_the_backtracking_reference(square_l_graph):
+    # with no basis cycle every face fits every face at every offset, so the
+    # search must back up past many choices to list 200 matchings
+    with mock.patch.object(homology, "cycle_basis", lambda graph: []):
+        res = matching.find_matchings(square_l_graph, limit=200)
+        _same_matchings(res.matchings, backtracking_matchings(square_l_graph, 200))
+    assert len(res.matchings) == 200 and len({tuple(i.items()) for i in res.matchings}) == 200
 
 
 def _sheared_delaunay_staircase(n, a, b):

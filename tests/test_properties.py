@@ -455,6 +455,17 @@ def test_make_delaunay_output_is_geometric_delaunay(sheared):
         assert develop.is_geometric_delaunay(surface)
 
 
+@PROPERTY
+@given(sheared_surfaces(max_shear=20.0))
+def test_make_delaunay_hands_on_the_angles_a_fresh_copy_solves(sheared):
+    flipped, _, _ = develop.make_delaunay(sheared)
+    fresh = develop.DevelopedSurface(flipped.graph, dict(flipped.periods))
+    assert ([(c, a.hex()) for c, a in develop.angles_of(flipped).items()]
+            == [(c, a.hex()) for c, a in develop.angles_of(fresh).items()])
+    assert (_outcome(develop.is_geometric_delaunay, flipped)
+            == _outcome(develop.is_geometric_delaunay, fresh))
+
+
 def _is_geometric_delaunay_on_angle_dicts(surface, tol=1e-9):
     # the reference: angles_of, the angle-dict sum and the graph's occurrences
     theta = develop.angles_of(surface)

@@ -19,7 +19,12 @@ times, each as the best of three runs in wall seconds:
   (each repeat on a fresh copy of the graph, built outside the timing, so
   every repeat solves each cycle's corner chain once);
 - ``make_delaunay`` of the square-tiled surface under (x, y) -> (x + 1.3 y, y)
-  and then (x, y) -> (x, y + 0.4 x).
+  and then (x, y) -> (x, y + 0.4 x), each repeat on a fresh copy of that
+  surface, built outside the timing, since a surface keeps its corner angles
+  once solved;
+- ``is_geometric_delaunay`` and ``angles_of`` on the surface that
+  ``make_delaunay`` returns, which keeps the angles the flips left, as the
+  flip_develop workload calls them.
 
 It also times ``transitive_pairs_up_to_relabeling(s)`` for s = 5, 6 and 7,
 best of three, under its own key ``enumeration``, since that stage grows
@@ -111,7 +116,11 @@ def ladder() -> dict:
               lambda: per_point_holonomy(fresh.pop(), samples, basis))
         timed(seconds, "develop", lambda: develop.develop(g, samples[0]))
         start = sheared(o)
-        timed(seconds, "make_delaunay", lambda: develop.make_delaunay(start))
+        fresh = [develop.DevelopedSurface(start.graph, dict(start.periods))
+                 for _ in range(REPEATS)]
+        flipped = timed(seconds, "make_delaunay", lambda: develop.make_delaunay(fresh.pop()))[0]
+        timed(seconds, "is_geometric_delaunay", lambda: develop.is_geometric_delaunay(flipped))
+        timed(seconds, "angles_of", lambda: develop.angles_of(flipped))
     enumeration = {"squares": list(SQUARES)}
     for s in SQUARES:
         timed(enumeration, "seconds", lambda: origami.transitive_pairs_up_to_relabeling(s))
