@@ -94,14 +94,21 @@ def holonomy(graph: TriRibbonGraph, theta: AngleAssignment, cycle: homology.Chai
     """Total holonomy of a cycle: dilation times rotation of its corner chain.
 
     The corner chain is solved by ``homology.phi`` once per graph and cycle
-    contents, and cached on the graph; ValueError, on every call, if
-    ``cycle`` is not a cycle.
+    contents, and cached on the graph as (coefficient, corner, numerator,
+    denominator) rows; ValueError, on every call, if ``cycle`` is not a
+    cycle.  The value is that of ``corner_holonomies`` to the bit.
     """
     key = tuple(cycle.items())
-    chain = graph._corner_chains.get(key)
-    if chain is None:
-        chain = graph._corner_chains[key] = homology.phi(graph, cycle)
-    return corner_holonomies(theta, [chain])[0]
+    table = graph._corner_chains.get(key)
+    if table is None:
+        table = graph._corner_chains[key] = tuple(
+            (coeff, (f, slot), (f, (slot + 1) % 3), (f, (slot + 2) % 3))
+            for (f, slot), coeff in homology.phi(graph, cycle).items())
+    log, sin = math.log, math.sin
+    total = 0.0
+    for coeff, _, num, den in table:
+        total += coeff * (log(sin(theta[num])) - log(sin(theta[den])))
+    return HolonomyValue(total, sum(coeff * theta[c] for coeff, c, _, _ in table))
 
 
 def is_trivial_holonomy(

@@ -219,11 +219,11 @@ def cmd_develop(args) -> int:
 def cmd_delaunay(args) -> int:
     try:
         surface = develop_mod.DevelopedSurface.from_json(_read_json(args.surface))
+        surface.check()
     except ribbon.InvalidGraphError:
         raise
     except (KeyError, TypeError, ValueError) as ex:
         raise InputError(f"malformed surface JSON: {ex}")
-    surface.check()
     if args.action == "check":
         try:
             ok = develop_mod.is_geometric_delaunay(surface, tol=args.tol)

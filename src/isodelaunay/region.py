@@ -15,9 +15,14 @@ for bit.  In orbit coordinates the equalities split into blocks: one face
 row per face orbit, with at most three variables and disjoint from every
 other block.  A block with coefficients (1, 1, 1) leaves a plane of
 directions, one with (2, 1), where two corners of a face share an orbit, a
-line, and one with (3) no direction.  A block step picks a block uniformly, a uniform direction in its
-null space, and a uniform point on the chord that the inequality rows
-touching the block leave open, so a step costs a few rows and no matrix.
+line, and one with (3) no direction.  A block step picks a block uniformly,
+a uniform direction in its null space, and a uniform point on the chord
+that the inequality rows touching the block leave open, so a step costs a
+few rows and no matrix.  ``build_polytope`` makes rows of one or two terms
+only; ``sample`` compiles each of them once per call into a flat tuple,
+padding a one-term row with a spare orbit held at 0.0, so a step reads a
+row's room in one expression, with the float operations of a loop over
+its terms.  A wider row, in a polytope built by hand, keeps that loop.
 The schedule is counted in block steps: ``BURN_IN_PER_DIM`` steps per
 dimension of burn-in, then one sample kept every ``STRIDE`` steps.  All
 randomness is drawn from ``random.Random(seed).random()``, whose stream
@@ -201,18 +206,24 @@ def _null_basis(coeffs: list[float]) -> list[list[float]]:
 def _blocks(polytope: RegionPolytope) -> list[tuple]:
     """The walk's blocks: one per distinct face row in orbit coordinates.
 
-    Each block is (orbits, basis, rows): the block's orbit variables, an
-    orthonormal basis of its null space as two vectors (the second all zero
-    for a line), and every inequality row touching its variables as
-    (terms, bound, rate0, rate1), where ``bound`` is the row's right-hand
-    side less ``MARGIN`` and the rates are along the two basis vectors.  The
-    blocks must partition the orbits, have at most three orbits each, and
-    have null dimensions that sum to ``polytope.dimension``.
+    Each block is (orbits, basis, rows, wide): the block's orbit variables,
+    an orthonormal basis of its null space as two vectors (the second all
+    zero for a line), and every inequality row touching its variables, with
+    rates r0, r1 along the two basis vectors and ``bound``, its right-hand
+    side less ``MARGIN``.  ``rows`` holds the rows of one or two terms as
+    (r0, r1, bound, oa, va, ob, vb), a one-term row padded with the spare
+    orbit ``ob`` = number of orbits and ``vb`` = 0.0; ``wide`` holds the
+    others as (r0, r1, bound, terms).  The blocks must partition the
+    orbits, have at most three orbits each, and have null dimensions that
+    sum to ``polytope.dimension``.
     """
     orbit_of = polytope.orbit_of
     face_rows = sorted({r for r in (_collapse(row, orbit_of) for row in polytope.eq_rows) if r})
     block_of = {o: b for b, row in enumerate(face_rows) for o, _ in row}
-    bases = [_null_basis([v for _, v in row]) for row in face_rows]
+    # face rows with the same coefficients share one null basis
+    coeffs = [tuple(v for _, v in row) for row in face_rows]
+    null = {k: _null_basis(list(k)) for k in set(coeffs)}
+    bases = [null[k] for k in coeffs]
     if (len(block_of) != sum(len(row) for row in face_rows)
             or len(block_of) != max(orbit_of.values()) + 1
             or any(len(row) > 3 for row in face_rows)
@@ -221,9 +232,10 @@ def _blocks(polytope: RegionPolytope) -> list[tuple]:
             f"equality rows do not split into face-orbit blocks of total null dimension "
             f"{polytope.dimension}: null dimensions {[len(b) for b in bases]}"
         )
-    for basis, row in zip(bases, face_rows):
-        basis.extend([[0.0] * len(row)] * (2 - len(basis)))
-    rows: list[list[tuple]] = [[] for _ in face_rows]
+    for k, basis in null.items():
+        basis.extend([[0.0] * len(k)] * (2 - len(basis)))
+    rows: list[tuple[list, list]] = [([], []) for _ in face_rows]
+    spare = ((len(block_of), 0.0),)
     ineqs = dict.fromkeys(
         (_collapse(row, orbit_of), b) for row, b in zip(polytope.ineq_rows, polytope.ineq_rhs)
     )
@@ -232,8 +244,12 @@ def _blocks(polytope: RegionPolytope) -> list[tuple]:
         for blk in sorted({block_of[o] for o, _ in terms}):
             pos = position[blk]
             rates = [sum(v * u[pos[o]] for o, v in terms if o in pos) for u in bases[blk]]
-            rows[blk].append((terms, b - MARGIN, *rates))
-    return [(tuple(o for o, _ in row), basis, block_rows)
+            if len(terms) > 2:
+                rows[blk][1].append((*rates, b - MARGIN, terms))
+            else:
+                (oa, va), (ob, vb) = (terms + spare)[:2]
+                rows[blk][0].append((*rates, b - MARGIN, oa, va, ob, vb))
+    return [(tuple(o for o, _ in row), basis, *block_rows)
             for row, basis, block_rows in zip(face_rows, bases, rows) if any(basis[0])]
 
 
@@ -243,29 +259,35 @@ def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignm
 
     Each sample gives every corner the value of its orbit, so it is
     iota-invariant exactly, and keeps slack ``MARGIN`` on every inequality.
+    ValueError if ``n`` is negative.
     """
+    if n < 0:
+        raise ValueError(f"sample count must be at least 0, got {n}")
     if n == 0:
         return []
     start, _ = polytope.optimum
     dim = polytope.dimension
     if dim == 0:
         return [dict(start) for _ in range(n)]
-    # each block as (orbits, u0, u1, whether it is a plane, rows)
-    blocks = [(orbits, u0, u1, any(u1), rows) for orbits, (u0, u1), rows in _blocks(polytope)]
+    # each block as ((orbit, w0, w1) triples, whether it is a plane, rows, wide rows)
+    blocks = [(tuple(zip(orbits, u0, u1)), any(u1), rows, wide)
+              for orbits, (u0, u1), rows, wide in _blocks(polytope)]
     n_blocks = len(blocks)
     rand = random.Random(seed).random
     sqrt, inf = math.sqrt, math.inf
     third = math.pi / 3
-    y = [third] * (max(polytope.orbit_of.values()) + 1)
+    # one value per orbit, and the spare slot that pads one-term rows
+    y = [third] * (max(polytope.orbit_of.values()) + 1) + [0.0]
     # each block's offset from the start in its basis; y is recomputed from
     # it, so rounding does not pile up on the face sums as the walk goes on
     z = [[0.0, 0.0] for _ in blocks]
-    corner_orbit = [(c, polytope.orbit_of[c]) for c in polytope.corners]
+    corner_orbits = [polytope.orbit_of[c] for c in polytope.corners]
     out = []
     burn_in = BURN_IN_PER_DIM * dim
+    keep = burn_in + STRIDE - 1  # the next step whose point is kept
     for step in range(burn_in + STRIDE * n):
         b = int(rand() * n_blocks)
-        orbits, u0, u1, plane, rows = blocks[b]
+        triples, plane, rows, wide = blocks[b]
         if plane:
             r2 = 0.0
             while not 0.0 < r2 <= 1.0:
@@ -276,7 +298,20 @@ def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignm
         else:
             d0, d1 = 1.0, 0.0
         lo, hi = -inf, inf
-        for terms, bound, rate0, rate1 in rows:
+        # a row's room, bound - va y[oa] - vb y[ob], is what the loop over
+        # terms below leaves: a one-term row has vb = y[ob] = 0.0, and
+        # x - 0.0 is x to the bit
+        for rate0, rate1, bound, oa, va, ob, vb in rows:
+            g = d0 * rate0 + d1 * rate1
+            if g > 1e-14:
+                x = (bound - va * y[oa] - vb * y[ob]) / g
+                if x < hi:
+                    hi = x
+            elif g < -1e-14:
+                x = (bound - va * y[oa] - vb * y[ob]) / g
+                if x > lo:
+                    lo = x
+        for rate0, rate1, bound, terms in wide:
             g = d0 * rate0 + d1 * rate1
             if -1e-14 <= g <= 1e-14:
                 continue
@@ -292,10 +327,11 @@ def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignm
         if lo < hi:
             t = lo + (hi - lo) * rand()
             zb = z[b]
-            zb[0] += t * d0
-            zb[1] += t * d1
-            for o, w0, w1 in zip(orbits, u0, u1):
-                y[o] = third + zb[0] * w0 + zb[1] * w1
-        if step >= burn_in and (step - burn_in) % STRIDE == STRIDE - 1:
-            out.append({c: y[o] for c, o in corner_orbit})
+            z0 = zb[0] = zb[0] + t * d0
+            z1 = zb[1] = zb[1] + t * d1
+            for o, w0, w1 in triples:
+                y[o] = third + z0 * w0 + z1 * w1
+        if step == keep:
+            keep += STRIDE
+            out.append(dict(zip(polytope.corners, map(y.__getitem__, corner_orbits))))
     return out

@@ -66,9 +66,11 @@ class TriRibbonGraph:
             for slot, e in enumerate(b):
                 occ.setdefault(e, []).append((f, slot))
         self._occurrences = occ
-        # cycle items -> its corner chain, filled by ``angles.holonomy``; the
-        # graph never changes, so a chain solved once stays right
-        self._corner_chains: dict[tuple, dict] = {}
+        # cycle items -> its corner chain compiled as a table of (coefficient,
+        # corner, numerator corner, denominator corner), filled by
+        # ``angles.holonomy``; the graph never changes, so a chain solved
+        # once stays right
+        self._corner_chains: dict[tuple, tuple] = {}
         # the cycle basis, built once by ``homology.cycle_basis``, which hands
         # out copies so that no caller can change it
         self._cycle_basis: list[dict] | None = None

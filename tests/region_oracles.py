@@ -1,10 +1,12 @@
 """The open invariant polytope, the constant-holonomy check over its
-samples, and the dense hit-and-run walk that the block walk of
-``region.sample`` is compared against; only tests and
+samples, and two walks that ``region.sample`` is compared against: the
+dense hit-and-run walk, for its law, and the block walk that reads every
+row through a loop over its terms, for its bits.  Only tests and
 ``tools/output_digest.py`` need them."""
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 
@@ -22,6 +24,33 @@ def open_polytope(graph: TriRibbonGraph, iota: dict) -> region.RegionPolytope:
     poly = region.build_polytope(graph, iota)
     n = len(poly.corners)
     return dataclasses.replace(poly, ineq_rows=poly.ineq_rows[:n], ineq_rhs=poly.ineq_rhs[:n])
+
+
+def reflected_face() -> region.RegionPolytope:
+    """One face whose corners 1 and 2 share an orbit, as under a map that
+    reflects the face onto itself: theta0 + 2 theta1 = pi is a 1-D block."""
+    a, b, c = ("f", 0), ("f", 1), ("f", 2)
+    return region.RegionPolytope(
+        [a, b, c], [{a: 1, b: 1, c: 1}, {b: 1, c: -1}], [math.pi, 0.0],
+        [{a: -1.0}, {b: -1.0}, {c: -1.0}], [0.0, 0.0, 0.0], 1, {a: 0, b: 1, c: 1})
+
+
+def wide_row_polytope() -> region.RegionPolytope:
+    """Two faces, each a plane block, and besides positivity one row of three
+    terms across both: theta(f, 0) + theta(f, 1) + 2 theta(g, 0) < 7 pi / 4.
+    ``build_polytope`` makes no row wider than two terms."""
+    corners = [(f, s) for f in "fg" for s in range(3)]
+    wide = {("f", 0): 1.0, ("f", 1): 1.0, ("g", 0): 2.0}
+    return region.RegionPolytope(
+        corners, [{(f, s): 1 for s in range(3)} for f in "fg"], [math.pi] * 2,
+        [{c: -1.0} for c in corners] + [wide], [0.0] * 6 + [1.75 * math.pi], 4,
+        {c: i for i, c in enumerate(corners)})
+
+
+def point_polytope() -> region.RegionPolytope:
+    """One corner held at pi/3: a zero-dimensional polytope."""
+    c = ("f", 0)
+    return region.RegionPolytope([c], [{c: 1.0}], [math.pi / 3], [{c: -1.0}], [0.0], 0, {c: 0})
 
 
 def check_constant_holonomy(
@@ -112,4 +141,108 @@ def dense_sample(polytope: region.RegionPolytope, n: int, seed: int = 0) -> list
         if step >= burn_in and (step - burn_in) % region.STRIDE == region.STRIDE - 1:
             values = y.tolist()
             out.append({c: values[orbit_of[c]] for c in polytope.corners})
+    return out
+
+
+def _generic_blocks(polytope: region.RegionPolytope) -> list[tuple]:
+    """The walk's blocks: one per distinct face row in orbit coordinates.
+
+    Each block is (orbits, basis, rows): the block's orbit variables, an
+    orthonormal basis of its null space as two vectors (the second all zero
+    for a line), and every inequality row touching its variables as
+    (terms, bound, rate0, rate1), where ``bound`` is the row's right-hand
+    side less ``region.MARGIN`` and the rates are along the two basis
+    vectors.  The blocks must partition the orbits, have at most three
+    orbits each, and have null dimensions that sum to
+    ``polytope.dimension``.
+    """
+    orbit_of = polytope.orbit_of
+    collapsed = (region._collapse(row, orbit_of) for row in polytope.eq_rows)
+    face_rows = sorted({r for r in collapsed if r})
+    block_of = {o: b for b, row in enumerate(face_rows) for o, _ in row}
+    bases = [region._null_basis([v for _, v in row]) for row in face_rows]
+    if (len(block_of) != sum(len(row) for row in face_rows)
+            or len(block_of) != max(orbit_of.values()) + 1
+            or any(len(row) > 3 for row in face_rows)
+            or sum(map(len, bases)) != polytope.dimension):
+        raise AssertionError(
+            f"equality rows do not split into face-orbit blocks of total null dimension "
+            f"{polytope.dimension}: null dimensions {[len(b) for b in bases]}"
+        )
+    for basis, row in zip(bases, face_rows):
+        basis.extend([[0.0] * len(row)] * (2 - len(basis)))
+    rows: list[list[tuple]] = [[] for _ in face_rows]
+    ineqs = dict.fromkeys(
+        (region._collapse(row, orbit_of), b)
+        for row, b in zip(polytope.ineq_rows, polytope.ineq_rhs)
+    )
+    position = [{o: i for i, (o, _) in enumerate(row)} for row in face_rows]
+    for terms, b in ineqs:
+        for blk in sorted({block_of[o] for o, _ in terms}):
+            pos = position[blk]
+            rates = [sum(v * u[pos[o]] for o, v in terms if o in pos) for u in bases[blk]]
+            rows[blk].append((terms, b - region.MARGIN, *rates))
+    return [(tuple(o for o, _ in row), basis, block_rows)
+            for row, basis, block_rows in zip(face_rows, bases, rows) if any(basis[0])]
+
+
+def generic_sample(polytope: region.RegionPolytope, n: int, seed: int = 0) -> list[dict]:
+    """The reference block walk: ``region.sample`` as it stood before its
+    rows were compiled, reading every inequality row through a loop over
+    its terms.  ``region.sample`` must give the same samples to the bit."""
+    if n == 0:
+        return []
+    start, _ = polytope.optimum
+    dim = polytope.dimension
+    if dim == 0:
+        return [dict(start) for _ in range(n)]
+    # each block as (orbits, u0, u1, whether it is a plane, rows)
+    blocks = [(orbits, u0, u1, any(u1), rows)
+              for orbits, (u0, u1), rows in _generic_blocks(polytope)]
+    n_blocks = len(blocks)
+    rand = random.Random(seed).random
+    sqrt, inf = math.sqrt, math.inf
+    third = math.pi / 3
+    y = [third] * (max(polytope.orbit_of.values()) + 1)
+    # each block's offset from the start in its basis; y is recomputed from
+    # it, so rounding does not pile up on the face sums as the walk goes on
+    z = [[0.0, 0.0] for _ in blocks]
+    corner_orbit = [(c, polytope.orbit_of[c]) for c in polytope.corners]
+    out = []
+    burn_in = region.BURN_IN_PER_DIM * dim
+    for step in range(burn_in + region.STRIDE * n):
+        b = int(rand() * n_blocks)
+        orbits, u0, u1, plane, rows = blocks[b]
+        if plane:
+            r2 = 0.0
+            while not 0.0 < r2 <= 1.0:
+                p, q = 2.0 * rand() - 1.0, 2.0 * rand() - 1.0
+                r2 = p * p + q * q
+            r = sqrt(r2)
+            d0, d1 = p / r, q / r
+        else:
+            d0, d1 = 1.0, 0.0
+        lo, hi = -inf, inf
+        for terms, bound, rate0, rate1 in rows:
+            g = d0 * rate0 + d1 * rate1
+            if -1e-14 <= g <= 1e-14:
+                continue
+            room = bound
+            for o, v in terms:
+                room -= v * y[o]
+            x = room / g
+            if g > 0.0:
+                if x < hi:
+                    hi = x
+            elif x > lo:
+                lo = x
+        if lo < hi:
+            t = lo + (hi - lo) * rand()
+            zb = z[b]
+            zb[0] += t * d0
+            zb[1] += t * d1
+            for o, w0, w1 in zip(orbits, u0, u1):
+                y[o] = third + zb[0] * w0 + zb[1] * w1
+        if step >= burn_in and (step - burn_in) % region.STRIDE == region.STRIDE - 1:
+            out.append({c: y[o] for c, o in corner_orbit})
     return out

@@ -1,13 +1,16 @@
 """Angle assignments and combinatorial holonomy."""
 
 import cmath
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from chain_oracles import chain_add, chain_neg
-from isodelaunay import angles, homology, origami, ribbon
+from isodelaunay import angles, homology, origami, region, ribbon, surgery
 
 
 def test_validate_accepts_standard_and_equilateral(square_l, square_l_graph):
@@ -210,3 +213,52 @@ def test_a_cycle_mutated_after_a_call_gets_the_holonomy_of_its_new_contents(toru
     cycle[("f1-", 0)] = cycle.get(("f1-", 0), 0) + 1  # no longer a cycle
     with pytest.raises(ValueError, match="not a cycle"):
         angles.holonomy(g, theta, cycle)
+
+
+def _region_graph(inp):
+    """The graph and matching of a region_pipeline input, as its op builds them."""
+    parts = [(origami.build_origami_graph(o), origami.canonical_matching(o)) for o in inp.origamis]
+    if inp.glue is None:
+        return parts[0]
+    (gl, il), (gr, ir) = parts
+    return surgery.sum_matchings(gl, inp.glue[0], il, gr, inp.glue[1], ir)
+
+
+def _hex(value):
+    return value.log_modulus.hex(), value.phase.hex()
+
+
+def test_holonomy_tables_match_the_corner_chain_kernel_on_region_samples(monkeypatch):
+    # the first 24 seed-1 inputs of the region_pipeline benchmark, each at its
+    # 20 samples: the table that holonomy compiles once per graph and cycle
+    # gives the bits of corner_holonomies on the freshly solved chain, for
+    # the basis cycles, a sum of two and a negation
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py")
+    bench_inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench_inputs)  # its dataclasses look it up
+    spec.loader.exec_module(bench_inputs)
+    for k, inp in enumerate(bench_inputs.region_inputs(1)[:24]):
+        g, iota = _region_graph(inp)
+        basis = homology.cycle_basis(g)
+        cycles = basis + [chain_add(basis[0], basis[-1]), chain_neg(basis[1])]
+        chains = [homology.phi(g, alpha) for alpha in cycles]
+        samples = region.sample(region.build_polytope(g, iota), 20, seed=inp.sample_seed)
+        assert len(samples) == 20
+        for theta in samples:
+            for alpha, chain in zip(cycles, chains):
+                assert _hex(angles.holonomy(g, theta, alpha)) == _hex(
+                    angles.corner_holonomies(theta, [chain])[0])
+        if k == 0:
+            # a cached cycle mutated by its caller is solved afresh, and a
+            # non-cycle raises on every call
+            cycle = dict(basis[0])
+            angles.holonomy(g, samples[0], cycle)
+            cycle.clear()
+            cycle.update(cycles[-2])
+            assert _hex(angles.holonomy(g, samples[1], cycle)) == _hex(
+                angles.corner_holonomies(samples[1], [chains[-2]])[0])
+            cycle[next(iter(cycle))] += 1
+            for _ in range(2):
+                with pytest.raises(ValueError, match="not a cycle"):
+                    angles.holonomy(g, samples[1], cycle)

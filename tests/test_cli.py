@@ -325,6 +325,24 @@ def test_a_non_finite_period_is_one_input_error_line(tmp_path, capsys, bad):
         assert err == "input error: malformed surface JSON: non-finite period at f1-/0\n"
 
 
+# the torus's half-edges f1-/0, f1-/1, f1-/2 pair with f1+/1, f1+/2, f1+/0
+@pytest.mark.parametrize("periods,problem", [
+    ({"f1+/0": [5.0, 0.0]}, "face 'f1+' does not close up (4.000e+00)"),
+    ({"f1-/0": [0.0, 0.0], "f1-/1": [1.0, 0.0], "f1+/1": [0.0, 0.0], "f1+/2": [-1.0, 0.0]},
+     "zero period at f1+/1"),
+    ({"f1-/0": [0.75, -0.5], "f1-/1": [0.25, 0.5]}, "period mismatch across edge of f1+/1"),
+])
+def test_a_surface_that_fails_its_check_is_one_input_error_line(tmp_path, capsys, periods, problem):
+    surface = _torus_surface_json()
+    surface["periods"].update(periods)
+    surface_file = tmp_path / "surface.json"
+    surface_file.write_text(json.dumps(surface))
+    for action in ("check", "flip"):
+        code, out, err = run_cli(capsys, "delaunay", action, str(surface_file))
+        assert (code, out) == (2, "")
+        assert err == f"input error: malformed surface JSON: {problem}\n"
+
+
 def test_disconnected_surface_is_one_error_line(tmp_path, capsys):
     from isodelaunay import develop, origami
 

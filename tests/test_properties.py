@@ -29,6 +29,8 @@ from hypothesis import strategies as st
 from chain_oracles import apply_to_chain, boundary, chain_add, chain_neg, p_map, pairing_vector
 from delaunay_oracles import circumcircle_cross_check, delaunay_sum, flip_edge, incircle_det
 from isodelaunay import angles, develop, homology, matching, origami, region, ribbon
+from region_oracles import (generic_sample, open_polytope, point_polytope, reflected_face,
+                            wide_row_polytope)
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -339,6 +341,26 @@ def test_region_samples_are_invariant_inside_and_reproducible(o, seed):
         assert poly.slack(theta) >= region.MARGIN
         assert poly.equality_residual(theta) <= 1e-14
     assert region.sample(poly, 5, seed=seed) == pts
+
+
+def _hex_samples(samples):
+    return [[(c, v.hex()) for c, v in t.items()] for t in samples]
+
+
+@PROPERTY
+@given(graphs(), glued_triangles(), st.integers(0, 2**32 - 1))
+def test_sample_matches_the_generic_row_walk_bit_for_bit(triple, glued, seed):
+    # the sampler's compiled rows against the walk that loops over each row's
+    # terms: on region polytopes and their positivity-only versions, a line
+    # block, a row of three terms and a single point
+    polytopes = [reflected_face(), wide_row_polytope(), point_polytope()]
+    for g in (*triple, glued):
+        found = matching.find_matchings(g, limit=1).matchings
+        if found:
+            polytopes += [region.build_polytope(g, found[0]), open_polytope(g, found[0])]
+    for poly in polytopes:
+        assert _hex_samples(region.sample(poly, 3, seed=seed)) == _hex_samples(
+            generic_sample(poly, 3, seed=seed))
 
 
 def _flip_rebuilding_the_graph(surface, edge):

@@ -7,7 +7,8 @@ import pytest
 
 from delaunay_oracles import circumcircle_cross_check, delaunay_sum, in_delaunay_region
 from isodelaunay import angles, homology, origami, region, surgery
-from region_oracles import dense_sample, open_polytope
+from region_oracles import (dense_sample, generic_sample, open_polytope, point_polytope,
+                            reflected_face, wide_row_polytope)
 
 
 def build(o):
@@ -211,19 +212,13 @@ def test_block_walk_agrees_with_the_dense_walk(square_l, prym):
         assert max(z) < 4.5
 
 
-def _reflected_face():
-    # one face whose corners 1 and 2 share an orbit, as under a map that
-    # reflects the face onto itself: theta0 + 2 theta1 = pi is a 1-D block
-    a, b, c = ("f", 0), ("f", 1), ("f", 2)
-    return region.RegionPolytope(
-        [a, b, c], [{a: 1, b: 1, c: 1}, {b: 1, c: -1}], [math.pi, 0.0],
-        [{a: -1.0}, {b: -1.0}, {c: -1.0}], [0.0, 0.0, 0.0], 1, {a: 0, b: 1, c: 1})
-
-
 def test_a_face_with_paired_corners_is_a_line():
-    poly = _reflected_face()
-    (orbits, (u0, u1), _), = region._blocks(poly)
+    poly = reflected_face()
+    (orbits, (u0, u1), rows, wide), = region._blocks(poly)
     assert orbits == (0, 1) and not any(u1)
+    # two positivity rows, each of one term, padded with the spare orbit 2
+    assert not wide and sorted(row[3:] for row in rows) == [
+        (0, -1.0, 2, 0.0), (1, -1.0, 2, 0.0)]
     assert abs(u0[0] + 2 * u0[1]) < 1e-15
     pts = region.sample(poly, 400, seed=2)
     for t in pts:
@@ -237,14 +232,31 @@ def test_a_face_with_paired_corners_is_a_line():
 
 
 def test_a_zero_dimensional_polytope_repeats_its_point():
-    c = ("f", 0)
-    poly = region.RegionPolytope([c], [{c: 1.0}], [math.pi / 3], [{c: -1.0}], [0.0], 0, {c: 0})
-    assert region.sample(poly, 3, seed=4) == [{c: math.pi / 3}] * 3
+    assert region.sample(point_polytope(), 3, seed=4) == [{("f", 0): math.pi / 3}] * 3
+
+
+def test_a_row_of_three_terms_is_read_through_the_generic_loop():
+    poly = wide_row_polytope()
+    # the row touches both blocks, and each keeps it whole
+    assert [[terms for *_, terms in wide] for *_, wide in region._blocks(poly)] == [
+        [((0, 1.0), (1, 1.0), (3, 2.0))]] * 2
+    pts = region.sample(poly, 200, seed=6)
+    assert pts == generic_sample(poly, 200, seed=6)
+    # the walk reaches the row's wall, so the generic loop bounds some chords
+    lhs = [t[("f", 0)] + t[("f", 1)] + 2 * t[("g", 0)] for t in pts]
+    assert max(lhs) > 1.6 * math.pi and all(poly.slack(t) >= region.MARGIN for t in pts)
+
+
+@pytest.mark.parametrize("n", [-1, -7])
+def test_a_negative_sample_count_is_refused(square_l, n):
+    _, poly = build(square_l)
+    with pytest.raises(ValueError, match=f"sample count must be at least 0, got {n}"):
+        region.sample(poly, n)
 
 
 def test_blocks_that_miss_the_dimension_are_refused(run_optimized):
     with pytest.raises(AssertionError, match="face-orbit blocks of total null dimension 2"):
-        region.sample(dataclasses.replace(_reflected_face(), dimension=2), 1)
+        region.sample(dataclasses.replace(reflected_face(), dimension=2), 1)
     # the certificate is no assert statement, so it holds under python -O too
     assert run_optimized(
         "import math\n"
