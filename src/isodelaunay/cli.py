@@ -152,6 +152,8 @@ def cmd_holonomy(args) -> int:
 def cmd_match_find(args) -> int:
     if args.limit is not None and args.limit < 1:
         raise InputError(f"--limit must be at least 1, got {args.limit}")
+    if args.deadline is not None and not args.deadline >= 0:
+        raise InputError(f"--deadline must be at least 0, got {args.deadline}")
     g = _load_graph(args.graph)
     res = matching_mod.find_matchings(g, limit=args.limit, deadline=args.deadline)
     result = {
@@ -319,9 +321,7 @@ def cmd_origami_sweep(args) -> int:
             checked += 1
             g = origami_mod.build_origami_graph(o)
             canonical_ok = bool(matching_mod.verify_matching(g, origami_mod.canonical_matching(o)))
-            exists = bool(
-                matching_mod.find_matchings(g, limit=1, deadline=args.deadline).matchings
-            )
+            exists = bool(matching_mod.find_matchings(g, limit=1).matchings)
             if not (net.arboreal == canonical_ok == exists):
                 mismatches.append(
                     {
@@ -431,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     pdv.set_defaults(func=cmd_origami_develop)
     ps = osub.add_parser("sweep")
     ps.add_argument("--max-squares", type=int, default=4, dest="max_squares")
-    ps.add_argument("--deadline", type=float, default=None)
     ps.set_defaults(func=cmd_origami_sweep)
 
     p = sub.add_parser("sum", help="connected sum of two graphs")

@@ -11,18 +11,17 @@ this equilateral optimum, certified against the constraints.
 
 ``sample`` runs a coordinate hit-and-run walk from that point, with one
 variable per iota-orbit of corners, so every sample is iota-invariant bit
-for bit.  In orbit coordinates the equalities split into blocks: one face
-row per face orbit, with at most three variables and disjoint from every
-other block.  A block with coefficients (1, 1, 1) leaves a plane of
-directions, one with (2, 1), where two corners of a face share an orbit, a
-line, and one with (3) no direction.  A block step picks a block uniformly,
-a uniform direction in its null space, and a uniform point on the chord
-that the inequality rows touching the block leave open, so a step costs a
-few rows and no matrix.  ``build_polytope`` makes rows of one or two terms
-only; ``sample`` compiles each of them once per call into a flat tuple,
-padding a one-term row with a spare orbit held at 0.0, so a step reads a
-row's room in one expression, with the float operations of a loop over
-its terms.  A wider row, in a polytope built by hand, keeps that loop.
+for bit.  A triangle matching is Z/3-equivariant, so the three corners of
+a face lie in three orbits or all in one.  In orbit coordinates the
+equalities split into one face row per face orbit, disjoint from every
+other: (1, 1, 1), a plane block, or (3), a point that never moves.  A block
+step picks a plane block uniformly, a uniform direction in it, and a
+uniform point on the chord that the inequality rows touching the block
+leave open, so a step costs a few rows and no matrix.  ``build_polytope``
+makes inequality rows of one or two terms only; ``sample`` compiles each
+of them once per call into a flat tuple, padding a one-term row with a
+spare orbit held at 0.0, so a step reads a row's room in one expression.
+Any other face row, and any wider inequality row, is refused.
 The schedule is counted in block steps: ``BURN_IN_PER_DIM`` steps per
 dimension of burn-in, then one sample kept every ``STRIDE`` steps.  All
 randomness is drawn from ``random.Random(seed).random()``, whose stream
@@ -197,60 +196,60 @@ def _null_basis(coeffs: list[float]) -> list[list[float]]:
             w = [a - dot * b for a, b in zip(w, q)]
         size = math.sqrt(sum(a * a for a in w))
         # a unit vector already in the span leaves only a rounding residue;
-        # one that adds a direction to (1, 1, 1) or (2, 1) leaves more than 0.4
+        # one that adds a direction to (1, 1, 1) leaves more than 0.4
         if size > 1e-6:
             basis.append([a / size for a in w])
     return basis[1:]
 
 
-def _blocks(polytope: RegionPolytope) -> list[tuple]:
-    """The walk's blocks: one per distinct face row in orbit coordinates.
+# the orthonormal basis of every plane block's directions
+_PLANE = _null_basis([1, 1, 1])
 
-    Each block is (orbits, basis, rows, wide): the block's orbit variables,
-    an orthonormal basis of its null space as two vectors (the second all
-    zero for a line), and every inequality row touching its variables, with
-    rates r0, r1 along the two basis vectors and ``bound``, its right-hand
-    side less ``MARGIN``.  ``rows`` holds the rows of one or two terms as
-    (r0, r1, bound, oa, va, ob, vb), a one-term row padded with the spare
-    orbit ``ob`` = number of orbits and ``vb`` = 0.0; ``wide`` holds the
-    others as (r0, r1, bound, terms).  The blocks must partition the
-    orbits, have at most three orbits each, and have null dimensions that
-    sum to ``polytope.dimension``.
+
+def _blocks(polytope: RegionPolytope) -> list[tuple]:
+    """The walk's plane blocks, one per distinct (1, 1, 1) face row in orbit
+    coordinates.
+
+    Each block is (triples, rows): an (orbit, w0, w1) triple per orbit
+    variable, with its entries in the two vectors of ``_PLANE``, and every
+    inequality row touching the block as (r0, r1, bound, oa, va, ob, vb):
+    its rates along the two vectors, its right-hand side less ``MARGIN``,
+    and its one or two (orbit, coefficient) terms, a one-term row padded
+    with the spare orbit ``ob`` = number of orbits and ``vb`` = 0.0.
+    ValueError for a face row other than (1, 1, 1) or (3), or an inequality
+    row of more than two terms.  The face rows must partition the orbits,
+    and two dimensions per plane must sum to ``polytope.dimension``.
     """
     orbit_of = polytope.orbit_of
     face_rows = sorted({r for r in (_collapse(row, orbit_of) for row in polytope.eq_rows) if r})
+    for row in face_rows:
+        if tuple(v for _, v in row) not in ((1, 1, 1), (3,)):
+            raise ValueError(f"face row {row} in orbit coordinates is neither (1, 1, 1) nor (3)")
+    n_orbits = max(orbit_of.values()) + 1
     block_of = {o: b for b, row in enumerate(face_rows) for o, _ in row}
-    # face rows with the same coefficients share one null basis
-    coeffs = [tuple(v for _, v in row) for row in face_rows]
-    null = {k: _null_basis(list(k)) for k in set(coeffs)}
-    bases = [null[k] for k in coeffs]
-    if (len(block_of) != sum(len(row) for row in face_rows)
-            or len(block_of) != max(orbit_of.values()) + 1
-            or any(len(row) > 3 for row in face_rows)
-            or sum(map(len, bases)) != polytope.dimension):
+    dims = [len(row) - 1 for row in face_rows]
+    if (len(block_of) != sum(map(len, face_rows)) or len(block_of) != n_orbits
+            or sum(dims) != polytope.dimension):
         raise AssertionError(
             f"equality rows do not split into face-orbit blocks of total null dimension "
-            f"{polytope.dimension}: null dimensions {[len(b) for b in bases]}"
+            f"{polytope.dimension}: null dimensions {dims}"
         )
-    for k, basis in null.items():
-        basis.extend([[0.0] * len(k)] * (2 - len(basis)))
-    rows: list[tuple[list, list]] = [([], []) for _ in face_rows]
-    spare = ((len(block_of), 0.0),)
+    rows: list[list[tuple]] = [[] for _ in face_rows]
+    spare = ((n_orbits, 0.0),)
     ineqs = dict.fromkeys(
         (_collapse(row, orbit_of), b) for row, b in zip(polytope.ineq_rows, polytope.ineq_rhs)
     )
     position = [{o: i for i, (o, _) in enumerate(row)} for row in face_rows]
     for terms, b in ineqs:
+        if len(terms) > 2:
+            raise ValueError(f"inequality row {terms} in orbit coordinates has more than two terms")
         for blk in sorted({block_of[o] for o, _ in terms}):
             pos = position[blk]
-            rates = [sum(v * u[pos[o]] for o, v in terms if o in pos) for u in bases[blk]]
-            if len(terms) > 2:
-                rows[blk][1].append((*rates, b - MARGIN, terms))
-            else:
-                (oa, va), (ob, vb) = (terms + spare)[:2]
-                rows[blk][0].append((*rates, b - MARGIN, oa, va, ob, vb))
-    return [(tuple(o for o, _ in row), basis, *block_rows)
-            for row, basis, block_rows in zip(face_rows, bases, rows) if any(basis[0])]
+            rates = [sum(v * u[pos[o]] for o, v in terms if o in pos) for u in _PLANE]
+            (oa, va), (ob, vb) = (terms + spare)[:2]
+            rows[blk].append((*rates, b - MARGIN, oa, va, ob, vb))
+    return [(tuple(zip((o for o, _ in row), *_PLANE)), block_rows)
+            for row, block_rows in zip(face_rows, rows) if len(row) == 3]
 
 
 def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignment]:
@@ -269,9 +268,7 @@ def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignm
     dim = polytope.dimension
     if dim == 0:
         return [dict(start) for _ in range(n)]
-    # each block as ((orbit, w0, w1) triples, whether it is a plane, rows, wide rows)
-    blocks = [(tuple(zip(orbits, u0, u1)), any(u1), rows, wide)
-              for orbits, (u0, u1), rows, wide in _blocks(polytope)]
+    blocks = _blocks(polytope)
     n_blocks = len(blocks)
     rand = random.Random(seed).random
     sqrt, inf = math.sqrt, math.inf
@@ -287,20 +284,17 @@ def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignm
     keep = burn_in + STRIDE - 1  # the next step whose point is kept
     for step in range(burn_in + STRIDE * n):
         b = int(rand() * n_blocks)
-        triples, plane, rows, wide = blocks[b]
-        if plane:
-            r2 = 0.0
-            while not 0.0 < r2 <= 1.0:
-                p, q = 2.0 * rand() - 1.0, 2.0 * rand() - 1.0
-                r2 = p * p + q * q
-            r = sqrt(r2)
-            d0, d1 = p / r, q / r
-        else:
-            d0, d1 = 1.0, 0.0
+        triples, rows = blocks[b]
+        r2 = 0.0
+        while not 0.0 < r2 <= 1.0:
+            p, q = 2.0 * rand() - 1.0, 2.0 * rand() - 1.0
+            r2 = p * p + q * q
+        r = sqrt(r2)
+        d0, d1 = p / r, q / r
         lo, hi = -inf, inf
-        # a row's room, bound - va y[oa] - vb y[ob], is what the loop over
-        # terms below leaves: a one-term row has vb = y[ob] = 0.0, and
-        # x - 0.0 is x to the bit
+        # a row's room, bound - va y[oa] - vb y[ob], is what a loop over its
+        # terms leaves: a one-term row has vb = y[ob] = 0.0, and x - 0.0 is
+        # x to the bit
         for rate0, rate1, bound, oa, va, ob, vb in rows:
             g = d0 * rate0 + d1 * rate1
             if g > 1e-14:
@@ -311,19 +305,6 @@ def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignm
                 x = (bound - va * y[oa] - vb * y[ob]) / g
                 if x > lo:
                     lo = x
-        for rate0, rate1, bound, terms in wide:
-            g = d0 * rate0 + d1 * rate1
-            if -1e-14 <= g <= 1e-14:
-                continue
-            room = bound
-            for o, v in terms:
-                room -= v * y[o]
-            x = room / g
-            if g > 0.0:
-                if x < hi:
-                    hi = x
-            elif x > lo:
-                lo = x
         if lo < hi:
             t = lo + (hi - lo) * rand()
             zb = z[b]

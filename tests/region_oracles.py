@@ -28,7 +28,8 @@ def open_polytope(graph: TriRibbonGraph, iota: dict) -> region.RegionPolytope:
 
 def reflected_face() -> region.RegionPolytope:
     """One face whose corners 1 and 2 share an orbit, as under a map that
-    reflects the face onto itself: theta0 + 2 theta1 = pi is a 1-D block."""
+    reflects the face onto itself: its face row theta0 + 2 theta1 = pi is
+    (2, 1) in orbit coordinates, which no triangle matching makes."""
     a, b, c = ("f", 0), ("f", 1), ("f", 2)
     return region.RegionPolytope(
         [a, b, c], [{a: 1, b: 1, c: 1}, {b: 1, c: -1}], [math.pi, 0.0],
@@ -45,6 +46,18 @@ def wide_row_polytope() -> region.RegionPolytope:
         corners, [{(f, s): 1 for s in range(3)} for f in "fg"], [math.pi] * 2,
         [{c: -1.0} for c in corners] + [wide], [0.0] * 6 + [1.75 * math.pi], 4,
         {c: i for i, c in enumerate(corners)})
+
+
+def plane_and_point_polytope() -> region.RegionPolytope:
+    """Face f with its corners in three orbits, a plane block, and face g
+    with its corners in one orbit, a point held at pi/3; besides
+    positivity, one row across both: theta(f, 0) + theta(g, 1) < pi."""
+    corners = [(f, s) for f in "fg" for s in range(3)]
+    g0, g1, g2 = corners[3:]
+    return region.RegionPolytope(
+        corners, [{(f, s): 1 for s in range(3)} for f in "fg"] + [{g0: 1, g1: -1}, {g1: 1, g2: -1}],
+        [math.pi] * 2 + [0.0] * 2, [{c: -1.0} for c in corners] + [{("f", 0): 1.0, g1: 1.0}],
+        [0.0] * 6 + [math.pi], 2, {c: min(i, 3) for i, c in enumerate(corners)})
 
 
 def point_polytope() -> region.RegionPolytope:

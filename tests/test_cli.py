@@ -215,6 +215,27 @@ def test_sweep_outside_its_bound_is_input_error(capsys, n):
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+def test_the_sweep_takes_no_deadline(capsys):
+    # the sweep's search is one pass per graph, and a truncated search once
+    # read as "no matching" and reported false mismatches
+    with pytest.raises(SystemExit) as ex:
+        cli.run(["origami", "sweep", "--max-squares", "3", "--deadline", "0"])
+    assert ex.value.code == 2
+    assert "unrecognized arguments: --deadline 0" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "origami", "sweep", "--max-squares", "5")
+    assert code == 0 and json.loads(out) == {"checked": 25, "mismatches": []}
+
+
+@pytest.mark.parametrize("value", ["-1", "-0.5", "nan"])
+def test_a_deadline_below_0_or_nan_is_input_error(l_files, capsys, value):
+    graph, _ = l_files
+    code, out, err = run_cli(capsys, "match", "find", str(graph), "--deadline", value)
+    assert code == 2 and out == ""
+    assert err == f"input error: --deadline must be at least 0, got {float(value)}\n"
+    code, out, _ = run_cli(capsys, "match", "find", str(graph), "--deadline", "0")
+    assert code == 0 and json.loads(out)["count"] <= 1
+
+
 def test_reports_are_deterministic(l_files, capsys):
     graph, iota = l_files
     outputs = []

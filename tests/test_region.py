@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 
 from delaunay_oracles import circumcircle_cross_check, delaunay_sum, in_delaunay_region
 from isodelaunay import angles, homology, origami, region, surgery
-from region_oracles import (dense_sample, generic_sample, open_polytope, point_polytope,
-                            reflected_face, wide_row_polytope)
+from region_oracles import (dense_sample, generic_sample, open_polytope, plane_and_point_polytope,
+                            point_polytope, reflected_face, wide_row_polytope)
 
 
 def build(o):
@@ -212,39 +213,42 @@ def test_block_walk_agrees_with_the_dense_walk(square_l, prym):
         assert max(z) < 4.5
 
 
-def test_a_face_with_paired_corners_is_a_line():
-    poly = reflected_face()
-    (orbits, (u0, u1), rows, wide), = region._blocks(poly)
-    assert orbits == (0, 1) and not any(u1)
-    # two positivity rows, each of one term, padded with the spare orbit 2
-    assert not wide and sorted(row[3:] for row in rows) == [
-        (0, -1.0, 2, 0.0), (1, -1.0, 2, 0.0)]
-    assert abs(u0[0] + 2 * u0[1]) < 1e-15
-    pts = region.sample(poly, 400, seed=2)
-    for t in pts:
-        assert t[("f", 1)] == t[("f", 2)]
-        assert poly.slack(t) >= region.MARGIN
-        assert poly.equality_residual(t) <= 1e-14
-    # theta1 is uniform on (0, pi/2): mean pi/4, and both ends are reached
-    ys = [t[("f", 1)] for t in pts]
-    assert abs(sum(ys) / len(ys) - math.pi / 4) < 0.1
-    assert min(ys) < 0.1 and max(ys) > math.pi / 2 - 0.1
+def test_a_face_with_paired_corners_is_refused():
+    # theta0 + 2 theta1 = pi: two corners of the face share an orbit
+    for call in (region._blocks, lambda poly: region.sample(poly, 5, seed=2)):
+        with pytest.raises(ValueError, match=re.escape("face row ((0, 1), (1, 2)) in orbit")):
+            call(reflected_face())
 
 
 def test_a_zero_dimensional_polytope_repeats_its_point():
     assert region.sample(point_polytope(), 3, seed=4) == [{("f", 0): math.pi / 3}] * 3
 
 
-def test_a_row_of_three_terms_is_read_through_the_generic_loop():
-    poly = wide_row_polytope()
-    # the row touches both blocks, and each keeps it whole
-    assert [[terms for *_, terms in wide] for *_, wide in region._blocks(poly)] == [
-        [((0, 1.0), (1, 1.0), (3, 2.0))]] * 2
-    pts = region.sample(poly, 200, seed=6)
-    assert pts == generic_sample(poly, 200, seed=6)
-    # the walk reaches the row's wall, so the generic loop bounds some chords
-    lhs = [t[("f", 0)] + t[("f", 1)] + 2 * t[("g", 0)] for t in pts]
-    assert max(lhs) > 1.6 * math.pi and all(poly.slack(t) >= region.MARGIN for t in pts)
+def test_a_row_of_three_terms_is_refused():
+    row = "((0, 1.0), (1, 1.0), (3, 2.0))"
+    for call in (region._blocks, lambda poly: region.sample(poly, 200, seed=6)):
+        with pytest.raises(ValueError, match=re.escape(f"inequality row {row} in orbit")):
+            call(wide_row_polytope())
+
+
+def test_a_plane_beside_a_point_walks_the_plane_alone():
+    poly = plane_and_point_polytope()
+    (triples, rows), = region._blocks(poly)
+    assert [o for o, *_ in triples] == [0, 1, 2]
+    # three positivity rows and the row across f and g, whose second term
+    # is the point's orbit 3; a one-term row is padded with the spare orbit 4
+    assert sorted(row[3:] for row in rows) == [
+        (0, -1.0, 4, 0.0), (0, 1.0, 3, 1.0), (1, -1.0, 4, 0.0), (2, -1.0, 4, 0.0)]
+    pts = region.sample(poly, 200, seed=3)
+    assert [[v.hex() for v in t.values()] for t in pts] == [
+        [v.hex() for v in t.values()] for t in generic_sample(poly, 200, seed=3)]
+    for t in pts:
+        assert all(t[("g", s)] == math.pi / 3 for s in range(3))
+        assert poly.slack(t) >= region.MARGIN
+    # the plane moves, and the walk reaches the row across f and g, which
+    # bounds theta(f, 0) by 2 pi / 3
+    assert len({t[("f", 0)] for t in pts}) == 200
+    assert max(t[("f", 0)] for t in pts) > 0.6 * math.pi
 
 
 @pytest.mark.parametrize("n", [-1, -7])
@@ -255,14 +259,15 @@ def test_a_negative_sample_count_is_refused(square_l, n):
 
 
 def test_blocks_that_miss_the_dimension_are_refused(run_optimized):
-    with pytest.raises(AssertionError, match="face-orbit blocks of total null dimension 2"):
-        region.sample(dataclasses.replace(reflected_face(), dimension=2), 1)
+    with pytest.raises(AssertionError,
+                       match=re.escape("total null dimension 4: null dimensions [2, 0]")):
+        region.sample(dataclasses.replace(plane_and_point_polytope(), dimension=4), 1)
     # the certificate is no assert statement, so it holds under python -O too
     assert run_optimized(
         "import math\n"
         "from isodelaunay import region\n"
         "a, b, c = ('f', 0), ('f', 1), ('f', 2)\n"
-        "poly = region.RegionPolytope([a, b, c], [{a: 1, b: 1, c: 1}, {b: 1, c: -1}],\n"
-        "    [math.pi, 0.0], [{a: -1.0}, {b: -1.0}, {c: -1.0}], [0.0] * 3, 2, {a: 0, b: 1, c: 1})\n"
+        "poly = region.RegionPolytope([a, b, c], [{a: 1, b: 1, c: 1}], [math.pi],\n"
+        "    [{a: -1.0}, {b: -1.0}, {c: -1.0}], [0.0] * 3, 1, {a: 0, b: 1, c: 2})\n"
         "region.sample(poly, 1)"
     ).startswith("AssertionError: equality rows do not split")
