@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import homology
 from .homology import AngleChain
@@ -49,8 +49,7 @@ def angles_from_json(data: dict) -> AngleAssignment:
     return {parse_he_key(k): float(v) for k, v in data.items()}
 
 
-@dataclass(frozen=True)
-class HolonomyValue:
+class HolonomyValue(NamedTuple):
     log_modulus: float
     phase: float  # radians, not reduced
 
@@ -71,15 +70,17 @@ def corner_holonomies(theta: AngleAssignment, chains: list[AngleChain]) -> list[
     log_ratio: dict[Corner, float] = {}
     out = []
     for a in chains:
-        total = 0.0
-        for (f, slot), coeff in a.items():
-            d = log_ratio.get((f, slot))
+        total = phase = 0.0
+        for c, coeff in a.items():
+            d = log_ratio.get(c)
             if d is None:
+                f, slot = c
                 num = math.sin(theta[(f, (slot + 1) % 3)])
                 den = math.sin(theta[(f, (slot + 2) % 3)])
-                d = log_ratio[(f, slot)] = math.log(num) - math.log(den)
+                d = log_ratio[c] = math.log(num) - math.log(den)
             total += coeff * d
-        out.append(HolonomyValue(total, sum(coeff * theta[c] for c, coeff in a.items())))
+            phase += coeff * theta[c]
+        out.append(HolonomyValue(total, phase))
     return out
 
 
@@ -93,22 +94,27 @@ def holonomies(
 def holonomy(graph: TriRibbonGraph, theta: AngleAssignment, cycle: homology.Chain1) -> HolonomyValue:
     """Total holonomy of a cycle: dilation times rotation of its corner chain.
 
-    The corner chain is solved by ``homology.phi`` once per graph and cycle
-    contents, and cached on the graph as (coefficient, corner, numerator,
-    denominator) rows; ValueError, on every call, if ``cycle`` is not a
-    cycle.  The value is that of ``corner_holonomies`` to the bit.
+    The corner chain is solved by ``homology.phi`` once per graph and cycle,
+    and kept on the graph as (coefficient, corner, numerator, denominator)
+    rows under the cycle's ``id``, next to a copy of the cycle; a later call
+    uses the rows only if the copy still equals ``cycle``, so a cycle that
+    its caller changed, or a new one at a reused ``id``, is solved afresh.
+    ValueError, on every call, if ``cycle`` is not a cycle.  The value is
+    that of ``corner_holonomies`` to the bit.
     """
-    key = tuple(cycle.items())
-    table = graph._corner_chains.get(key)
-    if table is None:
-        table = graph._corner_chains[key] = tuple(
-            (coeff, (f, slot), (f, (slot + 1) % 3), (f, (slot + 2) % 3))
-            for (f, slot), coeff in homology.phi(graph, cycle).items())
+    entry = graph._corner_chains.get(id(cycle))
+    if entry is not None and entry[0] == cycle:
+        table = entry[1]
+    else:
+        table = tuple((coeff, (f, slot), (f, (slot + 1) % 3), (f, (slot + 2) % 3))
+                      for (f, slot), coeff in homology.phi(graph, cycle).items())
+        graph._corner_chains[id(cycle)] = (dict(cycle), table)
     log, sin = math.log, math.sin
-    total = 0.0
-    for coeff, _, num, den in table:
+    total = phase = 0.0
+    for coeff, c, num, den in table:
         total += coeff * (log(sin(theta[num])) - log(sin(theta[den])))
-    return HolonomyValue(total, sum(coeff * theta[c] for coeff, c, _, _ in table))
+        phase += coeff * theta[c]
+    return HolonomyValue(total, phase)
 
 
 def is_trivial_holonomy(

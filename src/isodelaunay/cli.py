@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import sys
 
 from . import angles as angles_mod
@@ -447,6 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise InputError(f"--tol must be a finite number at least 0, got {args.tol}")
         return args.func(args)
     except InputError as ex:
         print(f"input error: {ex}", file=sys.stderr)

@@ -90,10 +90,13 @@ def find_matchings(
     of triples up to rotation is as large as [-T], and then no partial
     assignment is a dead end.  ``limit`` (at least 1, or None) caps the
     matchings returned, each checked by ``verify_matching``; ``deadline``
-    (seconds) truncates the search, flagging incompleteness.
+    (seconds, at least 0, or None) truncates the search, flagging
+    incompleteness.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
+    if deadline is not None and not deadline >= 0:
+        raise ValueError(f"deadline must be at least 0, got {deadline}")
     basis = homology.cycle_basis(graph)
     faces = sorted(graph.face_ids)
     pairings: dict[HalfEdge, list] = {h: [] for h in graph.half_edges()}

@@ -7,7 +7,8 @@ The slack of a point is at most its least angle, which is at most pi/3
 because every face sums to pi.  The equilateral point theta = pi/3 meets
 every face and orbit equality and has Delaunay sums of 2 pi/3, so its slack
 is pi/3, and it is the only point with that slack.  ``analyze`` reports
-this equilateral optimum, certified against the constraints.
+this equilateral optimum, certified against the constraints once per
+polytope.
 
 ``sample`` runs a coordinate hit-and-run walk from that point, with one
 variable per iota-orbit of corners, so every sample is iota-invariant bit
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import matching as matching_mod
 from .angles import AngleAssignment
@@ -52,6 +53,12 @@ CERTIFICATE_TOL = 1e-9
 
 @dataclass
 class RegionPolytope:
+    """A region's constraint system over corner variables.
+
+    A polytope is never changed after it is built (``dataclasses.replace``
+    builds a new one), so its optimum, once certified, stays certified.
+    """
+
     corners: list[Corner]
     # equalities: sparse integer rows ax = b
     eq_rows: list[dict[Corner, float]]
@@ -63,6 +70,9 @@ class RegionPolytope:
     dimension: int
     # index of each corner's iota-orbit: the sampler's variables
     orbit_of: dict[Corner, int]
+    # the certified (theta, slack) of ``optimum``, kept once its certificate passes
+    _optimum: tuple[AngleAssignment, float] | None = field(default=None, init=False,
+                                                           repr=False, compare=False)
 
     @property
     def n_vars(self) -> int:
@@ -85,20 +95,25 @@ class RegionPolytope:
     def optimum(self) -> tuple[AngleAssignment, float]:
         """The equilateral point theta = pi/3 and its recomputed slack.
 
-        The point is certified before it is returned: its equality residual
-        and the distance of its slack from pi/3 must be within
+        The point is certified on the first call: its equality residual and
+        the distance of its slack from pi/3 must be within
         ``CERTIFICATE_TOL``, which holds for every polytope that
-        ``build_polytope`` makes.
+        ``build_polytope`` makes.  A point that passes is kept, and every
+        call returns a fresh copy of it; one that fails raises
+        ``RuntimeError`` on every call.
         """
-        theta = {c: math.pi / 3 for c in self.corners}
-        residual = self.equality_residual(theta)
-        slack = self.slack(theta)
-        if residual > CERTIFICATE_TOL or abs(slack - math.pi / 3) > CERTIFICATE_TOL:
-            raise RuntimeError(
-                f"equilateral point fails its certificate: equality residual {residual:.3e}, "
-                f"slack {slack!r} instead of pi/3"
-            )
-        return theta, slack
+        if self._optimum is None:
+            theta = {c: math.pi / 3 for c in self.corners}
+            residual = self.equality_residual(theta)
+            slack = self.slack(theta)
+            if residual > CERTIFICATE_TOL or abs(slack - math.pi / 3) > CERTIFICATE_TOL:
+                raise RuntimeError(
+                    f"equilateral point fails its certificate: equality residual {residual:.3e}, "
+                    f"slack {slack!r} instead of pi/3"
+                )
+            self._optimum = theta, slack
+        theta, slack = self._optimum
+        return dict(theta), slack
 
 
 def build_polytope(
@@ -175,7 +190,24 @@ MARGIN = 1e-9
 
 def _collapse(row: dict[Corner, float], orbit_of: dict[Corner, int]) -> tuple:
     """A sparse corner row in orbit coordinates: sorted (orbit, coefficient)
-    pairs, zero coefficients dropped."""
+    pairs, zero coefficients dropped.
+
+    A row of one or two terms, as every positivity, orbit and Delaunay row
+    is, is collapsed without a dict (but for two orbits and a zero
+    coefficient); the sum va + vb of two terms in one orbit is what the
+    dict's 0 + va + vb gives whenever it is not zero.
+    """
+    if len(row) == 1:
+        ((c, v),) = row.items()
+        return ((orbit_of[c], v),) if v != 0 else ()
+    if len(row) == 2:
+        (ca, va), (cb, vb) = row.items()
+        oa, ob = orbit_of[ca], orbit_of[cb]
+        if oa == ob:
+            v = va + vb
+            return ((oa, v),) if v != 0 else ()
+        if va != 0 and vb != 0:
+            return ((oa, va), (ob, vb)) if oa < ob else ((ob, vb), (oa, va))
     out: dict[int, float] = {}
     for c, v in row.items():
         o = orbit_of[c]
@@ -239,15 +271,27 @@ def _blocks(polytope: RegionPolytope) -> list[tuple]:
     ineqs = dict.fromkeys(
         (_collapse(row, orbit_of), b) for row, b in zip(polytope.ineq_rows, polytope.ineq_rhs)
     )
-    position = [{o: i for i, (o, _) in enumerate(row)} for row in face_rows]
+    # each orbit's index in its face row: the entry of ``_PLANE``'s vectors it reads
+    position = {o: i for row in face_rows for i, (o, _) in enumerate(row)}
+    u0, u1 = _PLANE
     for terms, b in ineqs:
         if len(terms) > 2:
             raise ValueError(f"inequality row {terms} in orbit coordinates has more than two terms")
-        for blk in sorted({block_of[o] for o, _ in terms}):
-            pos = position[blk]
-            rates = [sum(v * u[pos[o]] for o, v in terms if o in pos) for u in _PLANE]
-            (oa, va), (ob, vb) = (terms + spare)[:2]
-            rows[blk].append((*rates, b - MARGIN, oa, va, ob, vb))
+        if not terms:
+            continue
+        (oa, va), (ob, vb) = (terms + spare)[:2]
+        row = (b - MARGIN, oa, va, ob, vb)
+        # a block's rates sum the row's terms in that block from 0.0, as the
+        # reference walk in tests/region_oracles.py does, so a -0.0 product reads 0.0
+        pa, blk = position[oa], block_of[oa]
+        r0, r1 = 0.0 + va * u0[pa], 0.0 + va * u1[pa]
+        if len(terms) == 2:
+            pb = position[ob]
+            if block_of[ob] == blk:
+                r0, r1 = r0 + vb * u0[pb], r1 + vb * u1[pb]
+            else:
+                rows[block_of[ob]].append((0.0 + vb * u0[pb], 0.0 + vb * u1[pb], *row))
+        rows[blk].append((r0, r1, *row))
     return [(tuple(zip((o for o, _ in row), *_PLANE)), block_rows)
             for row, block_rows in zip(face_rows, rows) if len(row) == 3]
 
@@ -258,6 +302,8 @@ def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignm
 
     Each sample gives every corner the value of its orbit, so it is
     iota-invariant exactly, and keeps slack ``MARGIN`` on every inequality.
+    The walk starts at ``polytope.optimum``, whose certificate is computed
+    once per polytope, so after ``analyze`` it is not computed again.
     ValueError if ``n`` is negative.
     """
     if n < 0:

@@ -66,11 +66,12 @@ class TriRibbonGraph:
             for slot, e in enumerate(b):
                 occ.setdefault(e, []).append((f, slot))
         self._occurrences = occ
-        # cycle items -> its corner chain compiled as a table of (coefficient,
-        # corner, numerator corner, denominator corner), filled by
-        # ``angles.holonomy``; the graph never changes, so a chain solved
-        # once stays right
-        self._corner_chains: dict[tuple, tuple] = {}
+        # id(cycle) -> (copy of the cycle, its corner chain compiled as a table
+        # of (coefficient, corner, numerator corner, denominator corner)),
+        # filled by ``angles.holonomy``: keyed by identity, confirmed by
+        # content, since a hit needs the copy to equal the cycle; the graph
+        # never changes, so a chain solved once stays right
+        self._corner_chains: dict[int, tuple[dict, tuple]] = {}
         # the cycle basis, built once by ``homology.cycle_basis``, which hands
         # out copies so that no caller can change it
         self._cycle_basis: list[dict] | None = None

@@ -1,8 +1,9 @@
 """The open invariant polytope, the constant-holonomy check over its
 samples, and two walks that ``region.sample`` is compared against: the
 dense hit-and-run walk, for its law, and the block walk that reads every
-row through a loop over its terms, for its bits.  Only tests and
-``tools/output_digest.py`` need them."""
+row through a loop over its terms, for its bits, and the dict-and-sort
+collapse of a row that ``region._collapse`` is compared against.  Only
+tests and ``tools/output_digest.py`` need them."""
 
 import dataclasses
 import math
@@ -58,6 +59,18 @@ def plane_and_point_polytope() -> region.RegionPolytope:
         corners, [{(f, s): 1 for s in range(3)} for f in "fg"] + [{g0: 1, g1: -1}, {g1: 1, g2: -1}],
         [math.pi] * 2 + [0.0] * 2, [{c: -1.0} for c in corners] + [{("f", 0): 1.0, g1: 1.0}],
         [0.0] * 6 + [math.pi], 2, {c: min(i, 3) for i, c in enumerate(corners)})
+
+
+def plane_with_a_row_inside() -> region.RegionPolytope:
+    """One face in three orbits, a plane block, and besides positivity a row
+    of two terms inside it: theta(f, 1) - theta(f, 2) < pi / 3.  No matching
+    on the benchmark's inputs makes a Delaunay row whose two corners share a
+    face orbit."""
+    corners = [("f", s) for s in range(3)]
+    return region.RegionPolytope(
+        corners, [{c: 1 for c in corners}], [math.pi],
+        [{c: -1.0} for c in corners] + [{("f", 1): 1.0, ("f", 2): -1.0}],
+        [0.0] * 3 + [math.pi / 3], 2, {c: i for i, c in enumerate(corners)})
 
 
 def point_polytope() -> region.RegionPolytope:
@@ -157,6 +170,17 @@ def dense_sample(polytope: region.RegionPolytope, n: int, seed: int = 0) -> list
     return out
 
 
+def generic_collapse(row: dict, orbit_of: dict) -> tuple:
+    """``region._collapse`` as it stood before its rows of one or two terms
+    were read without a dict: every row summed into a dict from 0, sorted,
+    zero coefficients dropped."""
+    out: dict = {}
+    for c, v in row.items():
+        o = orbit_of[c]
+        out[o] = out.get(o, 0) + v
+    return tuple(sorted((o, v) for o, v in out.items() if v != 0))
+
+
 def _generic_blocks(polytope: region.RegionPolytope) -> list[tuple]:
     """The walk's blocks: one per distinct face row in orbit coordinates.
 
@@ -170,7 +194,7 @@ def _generic_blocks(polytope: region.RegionPolytope) -> list[tuple]:
     ``polytope.dimension``.
     """
     orbit_of = polytope.orbit_of
-    collapsed = (region._collapse(row, orbit_of) for row in polytope.eq_rows)
+    collapsed = (generic_collapse(row, orbit_of) for row in polytope.eq_rows)
     face_rows = sorted({r for r in collapsed if r})
     block_of = {o: b for b, row in enumerate(face_rows) for o, _ in row}
     bases = [region._null_basis([v for _, v in row]) for row in face_rows]
@@ -186,7 +210,7 @@ def _generic_blocks(polytope: region.RegionPolytope) -> list[tuple]:
         basis.extend([[0.0] * len(row)] * (2 - len(basis)))
     rows: list[list[tuple]] = [[] for _ in face_rows]
     ineqs = dict.fromkeys(
-        (region._collapse(row, orbit_of), b)
+        (generic_collapse(row, orbit_of), b)
         for row, b in zip(polytope.ineq_rows, polytope.ineq_rhs)
     )
     position = [{o: i for i, (o, _) in enumerate(row)} for row in face_rows]

@@ -262,3 +262,36 @@ def test_holonomy_tables_match_the_corner_chain_kernel_on_region_samples(monkeyp
             for _ in range(2):
                 with pytest.raises(ValueError, match="not a cycle"):
                     angles.holonomy(g, samples[1], cycle)
+
+
+def test_holonomy_memo_is_keyed_by_identity_and_confirmed_by_content(prym_graph):
+    g = prym_graph
+    rng = random.Random(5)
+    theta = _random_angles(g, rng)
+    basis = homology.cycle_basis(g)
+    cycles = [basis[0], chain_add(basis[1], chain_neg(basis[2]))]
+    expected = [_hex(angles.corner_holonomies(theta, [homology.phi(g, a)])[0]) for a in cycles]
+    assert expected[0] != expected[1]
+    # the same dict, called again and again
+    for _ in range(3):
+        assert _hex(angles.holonomy(g, theta, cycles[0])) == expected[0]
+    # one dict whose contents change between calls
+    cycle = {}
+    for k in range(6):
+        cycle.clear()
+        cycle.update(cycles[k % 2])
+        assert _hex(angles.holonomy(g, theta, cycle)) == expected[k % 2]
+    # short-lived dicts of alternating contents, so that a freed dict's id
+    # comes back holding the other cycle
+    seen: dict[int, set] = {}
+    for k in range(200):
+        alpha = dict(cycles[k % 2])
+        seen.setdefault(id(alpha), set()).add(k % 2)
+        assert _hex(angles.holonomy(g, theta, alpha)) == expected[k % 2]
+        del alpha
+    assert any(len(contents) == 2 for contents in seen.values())
+    value = angles.holonomy(g, theta, cycles[0])
+    assert isinstance(value, angles.HolonomyValue) and repr(value) == (
+        f"HolonomyValue(log_modulus={value.log_modulus!r}, phase={value.phase!r})")
+    with pytest.raises(AttributeError):
+        value.phase = 0.0

@@ -508,3 +508,22 @@ def test_a_count_below_its_least_value_is_input_error(l_files, capsys, flag, val
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"input error: {flag} must be at least {1 if flag == '--limit' else 0}, got {value}\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["develop", "holonomy"])
+def test_a_tol_that_is_not_finite_or_is_below_0_is_input_error(l_files, tmp_path, capsys,
+                                                               command, value):
+    # a NaN tolerance let a surface that does not close through, and -1
+    # reported an obstruction with residual 0
+    from isodelaunay import angles as angles_mod, origami
+
+    graph, _ = l_files
+    theta = origami.standard_angles(origami.Origami.from_spec("h=(12);v=(13)"))
+    angles_file = tmp_path / "angles.json"
+    angles_file.write_text(json.dumps(angles_mod.angles_to_json(theta)))
+    code, out, err = run_cli(capsys, f"--tol={value}", command, str(graph), str(angles_file))
+    assert code == 2 and out == ""
+    assert err == f"input error: --tol must be a finite number at least 0, got {float(value)}\n"
+    code, out, _ = run_cli(capsys, "--tol=0", command, str(graph), str(angles_file))
+    assert code == 0 and out

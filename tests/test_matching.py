@@ -80,6 +80,14 @@ def test_find_matchings_rejects_a_limit_below_one(square_l_graph, limit):
         matching.find_matchings(square_l_graph, limit=limit)
 
 
+@pytest.mark.parametrize("deadline", [-1.0, float("nan")])
+def test_find_matchings_rejects_a_deadline_below_0_or_nan(square_l_graph, deadline):
+    # -1.0 used to return no matching, flagged incomplete, and nan never timed out
+    with pytest.raises(ValueError, match=f"^deadline must be at least 0, got {deadline}$"):
+        matching.find_matchings(square_l_graph, deadline=deadline)
+    matching.find_matchings(square_l_graph, deadline=0.0)  # 0 may stop the search at once
+
+
 def test_matching_json_round_trip(square_l):
     iota = canonical(square_l)
     again = matching.matching_from_json(matching.matching_to_json(iota))

@@ -29,7 +29,8 @@ from hypothesis import strategies as st
 from chain_oracles import apply_to_chain, boundary, chain_add, chain_neg, p_map, pairing_vector
 from delaunay_oracles import circumcircle_cross_check, delaunay_sum, flip_edge, incircle_det
 from isodelaunay import angles, develop, homology, matching, origami, region, ribbon
-from region_oracles import generic_sample, open_polytope, plane_and_point_polytope, point_polytope
+from region_oracles import (generic_sample, open_polytope, plane_and_point_polytope,
+                            plane_with_a_row_inside, point_polytope)
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -351,8 +352,8 @@ def _hex_samples(samples):
 def test_sample_matches_the_generic_row_walk_bit_for_bit(triple, glued, seed):
     # the sampler's compiled rows against the walk that loops over each row's
     # terms: on region polytopes and their positivity-only versions, a plane
-    # beside a point, and a single point
-    polytopes = [plane_and_point_polytope(), point_polytope()]
+    # beside a point, a plane with a two-term row inside it, and a single point
+    polytopes = [plane_and_point_polytope(), plane_with_a_row_inside(), point_polytope()]
     for g in (*triple, glued):
         found = matching.find_matchings(g, limit=1).matchings
         if found:

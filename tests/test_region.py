@@ -2,14 +2,16 @@
 
 import dataclasses
 import math
+import random
 import re
 
 import pytest
 
 from delaunay_oracles import circumcircle_cross_check, delaunay_sum, in_delaunay_region
 from isodelaunay import angles, homology, origami, region, surgery
-from region_oracles import (dense_sample, generic_sample, open_polytope, plane_and_point_polytope,
-                            point_polytope, reflected_face, wide_row_polytope)
+from region_oracles import (dense_sample, generic_collapse, generic_sample, open_polytope,
+                            plane_and_point_polytope, plane_with_a_row_inside, point_polytope,
+                            reflected_face, wide_row_polytope)
 
 
 def build(o):
@@ -121,24 +123,29 @@ def test_infeasible_polytope_reports_and_refuses_to_sample():
     # so the equilateral point fails its certificate in analyze and in sample
     c = ("f", 0)
     poly = region.RegionPolytope([c], [{c: 1.0}], [1.0], [{c: 1.0}], [0.0], 0, {c: 0})
-    with pytest.raises(RuntimeError, match="certificate: equality residual"):
-        region.analyze(poly)
-    with pytest.raises(RuntimeError, match="certificate"):
-        region.sample(poly, 3)
+    for _ in range(2):  # a failed certificate is not kept
+        with pytest.raises(RuntimeError, match="certificate: equality residual"):
+            region.analyze(poly)
+        with pytest.raises(RuntimeError, match="certificate"):
+            region.sample(poly, 3)
 
 
 def test_analyze_refuses_an_uncertified_point():
     c = ("f", 0)
     # x = 1 and x > 0 is feasible, but the equilateral point misses the equality
     poly = region.RegionPolytope([c], [{c: 1.0}], [1.0], [{c: -1.0}], [0.0], 0, {c: 0})
-    with pytest.raises(RuntimeError, match="certificate"):
-        region.analyze(poly)
-    with pytest.raises(RuntimeError, match="certificate"):
-        region.sample(poly, 3)
+    for _ in range(2):  # a failed certificate is not kept
+        with pytest.raises(RuntimeError, match="certificate"):
+            region.analyze(poly)
+        with pytest.raises(RuntimeError, match="certificate"):
+            region.sample(poly, 3)
     # x = pi/3 and x < 2: the point is inside, but its slack is not pi/3
     poly = region.RegionPolytope([c], [{c: 1.0}], [math.pi / 3], [{c: 1.0}], [2.0], 0, {c: 0})
-    with pytest.raises(RuntimeError, match="certificate"):
-        region.analyze(poly)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="certificate"):
+            region.analyze(poly)
+        with pytest.raises(RuntimeError, match="certificate"):
+            region.sample(poly, 3)
 
 
 def test_analyze_then_sample_matches_a_fresh_polytope(square_l):
@@ -149,6 +156,45 @@ def test_analyze_then_sample_matches_a_fresh_polytope(square_l):
     # each report owns its interior point
     report.interior_point.clear()
     assert region.analyze(poly).interior_point
+
+
+def test_analyze_then_sample_certify_the_optimum_once(square_l, monkeypatch):
+    calls = []
+    residual = region.RegionPolytope.equality_residual
+    monkeypatch.setattr(region.RegionPolytope, "equality_residual",
+                        lambda poly, theta: calls.append(theta) or residual(poly, theta))
+    _, poly = build(square_l)
+    fresh = build(square_l)[1]
+    report = region.analyze(poly)
+    samples = region.sample(poly, 5, seed=7)
+    assert len(calls) == 1
+    assert region.sample(poly, 5, seed=7) == samples and region.analyze(poly) == report
+    assert len(calls) == 1
+    # the kept certificate is no part of the polytope's value, and every
+    # call hands out its own point
+    assert poly == fresh and repr(poly) == repr(fresh)
+    theta, slack = poly.optimum
+    theta.clear()
+    assert poly.optimum == (report.interior_point, report.slack) and len(calls) == 1
+
+
+# rows of one, two and three terms over four corners in two orbits, so that
+# terms often share an orbit, with coefficients that cancel, -0.0 and ints
+_COEFFS = [1, -1, 2, 0, 1.0, -1.0, 2.0, 0.5, -0.5, 0.0, -0.0, 0.1, 0.2, -0.3, 1e-300, -1e-300]
+
+
+def test_collapse_equals_the_dict_and_sort_collapse():
+    rng = random.Random(11)
+    orbit_of = {("f", 0): 1, ("f", 1): 0, ("f", 2): 1, ("g", 0): 0}
+    corners = list(orbit_of)
+    shapes = set()
+    for _ in range(3000):
+        row = {c: rng.choice(_COEFFS) for c in rng.sample(corners, rng.randint(1, 3))}
+        got, want = region._collapse(row, orbit_of), generic_collapse(row, orbit_of)
+        # repr tells -0.0 from 0.0 and 1 from 1.0
+        assert repr(got) == repr(want), row
+        shapes.add((len(row), len(want)))
+    assert {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (3, 2)} <= shapes
 
 
 # a seed at which a sample of the glued sum below comes within 1e-4 of an
@@ -249,6 +295,20 @@ def test_a_plane_beside_a_point_walks_the_plane_alone():
     # bounds theta(f, 0) by 2 pi / 3
     assert len({t[("f", 0)] for t in pts}) == 200
     assert max(t[("f", 0)] for t in pts) > 0.6 * math.pi
+
+
+def test_a_row_of_two_terms_inside_one_plane_sums_its_rates():
+    poly = plane_with_a_row_inside()
+    (triples, rows), = region._blocks(poly)
+    (r0, r1, *rest), = [row for row in rows if row[6] != 0.0]
+    (_, w01, w11), (_, w02, w12) = triples[1:]
+    assert (r0, r1, *rest) == (0.0 + w01 - w02, 0.0 + w11 - w12, math.pi / 3 - region.MARGIN,
+                               1, 1.0, 2, -1.0)
+    pts = region.sample(poly, 200, seed=8)
+    assert [[v.hex() for v in t.values()] for t in pts] == [
+        [v.hex() for v in t.values()] for t in generic_sample(poly, 200, seed=8)]
+    # the walk comes near the row
+    assert min(math.pi / 3 - t[("f", 1)] + t[("f", 2)] for t in pts) < 0.05
 
 
 @pytest.mark.parametrize("n", [-1, -7])
