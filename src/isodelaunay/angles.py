@@ -14,7 +14,6 @@ import math
 from typing import NamedTuple
 
 from . import homology
-from .homology import AngleChain
 from .ribbon import Corner, TriRibbonGraph, he_key, parse_he_key
 
 AngleAssignment = dict[Corner, float]
@@ -65,8 +64,12 @@ class HolonomyValue(NamedTuple):
         return abs(self.value - 1.0)
 
 
-def corner_holonomies(theta: AngleAssignment, chains: list[AngleChain]) -> list[HolonomyValue]:
-    """Holonomy of each corner chain, with each corner's log-sine ratio taken once."""
+def holonomies(
+    graph: TriRibbonGraph, theta: AngleAssignment, basis: list[homology.Chain1]
+) -> list[HolonomyValue]:
+    """Holonomy of every cycle of ``basis``, with each corner's log-sine
+    ratio taken once; ValueError if one is not a cycle."""
+    chains = [homology.phi(graph, alpha) for alpha in basis]
     log_ratio: dict[Corner, float] = {}
     out = []
     for a in chains:
@@ -84,13 +87,6 @@ def corner_holonomies(theta: AngleAssignment, chains: list[AngleChain]) -> list[
     return out
 
 
-def holonomies(
-    graph: TriRibbonGraph, theta: AngleAssignment, basis: list[homology.Chain1]
-) -> list[HolonomyValue]:
-    """Holonomy of every cycle of ``basis``; ValueError if one is not a cycle."""
-    return corner_holonomies(theta, [homology.phi(graph, alpha) for alpha in basis])
-
-
 def holonomy(graph: TriRibbonGraph, theta: AngleAssignment, cycle: homology.Chain1) -> HolonomyValue:
     """Total holonomy of a cycle: dilation times rotation of its corner chain.
 
@@ -99,8 +95,10 @@ def holonomy(graph: TriRibbonGraph, theta: AngleAssignment, cycle: homology.Chai
     rows under the cycle's ``id``, next to a copy of the cycle; a later call
     uses the rows only if the copy still equals ``cycle``, so a cycle that
     its caller changed, or a new one at a reused ``id``, is solved afresh.
-    ValueError, on every call, if ``cycle`` is not a cycle.  The value is
-    that of ``corner_holonomies`` to the bit.
+    Once the graph keeps more chains than it has faces, the oldest is
+    dropped: room for a whole cycle basis, whose F/2 + 1 cycles are then
+    never solved twice.  ValueError, on every call, if ``cycle`` is not a
+    cycle.  The value is that of ``holonomies`` to the bit.
     """
     entry = graph._corner_chains.get(id(cycle))
     if entry is not None and entry[0] == cycle:
@@ -108,7 +106,10 @@ def holonomy(graph: TriRibbonGraph, theta: AngleAssignment, cycle: homology.Chai
     else:
         table = tuple((coeff, (f, slot), (f, (slot + 1) % 3), (f, (slot + 2) % 3))
                       for (f, slot), coeff in homology.phi(graph, cycle).items())
-        graph._corner_chains[id(cycle)] = (dict(cycle), table)
+        memo = graph._corner_chains
+        memo[id(cycle)] = (dict(cycle), table)
+        if len(memo) > len(graph.faces):
+            del memo[next(iter(memo))]
     log, sin = math.log, math.sin
     total = phase = 0.0
     for coeff, c, num, den in table:
@@ -118,11 +119,7 @@ def holonomy(graph: TriRibbonGraph, theta: AngleAssignment, cycle: homology.Chai
 
 
 def is_trivial_holonomy(
-    graph: TriRibbonGraph,
-    theta: AngleAssignment,
-    basis: list[homology.Chain1] | None = None,
+    graph: TriRibbonGraph, theta: AngleAssignment, basis: list[homology.Chain1]
 ) -> bool:
     """True iff holonomy is within ``HOLONOMY_TOL`` of 1 on every basis cycle."""
-    if basis is None:
-        basis = homology.cycle_basis(graph)
     return all(hol.distance_to_one() < HOLONOMY_TOL for hol in holonomies(graph, theta, basis))

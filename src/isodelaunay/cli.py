@@ -75,19 +75,10 @@ def _load_matching(path: str) -> matching_mod.TriangleMatching:
     return _load_half_edge_map(path, str, matching_mod.matching_from_json, "half-edge keys")
 
 
-def _emit(args, command: str, result) -> None:
-    if getattr(args, "json", False):
-        envelope = {
-            "command": command,
-            "seed": getattr(args, "seed", 0),
-            "result": result,
-            "diagnostics": [],
-        }
-        print(json.dumps(envelope, indent=2, sort_keys=True))
-    elif isinstance(result, (dict, list)):
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        print(result)
+def _emit(args, command: str, result: dict) -> None:
+    if args.json:
+        result = {"command": command, "seed": args.seed, "result": result, "diagnostics": []}
+    print(json.dumps(result, indent=2, sort_keys=True))
 
 
 @contextlib.contextmanager
@@ -124,6 +115,7 @@ def cmd_info(args) -> int:
     result = dict(info)
     if args.angles:
         theta = _load_angles(args.angles)
+        angles_mod.validate_angles(g, theta)
         sig = ribbon.stratum_signature(g, theta)
         result["stratum"] = {"genus": sig.genus, "zero_orders": list(sig.zero_orders)}
     _emit(args, "info", result)
@@ -145,7 +137,7 @@ def cmd_holonomy(args) -> int:
         }
         for alpha, hol in zip(basis, hols)
     ]
-    trivial = all(hol.distance_to_one() < args.tol for hol in hols)
+    trivial = all(hol.distance_to_one() <= args.tol for hol in hols)
     _emit(args, "holonomy", {"cycles": values, "trivial": trivial})
     return EXIT_OK
 

@@ -215,27 +215,11 @@ def _collapse(row: dict[Corner, float], orbit_of: dict[Corner, int]) -> tuple:
     return tuple(sorted((o, v) for o, v in out.items() if v != 0))
 
 
-def _null_basis(coeffs: list[float]) -> list[list[float]]:
-    """Orthonormal basis of the vectors orthogonal to ``coeffs``, by
-    Gram-Schmidt on the unit vectors; meant for at most three coordinates."""
-    k = len(coeffs)
-    norm = math.sqrt(sum(a * a for a in coeffs))
-    basis = [[a / norm for a in coeffs]]
-    for i in range(k):
-        w = [float(j == i) for j in range(k)]
-        for q in basis:
-            dot = sum(a * b for a, b in zip(w, q))
-            w = [a - dot * b for a, b in zip(w, q)]
-        size = math.sqrt(sum(a * a for a in w))
-        # a unit vector already in the span leaves only a rounding residue;
-        # one that adds a direction to (1, 1, 1) leaves more than 0.4
-        if size > 1e-6:
-            basis.append([a / size for a in w])
-    return basis[1:]
-
-
-# the orthonormal basis of every plane block's directions
-_PLANE = _null_basis([1, 1, 1])
+# the orthonormal basis of every plane block's directions, as Gram-Schmidt
+# on the unit vectors after (1, 1, 1) / sqrt(3) gives it (``null_basis`` in
+# tests/region_oracles.py), with the rounding residue in its second vector
+_PLANE = ((0.8164965809277258, -0.40824829046386313, -0.40824829046386313),
+          (-3.9252311467094373e-16, 0.7071067811865474, -0.7071067811865477))
 
 
 def _blocks(polytope: RegionPolytope) -> list[tuple]:

@@ -69,8 +69,9 @@ class TriRibbonGraph:
         # id(cycle) -> (copy of the cycle, its corner chain compiled as a table
         # of (coefficient, corner, numerator corner, denominator corner)),
         # filled by ``angles.holonomy``: keyed by identity, confirmed by
-        # content, since a hit needs the copy to equal the cycle; the graph
-        # never changes, so a chain solved once stays right
+        # content, since a hit needs the copy to equal the cycle, and holding
+        # at most one entry per face, oldest dropped first; the graph never
+        # changes, so a chain solved once stays right
         self._corner_chains: dict[int, tuple[dict, tuple]] = {}
         # the cycle basis, built once by ``homology.cycle_basis``, which hands
         # out copies so that no caller can change it
@@ -82,9 +83,6 @@ class TriRibbonGraph:
     @property
     def face_ids(self) -> tuple[str, ...]:
         return tuple(f for f, _ in self.faces)
-
-    def boundary_of(self, face: str) -> tuple[str, ...]:
-        return self._boundary[face]
 
     def edge_of(self, h: HalfEdge) -> str:
         f, slot = h

@@ -1,9 +1,11 @@
 """The open invariant polytope, the constant-holonomy check over its
-samples, and two walks that ``region.sample`` is compared against: the
-dense hit-and-run walk, for its law, and the block walk that reads every
-row through a loop over its terms, for its bits, and the dict-and-sort
-collapse of a row that ``region._collapse`` is compared against.  Only
-tests and ``tools/output_digest.py`` need them."""
+samples, and the references the library is compared against: the corner
+chain kernel that ``angles.holonomy`` and ``angles.holonomies`` must match
+bit for bit; two walks for ``region.sample``, the dense hit-and-run walk,
+for its law, and the block walk that reads every row through a loop over
+its terms, for its bits; the Gram-Schmidt that ``region._PLANE`` is the
+value of; and the dict-and-sort collapse of a row that ``region._collapse``
+is compared against.  Only tests and ``tools/output_digest.py`` need them."""
 
 import dataclasses
 import math
@@ -12,6 +14,7 @@ import random
 import numpy as np
 
 from isodelaunay import angles, homology, region
+from isodelaunay.homology import AngleChain
 from isodelaunay.ribbon import TriRibbonGraph
 
 
@@ -79,6 +82,25 @@ def point_polytope() -> region.RegionPolytope:
     return region.RegionPolytope([c], [{c: 1.0}], [math.pi / 3], [{c: -1.0}], [0.0], 0, {c: 0})
 
 
+def corner_holonomies(theta: dict, chains: list[AngleChain]) -> list[angles.HolonomyValue]:
+    """Holonomy of each corner chain, with each corner's log-sine ratio taken once."""
+    log_ratio: dict = {}
+    out = []
+    for a in chains:
+        total = phase = 0.0
+        for c, coeff in a.items():
+            d = log_ratio.get(c)
+            if d is None:
+                f, slot = c
+                num = math.sin(theta[(f, (slot + 1) % 3)])
+                den = math.sin(theta[(f, (slot + 2) % 3)])
+                d = log_ratio[c] = math.log(num) - math.log(den)
+            total += coeff * d
+            phase += coeff * theta[c]
+        out.append(angles.HolonomyValue(total, phase))
+    return out
+
+
 def check_constant_holonomy(
     graph: TriRibbonGraph,
     iota: dict,
@@ -96,12 +118,12 @@ def check_constant_holonomy(
     thetas = region.sample(open_polytope(graph, iota), samples, seed=seed)
     chains = [homology.phi(graph, alpha) for alpha in basis]
     bary = {c: math.pi / 3 for c in graph.half_edges()}
-    reference = [hol.value for hol in angles.corner_holonomies(bary, chains)]
+    reference = [hol.value for hol in corner_holonomies(bary, chains)]
     max_dev = 0.0
     max_mod_dev = 0.0
     counterexample = None
     for theta in thetas:
-        for ref, val in zip(reference, angles.corner_holonomies(theta, chains)):
+        for ref, val in zip(reference, corner_holonomies(theta, chains)):
             max_dev = max(max_dev, abs(val.value - ref))
             max_mod_dev = max(max_mod_dev, abs(val.modulus - 1.0))
             if abs(val.value - ref) >= tol and counterexample is None:
@@ -181,6 +203,26 @@ def generic_collapse(row: dict, orbit_of: dict) -> tuple:
     return tuple(sorted((o, v) for o, v in out.items() if v != 0))
 
 
+def null_basis(coeffs: list[float]) -> list[list[float]]:
+    """Orthonormal basis of the vectors orthogonal to ``coeffs``, by
+    Gram-Schmidt on the unit vectors; meant for at most three coordinates.
+    ``null_basis([1, 1, 1])`` is ``region._PLANE`` to the bit."""
+    k = len(coeffs)
+    norm = math.sqrt(sum(a * a for a in coeffs))
+    basis = [[a / norm for a in coeffs]]
+    for i in range(k):
+        w = [float(j == i) for j in range(k)]
+        for q in basis:
+            dot = sum(a * b for a, b in zip(w, q))
+            w = [a - dot * b for a, b in zip(w, q)]
+        size = math.sqrt(sum(a * a for a in w))
+        # a unit vector already in the span leaves only a rounding residue;
+        # one that adds a direction to (1, 1, 1) leaves more than 0.4
+        if size > 1e-6:
+            basis.append([a / size for a in w])
+    return basis[1:]
+
+
 def _generic_blocks(polytope: region.RegionPolytope) -> list[tuple]:
     """The walk's blocks: one per distinct face row in orbit coordinates.
 
@@ -197,7 +239,7 @@ def _generic_blocks(polytope: region.RegionPolytope) -> list[tuple]:
     collapsed = (generic_collapse(row, orbit_of) for row in polytope.eq_rows)
     face_rows = sorted({r for r in collapsed if r})
     block_of = {o: b for b, row in enumerate(face_rows) for o, _ in row}
-    bases = [region._null_basis([v for _, v in row]) for row in face_rows]
+    bases = [null_basis([v for _, v in row]) for row in face_rows]
     if (len(block_of) != sum(len(row) for row in face_rows)
             or len(block_of) != max(orbit_of.values()) + 1
             or any(len(row) > 3 for row in face_rows)

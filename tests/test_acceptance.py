@@ -101,8 +101,9 @@ def test_criterion_06_invariant_angles_develop(torus, square_l, prym):
     ok = True
     for o in (torus, square_l, prym):
         g, poly = invariant_polytope(o, delaunay_rows=False)
+        basis = homology.cycle_basis(g)
         for theta in region.sample(poly, 25, seed=1):
-            ok = ok and angles.is_trivial_holonomy(g, theta)
+            ok = ok and angles.is_trivial_holonomy(g, theta, basis)
             surface = develop.develop(g, theta, tol=TOL)  # raises on obstruction
             surface.check()
     report(6, "every sampled invariant angle vector is holonomy-free and develops", ok)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from chain_oracles import chain_add, chain_neg
+from region_oracles import corner_holonomies
 from isodelaunay import angles, homology, origami, region, ribbon, surgery
 
 
@@ -89,7 +90,7 @@ def test_origami_angles_have_trivial_holonomy(square_l, prym):
     for o in (square_l, prym):
         g = origami.build_origami_graph(o)
         for theta in (origami.standard_angles(o), origami.equilateral_angles(o)):
-            assert angles.is_trivial_holonomy(g, theta)
+            assert angles.is_trivial_holonomy(g, theta, homology.cycle_basis(g))
 
 
 def test_generic_angles_are_not_holonomy_trivial(torus_graph):
@@ -101,7 +102,7 @@ def test_generic_angles_are_not_holonomy_trivial(torus_graph):
         ("f1+", 1): 1.4,
         ("f1+", 2): math.pi - 2.1,
     }
-    assert not angles.is_trivial_holonomy(torus_graph, theta)
+    assert not angles.is_trivial_holonomy(torus_graph, theta, homology.cycle_basis(torus_graph))
 
 
 def test_holonomy_value_distance_to_one():
@@ -246,9 +247,10 @@ def test_holonomy_tables_match_the_corner_chain_kernel_on_region_samples(monkeyp
         samples = region.sample(region.build_polytope(g, iota), 20, seed=inp.sample_seed)
         assert len(samples) == 20
         for theta in samples:
-            for alpha, chain in zip(cycles, chains):
-                assert _hex(angles.holonomy(g, theta, alpha)) == _hex(
-                    angles.corner_holonomies(theta, [chain])[0])
+            expected = [_hex(value) for value in corner_holonomies(theta, chains)]
+            assert [_hex(value) for value in angles.holonomies(g, theta, cycles)] == expected
+            for alpha, want in zip(cycles, expected):
+                assert _hex(angles.holonomy(g, theta, alpha)) == want
         if k == 0:
             # a cached cycle mutated by its caller is solved afresh, and a
             # non-cycle raises on every call
@@ -257,7 +259,7 @@ def test_holonomy_tables_match_the_corner_chain_kernel_on_region_samples(monkeyp
             cycle.clear()
             cycle.update(cycles[-2])
             assert _hex(angles.holonomy(g, samples[1], cycle)) == _hex(
-                angles.corner_holonomies(samples[1], [chains[-2]])[0])
+                corner_holonomies(samples[1], [chains[-2]])[0])
             cycle[next(iter(cycle))] += 1
             for _ in range(2):
                 with pytest.raises(ValueError, match="not a cycle"):
@@ -270,7 +272,7 @@ def test_holonomy_memo_is_keyed_by_identity_and_confirmed_by_content(prym_graph)
     theta = _random_angles(g, rng)
     basis = homology.cycle_basis(g)
     cycles = [basis[0], chain_add(basis[1], chain_neg(basis[2]))]
-    expected = [_hex(angles.corner_holonomies(theta, [homology.phi(g, a)])[0]) for a in cycles]
+    expected = [_hex(corner_holonomies(theta, [homology.phi(g, a)])[0]) for a in cycles]
     assert expected[0] != expected[1]
     # the same dict, called again and again
     for _ in range(3):
@@ -295,3 +297,35 @@ def test_holonomy_memo_is_keyed_by_identity_and_confirmed_by_content(prym_graph)
         f"HolonomyValue(log_modulus={value.log_modulus!r}, phase={value.phase!r})")
     with pytest.raises(AttributeError):
         value.phase = 0.0
+
+
+def test_the_holonomy_memo_keeps_at_most_one_chain_per_face(prym, monkeypatch):
+    # 2,000 live copies of the basis cycles, each a new dict: the memo drops
+    # its oldest chains, keeps the newest, and every value keeps its bits
+    g = origami.build_origami_graph(prym)
+    theta = _random_angles(g, random.Random(7))
+    basis = homology.cycle_basis(g)
+    expected = [_hex(value) for value in
+                corner_holonomies(theta, [homology.phi(g, a) for a in basis])]
+    copies = [dict(basis[k % len(basis)]) for k in range(2000)]
+    for k, alpha in enumerate(copies):
+        assert _hex(angles.holonomy(g, theta, alpha)) == expected[k % len(basis)]
+        assert len(g._corner_chains) <= len(g.faces)
+    assert list(g._corner_chains) == [id(a) for a in copies[-len(g.faces):]]
+    # a basis kept alive, as the region pipeline keeps it, is solved once
+    # per cycle however many points it is evaluated at: F / 2 + 1 cycles
+    # fit, down to the torus, whose basis fills its memo
+    solved = []
+    phi = homology.phi
+    monkeypatch.setattr(homology, "phi", lambda graph, cycle: solved.append(1) or phi(graph, cycle))
+    for o in (origami.Origami.from_spec("h=();v=()"), prym):
+        g = origami.build_origami_graph(o)
+        basis = homology.cycle_basis(g)
+        assert len(basis) == len(g.faces) // 2 + 1
+        rng = random.Random(3)
+        solved.clear()
+        for _ in range(5):
+            theta = _random_angles(g, rng)
+            for alpha in basis:
+                angles.holonomy(g, theta, alpha)
+        assert len(solved) == len(basis)

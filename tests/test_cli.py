@@ -2,18 +2,27 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from isodelaunay import cli
+from isodelaunay import angles, cli, origami, ribbon
+
+
+L = "h=(12);v=(13)"
 
 
 def run_cli(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_json(path, data):
+    path.write_text(json.dumps(data))
+    return path
 
 
 @pytest.fixture()
@@ -527,3 +536,153 @@ def test_a_tol_that_is_not_finite_or_is_below_0_is_input_error(l_files, tmp_path
     assert err == f"input error: --tol must be a finite number at least 0, got {float(value)}\n"
     code, out, _ = run_cli(capsys, "--tol=0", command, str(graph), str(angles_file))
     assert code == 0 and out
+
+
+def test_holonomy_of_exactly_1_is_trivial_at_tol_0(l_files, tmp_path, capsys):
+    # the standard angles of the L origami give every basis cycle the
+    # holonomy 1 exactly, which a tolerance of 0 accepts
+    graph, _ = l_files
+    theta = angles.angles_to_json(origami.standard_angles(origami.Origami.from_spec(L)))
+    angles_file = write_json(tmp_path / "angles.json", theta)
+    code, out, _ = run_cli(capsys, "--tol=0", "holonomy", str(graph), str(angles_file))
+    report = json.loads(out)
+    assert code == 0 and report["trivial"] is True
+    assert {(c["modulus"], c["phase"]) for c in report["cycles"]} == {(1.0, 0.0)}
+
+
+def test_info_with_angles_reports_the_stratum(l_files, tmp_path, capsys):
+    graph, _ = l_files
+    o = origami.Origami.from_spec(L)
+    for theta in (origami.standard_angles(o), origami.equilateral_angles(o)):
+        angles_file = write_json(tmp_path / "angles.json", angles.angles_to_json(theta))
+        code, out, _ = run_cli(capsys, "info", str(graph), "--angles", str(angles_file))
+        assert code == 0
+        assert json.loads(out)["stratum"] == {"genus": 2, "zero_orders": [2]}
+
+
+@pytest.mark.parametrize("command", ANGLE_COMMANDS)
+@pytest.mark.parametrize("case, message", [
+    ("zero", "corner of face 'f1-' outside (0, pi): [0.0, 0.0, 0.0]"),
+    ("missing", "missing corner of face 'f2+'"),
+])
+def test_angles_that_fail_validation_are_one_error_line(l_files, tmp_path, capsys, command,
+                                                        case, message):
+    graph, _ = l_files
+    theta = angles.angles_to_json(origami.standard_angles(origami.Origami.from_spec(L)))
+    if case == "zero":
+        theta = dict.fromkeys(theta, 0.0)
+    else:
+        del theta["f2+/1"]
+    bad = write_json(tmp_path / "bad.json", theta)
+    code, out, err = run_cli(capsys, *[a.format(graph=graph, file=bad) for a in command])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_info_refuses_angles_whose_cone_angles_are_not_whole_turns(tmp_path, capsys):
+    # two squares in one horizontal cylinder have two vertices; moving 0.1
+    # between two corners of a face at different vertices keeps every face
+    # valid but makes the cone angles 2 pi +- 0.1
+    o = origami.Origami.from_spec("h=(12);v=()")
+    g = origami.build_origami_graph(o)
+    vertex = {c: k for k, orbit in enumerate(ribbon.vertex_orbits(g)) for c in orbit}
+    assert vertex[("f1-", 0)] != vertex[("f1-", 2)]
+    theta = origami.standard_angles(o)
+    theta[("f1-", 0)] += 0.1
+    theta[("f1-", 2)] -= 0.1
+    angles.validate_angles(g, theta)
+    graph = write_json(tmp_path / "graph.json", g.to_json())
+    angles_file = write_json(tmp_path / "angles.json", angles.angles_to_json(theta))
+    code, out, err = run_cli(capsys, "info", str(graph), "--angles", str(angles_file))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: angles do not close up to integer cone angle at orbit of")
+
+
+def test_output_files_hold_what_stdout_would(l_files, tmp_path, capsys):
+    graph, iota = l_files
+    theta = angles.angles_to_json(origami.standard_angles(origami.Origami.from_spec(L)))
+    angles_file = write_json(tmp_path / "angles.json", theta)
+    for argv in (["develop", str(graph), str(angles_file)],
+                 ["sum", str(graph), "f1-/0", str(graph), "f2+/1"]):
+        target = tmp_path / "out.json"
+        code, out, _ = run_cli(capsys, "--json", *argv, "-o", str(target))
+        assert code == 0
+        assert json.loads(out)["result"] == {"written": str(target)}
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0 and target.read_text() == json.dumps(json.loads(plain), sort_keys=True)
+    samples = tmp_path / "samples"
+    samples.mkdir()
+    code, out, _ = run_cli(capsys, "--seed", "3", "region", str(graph), str(iota), "--samples", "2",
+                           "-o", str(samples))
+    assert code == 0
+    assert sorted(p.name for p in samples.iterdir()) == ["sample_0000.json", "sample_0001.json"]
+    assert [json.loads((samples / f"sample_{i:04d}.json").read_text())
+            for i in range(2)] == json.loads(out)["samples"]
+
+
+def test_develop_reports_a_holonomy_obstruction(tmp_path, capsys):
+    # valid angles on the torus whose holonomy is not 1
+    theta = {"f1-/0": 0.9, "f1-/1": 1.1, "f1-/2": math.pi - 2.0,
+             "f1+/0": 0.7, "f1+/1": 1.4, "f1+/2": math.pi - 2.1}
+    torus = origami.build_origami_graph(origami.Origami.from_spec("h=();v=()"))
+    graph = write_json(tmp_path / "torus.json", torus.to_json())
+    angles_file = write_json(tmp_path / "angles.json", theta)
+    code, out, err = run_cli(capsys, "--json", "develop", str(graph), str(angles_file))
+    assert (code, err) == (1, "")
+    result = json.loads(out)["result"]
+    assert result["edge"] == "b1" and result["residual"] > 0.1
+    residual = result["residual"]
+    assert result["error"] == f"holonomy obstruction at edge 'b1' (residual {residual:.3e})"
+
+
+def test_delaunay_check_reports_a_degenerate_surface(tmp_path, capsys):
+    # (x, y) -> (x + 2 y, 0) keeps every face closed, every edge paired and
+    # every period nonzero, and lays every triangle flat on one line
+    data = _torus_surface_json()
+    data["periods"] = {k: [re + 2 * im, 0.0] for k, (re, im) in data["periods"].items()}
+    surface = write_json(tmp_path / "flat.json", data)
+    code, out, err = run_cli(capsys, "delaunay", "check", str(surface))
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"delaunay": False,
+                               "degenerate": "degenerate corner f1-/0 (angle 0.000000)"}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("h=(01);v=()", "permutation symbols must be >= 1 in '(01)'"),
+    ("h=(12)", "expected 'h=...;v=...', got 'h=(12)'"),
+    ("h=(12);w=()", "expected 'h=...;v=...', got 'h=(12);w=()'"),
+])
+def test_a_bad_spec_is_one_input_error_line(capsys, spec, message):
+    code, out, err = run_cli(capsys, "origami", "build", spec)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+def test_validate_reports_duplicate_edge_ids(tmp_path, capsys):
+    graph = write_json(tmp_path / "graph.json", {
+        "edges": ["a", "b", "c", "a"],
+        "faces": [{"id": f, "boundary": ["a", "b", "c"]} for f in "fg"],
+    })
+    code, out, _ = run_cli(capsys, "validate", str(graph))
+    assert code == 1
+    assert json.loads(out) == {"valid": False,
+                               "problems": ["duplicate edge identifiers in edge list"]}
+
+
+@pytest.mark.parametrize("case, problem", [
+    ("domain", "domain of the map is not the full half-edge set"),
+    ("image", "image ('z', 0) of ('f1-', 0) is not a half-edge"),
+    ("bijection", "map is not a bijection on half-edges"),
+])
+def test_match_verify_names_a_map_that_is_no_matching(l_files, tmp_path, capsys, case, problem):
+    graph, iota = l_files
+    data = json.loads(iota.read_text())
+    if case == "domain":
+        del data["f2+/1"]
+    elif case == "image":
+        data["f1-/0"] = "z/0"
+    else:
+        data["f1-/0"] = data["f1-/1"]
+    bad = write_json(tmp_path / "bad.json", data)
+    code, out, _ = run_cli(capsys, "match", "verify", str(graph), str(bad))
+    report = json.loads(out)
+    assert (code, report["valid"]) == (1, False)
+    assert report["problems"][0] == problem

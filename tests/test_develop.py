@@ -7,6 +7,7 @@ import pytest
 
 from delaunay_oracles import area, flip_edge, in_delaunay_region
 from isodelaunay import develop, origami
+from isodelaunay.ribbon import TriRibbonGraph
 from origami_oracles import staircase_origami
 
 
@@ -182,3 +183,28 @@ def test_in_circle_disagreement_survives_python_O(run_optimized):
         "develop.is_geometric_delaunay(surface)\n"
     )
     assert last == "AssertionError: angle/in-circle disagreement at edge 'b1'"
+
+
+def test_a_zero_period_is_a_degenerate_triangle(torus, torus_graph):
+    # a surface built without ``check``: its corner angles refuse the zero period
+    s = develop.develop(torus_graph, origami.standard_angles(torus))
+    periods = dict(s.periods)
+    periods[("f1+", 1)] = 0j
+    with pytest.raises(develop.DegenerateTriangleError, match="^zero period in face 'f1\\+'$"):
+        develop.angles_of(develop.DevelopedSurface(torus_graph, periods))
+
+
+def test_an_edge_with_both_sides_in_one_face_is_not_flipped():
+    # face f meets itself along a: no flat surface has it, since the face
+    # would close up only with a zero period at b
+    g = TriRibbonGraph(["a", "b", "c"], [("f", ("a", "a", "b")), ("g", ("b", "c", "c"))])
+    periods = {h: complex(k + 1, 1) for k, h in enumerate(g.half_edges())}
+    tri = develop._Triangulation(develop.DevelopedSurface(g, periods))
+    with pytest.raises(ValueError, match="^cannot flip edge 'a': both sides in one face$"):
+        tri.flip("a")
+
+
+def test_export_svg_refuses_an_empty_path(square_l, square_l_graph):
+    surface = develop.develop(square_l_graph, origami.equilateral_angles(square_l))
+    with pytest.raises(ValueError, match="^empty output path$"):
+        develop.export_svg(surface, "")

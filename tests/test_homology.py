@@ -68,6 +68,11 @@ def test_phi_rejects_non_cycle(torus_graph):
         homology.phi(torus_graph, {h: 1})
 
 
+def test_phi_names_an_unknown_face(torus_graph):
+    with pytest.raises(KeyError, match="unknown face 'f9-'"):
+        homology.phi(torus_graph, {("f1-", 0): 1, ("f9-", 2): -1})
+
+
 def test_phi_output_is_supported_on_corners(square_l_graph):
     corners = set(square_l_graph.half_edges())
     for alpha in homology.cycle_basis(square_l_graph):

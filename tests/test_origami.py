@@ -41,6 +41,14 @@ def test_origami_rejects_a_tuple_that_is_not_a_permutation(h, v, name):
         origami.Origami(h, v)
 
 
+def test_origami_rejects_h_and_v_of_different_lengths_and_the_empty_pair():
+    with pytest.raises(ValueError, match="^h and v act on different numbers of squares$"):
+        origami.Origami((2, 1), (1,))
+    assert not origami.is_transitive((), ())
+    with pytest.raises(ValueError, match="do not act transitively"):
+        origami.Origami((), ())
+
+
 def test_permutation_cycles():
     cycles = origami.permutation_cycles((2, 1, 3))
     assert sorted(map(sorted, cycles)) == [[1, 2], [3]]

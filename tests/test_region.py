@@ -9,9 +9,9 @@ import pytest
 
 from delaunay_oracles import circumcircle_cross_check, delaunay_sum, in_delaunay_region
 from isodelaunay import angles, homology, origami, region, surgery
-from region_oracles import (dense_sample, generic_collapse, generic_sample, open_polytope,
-                            plane_and_point_polytope, plane_with_a_row_inside, point_polytope,
-                            reflected_face, wide_row_polytope)
+from region_oracles import (dense_sample, generic_collapse, generic_sample, null_basis,
+                            open_polytope, plane_and_point_polytope, plane_with_a_row_inside,
+                            point_polytope, reflected_face, wide_row_polytope)
 
 
 def build(o):
@@ -331,3 +331,33 @@ def test_blocks_that_miss_the_dimension_are_refused(run_optimized):
         "    [{a: -1.0}, {b: -1.0}, {c: -1.0}], [0.0] * 3, 1, {a: 0, b: 1, c: 2})\n"
         "region.sample(poly, 1)"
     ).startswith("AssertionError: equality rows do not split")
+
+
+def test_the_plane_basis_is_the_gram_schmidt_of_the_unit_vectors():
+    # the literal keeps the rounding residue of Gram-Schmidt to the bit
+    assert [[x.hex() for x in u] for u in region._PLANE] == [
+        [x.hex() for x in u] for u in null_basis([1, 1, 1])]
+    assert region._PLANE[1][0] == float.fromhex("-0x1.c48c6001f0abfp-52")
+
+
+def test_n_vars_counts_the_corner_variables(square_l):
+    g, poly = build(square_l)
+    assert poly.n_vars == len(poly.corners) == 3 * len(g.faces) == 18
+
+
+def test_no_samples_are_no_samples(square_l):
+    _, poly = build(square_l)
+    assert region.sample(poly, 0, seed=1) == []
+    assert region.sample(point_polytope(), 0) == []
+
+
+def test_a_row_that_collapses_to_nothing_is_left_out_of_the_walk(square_l):
+    # theta(c) - theta(iota(c)) < pi is 0 < pi in orbit coordinates
+    _, poly = build(square_l)
+    c = poly.corners[0]
+    partner = next(k for k in poly.corners if k != c and poly.orbit_of[k] == poly.orbit_of[c])
+    wider = dataclasses.replace(poly, ineq_rows=poly.ineq_rows + [{c: 1.0, partner: -1.0}],
+                                ineq_rhs=poly.ineq_rhs + [math.pi])
+    assert region._collapse(wider.ineq_rows[-1], poly.orbit_of) == ()
+    assert region._blocks(wider) == region._blocks(poly)
+    assert region.sample(wider, 5, seed=4) == region.sample(poly, 5, seed=4)

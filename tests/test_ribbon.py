@@ -145,8 +145,8 @@ def test_boundary_rotation_is_semantic_noop(square_l_graph):
     rotated = TriRibbonGraph(
         square_l_graph.edges,
         [
-            (f, square_l_graph.boundary_of(f)[1:] + square_l_graph.boundary_of(f)[:1])
-            for f in square_l_graph.face_ids
+            (f, boundary[1:] + boundary[:1])
+            for f, boundary in square_l_graph.faces
         ],
     )
     assert ribbon.topology(rotated) == ribbon.topology(square_l_graph)

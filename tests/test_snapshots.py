@@ -13,11 +13,17 @@ Rewrite the expected files under tests/data only for a deliberate change of
 output:
 
     PYTHONPATH=src python tests/test_snapshots.py
+
+``tools/output_digest.py`` hashes a wider set of CLI outputs and the exact
+samples of the region pipeline into one digest, pinned in ``OUTPUT_DIGEST``
+below; replace it, with what that script prints, under the same rule.
 """
 
 import contextlib
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +34,7 @@ DATA = Path(__file__).parent / "data"
 L = "h=(12);v=(13)"
 STAIRCASE_12 = "h=(1,2)(3,4)(5,6)(7,8)(9,10)(11,12);v=(2,3)(4,5)(6,7)(8,9)(10,11)"
 SHEAR = 2.5
+OUTPUT_DIGEST = "e66e640e66cbfebe5e30d95014716bbb41cc5813489f8b218e696d839bedf15d"
 
 
 def _run(argv, expect=0) -> bytes:
@@ -119,6 +126,14 @@ CASES = {
 def test_snapshot(name, tmp_path):
     for suffix, data in CASES[name](tmp_path).items():
         assert data == (DATA / f"{name}.{suffix}").read_bytes(), f"{name}.{suffix}"
+
+
+
+def test_output_digest():
+    script = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, OUTPUT_DIGEST + "\n", "")
 
 
 if __name__ == "__main__":

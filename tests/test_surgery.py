@@ -67,3 +67,11 @@ def test_connected_sum_rejects_separating_half_edge(torus_graph):
     assert not surgery.is_nonseparating(dumbbell, bridge)
     with pytest.raises(ValueError):
         surgery.connected_sum(dumbbell, bridge, torus_graph, ("f1-", 0))
+
+
+def test_sum_matchings_refuses_an_input_matching_that_does_not_verify(square_l, square_l_graph,
+                                                                      torus, torus_graph):
+    identity = {h: h for h in torus_graph.half_edges()}
+    with pytest.raises(ValueError, match="^input matching does not verify on its graph$"):
+        surgery.sum_matchings(square_l_graph, ("f1-", 0), origami.canonical_matching(square_l),
+                              torus_graph, ("f1-", 0), identity)
