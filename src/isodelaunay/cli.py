@@ -8,10 +8,10 @@ example an invalid graph, or no matching with --expect-some), 2 input error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 from . import angles as angles_mod
@@ -29,6 +29,11 @@ EXIT_INPUT = 2
 # about 0.4 s (0.25 s of it enumerating its 4,163 classes, on a 2-core x86-64
 # host), and each further square costs more than ten times as much
 MAX_SWEEP_SQUARES = 7
+
+# region holds every sample and its JSON in memory until it prints them; on
+# the 12-square staircase a sample is about 2.5 KB of JSON and 0.2 ms, so this
+# bound prints 25 MB in about 2 s and peaks near 250 MB (2-core x86-64 host)
+MAX_SAMPLES = 10_000
 
 
 class InputError(Exception):
@@ -75,54 +80,43 @@ def _load_matching(path: str) -> matching_mod.TriangleMatching:
     return _load_half_edge_map(path, str, matching_mod.matching_from_json, "half-edge keys")
 
 
-def _emit(args, command: str, result: dict) -> None:
-    if args.json:
-        result = {"command": command, "seed": args.seed, "result": result, "diagnostics": []}
-    print(json.dumps(result, indent=2, sort_keys=True))
-
-
-@contextlib.contextmanager
-def _writing(path: str):
-    """Turn an OSError while writing ``path``, such as a missing directory, into an input error."""
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; an OSError, such as a missing directory, is an input error."""
     try:
-        yield
+        with open(path, "w") as fh:
+            fh.write(text)
     except OSError as ex:
         raise InputError(f"cannot write {path}: {ex}")
 
 
-def _emit_or_write(args, command: str, result: dict) -> None:
-    """Emit ``result``, or write it as sorted JSON to ``args.output`` and emit the path."""
-    if args.output:
-        with _writing(args.output), open(args.output, "w") as fh:
-            json.dump(result, fh, sort_keys=True)
-        result = {"written": args.output}
-    _emit(args, command, result)
+def _written(args, result: dict) -> dict:
+    """``result``, or with ``-o`` the path it was written to as sorted JSON."""
+    if not args.output:
+        return result
+    _write(args.output, json.dumps(result, sort_keys=True))
+    return {"written": args.output}
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[dict, int]:
     try:
         _load_graph(args.graph)
     except ribbon.InvalidGraphError as ex:
-        _emit(args, "validate", {"valid": False, "problems": ex.problems})
-        return EXIT_DOMAIN
-    _emit(args, "validate", {"valid": True, "problems": []})
-    return EXIT_OK
+        return {"valid": False, "problems": ex.problems}, EXIT_DOMAIN
+    return {"valid": True, "problems": []}, EXIT_OK
 
 
-def cmd_info(args) -> int:
+def cmd_info(args) -> tuple[dict, int]:
     g = _load_graph(args.graph)
-    info = ribbon.topology(g)
-    result = dict(info)
+    result = ribbon.topology(g)
     if args.angles:
         theta = _load_angles(args.angles)
         angles_mod.validate_angles(g, theta)
         sig = ribbon.stratum_signature(g, theta)
         result["stratum"] = {"genus": sig.genus, "zero_orders": list(sig.zero_orders)}
-    _emit(args, "info", result)
-    return EXIT_OK
+    return result, EXIT_OK
 
 
-def cmd_holonomy(args) -> int:
+def cmd_holonomy(args) -> tuple[dict, int]:
     g = _load_graph(args.graph)
     theta = _load_angles(args.angles)
     angles_mod.validate_angles(g, theta)
@@ -138,11 +132,10 @@ def cmd_holonomy(args) -> int:
         for alpha, hol in zip(basis, hols)
     ]
     trivial = all(hol.distance_to_one() <= args.tol for hol in hols)
-    _emit(args, "holonomy", {"cycles": values, "trivial": trivial})
-    return EXIT_OK
+    return {"cycles": values, "trivial": trivial}, EXIT_OK
 
 
-def cmd_match_find(args) -> int:
+def cmd_match_find(args) -> tuple[dict, int]:
     if args.limit is not None and args.limit < 1:
         raise InputError(f"--limit must be at least 1, got {args.limit}")
     if args.deadline is not None and not args.deadline >= 0:
@@ -154,27 +147,22 @@ def cmd_match_find(args) -> int:
         "complete": res.complete,
         "matchings": [matching_mod.matching_to_json(m) for m in res.matchings],
     }
-    _emit(args, "match find", result)
-    if args.expect_some and not res.matchings:
-        return EXIT_DOMAIN
-    return EXIT_OK
+    return result, EXIT_DOMAIN if args.expect_some and not res.matchings else EXIT_OK
 
 
-def cmd_match_verify(args) -> int:
+def cmd_match_verify(args) -> tuple[dict, int]:
     g = _load_graph(args.graph)
     iota = _load_matching(args.matching)
     report = matching_mod.verify_matching(g, iota)
-    _emit(
-        args,
-        "match verify",
-        {"valid": report.ok, "involution": report.is_involution, "problems": report.problems},
-    )
-    return EXIT_OK if report.ok else EXIT_DOMAIN
+    result = {"valid": report.ok, "involution": report.is_involution, "problems": report.problems}
+    return result, EXIT_OK if report.ok else EXIT_DOMAIN
 
 
-def cmd_region(args) -> int:
+def cmd_region(args) -> tuple[dict, int]:
     if args.samples < 0:
         raise InputError(f"--samples must be at least 0, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise InputError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     g = _load_graph(args.graph)
     iota = _load_matching(args.matching)
     poly = region_mod.build_polytope(g, iota)
@@ -188,30 +176,31 @@ def cmd_region(args) -> int:
         pts = region_mod.sample(poly, args.samples, seed=args.seed)
         result["samples"] = [angles_mod.angles_to_json(t) for t in pts]
         if args.output:
-            for i, t in enumerate(pts):
-                path = f"{args.output.rstrip('/')}/sample_{i:04d}.json"
-                with _writing(path), open(path, "w") as fh:
-                    json.dump(angles_mod.angles_to_json(t), fh, sort_keys=True)
-    _emit(args, "region", result)
-    return EXIT_OK
+            for i, t in enumerate(result["samples"]):
+                _write(f"{args.output.rstrip('/')}/sample_{i:04d}.json",
+                       json.dumps(t, sort_keys=True))
+    return result, EXIT_OK
 
 
-def cmd_develop(args) -> int:
+def _develop(args, g, theta) -> develop_mod.DevelopedSurface:
+    """Develop ``theta`` on ``g``, writing the layout to ``--svg`` when it is given."""
+    surface = develop_mod.develop(g, theta, tol=args.tol)
+    if args.svg:
+        _write(args.svg, develop_mod.to_svg(surface))
+    return surface
+
+
+def cmd_develop(args) -> tuple[dict, int]:
     g = _load_graph(args.graph)
     theta = _load_angles(args.angles)
     try:
-        surface = develop_mod.develop(g, theta, tol=args.tol)
+        surface = _develop(args, g, theta)
     except develop_mod.HolonomyObstruction as ex:
-        _emit(args, "develop", {"error": str(ex), "edge": ex.edge, "residual": ex.residual})
-        return EXIT_DOMAIN
-    if args.svg:
-        with _writing(args.svg):
-            develop_mod.export_svg(surface, args.svg)
-    _emit_or_write(args, "develop", surface.to_json())
-    return EXIT_OK
+        return {"error": str(ex), "edge": ex.edge, "residual": ex.residual}, EXIT_DOMAIN
+    return _written(args, surface.to_json()), EXIT_OK
 
 
-def cmd_delaunay(args) -> int:
+def cmd_delaunay(args) -> tuple[dict, int]:
     try:
         surface = develop_mod.DevelopedSurface.from_json(_read_json(args.surface))
         surface.check()
@@ -223,36 +212,28 @@ def cmd_delaunay(args) -> int:
         try:
             ok = develop_mod.is_geometric_delaunay(surface, tol=args.tol)
         except develop_mod.DegenerateTriangleError as ex:
-            _emit(args, "delaunay check", {"delaunay": False, "degenerate": str(ex)})
-            return EXIT_DOMAIN
-        _emit(args, "delaunay check", {"delaunay": ok})
-        return EXIT_OK if ok else EXIT_DOMAIN
+            return {"delaunay": False, "degenerate": str(ex)}, EXIT_DOMAIN
+        return {"delaunay": ok}, EXIT_OK if ok else EXIT_DOMAIN
     # flip
     result_surface, flips, degenerate = develop_mod.make_delaunay(surface, tol=args.tol)
-    out = result_surface.to_json()
-    out["flips"] = flips
-    out["degenerate_edges"] = degenerate
-    _emit(args, "delaunay flip", out)
-    return EXIT_OK
+    return {**result_surface.to_json(), "flips": flips, "degenerate_edges": degenerate}, EXIT_OK
 
 
-def _origami_from_args(args) -> origami_mod.Origami:
+def _origami(args) -> tuple[origami_mod.Origami, ribbon.TriRibbonGraph]:
+    """The origami of ``args.spec`` and its standard triangulation."""
     try:
-        return origami_mod.Origami.from_spec(args.spec)
+        o = origami_mod.Origami.from_spec(args.spec)
     except ValueError as ex:
         raise InputError(str(ex))
+    return o, origami_mod.build_origami_graph(o)
 
 
-def cmd_origami_build(args) -> int:
-    o = _origami_from_args(args)
-    g = origami_mod.build_origami_graph(o)
-    _emit(args, "origami build", g.to_json())
-    return EXIT_OK
+def cmd_origami_build(args) -> tuple[dict, int]:
+    return _origami(args)[1].to_json(), EXIT_OK
 
 
-def cmd_origami_check(args) -> int:
-    o = _origami_from_args(args)
-    g = origami_mod.build_origami_graph(o)
+def cmd_origami_check(args) -> tuple[dict, int]:
+    o, g = _origami(args)
     net = origami_mod.network(o)
     sig = ribbon.stratum_signature(g, origami_mod.standard_angles(o))
     result = {
@@ -264,13 +245,11 @@ def cmd_origami_check(args) -> int:
         "geometrically_simple": net.geometrically_simple,
         "arboreal": net.arboreal,
     }
-    _emit(args, "origami check", result)
-    return EXIT_OK
+    return result, EXIT_OK
 
 
-def cmd_origami_matching(args) -> int:
-    o = _origami_from_args(args)
-    g = origami_mod.build_origami_graph(o)
+def cmd_origami_matching(args) -> tuple[dict, int]:
+    o, g = _origami(args)
     iota = origami_mod.canonical_matching(o)
     report = matching_mod.verify_matching(g, iota)
     net = origami_mod.network(o)
@@ -279,27 +258,16 @@ def cmd_origami_matching(args) -> int:
         "canonical_matching_valid": report.ok,
         "matching": matching_mod.matching_to_json(iota) if report.ok else None,
     }
-    _emit(args, "origami matching", result)
-    return EXIT_OK if report.ok else EXIT_DOMAIN
+    return result, EXIT_OK if report.ok else EXIT_DOMAIN
 
 
-def cmd_origami_develop(args) -> int:
-    o = _origami_from_args(args)
-    g = origami_mod.build_origami_graph(o)
-    theta = (
-        origami_mod.equilateral_angles(o)
-        if args.equilateral
-        else origami_mod.standard_angles(o)
-    )
-    surface = develop_mod.develop(g, theta, tol=args.tol)
-    if args.svg:
-        with _writing(args.svg):
-            develop_mod.export_svg(surface, args.svg)
-    _emit(args, "origami develop", surface.to_json())
-    return EXIT_OK
+def cmd_origami_develop(args) -> tuple[dict, int]:
+    o, g = _origami(args)
+    theta = origami_mod.equilateral_angles(o) if args.equilateral else origami_mod.standard_angles(o)
+    return _develop(args, g, theta).to_json(), EXIT_OK
 
 
-def cmd_origami_sweep(args) -> int:
+def cmd_origami_sweep(args) -> tuple[dict, int]:
     if not 1 <= args.max_squares <= MAX_SWEEP_SQUARES:
         raise InputError(
             f"--max-squares must be in 1..{MAX_SWEEP_SQUARES}, got {args.max_squares}"
@@ -325,11 +293,10 @@ def cmd_origami_sweep(args) -> int:
                         "exists": exists,
                     }
                 )
-    _emit(args, "origami sweep", {"checked": checked, "mismatches": mismatches})
-    return EXIT_OK if not mismatches else EXIT_DOMAIN
+    return {"checked": checked, "mismatches": mismatches}, EXIT_DOMAIN if mismatches else EXIT_OK
 
 
-def cmd_sum(args) -> int:
+def cmd_sum(args) -> tuple[dict, int]:
     left = _load_graph(args.left)
     right = _load_graph(args.right)
     try:
@@ -340,8 +307,7 @@ def cmd_sum(args) -> int:
     for path, graph, h in ((args.left, left, h_left), (args.right, right, h_right)):
         if h[0] not in graph.face_ids:
             raise InputError(f"{path}: no face {h[0]!r} for half-edge {ribbon.he_key(h)}")
-    _emit_or_write(args, "sum", surgery.connected_sum(left, h_left, right, h_right).to_json())
-    return EXIT_OK
+    return _written(args, surgery.connected_sum(left, h_left, right, h_right).to_json()), EXIT_OK
 
 
 @functools.cache
@@ -376,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     msub = p.add_subparsers(dest="action", required=True)
     pf = msub.add_parser("find")
     pf.add_argument("graph", nargs="?")
-    pf.add_argument("--limit", type=int, default=None)
-    pf.add_argument("--deadline", type=float, default=None)
+    pf.add_argument("--limit", type=int)
+    pf.add_argument("--deadline", type=float)
     pf.add_argument("--expect-some", action="store_true", dest="expect_some")
     pf.set_defaults(func=cmd_match_find)
     pv = msub.add_parser("verify")
@@ -404,24 +370,17 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("check", "flip"):
         pd = dsub.add_parser(name)
         pd.add_argument("surface", nargs="?")
-        pd.set_defaults(func=cmd_delaunay, action=name)
+        pd.set_defaults(func=cmd_delaunay)
 
     p = sub.add_parser("origami", help="square-tiled surfaces")
     osub = p.add_subparsers(dest="action", required=True)
-    pb = osub.add_parser("build")
-    pb.add_argument("spec", help='for example "h=(12);v=(13)"')
-    pb.set_defaults(func=cmd_origami_build)
-    pc = osub.add_parser("check")
-    pc.add_argument("spec")
-    pc.set_defaults(func=cmd_origami_check)
-    pm = osub.add_parser("matching")
-    pm.add_argument("spec")
-    pm.set_defaults(func=cmd_origami_matching)
-    pdv = osub.add_parser("develop")
-    pdv.add_argument("spec")
-    pdv.add_argument("--equilateral", action="store_true")
-    pdv.add_argument("--svg")
-    pdv.set_defaults(func=cmd_origami_develop)
+    for name, func in (("build", cmd_origami_build), ("check", cmd_origami_check),
+                       ("matching", cmd_origami_matching), ("develop", cmd_origami_develop)):
+        po = osub.add_parser(name)
+        po.add_argument("spec", help='for example "h=(12);v=(13)"')
+        po.set_defaults(func=func)
+    po.add_argument("--equilateral", action="store_true")  # develop, the last of the four
+    po.add_argument("--svg")
     ps = osub.add_parser("sweep")
     ps.add_argument("--max-squares", type=int, default=4, dest="max_squares")
     ps.set_defaults(func=cmd_origami_sweep)
@@ -438,21 +397,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run one command and print its report, or one error line on stderr."""
     args = build_parser().parse_args(argv)
     try:
         if not (math.isfinite(args.tol) and args.tol >= 0):
             raise InputError(f"--tol must be a finite number at least 0, got {args.tol}")
-        return args.func(args)
+        for flag in ("output", "svg"):
+            if getattr(args, flag, None) == "":
+                raise InputError(f"--{flag} must not be empty")
+        report, code = args.func(args)
     except InputError as ex:
         print(f"input error: {ex}", file=sys.stderr)
         return EXIT_INPUT
     except (develop_mod.FlipCapError, ValueError, KeyError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_DOMAIN
+    if args.json:
+        command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+        report = {"command": command, "seed": args.seed, "result": report, "diagnostics": []}
+    print(json.dumps(report, indent=2, sort_keys=True))
+    return code
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout is gone, as in `isodel ... | head`: send what is
+        # left to devnull so the flush at exit cannot fail again, and stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_DOMAIN
+    sys.exit(code)
 
 
 if __name__ == "__main__":

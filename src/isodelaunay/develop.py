@@ -385,10 +385,8 @@ _PAIR_COLORS = [
 ]
 
 
-def export_svg(surface: DevelopedSurface, path: str) -> None:
-    """Draw the tree-glued layout; identified boundary edges share a color."""
-    if not path:
-        raise ValueError("empty output path")
+def to_svg(surface: DevelopedSurface) -> str:
+    """SVG text of the tree-glued layout; identified boundary edges share a color."""
     pos, tree_edges = _tree_layout(surface)
     g = surface.graph
     xs = [p.real for tri in pos.values() for p in tri]
@@ -427,5 +425,4 @@ def export_svg(surface: DevelopedSurface, path: str) -> None:
                 f'<text x="{mx:.2f}" y="{my:.2f}" font-size="9" fill="#222">{e}</text>'
             )
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))
+    return "\n".join(parts)

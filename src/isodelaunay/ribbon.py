@@ -270,9 +270,9 @@ def stratum_signature(graph: TriRibbonGraph, theta) -> StratumSignature:
     ``theta`` maps corners to radians.  A residual of the cone angle from an
     integer multiple of 2*pi beyond ``CONE_TOL`` turns is an error.
     """
-    info = topology(graph)
+    vertices = vertex_orbits(graph)
     orders = []
-    for orbit in vertex_orbits(graph):
+    for orbit in vertices:
         cone = sum(theta[c] for c in orbit)
         ratio = cone / TWO_PI
         k = round(ratio) - 1
@@ -282,5 +282,5 @@ def stratum_signature(graph: TriRibbonGraph, theta) -> StratumSignature:
                 f" (cone {cone:.12f})"
             )
         orders.append(k)
-    sig = StratumSignature(info["genus"], tuple(sorted(orders, reverse=True)))
-    return sig
+    chi = len(vertices) - len(graph.edges) + len(graph.faces)
+    return StratumSignature((2 - chi) // 2, tuple(sorted(orders, reverse=True)))

@@ -1,14 +1,16 @@
 """Command-line interface: exit codes, JSON envelopes, piping, determinism."""
 
+import argparse
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
-from isodelaunay import angles, cli, origami, ribbon
+from isodelaunay import angles, cli, develop, origami, ribbon
 
 
 L = "h=(12);v=(13)"
@@ -505,6 +507,77 @@ def test_an_unwritable_output_path_is_input_error(l_files, tmp_path, capsys, com
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"input error: cannot write {missing}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["region", "develop -o", "develop --svg",
+                                     "origami develop", "sum"])
+def test_an_empty_output_path_is_input_error_before_any_input_is_read(tmp_path, capsys, command):
+    # no input file exists and the spec does not parse, so only a refusal
+    # made before any input is read names the empty path
+    absent = str(tmp_path / "absent.json")
+    argv, flag = {
+        "region": (["region", absent, absent, "--samples", "2", "-o", ""], "output"),
+        "develop -o": (["develop", absent, absent, "-o", ""], "output"),
+        "develop --svg": (["develop", absent, absent, "--svg", ""], "svg"),
+        "origami develop": (["origami", "develop", "h=(1x);v=()", "--svg", ""], "svg"),
+        "sum": (["sum", absent, "f1-/0", absent, "f1-/0", "-o", ""], "output"),
+    }[command]
+    assert run_cli(capsys, *argv) == (2, "", f"input error: --{flag} must not be empty\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_region_refuses_more_samples_than_its_bound(l_files, capsys, monkeypatch):
+    # a report holds all its samples at once, so their count is bounded
+    graph, iota = l_files
+    over = str(cli.MAX_SAMPLES + 1)
+    assert run_cli(capsys, "region", str(graph), str(iota), "--samples", over) == (
+        2, "", f"input error: --samples must be at most {cli.MAX_SAMPLES}, got {over}\n")
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 2)
+    code, out, _ = run_cli(capsys, "region", str(graph), str(iota), "--samples", "2")
+    assert code == 0 and len(json.loads(out)["samples"]) == 2
+    assert run_cli(capsys, "region", str(graph), str(iota), "--samples", "3")[0] == 2
+
+
+def test_a_closed_stdout_ends_quietly():
+    # `isodel ... | head` closes the pipe before the report is flushed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "isodelaunay.cli", "origami", "build", L],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def _subcommands(parser=None, words=()) -> list[str]:
+    """The words naming each command of the parser, such as ``match find``."""
+    parser = parser or cli.build_parser()
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [" ".join(words)]
+    return [c for name, p in subs[0].choices.items() for c in _subcommands(p, (*words, name))]
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_the_envelope_names_the_subcommand(l_files, tmp_path, capsys, command):
+    graph, iota = l_files
+    o = origami.Origami.from_spec(L)
+    theta = origami.standard_angles(o)
+    angles_file = write_json(tmp_path / "angles.json", angles.angles_to_json(theta))
+    surface = write_json(tmp_path / "surface.json",
+                         develop.develop(origami.build_origami_graph(o), theta).to_json())
+    args = {
+        "validate": [graph], "info": [graph], "holonomy": [graph, angles_file],
+        "match find": [graph, "--limit", "1"], "match verify": [graph, iota],
+        "region": [graph, iota], "develop": [graph, angles_file],
+        "delaunay check": [surface], "delaunay flip": [surface],
+        "origami build": [L], "origami check": [L], "origami matching": [L],
+        "origami develop": [L], "origami sweep": ["--max-squares", "2"],
+        "sum": [graph, "f1-/0", graph, "f1-/0"],
+    }[command]
+    _, out, err = run_cli(capsys, "--json", *command.split(), *map(str, args))
+    assert err == "" and json.loads(out)["command"] == command
 
 
 @pytest.mark.parametrize("flag, value", [("--samples", "-3"), ("--limit", "0"), ("--limit", "-1")])

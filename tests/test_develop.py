@@ -162,12 +162,10 @@ def test_delaunay_angles_match_region_membership(square_l, square_l_graph):
     assert in_delaunay_region(square_l_graph, theta)
 
 
-def test_export_svg(tmp_path, square_l, square_l_graph):
+def test_to_svg(square_l, square_l_graph):
     surface = develop.develop(square_l_graph, origami.equilateral_angles(square_l))
-    out = tmp_path / "surface.svg"
-    develop.export_svg(surface, str(out))
-    text = out.read_text()
-    assert text.startswith("<svg") and "polygon" in text
+    text = develop.to_svg(surface)
+    assert text.startswith("<svg") and "polygon" in text and text.endswith("</svg>")
 
 
 def test_in_circle_disagreement_survives_python_O(run_optimized):
@@ -203,8 +201,3 @@ def test_an_edge_with_both_sides_in_one_face_is_not_flipped():
     with pytest.raises(ValueError, match="^cannot flip edge 'a': both sides in one face$"):
         tri.flip("a")
 
-
-def test_export_svg_refuses_an_empty_path(square_l, square_l_graph):
-    surface = develop.develop(square_l_graph, origami.equilateral_angles(square_l))
-    with pytest.raises(ValueError, match="^empty output path$"):
-        develop.export_svg(surface, "")

@@ -152,3 +152,25 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
                       if not any(passed(c, i, name) for c in calls.get(node.name, ()))]
     assert count > 5
     assert knobs == []
+
+
+def _callers(path: Path, name: str) -> set[str]:
+    """The top-level definitions of ``path`` that call the builtin ``name``,
+    with ``<module>`` for a call outside any of them."""
+    out = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name
+               for n in ast.walk(node)):
+            out.add(getattr(node, "name", "<module>"))
+    return out
+
+
+def test_only_the_cli_prints_and_opens_files():
+    # commands return their reports and run prints each one; _read_json and
+    # _write are the only file access, and the library opens no file
+    cli = ROOT / "src/isodelaunay/cli.py"
+    assert _callers(cli, "print") == {"run"}
+    assert _callers(cli, "open") == {"_read_json", "_write"}
+    library = [p for p in sorted((ROOT / "src/isodelaunay").glob("*.py")) if p != cli]
+    assert len(library) > 5
+    assert [f"{p.name}: {n}" for p in library for n in ("print", "open") if _callers(p, n)] == []
