@@ -30,9 +30,9 @@ EXIT_INPUT = 2
 # host), and each further square costs more than ten times as much
 MAX_SWEEP_SQUARES = 7
 
-# region holds every sample and its JSON in memory until it prints them; on
-# the 12-square staircase a sample is about 2.5 KB of JSON and 0.2 ms, so this
-# bound prints 25 MB in about 2 s and peaks near 250 MB (2-core x86-64 host)
+# region holds every sample in memory until it prints them; on the 12-square
+# staircase a sample is about 2.5 KB of JSON and 0.2 ms, so this bound prints
+# 25 MB in about 2 s and peaks near 100 MB (2-core x86-64 host)
 MAX_SAMPLES = 10_000
 
 
@@ -415,7 +415,8 @@ def run(argv: list[str] | None = None) -> int:
     if args.json:
         command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
         report = {"command": command, "seed": args.seed, "result": report, "diagnostics": []}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    json.dump(report, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
     return code
 
 

@@ -98,7 +98,10 @@ class Origami:
         fields = dict()
         for part in text.split(";"):
             key, _, val = part.partition("=")
-            fields[key.strip()] = val.strip()
+            key = key.strip()
+            if key in fields:
+                raise ValueError(f"key {key!r} given twice in {text!r}")
+            fields[key] = val.strip()
         if set(fields) != {"h", "v"}:
             raise ValueError(f"expected 'h=...;v=...', got {text!r}")
         return cls.from_strings(fields["h"], fields["v"])

@@ -13,16 +13,15 @@ polytope.
 ``sample`` runs a coordinate hit-and-run walk from that point, with one
 variable per iota-orbit of corners, so every sample is iota-invariant bit
 for bit.  A triangle matching is Z/3-equivariant, so the three corners of
-a face lie in three orbits or all in one.  In orbit coordinates the
-equalities split into one face row per face orbit, disjoint from every
-other: (1, 1, 1), a plane block, or (3), a point that never moves.  A block
-step picks a plane block uniformly, a uniform direction in it, and a
-uniform point on the chord that the inequality rows touching the block
-leave open, so a step costs a few rows and no matrix.  ``build_polytope``
-makes inequality rows of one or two terms only; ``sample`` compiles each
-of them once per call into a flat tuple, padding a one-term row with a
-spare orbit held at 0.0, so a step reads a row's room in one expression.
-Any other face row, and any wider inequality row, is refused.
+a face lie in three orbits or all in one.  ``build_polytope`` records each
+face orbit of the first kind once, as a plane block; the face sum holds the
+orbits of the second kind at pi/3.  A block step picks a plane block
+uniformly, a uniform direction in it, and a uniform point on the chord that
+the inequality rows touching the block leave open, so a step costs a few
+rows and no matrix.  ``build_polytope`` makes inequality rows of one or two
+terms only; ``sample`` compiles each of them once per call into a flat
+tuple, padding a one-term row with a spare orbit held at 0.0, so a step
+reads a row's room in one expression.  A wider row is refused.
 The schedule is counted in block steps: ``BURN_IN_PER_DIM`` steps per
 dimension of burn-in, then one sample kept every ``STRIDE`` steps.  All
 randomness is drawn from ``random.Random(seed).random()``, whose stream
@@ -66,10 +65,11 @@ class RegionPolytope:
     # strict inequalities: rows with ax < b, slack b - ax to be kept positive
     ineq_rows: list[dict[Corner, float]]
     ineq_rhs: list[float]
-    # affine dimension of the equality subspace, by orbit count
-    dimension: int
     # index of each corner's iota-orbit: the sampler's variables
     orbit_of: dict[Corner, int]
+    # the sampler's plane blocks: the sorted orbit triple of each face orbit
+    # whose corners lie in three orbits, in ascending order
+    planes: list[tuple[int, int, int]]
     # the certified (theta, slack) of ``optimum``, kept once its certificate passes
     _optimum: tuple[AngleAssignment, float] | None = field(default=None, init=False,
                                                            repr=False, compare=False)
@@ -77,6 +77,11 @@ class RegionPolytope:
     @property
     def n_vars(self) -> int:
         return len(self.corners)
+
+    @property
+    def dimension(self) -> int:
+        """Affine dimension of the equality subspace: two per plane."""
+        return 2 * len(self.planes)
 
     def slack(self, theta: AngleAssignment) -> float:
         """Least inequality slack of a point (negative when violated)."""
@@ -126,8 +131,9 @@ def build_polytope(
     then one row theta(c) = theta(iota(c)) per corner pair that iota moves,
     in corner order.  The orbit rows leave one variable per iota-orbit of
     corners.  The face rows of one face orbit then coincide, and rows of
-    different face orbits have disjoint supports, so the dimension is the
-    number of corner orbits less the number of face orbits.
+    different face orbits have disjoint supports, so each face orbit whose
+    corners lie in three orbits is a plane, and each other face orbit a
+    point.
 
     The inequalities are one positivity row -theta(c) < 0 per corner, in
     corner order, then one Delaunay row per edge, in edge order.
@@ -147,9 +153,9 @@ def build_polytope(
         seen.add((c, img))
         eq_rows.append({c: 1, img: -1})
         eq_rhs.append(0.0)
-    corner_orbits = orbits(corners, iota.__getitem__)
-    dimension = len(corner_orbits) - len(orbits(faces, lambda f: iota[(f, 0)][0]))
-    orbit_of = {c: i for i, orbit in enumerate(corner_orbits) for c in orbit}
+    orbit_of = {c: i for i, orbit in enumerate(orbits(corners, iota.__getitem__)) for c in orbit}
+    triples = {tuple(sorted((orbit_of[(f, 0)], orbit_of[(f, 1)], orbit_of[(f, 2)]))) for f in faces}
+    planes = sorted(t for t in triples if t[0] != t[1])
 
     ineq_rows: list[dict] = [{c: -1.0} for c in corners]  # -theta(c) < 0
     ineq_rhs: list[float] = [0.0] * len(corners)
@@ -160,7 +166,7 @@ def build_polytope(
             row[opp] = row.get(opp, 0.0) + 1.0
         ineq_rows.append(row)
         ineq_rhs.append(math.pi)
-    return RegionPolytope(corners, eq_rows, eq_rhs, ineq_rows, ineq_rhs, dimension, orbit_of)
+    return RegionPolytope(corners, eq_rows, eq_rhs, ineq_rows, ineq_rhs, orbit_of, planes)
 
 
 @dataclass
@@ -189,30 +195,22 @@ MARGIN = 1e-9
 
 
 def _collapse(row: dict[Corner, float], orbit_of: dict[Corner, int]) -> tuple:
-    """A sparse corner row in orbit coordinates: sorted (orbit, coefficient)
-    pairs, zero coefficients dropped.
-
-    A row of one or two terms, as every positivity, orbit and Delaunay row
-    is, is collapsed without a dict (but for two orbits and a zero
-    coefficient); the sum va + vb of two terms in one orbit is what the
-    dict's 0 + va + vb gives whenever it is not zero.
-    """
+    """A corner row of one or two terms in orbit coordinates: sorted (orbit,
+    coefficient) pairs, zero coefficients dropped, two terms in one orbit
+    summed.  ValueError for a wider row."""
+    if len(row) > 2:
+        raise ValueError(f"row {row} has more than two terms")
     if len(row) == 1:
         ((c, v),) = row.items()
         return ((orbit_of[c], v),) if v != 0 else ()
-    if len(row) == 2:
-        (ca, va), (cb, vb) = row.items()
-        oa, ob = orbit_of[ca], orbit_of[cb]
-        if oa == ob:
-            v = va + vb
-            return ((oa, v),) if v != 0 else ()
-        if va != 0 and vb != 0:
-            return ((oa, va), (ob, vb)) if oa < ob else ((ob, vb), (oa, va))
-    out: dict[int, float] = {}
-    for c, v in row.items():
-        o = orbit_of[c]
-        out[o] = out.get(o, 0) + v
-    return tuple(sorted((o, v) for o, v in out.items() if v != 0))
+    (ca, va), (cb, vb) = row.items()
+    oa, ob = orbit_of[ca], orbit_of[cb]
+    if oa == ob:
+        v = va + vb
+        return ((oa, v),) if v != 0 else ()
+    if va == 0 or vb == 0:
+        return ((oa, va),) if va != 0 else ((ob, vb),) if vb != 0 else ()
+    return ((oa, va), (ob, vb)) if oa < ob else ((ob, vb), (oa, va))
 
 
 # the orthonormal basis of every plane block's directions, as Gram-Schmidt
@@ -223,8 +221,7 @@ _PLANE = ((0.8164965809277258, -0.40824829046386313, -0.40824829046386313),
 
 
 def _blocks(polytope: RegionPolytope) -> list[tuple]:
-    """The walk's plane blocks, one per distinct (1, 1, 1) face row in orbit
-    coordinates.
+    """The walk's blocks, one per plane of ``polytope.planes``.
 
     Each block is (triples, rows): an (orbit, w0, w1) triple per orbit
     variable, with its entries in the two vectors of ``_PLANE``, and every
@@ -232,52 +229,36 @@ def _blocks(polytope: RegionPolytope) -> list[tuple]:
     its rates along the two vectors, its right-hand side less ``MARGIN``,
     and its one or two (orbit, coefficient) terms, a one-term row padded
     with the spare orbit ``ob`` = number of orbits and ``vb`` = 0.0.
-    ValueError for a face row other than (1, 1, 1) or (3), or an inequality
-    row of more than two terms.  The face rows must partition the orbits,
-    and two dimensions per plane must sum to ``polytope.dimension``.
+    A row that touches no plane reads only points and is left out.
     """
     orbit_of = polytope.orbit_of
-    face_rows = sorted({r for r in (_collapse(row, orbit_of) for row in polytope.eq_rows) if r})
-    for row in face_rows:
-        if tuple(v for _, v in row) not in ((1, 1, 1), (3,)):
-            raise ValueError(f"face row {row} in orbit coordinates is neither (1, 1, 1) nor (3)")
-    n_orbits = max(orbit_of.values()) + 1
-    block_of = {o: b for b, row in enumerate(face_rows) for o, _ in row}
-    dims = [len(row) - 1 for row in face_rows]
-    if (len(block_of) != sum(map(len, face_rows)) or len(block_of) != n_orbits
-            or sum(dims) != polytope.dimension):
-        raise AssertionError(
-            f"equality rows do not split into face-orbit blocks of total null dimension "
-            f"{polytope.dimension}: null dimensions {dims}"
-        )
-    rows: list[list[tuple]] = [[] for _ in face_rows]
-    spare = ((n_orbits, 0.0),)
+    planes = polytope.planes
+    spare = ((max(orbit_of.values()) + 1, 0.0),)
+    # each plane orbit's block and its index in the block's triple: the
+    # entry of ``_PLANE``'s vectors it reads
+    place = {o: (b, i) for b, plane in enumerate(planes) for i, o in enumerate(plane)}
+    rows: list[list[tuple]] = [[] for _ in planes]
     ineqs = dict.fromkeys(
         (_collapse(row, orbit_of), b) for row, b in zip(polytope.ineq_rows, polytope.ineq_rhs)
     )
-    # each orbit's index in its face row: the entry of ``_PLANE``'s vectors it reads
-    position = {o: i for row in face_rows for i, (o, _) in enumerate(row)}
     u0, u1 = _PLANE
     for terms, b in ineqs:
-        if len(terms) > 2:
-            raise ValueError(f"inequality row {terms} in orbit coordinates has more than two terms")
         if not terms:
             continue
         (oa, va), (ob, vb) = (terms + spare)[:2]
         row = (b - MARGIN, oa, va, ob, vb)
         # a block's rates sum the row's terms in that block from 0.0, as the
         # reference walk in tests/region_oracles.py does, so a -0.0 product reads 0.0
-        pa, blk = position[oa], block_of[oa]
-        r0, r1 = 0.0 + va * u0[pa], 0.0 + va * u1[pa]
-        if len(terms) == 2:
-            pb = position[ob]
-            if block_of[ob] == blk:
-                r0, r1 = r0 + vb * u0[pb], r1 + vb * u1[pb]
-            else:
-                rows[block_of[ob]].append((0.0 + vb * u0[pb], 0.0 + vb * u1[pb], *row))
-        rows[blk].append((r0, r1, *row))
-    return [(tuple(zip((o for o, _ in row), *_PLANE)), block_rows)
-            for row, block_rows in zip(face_rows, rows) if len(row) == 3]
+        pa, pb = place.get(oa), place.get(ob)
+        if pa and pb and pa[0] == pb[0]:
+            (blk, i), (_, j) = pa, pb
+            rows[blk].append((0.0 + va * u0[i] + vb * u0[j], 0.0 + va * u1[i] + vb * u1[j], *row))
+            continue
+        for p, v in ((pa, va), (pb, vb)):
+            if p:
+                blk, i = p
+                rows[blk].append((0.0 + v * u0[i], 0.0 + v * u1[i], *row))
+    return [(tuple(zip(plane, *_PLANE)), block_rows) for plane, block_rows in zip(planes, rows)]
 
 
 def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignment]:

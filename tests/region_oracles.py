@@ -3,7 +3,8 @@ samples, and the references the library is compared against: the corner
 chain kernel that ``angles.holonomy`` and ``angles.holonomies`` must match
 bit for bit; two walks for ``region.sample``, the dense hit-and-run walk,
 for its law, and the block walk that reads every row through a loop over
-its terms, for its bits; the Gram-Schmidt that ``region._PLANE`` is the
+its terms, for its bits, on blocks it derives from the equality rows, as
+``RegionPolytope.planes`` must give them; the Gram-Schmidt that ``region._PLANE`` is the
 value of; and the dict-and-sort collapse of a row that ``region._collapse``
 is compared against.  Only tests and ``tools/output_digest.py`` need them."""
 
@@ -30,16 +31,6 @@ def open_polytope(graph: TriRibbonGraph, iota: dict) -> region.RegionPolytope:
     return dataclasses.replace(poly, ineq_rows=poly.ineq_rows[:n], ineq_rhs=poly.ineq_rhs[:n])
 
 
-def reflected_face() -> region.RegionPolytope:
-    """One face whose corners 1 and 2 share an orbit, as under a map that
-    reflects the face onto itself: its face row theta0 + 2 theta1 = pi is
-    (2, 1) in orbit coordinates, which no triangle matching makes."""
-    a, b, c = ("f", 0), ("f", 1), ("f", 2)
-    return region.RegionPolytope(
-        [a, b, c], [{a: 1, b: 1, c: 1}, {b: 1, c: -1}], [math.pi, 0.0],
-        [{a: -1.0}, {b: -1.0}, {c: -1.0}], [0.0, 0.0, 0.0], 1, {a: 0, b: 1, c: 1})
-
-
 def wide_row_polytope() -> region.RegionPolytope:
     """Two faces, each a plane block, and besides positivity one row of three
     terms across both: theta(f, 0) + theta(f, 1) + 2 theta(g, 0) < 7 pi / 4.
@@ -48,8 +39,8 @@ def wide_row_polytope() -> region.RegionPolytope:
     wide = {("f", 0): 1.0, ("f", 1): 1.0, ("g", 0): 2.0}
     return region.RegionPolytope(
         corners, [{(f, s): 1 for s in range(3)} for f in "fg"], [math.pi] * 2,
-        [{c: -1.0} for c in corners] + [wide], [0.0] * 6 + [1.75 * math.pi], 4,
-        {c: i for i, c in enumerate(corners)})
+        [{c: -1.0} for c in corners] + [wide], [0.0] * 6 + [1.75 * math.pi],
+        {c: i for i, c in enumerate(corners)}, [(0, 1, 2), (3, 4, 5)])
 
 
 def plane_and_point_polytope() -> region.RegionPolytope:
@@ -61,7 +52,7 @@ def plane_and_point_polytope() -> region.RegionPolytope:
     return region.RegionPolytope(
         corners, [{(f, s): 1 for s in range(3)} for f in "fg"] + [{g0: 1, g1: -1}, {g1: 1, g2: -1}],
         [math.pi] * 2 + [0.0] * 2, [{c: -1.0} for c in corners] + [{("f", 0): 1.0, g1: 1.0}],
-        [0.0] * 6 + [math.pi], 2, {c: min(i, 3) for i, c in enumerate(corners)})
+        [0.0] * 6 + [math.pi], {c: min(i, 3) for i, c in enumerate(corners)}, [(0, 1, 2)])
 
 
 def plane_with_a_row_inside() -> region.RegionPolytope:
@@ -73,13 +64,13 @@ def plane_with_a_row_inside() -> region.RegionPolytope:
     return region.RegionPolytope(
         corners, [{c: 1 for c in corners}], [math.pi],
         [{c: -1.0} for c in corners] + [{("f", 1): 1.0, ("f", 2): -1.0}],
-        [0.0] * 3 + [math.pi / 3], 2, {c: i for i, c in enumerate(corners)})
+        [0.0] * 3 + [math.pi / 3], {c: i for i, c in enumerate(corners)}, [(0, 1, 2)])
 
 
 def point_polytope() -> region.RegionPolytope:
     """One corner held at pi/3: a zero-dimensional polytope."""
     c = ("f", 0)
-    return region.RegionPolytope([c], [{c: 1.0}], [math.pi / 3], [{c: -1.0}], [0.0], 0, {c: 0})
+    return region.RegionPolytope([c], [{c: 1.0}], [math.pi / 3], [{c: -1.0}], [0.0], {c: 0}, [])
 
 
 def corner_holonomies(theta: dict, chains: list[AngleChain]) -> list[angles.HolonomyValue]:
@@ -194,8 +185,8 @@ def dense_sample(polytope: region.RegionPolytope, n: int, seed: int = 0) -> list
 
 def generic_collapse(row: dict, orbit_of: dict) -> tuple:
     """``region._collapse`` as it stood before its rows of one or two terms
-    were read without a dict: every row summed into a dict from 0, sorted,
-    zero coefficients dropped."""
+    were read without a dict: every row, of any width, summed into a dict
+    from 0, sorted, zero coefficients dropped."""
     out: dict = {}
     for c, v in row.items():
         o = orbit_of[c]
@@ -224,7 +215,8 @@ def null_basis(coeffs: list[float]) -> list[list[float]]:
 
 
 def _generic_blocks(polytope: region.RegionPolytope) -> list[tuple]:
-    """The walk's blocks: one per distinct face row in orbit coordinates.
+    """The walk's blocks, derived from the equality rows without reading
+    ``polytope.planes``: one per distinct face row in orbit coordinates.
 
     Each block is (orbits, basis, rows): the block's orbit variables, an
     orthonormal basis of its null space as two vectors (the second all zero

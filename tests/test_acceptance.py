@@ -5,6 +5,7 @@ release checklist.  Run with ``pytest -s tests/test_acceptance.py`` to see
 the lines for passing criteria too.
 """
 
+import functools
 import time
 
 from chain_oracles import (apply_to_chain, chain_neg, enumerate_simple_cycles, p_map,
@@ -198,12 +199,12 @@ def test_criterion_12_homology_core(torus_graph, square_l_graph, staircase_graph
     report(12, "p after phi is the identity; pairing vectors negate across edges", ok)
 
 
-def test_criterion_13_delaunay_triangulations_carry_matchings():
-    # the paper's corollary: a Delaunay triangulation in a hyperelliptic
-    # component carries a triangle matching, and its own angles lie inside
-    # that matching's (convex) iso-Delaunay region
-    ok = True
-    surfaces = 0
+@functools.cache
+def sheared_staircases() -> list[tuple]:
+    """24 staircases, each sheared twice and made Delaunay by Lawson flips,
+    as (n squares, surface, flips, degenerate edges, first matching found
+    or None)."""
+    out = []
     for a, b in ((1.3, 0.4), (2.41, -0.62), (0.7, 1.9)):
         for n in range(3, 11):
             o = staircase_origami(n)
@@ -216,15 +217,87 @@ def test_criterion_13_delaunay_triangulations_carry_matchings():
             surface, flips, degenerate = develop.make_delaunay(
                 develop.DevelopedSurface(start.graph, periods)
             )
-            surfaces += 1
-            ok = ok and len(flips) > 0 and degenerate == []
             found = matching.find_matchings(surface.graph, limit=1).matchings
+            out.append((n, surface, flips, degenerate, found[0] if found else None))
+    return out
+
+
+def test_criterion_13_delaunay_triangulations_carry_matchings():
+    # the paper's corollary: a Delaunay triangulation in a hyperelliptic
+    # component carries a triangle matching, and its own angles lie inside
+    # that matching's (convex) iso-Delaunay region
+    ok = True
+    surfaces = sheared_staircases()
+    for _, surface, flips, degenerate, iota in surfaces:
+        ok = ok and len(flips) > 0 and degenerate == []
+        if iota is None:
+            ok = False
+            continue
+        theta = develop.angles_of(surface)
+        ok = ok and max(abs(theta[c] - theta[iota[c]]) for c in theta) < TOL
+        poly = region.build_polytope(surface.graph, iota)
+        ok = ok and poly.equality_residual(theta) < TOL and poly.slack(theta) > 0
+    report(13, f"{len(surfaces)} sheared staircases: Delaunay, matched, angles in the region", ok)
+
+
+def chord_exit(poly, start, through):
+    """Where the ray from ``start`` through ``through`` leaves the polytope:
+    the least t > 0 at which an inequality row of start + t (through -
+    start) runs out of room, and the indices of the rows that tie there."""
+    exits = []
+    for i, (row, b) in enumerate(zip(poly.ineq_rows, poly.ineq_rhs)):
+        rate = sum(v * (through[c] - start[c]) for c, v in row.items())
+        if rate > 0:
+            exits.append(((b - sum(v * start[c] for c, v in row.items())) / rate, i))
+    t = min(exits)[0]
+    return t, [i for u, i in exits if u <= t * (1 + 1e-9)]
+
+
+def delaunay_at(graph, start, through, t):
+    """``make_delaunay`` on the surface whose angles are start + t (through - start)."""
+    theta = {c: v + t * (through[c] - v) for c, v in start.items()}
+    return develop.make_delaunay(develop.develop(graph, theta))
+
+
+def iota_orbit(graph, iota, edge):
+    """The edges that iota's powers carry ``edge`` to."""
+    seen, todo = set(), graph.occurrences(edge)
+    while todo:
+        h = todo.pop()
+        if h not in seen:
+            seen.add(h)
+            todo.append(iota[h])
+    return {graph.edge_of(h) for h in seen}
+
+
+def test_criterion_15_region_walls_are_lawson_flips():
+    # the region's Delaunay rows are where make_delaunay starts to flip: a
+    # chord from a staircase's own angles through a region sample leaves the
+    # region at t*; just inside no edge flips, and just past it exactly the
+    # edges whose rows tie at t*, one iota-orbit, flip, onto a triangulation
+    # that carries a matching whose region holds its angles.  A chord that
+    # ends where an angle reaches 0 leaves no triangulation behind it
+    ok = True
+    walls = 0
+    for n, surface, _, _, iota in sheared_staircases():
+        g = surface.graph
+        poly = region.build_polytope(g, iota)
+        start = develop.angles_of(surface)
+        for through in region.sample(poly, 4, seed=n):
+            t, rows = chord_exit(poly, start, through)
+            if min(rows) < len(poly.corners):  # a positivity row
+                continue
+            walls += 1
+            tied = sorted(g.edges[i - len(poly.corners)] for i in rows)
+            _, inside, _ = delaunay_at(g, start, through, t * (1 - 1e-4))
+            past, flips, _ = delaunay_at(g, start, through, t * (1 + 1e-4))
+            ok = ok and inside == [] and sorted(flips) == tied
+            ok = ok and set(tied) == iota_orbit(g, iota, tied[0])
+            found = matching.find_matchings(past.graph, limit=1).matchings
             if not found:
                 ok = False
                 continue
-            iota = found[0]
-            theta = develop.angles_of(surface)
-            ok = ok and max(abs(theta[c] - theta[iota[c]]) for c in theta) < TOL
-            poly = region.build_polytope(surface.graph, iota)
-            ok = ok and poly.equality_residual(theta) < TOL and poly.slack(theta) > 0
-    report(13, f"{surfaces} sheared staircases: Delaunay, matched, angles in the region", ok)
+            theta = develop.angles_of(past)
+            flipped = region.build_polytope(past.graph, found[0])
+            ok = ok and flipped.equality_residual(theta) < TOL and flipped.slack(theta) > 0
+    report(15, f"{walls} region walls on sheared staircases are Lawson flips", ok and walls > 40)

@@ -550,6 +550,33 @@ def test_a_closed_stdout_ends_quietly():
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
+def test_region_streams_its_samples(l_files):
+    # the report is encoded straight to stdout, so the process's peak memory
+    # grows by a few times the bytes it prints, not by the whole indented
+    # string and its pieces besides (about 9.5 times on the L origami).  The
+    # child reads its peak from VmHWM: ru_maxrss keeps the high-water mark of
+    # the process it was forked from across exec.  Its stdout is buffered,
+    # as it is by default off a terminal
+    graph, iota = l_files
+    script = ("import sys\n"
+              "from isodelaunay import cli\n"
+              "def peak():\n"
+              "    with open('/proc/self/status') as fh:\n"
+              "        return int(next(x for x in fh if x.startswith('VmHWM:')).split()[1])\n"
+              "before = peak()\n"
+              "code = cli.run(sys.argv[1:])\n"
+              "sys.stdout.flush()\n"
+              "print(code, peak() - before, file=sys.stderr)\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", script, "region", str(graph), str(iota),
+                           "--samples", "3000"], capture_output=True, env=env, timeout=60)
+    code, grown_kb = map(int, proc.stderr.split())
+    assert code == 0 and len(json.loads(proc.stdout)["samples"]) == 3000
+    assert grown_kb * 1024 < 6 * len(proc.stdout)
+
+
 def _subcommands(parser=None, words=()) -> list[str]:
     """The words naming each command of the parser, such as ``match find``."""
     parser = parser or cli.build_parser()
@@ -723,6 +750,7 @@ def test_delaunay_check_reports_a_degenerate_surface(tmp_path, capsys):
     ("h=(01);v=()", "permutation symbols must be >= 1 in '(01)'"),
     ("h=(12)", "expected 'h=...;v=...', got 'h=(12)'"),
     ("h=(12);w=()", "expected 'h=...;v=...', got 'h=(12);w=()'"),
+    ("h=(12);v=(12);v=(13)", "key 'v' given twice in 'h=(12);v=(12);v=(13)'"),
 ])
 def test_a_bad_spec_is_one_input_error_line(capsys, spec, message):
     code, out, err = run_cli(capsys, "origami", "build", spec)

@@ -16,12 +16,15 @@ check of ``develop`` against a residual taken from both sides of every edge.
 On region samples of origamis that carry a matching, ``angles_of`` inverts
 ``develop``, and every sample is exactly invariant, keeps ``MARGIN`` of
 slack, meets the face sums within 1e-14 and comes again from its seed.
+The polytope's planes are checked against the blocks its equality rows
+make, and its dimension against the orbit count and the rows' rank.
 """
 
 import math
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -29,8 +32,8 @@ from hypothesis import strategies as st
 from chain_oracles import apply_to_chain, boundary, chain_add, chain_neg, p_map, pairing_vector
 from delaunay_oracles import circumcircle_cross_check, delaunay_sum, flip_edge, incircle_det
 from isodelaunay import angles, develop, homology, matching, origami, region, ribbon
-from region_oracles import (generic_sample, open_polytope, plane_and_point_polytope,
-                            plane_with_a_row_inside, point_polytope)
+from region_oracles import (_dense, _generic_blocks, generic_sample, open_polytope,
+                            plane_and_point_polytope, plane_with_a_row_inside, point_polytope)
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -361,6 +364,26 @@ def test_sample_matches_the_generic_row_walk_bit_for_bit(triple, glued, seed):
     for poly in polytopes:
         assert _hex_samples(region.sample(poly, 3, seed=seed)) == _hex_samples(
             generic_sample(poly, 3, seed=seed))
+
+
+@PROPERTY
+@given(graphs(), glued_triangles())
+def test_planes_are_the_blocks_the_equality_rows_make(triple, glued):
+    # build_polytope reads the planes off the corner orbits; the reference
+    # derives the blocks from the equality rows, and numpy the dimension from
+    # their rank in orbit coordinates
+    for g in (*triple, glued):
+        found = matching.find_matchings(g, limit=1).matchings
+        if not found:
+            continue
+        iota = found[0]
+        poly = region.build_polytope(g, iota)
+        assert poly.planes == [orbits for orbits, _, _ in _generic_blocks(poly)]
+        width = len(ribbon.orbits(g.half_edges(), iota.__getitem__))
+        face_orbits = ribbon.orbits(g.face_ids, lambda f: iota[(f, 0)][0])
+        assert poly.dimension == width - len(face_orbits)
+        rank = np.linalg.matrix_rank(_dense(poly.eq_rows, poly.orbit_of, width))
+        assert poly.dimension == width - rank
 
 
 def _flip_rebuilding_the_graph(surface, edge):

@@ -11,7 +11,7 @@ from delaunay_oracles import circumcircle_cross_check, delaunay_sum, in_delaunay
 from isodelaunay import angles, homology, origami, region, surgery
 from region_oracles import (dense_sample, generic_collapse, generic_sample, null_basis,
                             open_polytope, plane_and_point_polytope, plane_with_a_row_inside,
-                            point_polytope, reflected_face, wide_row_polytope)
+                            point_polytope, wide_row_polytope)
 
 
 def build(o):
@@ -122,7 +122,7 @@ def test_infeasible_polytope_reports_and_refuses_to_sample():
     # one corner with x = 1 and x < 0: the equalities and inequalities conflict,
     # so the equilateral point fails its certificate in analyze and in sample
     c = ("f", 0)
-    poly = region.RegionPolytope([c], [{c: 1.0}], [1.0], [{c: 1.0}], [0.0], 0, {c: 0})
+    poly = region.RegionPolytope([c], [{c: 1.0}], [1.0], [{c: 1.0}], [0.0], {c: 0}, [])
     for _ in range(2):  # a failed certificate is not kept
         with pytest.raises(RuntimeError, match="certificate: equality residual"):
             region.analyze(poly)
@@ -133,14 +133,14 @@ def test_infeasible_polytope_reports_and_refuses_to_sample():
 def test_analyze_refuses_an_uncertified_point():
     c = ("f", 0)
     # x = 1 and x > 0 is feasible, but the equilateral point misses the equality
-    poly = region.RegionPolytope([c], [{c: 1.0}], [1.0], [{c: -1.0}], [0.0], 0, {c: 0})
+    poly = region.RegionPolytope([c], [{c: 1.0}], [1.0], [{c: -1.0}], [0.0], {c: 0}, [])
     for _ in range(2):  # a failed certificate is not kept
         with pytest.raises(RuntimeError, match="certificate"):
             region.analyze(poly)
         with pytest.raises(RuntimeError, match="certificate"):
             region.sample(poly, 3)
     # x = pi/3 and x < 2: the point is inside, but its slack is not pi/3
-    poly = region.RegionPolytope([c], [{c: 1.0}], [math.pi / 3], [{c: 1.0}], [2.0], 0, {c: 0})
+    poly = region.RegionPolytope([c], [{c: 1.0}], [math.pi / 3], [{c: 1.0}], [2.0], {c: 0}, [])
     for _ in range(2):
         with pytest.raises(RuntimeError, match="certificate"):
             region.analyze(poly)
@@ -178,8 +178,8 @@ def test_analyze_then_sample_certify_the_optimum_once(square_l, monkeypatch):
     assert poly.optimum == (report.interior_point, report.slack) and len(calls) == 1
 
 
-# rows of one, two and three terms over four corners in two orbits, so that
-# terms often share an orbit, with coefficients that cancel, -0.0 and ints
+# rows of one and two terms over four corners in two orbits, so that terms
+# often share an orbit, with coefficients that cancel, -0.0 and ints
 _COEFFS = [1, -1, 2, 0, 1.0, -1.0, 2.0, 0.5, -0.5, 0.0, -0.0, 0.1, 0.2, -0.3, 1e-300, -1e-300]
 
 
@@ -189,12 +189,15 @@ def test_collapse_equals_the_dict_and_sort_collapse():
     corners = list(orbit_of)
     shapes = set()
     for _ in range(3000):
-        row = {c: rng.choice(_COEFFS) for c in rng.sample(corners, rng.randint(1, 3))}
+        row = {c: rng.choice(_COEFFS) for c in rng.sample(corners, rng.randint(1, 2))}
         got, want = region._collapse(row, orbit_of), generic_collapse(row, orbit_of)
         # repr tells -0.0 from 0.0 and 1 from 1.0
         assert repr(got) == repr(want), row
         shapes.add((len(row), len(want)))
-    assert {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (3, 2)} <= shapes
+    assert shapes == {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)}
+    # a row of three terms is refused, even where it would collapse to fewer
+    with pytest.raises(ValueError, match="has more than two terms"):
+        region._collapse(dict.fromkeys(corners[:3], 1.0), orbit_of)
 
 
 # a seed at which a sample of the glued sum below comes within 1e-4 of an
@@ -259,21 +262,14 @@ def test_block_walk_agrees_with_the_dense_walk(square_l, prym):
         assert max(z) < 4.5
 
 
-def test_a_face_with_paired_corners_is_refused():
-    # theta0 + 2 theta1 = pi: two corners of the face share an orbit
-    for call in (region._blocks, lambda poly: region.sample(poly, 5, seed=2)):
-        with pytest.raises(ValueError, match=re.escape("face row ((0, 1), (1, 2)) in orbit")):
-            call(reflected_face())
-
-
 def test_a_zero_dimensional_polytope_repeats_its_point():
     assert region.sample(point_polytope(), 3, seed=4) == [{("f", 0): math.pi / 3}] * 3
 
 
 def test_a_row_of_three_terms_is_refused():
-    row = "((0, 1.0), (1, 1.0), (3, 2.0))"
+    row = "{('f', 0): 1.0, ('f', 1): 1.0, ('g', 0): 2.0}"
     for call in (region._blocks, lambda poly: region.sample(poly, 200, seed=6)):
-        with pytest.raises(ValueError, match=re.escape(f"inequality row {row} in orbit")):
+        with pytest.raises(ValueError, match=re.escape(f"row {row} has more than two terms")):
             call(wide_row_polytope())
 
 
@@ -316,21 +312,6 @@ def test_a_negative_sample_count_is_refused(square_l, n):
     _, poly = build(square_l)
     with pytest.raises(ValueError, match=f"sample count must be at least 0, got {n}"):
         region.sample(poly, n)
-
-
-def test_blocks_that_miss_the_dimension_are_refused(run_optimized):
-    with pytest.raises(AssertionError,
-                       match=re.escape("total null dimension 4: null dimensions [2, 0]")):
-        region.sample(dataclasses.replace(plane_and_point_polytope(), dimension=4), 1)
-    # the certificate is no assert statement, so it holds under python -O too
-    assert run_optimized(
-        "import math\n"
-        "from isodelaunay import region\n"
-        "a, b, c = ('f', 0), ('f', 1), ('f', 2)\n"
-        "poly = region.RegionPolytope([a, b, c], [{a: 1, b: 1, c: 1}], [math.pi],\n"
-        "    [{a: -1.0}, {b: -1.0}, {c: -1.0}], [0.0] * 3, 1, {a: 0, b: 1, c: 2})\n"
-        "region.sample(poly, 1)"
-    ).startswith("AssertionError: equality rows do not split")
 
 
 def test_the_plane_basis_is_the_gram_schmidt_of_the_unit_vectors():
