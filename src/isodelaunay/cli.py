@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from itertools import islice
 
 from . import angles as angles_mod
 from . import develop as develop_mod
@@ -34,6 +35,12 @@ MAX_SWEEP_SQUARES = 7
 # staircase a sample is about 2.5 KB of JSON and 0.2 ms, so this bound prints
 # 25 MB in about 2 s and peaks near 100 MB (2-core x86-64 host)
 MAX_SAMPLES = 10_000
+
+
+# JSON tokens per write of a report: written one by one, each token is a
+# system call under an unbuffered stdout (PYTHONUNBUFFERED=1), about 15,000
+# for 128 KB
+EMIT_TOKENS = 4096
 
 
 class InputError(Exception):
@@ -396,6 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(report) -> None:
+    """Write ``report`` and a newline to stdout as ``json.dump`` would, in chunks."""
+    tokens = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+    while chunk := "".join(islice(tokens, EMIT_TOKENS)):
+        sys.stdout.write(chunk)
+    sys.stdout.write("\n")
+
+
 def run(argv: list[str] | None = None) -> int:
     """Run one command and print its report, or one error line on stderr."""
     args = build_parser().parse_args(argv)
@@ -415,8 +430,7 @@ def run(argv: list[str] | None = None) -> int:
     if args.json:
         command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
         report = {"command": command, "seed": args.seed, "result": report, "diagnostics": []}
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    _emit(report)
     return code
 
 

@@ -217,11 +217,6 @@ class _Triangulation:
             for k, e in enumerate(bnd):
                 self.occ[e].append((i, k))
 
-    def delaunay_sum(self, angles: list[list[float]], edge: str) -> float:
-        """Sum of the two angles opposite ``edge`` (slot + 1 in each of its faces)."""
-        (i, s), (j, s2) = self.occ[edge]
-        return angles[i][(s + 1) % 3] + angles[j][(s2 + 1) % 3]
-
     def flip(self, edge: str) -> tuple[int, int]:
         """Replace ``edge`` by the opposite diagonal of its quadrilateral.
 
@@ -270,21 +265,20 @@ class _Triangulation:
 def is_geometric_delaunay(surface: DevelopedSurface, tol: float = 1e-9) -> bool:
     """Angle criterion at every edge, certified by the in-circle sign.
 
-    The sums are those ``make_delaunay`` flips by.  Raises
-    DegenerateTriangleError if any edge sits within ``tol`` of the
-    cocircular configuration, and AssertionError if the sign of the
-    in-circle determinant contradicts an edge's sum.
+    An edge's sum adds its two opposite angles (slot + 1 in each face) in
+    ``graph.occurrences`` order, as ``make_delaunay`` does.  Raises
+    DegenerateTriangleError if any edge sits within ``tol`` of cocircular,
+    and AssertionError if the in-circle sign contradicts an edge's sum.
     """
-    tri = _Triangulation(surface)
-    angles = _face_angles(surface)
+    graph, p = surface.graph, surface.periods
+    angles = dict(zip(graph.face_ids, _face_angles(surface)))
     result = True
-    for e in tri.edges:
-        s = tri.delaunay_sum(angles, e)
+    for e in graph.edges:
+        (f, k), (f2, k2) = graph.occurrences(e)
+        s = angles[f][(k + 1) % 3] + angles[f2][(k2 + 1) % 3]
         if abs(s - math.pi) < tol:
             raise DegenerateTriangleError(f"degenerate Delaunay edge {e!r}")
-        (i, k), (j, k2) = tri.occ[e]
-        p, q = tri.periods[i], tri.periods[j]
-        a, b, c, d = _quad(p[k], p[(k + 1) % 3], q[(k2 + 1) % 3])
+        a, b, c, d = _quad(p[(f, k)], p[(f, (k + 1) % 3)], p[(f2, (k2 + 1) % 3)])
         if (_incircle_det(c, a, b, d) < 0) != (s < math.pi):
             raise AssertionError(f"angle/in-circle disagreement at edge {e!r}")
         if s >= math.pi:
@@ -319,7 +313,9 @@ def make_delaunay(surface: DevelopedSurface, tol: float = 1e-9):
     limit = math.pi + tol
 
     def update(e: str) -> None:
-        sums[e] = x = tri.delaunay_sum(angles, e)
+        # the sum of the two angles opposite e, slot + 1 in each of its faces
+        (i, s), (j, s2) = tri.occ[e]
+        sums[e] = x = angles[i][(s + 1) % 3] + angles[j][(s2 + 1) % 3]
         k = index[e]
         version[k] += 1
         if x > limit:

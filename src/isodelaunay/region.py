@@ -10,24 +10,21 @@ is pi/3, and it is the only point with that slack.  ``analyze`` reports
 this equilateral optimum, certified against the constraints once per
 polytope.
 
-``sample`` runs a coordinate hit-and-run walk from that point, with one
+``sample`` runs a coordinate hit-and-run walk from that point with one
 variable per iota-orbit of corners, so every sample is iota-invariant bit
-for bit.  A triangle matching is Z/3-equivariant, so the three corners of
-a face lie in three orbits or all in one.  ``build_polytope`` records each
-face orbit of the first kind once, as a plane block; the face sum holds the
-orbits of the second kind at pi/3.  A block step picks a plane block
-uniformly, a uniform direction in it, and a uniform point on the chord that
-the inequality rows touching the block leave open, so a step costs a few
-rows and no matrix.  ``build_polytope`` makes inequality rows of one or two
-terms only; ``sample`` compiles each of them once per call into a flat
-tuple, padding a one-term row with a spare orbit held at 0.0, so a step
-reads a row's room in one expression.  A wider row is refused.
-The schedule is counted in block steps: ``BURN_IN_PER_DIM`` steps per
-dimension of burn-in, then one sample kept every ``STRIDE`` steps.  All
-randomness is drawn from ``random.Random(seed).random()``, whose stream
-Python keeps fixed across versions, and turned into directions with ``+``,
-``*`` and ``sqrt`` alone, so the samples of a seed depend on no numerical
-library.
+for bit.  By the lemma of ``build_polytope`` the region is a product of one
+plane per face orbit, cut by rows that couple at most two planes.  A step
+picks a plane uniformly, a uniform direction in it, and a uniform point on
+the chord that the rows touching the plane leave open: a few rows and no
+matrix.  ``sample`` compiles each row once per call into a flat tuple, a
+one-term row padded with a spare orbit held at 0.0, and refuses a
+hand-built polytope with no plane, a row of more than two terms, or a row
+of two terms in one plane.  The schedule is counted in steps:
+``BURN_IN_PER_DIM`` per dimension of burn-in, then one sample kept every
+``STRIDE``.  All randomness is drawn from ``random.Random(seed).random()``,
+whose stream Python keeps fixed across versions, and turned into
+directions with ``+``, ``*`` and ``sqrt`` alone, so the samples of a seed
+depend on no numerical library.
 """
 
 from __future__ import annotations
@@ -67,8 +64,8 @@ class RegionPolytope:
     ineq_rhs: list[float]
     # index of each corner's iota-orbit: the sampler's variables
     orbit_of: dict[Corner, int]
-    # the sampler's plane blocks: the sorted orbit triple of each face orbit
-    # whose corners lie in three orbits, in ascending order
+    # the sampler's plane blocks: the sorted orbit triple of each face orbit,
+    # three distinct orbits, in ascending order
     planes: list[tuple[int, int, int]]
     # the certified (theta, slack) of ``optimum``, kept once its certificate passes
     _optimum: tuple[AngleAssignment, float] | None = field(default=None, init=False,
@@ -100,11 +97,10 @@ class RegionPolytope:
     def optimum(self) -> tuple[AngleAssignment, float]:
         """The equilateral point theta = pi/3 and its recomputed slack.
 
-        The point is certified on the first call: its equality residual and
-        the distance of its slack from pi/3 must be within
-        ``CERTIFICATE_TOL``, which holds for every polytope that
-        ``build_polytope`` makes.  A point that passes is kept, and every
-        call returns a fresh copy of it; one that fails raises
+        Certified on the first call, as every polytope ``build_polytope``
+        makes passes: its equality residual and the distance of its slack
+        from pi/3 must be within ``CERTIFICATE_TOL``.  A point that passes is
+        kept and handed out as a fresh copy; one that fails raises
         ``RuntimeError`` on every call.
         """
         if self._optimum is None:
@@ -131,12 +127,26 @@ def build_polytope(
     then one row theta(c) = theta(iota(c)) per corner pair that iota moves,
     in corner order.  The orbit rows leave one variable per iota-orbit of
     corners.  The face rows of one face orbit then coincide, and rows of
-    different face orbits have disjoint supports, so each face orbit whose
-    corners lie in three orbits is a plane, and each other face orbit a
-    point.
+    different face orbits have disjoint supports, so each face orbit is a
+    plane theta_a + theta_b + theta_c = pi over its three corner orbits.
 
     The inequalities are one positivity row -theta(c) < 0 per corner, in
     corner order, then one Delaunay row per edge, in edge order.
+
+    Lemma.  A cycle sums to 0 over a face's three half-edges and is
+    opposite on an edge's two sides; a fundamental cycle meets a face as a
+    permutation of (1, -1, 0) or not at all.  (a) If iota^k sends face f to
+    itself shifted by a nonzero slot, every cycle's three coefficients on f
+    are equal up to sign and sum to 0, so they are 0: f's edges are bridges.
+    (b) A graph with a bridge has no matching: a leaf 2-edge-connected
+    component meets its bridge at one face g, of pairing triple (0, x, -x)
+    with x != 0; iota(g) has a zero slot too and shares g's cycles, so
+    iota(g) = g, and an offset of 0, or (a), forces x = 0.  So every face
+    orbit is a plane of three orbits.  (c) On an edge between f and
+    g = iota^k(f) whose opposite corners lie in two orbits, f's triple is
+    (x, -x, 0), a bridge, or (x, x, -2x), which no fundamental cycle makes:
+    no Delaunay row has two terms in one plane.  A triple that repeats an
+    orbit raises AssertionError, an implementation fault.
     """
     report = matching_mod.verify_matching(graph, iota)
     if not report:
@@ -154,18 +164,15 @@ def build_polytope(
         eq_rows.append({c: 1, img: -1})
         eq_rhs.append(0.0)
     orbit_of = {c: i for i, orbit in enumerate(orbits(corners, iota.__getitem__)) for c in orbit}
-    triples = {tuple(sorted((orbit_of[(f, 0)], orbit_of[(f, 1)], orbit_of[(f, 2)]))) for f in faces}
-    planes = sorted(t for t in triples if t[0] != t[1])
+    planes = sorted({tuple(sorted(orbit_of[(f, s)] for s in range(3))) for f in faces})
+    for t in planes:
+        if len(set(t)) < 3:
+            raise AssertionError(f"face orbit triple {t} repeats an orbit (implementation fault)")
 
-    ineq_rows: list[dict] = [{c: -1.0} for c in corners]  # -theta(c) < 0
-    ineq_rhs: list[float] = [0.0] * len(corners)
-    for e in graph.edges:
-        row: dict[Corner, float] = {}
-        for h in graph.occurrences(e):
-            opp = opposite_corner(h)
-            row[opp] = row.get(opp, 0.0) + 1.0
-        ineq_rows.append(row)
-        ineq_rhs.append(math.pi)
+    # -theta(c) < 0, then the two distinct corners opposite each edge
+    ineq_rows = [{c: -1.0} for c in corners] + [
+        {opposite_corner(h): 1.0 for h in graph.occurrences(e)} for e in graph.edges]
+    ineq_rhs = [0.0] * len(corners) + [math.pi] * len(graph.edges)
     return RegionPolytope(corners, eq_rows, eq_rhs, ineq_rows, ineq_rhs, orbit_of, planes)
 
 
@@ -196,20 +203,18 @@ MARGIN = 1e-9
 
 def _collapse(row: dict[Corner, float], orbit_of: dict[Corner, int]) -> tuple:
     """A corner row of one or two terms in orbit coordinates: sorted (orbit,
-    coefficient) pairs, zero coefficients dropped, two terms in one orbit
-    summed.  ValueError for a wider row."""
+    coefficient) pairs, two terms in one orbit summed.  A zero coefficient
+    stays: the walk reads its rates as 0.0 and its room as the bound, to the
+    bit.  ValueError for a wider row."""
     if len(row) > 2:
         raise ValueError(f"row {row} has more than two terms")
     if len(row) == 1:
         ((c, v),) = row.items()
-        return ((orbit_of[c], v),) if v != 0 else ()
+        return ((orbit_of[c], v),)
     (ca, va), (cb, vb) = row.items()
     oa, ob = orbit_of[ca], orbit_of[cb]
     if oa == ob:
-        v = va + vb
-        return ((oa, v),) if v != 0 else ()
-    if va == 0 or vb == 0:
-        return ((oa, va),) if va != 0 else ((ob, vb),) if vb != 0 else ()
+        return ((oa, va + vb),)
     return ((oa, va), (ob, vb)) if oa < ob else ((ob, vb), (oa, va))
 
 
@@ -221,18 +226,18 @@ _PLANE = ((0.8164965809277258, -0.40824829046386313, -0.40824829046386313),
 
 
 def _blocks(polytope: RegionPolytope) -> list[tuple]:
-    """The walk's blocks, one per plane of ``polytope.planes``.
-
-    Each block is (triples, rows): an (orbit, w0, w1) triple per orbit
-    variable, with its entries in the two vectors of ``_PLANE``, and every
-    inequality row touching the block as (r0, r1, bound, oa, va, ob, vb):
-    its rates along the two vectors, its right-hand side less ``MARGIN``,
-    and its one or two (orbit, coefficient) terms, a one-term row padded
-    with the spare orbit ``ob`` = number of orbits and ``vb`` = 0.0.
-    A row that touches no plane reads only points and is left out.
-    """
+    """The walk's blocks, one per plane of ``polytope.planes``: (triples,
+    rows), an (orbit, w0, w1) triple per orbit with its entries in the two
+    vectors of ``_PLANE``, and each inequality row touching the block as
+    (r0, r1, bound, oa, va, ob, vb): its rates along the two vectors, its
+    right-hand side less ``MARGIN``, and its (orbit, coefficient) terms, a
+    one-term row padded with the spare orbit ``ob`` = number of orbits and
+    ``vb`` = 0.0.  ValueError for a polytope with no plane and for a row of
+    two terms in one plane, which ``build_polytope`` never makes."""
     orbit_of = polytope.orbit_of
     planes = polytope.planes
+    if not planes:
+        raise ValueError("polytope has no plane to walk")
     spare = ((max(orbit_of.values()) + 1, 0.0),)
     # each plane orbit's block and its index in the block's triple: the
     # entry of ``_PLANE``'s vectors it reads
@@ -243,17 +248,13 @@ def _blocks(polytope: RegionPolytope) -> list[tuple]:
     )
     u0, u1 = _PLANE
     for terms, b in ineqs:
-        if not terms:
-            continue
         (oa, va), (ob, vb) = (terms + spare)[:2]
         row = (b - MARGIN, oa, va, ob, vb)
-        # a block's rates sum the row's terms in that block from 0.0, as the
-        # reference walk in tests/region_oracles.py does, so a -0.0 product reads 0.0
         pa, pb = place.get(oa), place.get(ob)
         if pa and pb and pa[0] == pb[0]:
-            (blk, i), (_, j) = pa, pb
-            rows[blk].append((0.0 + va * u0[i] + vb * u0[j], 0.0 + va * u1[i] + vb * u1[j], *row))
-            continue
+            raise ValueError(f"row {terms} < {b} has two terms in the plane {planes[pa[0]]}")
+        # a rate adds the product to 0.0, as the reference walk in
+        # tests/region_oracles.py does, so a -0.0 product reads 0.0
         for p, v in ((pa, va), (pb, vb)):
             if p:
                 blk, i = p
@@ -267,18 +268,14 @@ def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignm
 
     Each sample gives every corner the value of its orbit, so it is
     iota-invariant exactly, and keeps slack ``MARGIN`` on every inequality.
-    The walk starts at ``polytope.optimum``, whose certificate is computed
-    once per polytope, so after ``analyze`` it is not computed again.
-    ValueError if ``n`` is negative.
+    The walk starts at ``polytope.optimum``, certified once per polytope.
+    ValueError if ``n`` is negative, or as ``_blocks`` refuses.
     """
     if n < 0:
         raise ValueError(f"sample count must be at least 0, got {n}")
     if n == 0:
         return []
-    start, _ = polytope.optimum
-    dim = polytope.dimension
-    if dim == 0:
-        return [dict(start) for _ in range(n)]
+    polytope.optimum  # certifies the start, the equilateral point, or raises
     blocks = _blocks(polytope)
     n_blocks = len(blocks)
     rand = random.Random(seed).random
@@ -291,7 +288,7 @@ def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignm
     z = [[0.0, 0.0] for _ in blocks]
     corner_orbits = [polytope.orbit_of[c] for c in polytope.corners]
     out = []
-    burn_in = BURN_IN_PER_DIM * dim
+    burn_in = BURN_IN_PER_DIM * polytope.dimension
     keep = burn_in + STRIDE - 1  # the next step whose point is kept
     for step in range(burn_in + STRIDE * n):
         b = int(rand() * n_blocks)

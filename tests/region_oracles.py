@@ -1,12 +1,14 @@
 """The open invariant polytope, the constant-holonomy check over its
-samples, and the references the library is compared against: the corner
-chain kernel that ``angles.holonomy`` and ``angles.holonomies`` must match
-bit for bit; two walks for ``region.sample``, the dense hit-and-run walk,
-for its law, and the block walk that reads every row through a loop over
-its terms, for its bits, on blocks it derives from the equality rows, as
-``RegionPolytope.planes`` must give them; the Gram-Schmidt that ``region._PLANE`` is the
-value of; and the dict-and-sort collapse of a row that ``region._collapse``
-is compared against.  Only tests and ``tools/output_digest.py`` need them."""
+samples, the chord to a region's wall and the surfaces on either side of
+it, and the references the library is compared against: the corner chain
+kernel that ``angles.holonomy`` and ``angles.holonomies`` must match bit
+for bit; two walks for ``region.sample``, the dense hit-and-run walk, for
+its law, and the block walk that reads every row through a loop over its
+terms, for its bits, on blocks it derives from the equality rows, as
+``RegionPolytope.planes`` must give them; the Gram-Schmidt that
+``region._PLANE`` is the value of; and the dict-and-sort collapse of a row
+that ``region._collapse`` is compared against.  Only tests and
+``tools/output_digest.py`` need them."""
 
 import dataclasses
 import math
@@ -14,7 +16,7 @@ import random
 
 import numpy as np
 
-from isodelaunay import angles, homology, region
+from isodelaunay import angles, develop, homology, region
 from isodelaunay.homology import AngleChain
 from isodelaunay.ribbon import TriRibbonGraph
 
@@ -58,8 +60,8 @@ def plane_and_point_polytope() -> region.RegionPolytope:
 def plane_with_a_row_inside() -> region.RegionPolytope:
     """One face in three orbits, a plane block, and besides positivity a row
     of two terms inside it: theta(f, 1) - theta(f, 2) < pi / 3.  No matching
-    on the benchmark's inputs makes a Delaunay row whose two corners share a
-    face orbit."""
+    makes a Delaunay row with two terms in one plane (the lemma of
+    ``region.build_polytope``), and ``region.sample`` refuses this one."""
     corners = [("f", s) for s in range(3)]
     return region.RegionPolytope(
         corners, [{c: 1 for c in corners}], [math.pi],
@@ -68,9 +70,40 @@ def plane_with_a_row_inside() -> region.RegionPolytope:
 
 
 def point_polytope() -> region.RegionPolytope:
-    """One corner held at pi/3: a zero-dimensional polytope."""
+    """One corner held at pi/3: a polytope with no plane, which no matching
+    makes and ``region.sample`` refuses."""
     c = ("f", 0)
     return region.RegionPolytope([c], [{c: 1.0}], [math.pi / 3], [{c: -1.0}], [0.0], {c: 0}, [])
+
+
+def chord_exit(poly, start, through):
+    """Where the ray from ``start`` through ``through`` leaves the polytope:
+    the least t > 0 at which an inequality row of start + t (through -
+    start) runs out of room, and the indices of the rows that tie there."""
+    exits = []
+    for i, (row, b) in enumerate(zip(poly.ineq_rows, poly.ineq_rhs)):
+        rate = sum(v * (through[c] - start[c]) for c, v in row.items())
+        if rate > 0:
+            exits.append(((b - sum(v * start[c] for c, v in row.items())) / rate, i))
+    t = min(exits)[0]
+    return t, [i for u, i in exits if u <= t * (1 + 1e-9)]
+
+
+def delaunay_at(graph, start, through, t):
+    """``make_delaunay`` on the surface whose angles are start + t (through - start)."""
+    theta = {c: v + t * (through[c] - v) for c, v in start.items()}
+    return develop.make_delaunay(develop.develop(graph, theta))
+
+
+def iota_orbit(graph, iota, edge):
+    """The edges that iota's powers carry ``edge`` to."""
+    seen, todo = set(), graph.occurrences(edge)
+    while todo:
+        h = todo.pop()
+        if h not in seen:
+            seen.add(h)
+            todo.append(iota[h])
+    return {graph.edge_of(h) for h in seen}
 
 
 def corner_holonomies(theta: dict, chains: list[AngleChain]) -> list[angles.HolonomyValue]:
@@ -151,10 +184,7 @@ def dense_sample(polytope: region.RegionPolytope, n: int, seed: int = 0) -> list
     """
     if n == 0:
         return []
-    start, _ = polytope.optimum
     dim = polytope.dimension
-    if dim == 0:
-        return [dict(start) for _ in range(n)]
     orbit_of = polytope.orbit_of
     width = max(orbit_of.values()) + 1
     # orthonormal nullspace basis of the equality matrix; orbit rows are zero
@@ -263,10 +293,7 @@ def generic_sample(polytope: region.RegionPolytope, n: int, seed: int = 0) -> li
     its terms.  ``region.sample`` must give the same samples to the bit."""
     if n == 0:
         return []
-    start, _ = polytope.optimum
     dim = polytope.dimension
-    if dim == 0:
-        return [dict(start) for _ in range(n)]
     # each block as (orbits, u0, u1, whether it is a plane, rows)
     blocks = [(orbits, u0, u1, any(u1), rows)
               for orbits, (u0, u1), rows in _generic_blocks(polytope)]

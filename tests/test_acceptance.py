@@ -22,7 +22,8 @@ from isodelaunay import (
     surgery,
 )
 from origami_oracles import staircase_origami, tree_count_holds
-from region_oracles import check_constant_holonomy, open_polytope
+from region_oracles import (check_constant_holonomy, chord_exit, delaunay_at, iota_orbit,
+                            open_polytope)
 
 TOL = 1e-9
 
@@ -238,36 +239,6 @@ def test_criterion_13_delaunay_triangulations_carry_matchings():
         poly = region.build_polytope(surface.graph, iota)
         ok = ok and poly.equality_residual(theta) < TOL and poly.slack(theta) > 0
     report(13, f"{len(surfaces)} sheared staircases: Delaunay, matched, angles in the region", ok)
-
-
-def chord_exit(poly, start, through):
-    """Where the ray from ``start`` through ``through`` leaves the polytope:
-    the least t > 0 at which an inequality row of start + t (through -
-    start) runs out of room, and the indices of the rows that tie there."""
-    exits = []
-    for i, (row, b) in enumerate(zip(poly.ineq_rows, poly.ineq_rhs)):
-        rate = sum(v * (through[c] - start[c]) for c, v in row.items())
-        if rate > 0:
-            exits.append(((b - sum(v * start[c] for c, v in row.items())) / rate, i))
-    t = min(exits)[0]
-    return t, [i for u, i in exits if u <= t * (1 + 1e-9)]
-
-
-def delaunay_at(graph, start, through, t):
-    """``make_delaunay`` on the surface whose angles are start + t (through - start)."""
-    theta = {c: v + t * (through[c] - v) for c, v in start.items()}
-    return develop.make_delaunay(develop.develop(graph, theta))
-
-
-def iota_orbit(graph, iota, edge):
-    """The edges that iota's powers carry ``edge`` to."""
-    seen, todo = set(), graph.occurrences(edge)
-    while todo:
-        h = todo.pop()
-        if h not in seen:
-            seen.add(h)
-            todo.append(iota[h])
-    return {graph.edge_of(h) for h in seen}
 
 
 def test_criterion_15_region_walls_are_lawson_flips():

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON envelopes, piping, determinism."""
 
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -575,6 +576,32 @@ def test_region_streams_its_samples(l_files):
     code, grown_kb = map(int, proc.stderr.split())
     assert code == 0 and len(json.loads(proc.stdout)["samples"]) == 3000
     assert grown_kb * 1024 < 6 * len(proc.stdout)
+
+
+class _CountingStdout(io.StringIO):
+    """A stdout that counts the writes made to it."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_a_report_takes_one_write_per_emit_tokens(l_files):
+    # under an unbuffered stdout each write is a system call, so a report
+    # goes out in chunks of cli.EMIT_TOKENS JSON tokens, and a newline, with
+    # the bytes json.dump(report, indent=2, sort_keys=True) writes
+    graph, iota = l_files
+    out = _CountingStdout()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(["--json", "region", str(graph), str(iota), "--samples", "300"])
+    text = out.getvalue()
+    report = json.loads(text)
+    assert code == 0 and json.dumps(report, indent=2, sort_keys=True) + "\n" == text
+    tokens = sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(report))
+    assert tokens > 3 * cli.EMIT_TOKENS
+    assert out.writes == -(-tokens // cli.EMIT_TOKENS) + 1
 
 
 def _subcommands(parser=None, words=()) -> list[str]:

@@ -166,13 +166,15 @@ def _callers(path: Path, name: str) -> set[str]:
 
 
 def test_only_the_cli_prints_and_opens_files():
-    # commands return their reports and run streams each one to stdout;
-    # _read_json and _write are the only file access, and the library opens
-    # no file
+    # commands return their reports, run prints only errors, and _emit is the
+    # one writer of a report to stdout; _read_json and _write are the only
+    # file access, and the library opens no file
     cli = ROOT / "src/isodelaunay/cli.py"
-    assert _callers(cli, "print") == _callers(cli, "json.dump") == {"run"}
+    assert _callers(cli, "print") == {"run"}
+    assert _callers(cli, "sys.stdout.write") == {"_emit"}
+    assert _callers(cli, "json.dump") == set()
     assert _callers(cli, "open") == {"_read_json", "_write"}
     library = [p for p in sorted((ROOT / "src/isodelaunay").glob("*.py")) if p != cli]
     assert len(library) > 5
-    assert [f"{p.name}: {n}" for p in library for n in ("print", "open", "json.dump")
-            if _callers(p, n)] == []
+    assert [f"{p.name}: {n}" for p in library
+            for n in ("print", "open", "json.dump", "sys.stdout.write") if _callers(p, n)] == []

@@ -17,7 +17,11 @@ On region samples of origamis that carry a matching, ``angles_of`` inverts
 ``develop``, and every sample is exactly invariant, keeps ``MARGIN`` of
 slack, meets the face sums within 1e-14 and comes again from its seed.
 The polytope's planes are checked against the blocks its equality rows
-make, and its dimension against the orbit count and the rows' rank.
+make, and its dimension against the orbit count and the rows' rank.  The
+lemma of ``region.build_polytope`` is checked on the same graphs: a graph
+with a bridge has no matching, and a matching's polytope is planes and rows
+that couple at most two of them.  On random arboreal origamis, the region's
+walls are where Lawson flips begin (criterion 15).
 """
 
 import math
@@ -31,9 +35,9 @@ from hypothesis import strategies as st
 
 from chain_oracles import apply_to_chain, boundary, chain_add, chain_neg, p_map, pairing_vector
 from delaunay_oracles import circumcircle_cross_check, delaunay_sum, flip_edge, incircle_det
-from isodelaunay import angles, develop, homology, matching, origami, region, ribbon
-from region_oracles import (_dense, _generic_blocks, generic_sample, open_polytope,
-                            plane_and_point_polytope, plane_with_a_row_inside, point_polytope)
+from isodelaunay import angles, develop, homology, matching, origami, region, ribbon, surgery
+from region_oracles import (_dense, _generic_blocks, chord_exit, delaunay_at, generic_sample,
+                            iota_orbit, open_polytope, plane_and_point_polytope)
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -354,9 +358,9 @@ def _hex_samples(samples):
 @given(graphs(), glued_triangles(), st.integers(0, 2**32 - 1))
 def test_sample_matches_the_generic_row_walk_bit_for_bit(triple, glued, seed):
     # the sampler's compiled rows against the walk that loops over each row's
-    # terms: on region polytopes and their positivity-only versions, a plane
-    # beside a point, a plane with a two-term row inside it, and a single point
-    polytopes = [plane_and_point_polytope(), plane_with_a_row_inside(), point_polytope()]
+    # terms: on region polytopes, their positivity-only versions, and a plane
+    # beside an orbit that no plane holds
+    polytopes = [plane_and_point_polytope()]
     for g in (*triple, glued):
         found = matching.find_matchings(g, limit=1).matchings
         if found:
@@ -384,6 +388,81 @@ def test_planes_are_the_blocks_the_equality_rows_make(triple, glued):
         assert poly.dimension == width - len(face_orbits)
         rank = np.linalg.matrix_rank(_dense(poly.eq_rows, poly.orbit_of, width))
         assert poly.dimension == width - rank
+
+
+@PROPERTY
+@given(graphs(), glued_triangles())
+def test_a_bridge_leaves_no_matching_and_a_matching_makes_only_planes(triple, glued):
+    # the lemma of region.build_polytope: a graph with a bridge (an edge whose
+    # removal disconnects it) has no matching, and a matching puts the three
+    # corners of each face in three orbits and no Delaunay row's two terms
+    # in one plane
+    for g in (*triple, glued):
+        res = matching.find_matchings(g)
+        assert res.complete
+        if any(not surgery.is_nonseparating(g, g.occurrences(e)[0]) for e in g.edges):
+            assert res.matchings == []
+        for iota in res.matchings:
+            poly = region.build_polytope(g, iota)
+            assert all(len(set(t)) == 3 for t in poly.planes)
+            plane_of = {o: t for t in poly.planes for o in t}
+            for row in poly.ineq_rows[len(poly.corners):]:
+                terms = region._collapse(row, poly.orbit_of)
+                assert len(terms) == 1 or plane_of[terms[0][0]] != plane_of[terms[1][0]]
+
+
+@st.composite
+def arboreal_origamis(draw):
+    """A random arboreal origami with at most 6 squares: a random tree whose
+    edges are the squares, its vertices at even depth the horizontal
+    cylinders and those at odd depth the vertical ones, each cylinder's
+    squares in a drawn cyclic order."""
+    s = draw(st.integers(1, 6))
+    parent = [0] + [draw(st.integers(0, k - 1)) for k in range(1, s + 1)]
+    depth = [0]
+    squares_at: list[list[int]] = [[] for _ in range(s + 1)]
+    for k in range(1, s + 1):  # square k is the tree edge from k to its parent
+        depth.append(depth[parent[k]] + 1)
+        squares_at[k].append(k)
+        squares_at[parent[k]].append(k)
+    perms = [list(range(1, s + 1)), list(range(1, s + 1))]
+    for x, squares in enumerate(squares_at):
+        cycle = draw(st.permutations(squares))
+        for i, square in enumerate(cycle):
+            perms[depth[x] % 2][square - 1] = cycle[(i + 1) % len(cycle)]
+    return origami.Origami(tuple(perms[0]), tuple(perms[1]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)  # about 0.4 s
+@given(arboreal_origamis(), st.integers(0, 2**32 - 1))
+def test_region_walls_are_lawson_flips(o, seed):
+    # criterion 15 on random arboreal origamis: a chord from the equilateral
+    # point through a region sample of the canonical matching leaves the
+    # region at t*; at a Delaunay wall, no edge flips just inside it and just
+    # past it exactly the edges whose rows tie at t*.  Where iota carries
+    # edges to edges, those are one iota-orbit, and the flipped triangulation
+    # carries a matching whose region holds its angles; otherwise flipping
+    # can leave a triangulation with no matching
+    assert origami.network(o).arboreal
+    g = origami.build_origami_graph(o)
+    iota = origami.canonical_matching(o)
+    poly = region.build_polytope(g, iota)
+    start, _ = poly.optimum
+    edgewise = all(iota[ribbon.other_side(g, h)] == ribbon.other_side(g, iota[h]) for h in iota)
+    for through in region.sample(poly, 2, seed=seed):
+        t, rows = chord_exit(poly, start, through)
+        if min(rows) < len(poly.corners):  # an angle reaches 0
+            continue
+        tied = sorted(g.edges[i - len(poly.corners)] for i in rows)
+        _, inside, _ = delaunay_at(g, start, through, t * (1 - 1e-4))
+        past, flips, _ = delaunay_at(g, start, through, t * (1 + 1e-4))
+        assert inside == [] and sorted(flips) == tied
+        if edgewise:
+            assert set(tied) == iota_orbit(g, iota, tied[0])
+            theta = develop.angles_of(past)
+            flipped = region.build_polytope(past.graph,
+                                            matching.find_matchings(past.graph, limit=1).matchings[0])
+            assert flipped.equality_residual(theta) < 1e-9 and flipped.slack(theta) > 0
 
 
 def _flip_rebuilding_the_graph(surface, edge):

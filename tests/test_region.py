@@ -8,7 +8,7 @@ import re
 import pytest
 
 from delaunay_oracles import circumcircle_cross_check, delaunay_sum, in_delaunay_region
-from isodelaunay import angles, homology, origami, region, surgery
+from isodelaunay import angles, homology, matching, origami, region, ribbon, surgery
 from region_oracles import (dense_sample, generic_collapse, generic_sample, null_basis,
                             open_polytope, plane_and_point_polytope, plane_with_a_row_inside,
                             point_polytope, wide_row_polytope)
@@ -184,6 +184,8 @@ _COEFFS = [1, -1, 2, 0, 1.0, -1.0, 2.0, 0.5, -0.5, 0.0, -0.0, 0.1, 0.2, -0.3, 1e
 
 
 def test_collapse_equals_the_dict_and_sort_collapse():
+    # the two agree but for terms whose coefficient is 0, which _collapse
+    # keeps (the walk reads their rates as 0.0) and the dict collapse drops
     rng = random.Random(11)
     orbit_of = {("f", 0): 1, ("f", 1): 0, ("f", 2): 1, ("g", 0): 0}
     corners = list(orbit_of)
@@ -192,9 +194,10 @@ def test_collapse_equals_the_dict_and_sort_collapse():
         row = {c: rng.choice(_COEFFS) for c in rng.sample(corners, rng.randint(1, 2))}
         got, want = region._collapse(row, orbit_of), generic_collapse(row, orbit_of)
         # repr tells -0.0 from 0.0 and 1 from 1.0
-        assert repr(got) == repr(want), row
-        shapes.add((len(row), len(want)))
-    assert shapes == {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)}
+        assert repr(tuple(t for t in got if t[1] != 0)) == repr(want), row
+        assert [o for o, _ in got] == sorted({orbit_of[c] for c in row}), row
+        shapes.add((len(row), len(want), len(got)))
+    assert shapes == {(1, 0, 1), (1, 1, 1), (2, 0, 1), (2, 1, 1), (2, 0, 2), (2, 1, 2), (2, 2, 2)}
     # a row of three terms is refused, even where it would collapse to fewer
     with pytest.raises(ValueError, match="has more than two terms"):
         region._collapse(dict.fromkeys(corners[:3], 1.0), orbit_of)
@@ -262,10 +265,6 @@ def test_block_walk_agrees_with_the_dense_walk(square_l, prym):
         assert max(z) < 4.5
 
 
-def test_a_zero_dimensional_polytope_repeats_its_point():
-    assert region.sample(point_polytope(), 3, seed=4) == [{("f", 0): math.pi / 3}] * 3
-
-
 def test_a_row_of_three_terms_is_refused():
     row = "{('f', 0): 1.0, ('f', 1): 1.0, ('g', 0): 2.0}"
     for call in (region._blocks, lambda poly: region.sample(poly, 200, seed=6)):
@@ -293,18 +292,43 @@ def test_a_plane_beside_a_point_walks_the_plane_alone():
     assert max(t[("f", 0)] for t in pts) > 0.6 * math.pi
 
 
-def test_a_row_of_two_terms_inside_one_plane_sums_its_rates():
-    poly = plane_with_a_row_inside()
-    (triples, rows), = region._blocks(poly)
-    (r0, r1, *rest), = [row for row in rows if row[6] != 0.0]
-    (_, w01, w11), (_, w02, w12) = triples[1:]
-    assert (r0, r1, *rest) == (0.0 + w01 - w02, 0.0 + w11 - w12, math.pi / 3 - region.MARGIN,
-                               1, 1.0, 2, -1.0)
-    pts = region.sample(poly, 200, seed=8)
-    assert [[v.hex() for v in t.values()] for t in pts] == [
-        [v.hex() for v in t.values()] for t in generic_sample(poly, 200, seed=8)]
-    # the walk comes near the row
-    assert min(math.pi / 3 - t[("f", 1)] + t[("f", 2)] for t in pts) < 0.05
+@pytest.mark.parametrize("make, message", [
+    (point_polytope, "polytope has no plane to walk"),
+    (plane_with_a_row_inside,
+     f"row ((1, 1.0), (2, -1.0)) < {math.pi / 3!r} has two terms in the plane (0, 1, 2)"),
+], ids=["point_polytope", "plane_with_a_row_inside"])
+def test_a_polytope_that_no_matching_makes_is_refused(make, message):
+    # build_polytope's lemma: a matching's polytope has a plane for every
+    # face orbit and no row of two terms in one plane, so the walk refuses
+    # a hand-built polytope without a plane or with such a row
+    poly = make()
+    for call in (region._blocks, lambda p: region.sample(p, 3, seed=8)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(poly)
+
+
+def test_a_triangle_between_three_looped_branches_has_no_matching():
+    # lemma (a) and (b): the edges of face c are bridges, each to a face with
+    # boundary (e, a, a), so every cycle is 0 on c and no matching exists
+    g = ribbon.TriRibbonGraph(
+        ["e0", "e1", "e2", "a0", "a1", "a2"],
+        [("c", ("e0", "e1", "e2"))] + [(f"b{i}", (f"e{i}", f"a{i}", f"a{i}")) for i in range(3)])
+    assert [surgery.is_nonseparating(g, ("c", s)) for s in range(3)] == [False] * 3
+    assert all(not alpha.get(("c", s)) for alpha in homology.cycle_basis(g) for s in range(3))
+    res = matching.find_matchings(g)
+    assert res.matchings == [] and res.complete
+
+
+def test_a_face_rotated_onto_itself_is_an_implementation_fault(square_l_graph, monkeypatch):
+    # lemma (a): a map that rotates a face onto itself fails verify_matching;
+    # were one to pass it, build_polytope would refuse the face's triple
+    g = square_l_graph
+    f = g.face_ids[0]
+    rotated = {h: (h[0], (h[1] + 1) % 3) if h[0] == f else h for h in g.half_edges()}
+    assert not matching.verify_matching(g, rotated)
+    monkeypatch.setattr(matching, "verify_matching", lambda *_: matching.MatchingReport(True))
+    with pytest.raises(AssertionError, match=r"repeats an orbit \(implementation fault\)"):
+        region.build_polytope(g, rotated)
 
 
 @pytest.mark.parametrize("n", [-1, -7])
@@ -333,12 +357,12 @@ def test_no_samples_are_no_samples(square_l):
 
 
 def test_a_row_that_collapses_to_nothing_is_left_out_of_the_walk(square_l):
-    # theta(c) - theta(iota(c)) < pi is 0 < pi in orbit coordinates
+    # theta(c) - theta(iota(c)) < pi is 0 theta(o) < pi in orbit coordinates,
+    # a term whose rates are 0.0, so no step reads it
     _, poly = build(square_l)
     c = poly.corners[0]
     partner = next(k for k in poly.corners if k != c and poly.orbit_of[k] == poly.orbit_of[c])
     wider = dataclasses.replace(poly, ineq_rows=poly.ineq_rows + [{c: 1.0, partner: -1.0}],
                                 ineq_rhs=poly.ineq_rhs + [math.pi])
-    assert region._collapse(wider.ineq_rows[-1], poly.orbit_of) == ()
-    assert region._blocks(wider) == region._blocks(poly)
+    assert region._collapse(wider.ineq_rows[-1], poly.orbit_of) == ((poly.orbit_of[c], 0.0),)
     assert region.sample(wider, 5, seed=4) == region.sample(poly, 5, seed=4)
