@@ -18,9 +18,14 @@ from .ribbon import Corner, TriRibbonGraph, he_key, parse_he_key
 
 AngleAssignment = dict[Corner, float]
 
+# the one tolerance of the numerical checks, on angles and holonomy as it
+# is and on periods relative to the largest: trivial holonomy, the region's
+# certificate, ``DevelopedSurface.check``, and the default of every ``tol``
+# parameter and of ``--tol``
+TOL = 1e-9
+# tighter than TOL and fixed: the face sums of angles read from JSON or
+# solved from periods are exact to a few units in the last place
 FACE_SUM_TOL = 1e-12
-# ``is_trivial_holonomy`` accepts a cycle whose holonomy is this close to 1
-HOLONOMY_TOL = 1e-9
 
 
 class InvalidAnglesError(ValueError):
@@ -90,26 +95,25 @@ def holonomies(
 def holonomy(graph: TriRibbonGraph, theta: AngleAssignment, cycle: homology.Chain1) -> HolonomyValue:
     """Total holonomy of a cycle: dilation times rotation of its corner chain.
 
-    The corner chain is solved by ``homology.phi`` once per graph and cycle,
-    and kept on the graph as (coefficient, corner, numerator, denominator)
-    rows under the cycle's ``id``, next to a copy of the cycle; a later call
-    uses the rows only if the copy still equals ``cycle``, so a cycle that
-    its caller changed, or a new one at a reused ``id``, is solved afresh.
-    Once the graph keeps more chains than it has faces, the oldest is
-    dropped: room for a whole cycle basis, whose F/2 + 1 cycles are then
-    never solved twice.  ValueError, on every call, if ``cycle`` is not a
-    cycle.  The value is that of ``holonomies`` to the bit.
+    A cycle equal to a basis cycle of the graph with the same first
+    half-edge reads that basis cycle's chain rows, solved once; any other
+    cycle is solved on every call, and nothing of it is kept.  ValueError,
+    on every call, if ``cycle`` is not a cycle.  The value is that of
+    ``holonomies`` to the bit.
     """
-    entry = graph._corner_chains.get(id(cycle))
-    if entry is not None and entry[0] == cycle:
-        table = entry[1]
+    buckets = graph._basis_chains
+    if not buckets:  # filled on the first call; a basis is never empty
+        for alpha in homology._kept_basis(graph):
+            buckets.setdefault(next(iter(alpha)), []).append([alpha, None])
+    for entry in buckets.get(next(iter(cycle), None), ()):
+        if entry[0] == cycle:
+            break
     else:
-        table = tuple((coeff, (f, slot), (f, (slot + 1) % 3), (f, (slot + 2) % 3))
-                      for (f, slot), coeff in homology.phi(graph, cycle).items())
-        memo = graph._corner_chains
-        memo[id(cycle)] = (dict(cycle), table)
-        if len(memo) > len(graph.faces):
-            del memo[next(iter(memo))]
+        entry = [cycle, None]
+    if entry[1] is None:
+        entry[1] = tuple((coeff, (f, slot), (f, (slot + 1) % 3), (f, (slot + 2) % 3))
+                         for (f, slot), coeff in homology.phi(graph, cycle).items())
+    table = entry[1]
     log, sin = math.log, math.sin
     total = phase = 0.0
     for coeff, c, num, den in table:
@@ -121,5 +125,5 @@ def holonomy(graph: TriRibbonGraph, theta: AngleAssignment, cycle: homology.Chai
 def is_trivial_holonomy(
     graph: TriRibbonGraph, theta: AngleAssignment, basis: list[homology.Chain1]
 ) -> bool:
-    """True iff holonomy is within ``HOLONOMY_TOL`` of 1 on every basis cycle."""
-    return all(hol.distance_to_one() < HOLONOMY_TOL for hol in holonomies(graph, theta, basis))
+    """True iff holonomy is within ``TOL`` of 1 on every basis cycle."""
+    return all(hol.distance_to_one() <= TOL for hol in holonomies(graph, theta, basis))

@@ -33,7 +33,7 @@ MAX_SWEEP_SQUARES = 7
 
 # region holds every sample in memory until it prints them; on the 12-square
 # staircase a sample is about 2.5 KB of JSON and 0.2 ms, so this bound prints
-# 25 MB in about 2 s and peaks near 100 MB (2-core x86-64 host)
+# 25 MB in about 2 s, and the process peaks near 61 MB (2-core x86-64 host)
 MAX_SAMPLES = 10_000
 
 
@@ -181,7 +181,10 @@ def cmd_region(args) -> tuple[dict, int]:
     }
     if args.samples:
         pts = region_mod.sample(poly, args.samples, seed=args.seed)
-        result["samples"] = [angles_mod.angles_to_json(t) for t in pts]
+        # every sample has the polytope's corners: each key is formatted once
+        # per report, and the samples share its string
+        keys, corners = list(angles_mod.angles_to_json(pts[0])), sorted(pts[0])
+        result["samples"] = [dict(zip(keys, map(t.__getitem__, corners))) for t in pts]
         if args.output:
             for i, t in enumerate(result["samples"]):
                 _write(f"{args.output.rstrip('/')}/sample_{i:04d}.json",
@@ -327,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         "matchings, Delaunay angle regions.",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable envelope")
-    parser.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
+    parser.add_argument("--tol", type=float, default=angles_mod.TOL, help="numerical tolerance")
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
     sub = parser.add_subparsers(dest="command", required=True)
 

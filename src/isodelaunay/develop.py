@@ -15,7 +15,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .angles import AngleAssignment, validate_angles
+from .angles import TOL, AngleAssignment, validate_angles
 from .ribbon import HalfEdge, TriRibbonGraph, he_key, other_side, parse_he_key, spanning_tree
 
 
@@ -32,9 +32,6 @@ class DegenerateTriangleError(ValueError):
 
 # Lawson flips ``make_delaunay`` makes before it gives up with FlipCapError
 MAX_FLIPS = 1000
-# relative tolerance of ``DevelopedSurface.check``: closure and mismatch
-# against the largest period
-CHECK_TOL = 1e-9
 
 
 @dataclass
@@ -60,13 +57,13 @@ class DevelopedSurface:
         s = self.scale()
         for f, _ in self.graph.faces:
             closure = sum(self.periods[(f, k)] for k in range(3))
-            if abs(closure) > CHECK_TOL * s:
+            if abs(closure) > TOL * s:
                 raise ValueError(f"face {f!r} does not close up ({abs(closure):.3e})")
         for h, z in self.periods.items():
             if z == 0:
                 raise ValueError(f"zero period at {he_key(h)}")
             mate = other_side(self.graph, h)
-            if abs(self.periods[mate] + z) > CHECK_TOL * s:
+            if abs(self.periods[mate] + z) > TOL * s:
                 raise ValueError(f"period mismatch across edge of {he_key(h)}")
 
     def to_json(self) -> dict:
@@ -113,7 +110,7 @@ def _fill_face(theta: AngleAssignment, f: str, slot: int, period: complex) -> di
     return periods
 
 
-def develop(graph: TriRibbonGraph, theta: AngleAssignment, tol: float = 1e-9) -> DevelopedSurface:
+def develop(graph: TriRibbonGraph, theta: AngleAssignment, tol: float = TOL) -> DevelopedSurface:
     """Lay out all faces from their angles, normalizing the base period to 1.
 
     Propagates across a spanning tree of the face adjacency in canonical
@@ -262,7 +259,7 @@ class _Triangulation:
         return DevelopedSurface(graph, periods)
 
 
-def is_geometric_delaunay(surface: DevelopedSurface, tol: float = 1e-9) -> bool:
+def is_geometric_delaunay(surface: DevelopedSurface, tol: float = TOL) -> bool:
     """Angle criterion at every edge, certified by the in-circle sign.
 
     An edge's sum adds its two opposite angles (slot + 1 in each face) in
@@ -286,7 +283,7 @@ def is_geometric_delaunay(surface: DevelopedSurface, tol: float = 1e-9) -> bool:
     return result
 
 
-def make_delaunay(surface: DevelopedSurface, tol: float = 1e-9):
+def make_delaunay(surface: DevelopedSurface, tol: float = TOL):
     """Lawson flips until no opposite-angle sum exceeds pi + tol.
 
     Each step flips the edge whose Delaunay sum (the two angles opposite

@@ -50,8 +50,13 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
     ancestor, so it costs its own length; the graph keeps the basis, and
     every call returns a fresh copy.
     """
+    return [alpha.copy() for alpha in _kept_basis(graph)]
+
+
+def _kept_basis(graph: TriRibbonGraph) -> list[Chain1]:
+    """The basis the graph keeps, built on first use; its readers never change it."""
     if graph._cycle_basis is not None:
-        return [alpha.copy() for alpha in graph._cycle_basis]
+        return graph._cycle_basis
     # half-edges are handled by their rank r in ``half_edges()`` order, which
     # lists the faces in sorted order, three slots each: r // 3 is the face's index
     hes = graph.half_edges()
@@ -116,7 +121,7 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
             )
         basis.append(cycle)
     graph._cycle_basis = basis
-    return [alpha.copy() for alpha in basis]
+    return basis
 
 
 def phi(graph: TriRibbonGraph, cycle: Chain1) -> AngleChain:

@@ -18,13 +18,13 @@ picks a plane uniformly, a uniform direction in it, and a uniform point on
 the chord that the rows touching the plane leave open: a few rows and no
 matrix.  ``sample`` compiles each row once per call into a flat tuple, a
 one-term row padded with a spare orbit held at 0.0, and refuses a
-hand-built polytope with no plane, a row of more than two terms, or a row
-of two terms in one plane.  The schedule is counted in steps:
-``BURN_IN_PER_DIM`` per dimension of burn-in, then one sample kept every
-``STRIDE``.  All randomness is drawn from ``random.Random(seed).random()``,
-whose stream Python keeps fixed across versions, and turned into
-directions with ``+``, ``*`` and ``sqrt`` alone, so the samples of a seed
-depend on no numerical library.
+hand-built polytope with no plane, an orbit outside every plane, a row of
+more than two terms, or a row of two terms in one plane.  The schedule is
+counted in steps: ``BURN_IN_PER_DIM`` per dimension of burn-in, then one
+sample kept every ``STRIDE``.  All randomness is drawn from
+``random.Random(seed).random()``, whose stream Python keeps fixed across
+versions, and turned into directions with ``+``, ``*`` and ``sqrt`` alone,
+so the samples of a seed depend on no numerical library.
 """
 
 from __future__ import annotations
@@ -34,17 +34,13 @@ import random
 from dataclasses import dataclass, field
 
 from . import matching as matching_mod
-from .angles import AngleAssignment
+from .angles import TOL, AngleAssignment
 from .ribbon import Corner, TriRibbonGraph, orbits
 
 
 def opposite_corner(h) -> Corner:
     """The corner of face h[0] opposite the edge of ``h`` (slot + 1)."""
     return (h[0], (h[1] + 1) % 3)
-
-
-# the equilateral optimum reproduces its equalities and its slack of pi/3 to this accuracy
-CERTIFICATE_TOL = 1e-9
 
 
 @dataclass
@@ -99,7 +95,7 @@ class RegionPolytope:
 
         Certified on the first call, as every polytope ``build_polytope``
         makes passes: its equality residual and the distance of its slack
-        from pi/3 must be within ``CERTIFICATE_TOL``.  A point that passes is
+        from pi/3 must be within ``angles.TOL``.  A point that passes is
         kept and handed out as a fresh copy; one that fails raises
         ``RuntimeError`` on every call.
         """
@@ -107,7 +103,7 @@ class RegionPolytope:
             theta = {c: math.pi / 3 for c in self.corners}
             residual = self.equality_residual(theta)
             slack = self.slack(theta)
-            if residual > CERTIFICATE_TOL or abs(slack - math.pi / 3) > CERTIFICATE_TOL:
+            if residual > TOL or abs(slack - math.pi / 3) > TOL:
                 raise RuntimeError(
                     f"equilateral point fails its certificate: equality residual {residual:.3e}, "
                     f"slack {slack!r} instead of pi/3"
@@ -195,7 +191,8 @@ def analyze(polytope: RegionPolytope) -> RegionReport:
 
 # hit-and-run schedule: burn-in block steps per dimension, block steps
 # between kept samples, and the least slack every sample keeps on every
-# inequality
+# inequality; MARGIN is not ``angles.TOL``, as it is part of the walk and
+# so sets the bits of every sample
 BURN_IN_PER_DIM = 50
 STRIDE = 10
 MARGIN = 1e-9
@@ -232,16 +229,20 @@ def _blocks(polytope: RegionPolytope) -> list[tuple]:
     (r0, r1, bound, oa, va, ob, vb): its rates along the two vectors, its
     right-hand side less ``MARGIN``, and its (orbit, coefficient) terms, a
     one-term row padded with the spare orbit ``ob`` = number of orbits and
-    ``vb`` = 0.0.  ValueError for a polytope with no plane and for a row of
-    two terms in one plane, which ``build_polytope`` never makes."""
+    ``vb`` = 0.0.  ValueError for a polytope with no plane, with an orbit
+    that no plane holds, or with a row of two terms in one plane, none of
+    which ``build_polytope`` makes."""
     orbit_of = polytope.orbit_of
     planes = polytope.planes
     if not planes:
         raise ValueError("polytope has no plane to walk")
     spare = ((max(orbit_of.values()) + 1, 0.0),)
-    # each plane orbit's block and its index in the block's triple: the
-    # entry of ``_PLANE``'s vectors it reads
+    # each orbit's block and its index in the block's triple: the entry of
+    # ``_PLANE``'s vectors it reads
     place = {o: (b, i) for b, plane in enumerate(planes) for i, o in enumerate(plane)}
+    outside = sorted(set(orbit_of.values()) - place.keys())
+    if outside:
+        raise ValueError(f"orbit {outside[0]} lies in no plane")
     rows: list[list[tuple]] = [[] for _ in planes]
     ineqs = dict.fromkeys(
         (_collapse(row, orbit_of), b) for row, b in zip(polytope.ineq_rows, polytope.ineq_rhs)
@@ -250,15 +251,13 @@ def _blocks(polytope: RegionPolytope) -> list[tuple]:
     for terms, b in ineqs:
         (oa, va), (ob, vb) = (terms + spare)[:2]
         row = (b - MARGIN, oa, va, ob, vb)
-        pa, pb = place.get(oa), place.get(ob)
-        if pa and pb and pa[0] == pb[0]:
-            raise ValueError(f"row {terms} < {b} has two terms in the plane {planes[pa[0]]}")
+        if len(terms) == 2 and place[oa][0] == place[ob][0]:
+            raise ValueError(f"row {terms} < {b} has two terms in the plane {planes[place[oa][0]]}")
         # a rate adds the product to 0.0, as the reference walk in
         # tests/region_oracles.py does, so a -0.0 product reads 0.0
-        for p, v in ((pa, va), (pb, vb)):
-            if p:
-                blk, i = p
-                rows[blk].append((0.0 + v * u0[i], 0.0 + v * u1[i], *row))
+        for o, v in terms:
+            blk, i = place[o]
+            rows[blk].append((0.0 + v * u0[i], 0.0 + v * u1[i], *row))
     return [(tuple(zip(plane, *_PLANE)), block_rows) for plane, block_rows in zip(planes, rows)]
 
 
@@ -302,7 +301,8 @@ def sample(polytope: RegionPolytope, n: int, seed: int = 0) -> list[AngleAssignm
         lo, hi = -inf, inf
         # a row's room, bound - va y[oa] - vb y[ob], is what a loop over its
         # terms leaves: a one-term row has vb = y[ob] = 0.0, and x - 0.0 is
-        # x to the bit
+        # x to the bit.  A rate within 1e-14 of 0 is a row parallel to the
+        # direction, which bounds no chord; like MARGIN, it sets sample bits
         for rate0, rate1, bound, oa, va, ob, vb in rows:
             g = d0 * rate0 + d1 * rate1
             if g > 1e-14:

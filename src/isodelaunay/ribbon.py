@@ -16,7 +16,8 @@ HalfEdge = tuple[str, int]
 Corner = tuple[str, int]
 
 TWO_PI = 2.0 * math.pi
-# ``stratum_signature`` rejects a cone angle this far (in turns) from a whole turn
+# ``stratum_signature`` rejects a cone angle this far (in turns) from a whole
+# turn; looser than ``angles.TOL``, since it only has to tell whole turns apart
 CONE_TOL = 1e-6
 
 
@@ -66,16 +67,14 @@ class TriRibbonGraph:
             for slot, e in enumerate(b):
                 occ.setdefault(e, []).append((f, slot))
         self._occurrences = occ
-        # id(cycle) -> (copy of the cycle, its corner chain compiled as a table
-        # of (coefficient, corner, numerator corner, denominator corner)),
-        # filled by ``angles.holonomy``: keyed by identity, confirmed by
-        # content, since a hit needs the copy to equal the cycle, and holding
-        # at most one entry per face, oldest dropped first; the graph never
-        # changes, so a chain solved once stays right
-        self._corner_chains: dict[int, tuple[dict, tuple]] = {}
         # the cycle basis, built once by ``homology.cycle_basis``, which hands
-        # out copies so that no caller can change it
+        # out copies so that no caller can change it, and its corner chains:
+        # ``angles.holonomy`` buckets the basis cycles by their first
+        # half-edge as [cycle, chain rows or None] entries, and solves a
+        # cycle's rows on its first use, so the graph holds at most one set
+        # of rows per basis cycle
         self._cycle_basis: list[dict] | None = None
+        self._basis_chains: dict[HalfEdge, list[list]] = {}
         report = validate(self)
         if not report:
             raise InvalidGraphError(report.problems)
@@ -154,27 +153,20 @@ def validate(graph: TriRibbonGraph) -> ValidationReport:
         if len(occ) != 2:
             problems.append(f"edge multiplicity {len(occ)} for edge {e!r}, expected 2")
     if not problems:
-        n_reached = len(reachable_faces(graph))
-        if n_reached != len(graph.faces):
-            problems.append(
-                f"graph is disconnected ({n_reached} of {len(graph.faces)} faces reachable)"
-            )
-    return ValidationReport(not problems, problems)
-
-
-def reachable_faces(graph: TriRibbonGraph, skip: str | None = None) -> set[str]:
-    """Faces reachable from the first listed face across every edge but ``skip``."""
-    start = graph.faces[0][0]
-    reached = {start}
-    stack = [start]
-    while stack:
-        for e in graph._boundary[stack.pop()]:
-            if e != skip:
+        # the faces reachable from the first listed face
+        stack = [graph.faces[0][0]]
+        reached = set(stack)
+        while stack:
+            for e in graph._boundary[stack.pop()]:
                 for f, _ in graph._occurrences[e]:
                     if f not in reached:
                         reached.add(f)
                         stack.append(f)
-    return reached
+        if len(reached) != len(graph.faces):
+            problems.append(
+                f"graph is disconnected ({len(reached)} of {len(graph.faces)} faces reachable)"
+            )
+    return ValidationReport(not problems, problems)
 
 
 def spanning_tree(graph: TriRibbonGraph):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from . import matching as matching_mod
-from .ribbon import HalfEdge, TriRibbonGraph, he_key, reachable_faces
+from . import homology, matching as matching_mod
+from .ribbon import HalfEdge, TriRibbonGraph, he_key
 
 
 def is_nonseparating(graph: TriRibbonGraph, h: HalfEdge) -> bool:
-    """True iff removing the edge-vertex of ``h`` leaves the graph connected."""
-    return len(reachable_faces(graph, skip=graph.edge_of(h))) == len(graph.faces)
+    """True iff removing the edge-vertex of ``h`` leaves the graph connected:
+    iff a basis cycle has a coefficient on one of the edge's half-edges, as
+    a bridge lies on no cycle and any other edge on a fundamental one."""
+    ends = graph.occurrences(graph.edge_of(h))
+    return any(x in alpha for alpha in homology._kept_basis(graph) for x in ends)
 
 
 def connected_sum(

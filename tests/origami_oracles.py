@@ -1,10 +1,13 @@
 """Origami facts computed without the library (the cylinder tree count, and
-the relabeling classes of transitive pairs by canonical BFS labels), and the
-staircase origamis that several tests build."""
+the relabeling classes of transitive pairs by canonical BFS labels), the
+staircase origamis that several tests build, and the pieces of the check of
+the paper's corollary on whole hyperelliptic components: the rotations by
+pi of a square tiling, linear images of a square-tiled surface made
+Delaunay, and the matchings of their triangulations."""
 
 import itertools
 
-from isodelaunay import origami
+from isodelaunay import develop, matching, origami, region, ribbon
 
 
 def cycle_lengths(perm: tuple[int, ...]) -> list[int]:
@@ -92,3 +95,84 @@ def staircase_origami(n: int) -> origami.Origami:
     for i in range(1, n - 1, 2):
         v[i], v[i + 1] = v[i + 1], v[i]
     return origami.Origami(tuple(h), tuple(v))
+
+
+def pi_rotations(o: origami.Origami) -> list[dict]:
+    """The rotations by pi of the square tiling of ``o``, each as a map of
+    the half-edges of its diagonal triangulation.
+
+    A rotation carries square j onto square sigma(j) turned by pi, where
+    sigma h sigma^-1 = h^-1 and sigma v sigma^-1 = v^-1; by transitivity
+    sigma(1) fixes sigma, so each square is tried as sigma(1).  The lower
+    triangle goes onto the upper one, bottom onto top, right onto left and
+    diagonal onto diagonal: (f{j}-, t) to (f{sigma(j)}+, t + 1), and
+    (f{j}+, t) to (f{sigma(j)}-, t + 2).
+    """
+    h_inv = {x: j for j, x in enumerate(o.h, 1)}
+    v_inv = {x: j for j, x in enumerate(o.v, 1)}
+    out = []
+    for start in range(1, o.squares + 1):
+        sigma = {1: start}
+        stack = [1]
+        while stack and sigma:
+            j = stack.pop()
+            for a, b in ((o.h[j - 1], h_inv[sigma[j]]), (o.v[j - 1], v_inv[sigma[j]])):
+                if a not in sigma:
+                    sigma[a] = b
+                    stack.append(a)
+                elif sigma[a] != b:
+                    sigma = {}
+                    break
+        if sigma:
+            out.append({(f"f{j}{side}", t): (f"f{sigma[j]}{other}", (t + shift) % 3)
+                        for j in sigma for side, other, shift in (("-", "+", 1), ("+", "-", 2))
+                        for t in range(3)})
+    return out
+
+
+def is_hyperelliptic(o: origami.Origami) -> bool:
+    """Whether a rotation by pi of ``o`` acts as -1 on homology, which
+    ``verify_matching`` decides, since the rotation is Z/3-equivariant.  On
+    a surface whose vertices are all zeros (``zeros_only``), this marks
+    the hyperelliptic components of its stratum (Kontsevich and Zorich,
+    Invent. Math. 2003)."""
+    g = origami.build_origami_graph(o)
+    return any(matching.verify_matching(g, iota) for iota in pi_rotations(o))
+
+
+def zeros_only(o: origami.Origami) -> bool:
+    """Whether every vertex of ``o`` is a zero, or ``o`` is the one-square torus."""
+    g = origami.build_origami_graph(o)
+    return o.squares == 1 or 0 not in ribbon.stratum_signature(
+        g, origami.standard_angles(o)).zero_orders
+
+
+def random_gl_map(rng) -> tuple[float, float, float, float]:
+    """(a, b, c, d) of an orientation-preserving linear map (x, y) -> (a x
+    + b y, c x + d y), entries uniform in [-2, 2] and determinant above 1/4."""
+    while True:
+        a, b, c, d = (rng.uniform(-2.0, 2.0) for _ in range(4))
+        if a * d - b * c > 0.25:
+            return a, b, c, d
+
+
+def mapped_delaunay(o: origami.Origami, m: tuple[float, float, float, float]):
+    """The square-tiled surface of ``o`` under the linear map ``m``, made
+    Delaunay by Lawson flips: ``develop.make_delaunay``'s (surface, flips,
+    degenerate edges)."""
+    start = develop.develop(origami.build_origami_graph(o), origami.standard_angles(o))
+    a, b, c, d = m
+    periods = {h: complex(a * z.real + b * z.imag, c * z.real + d * z.imag)
+               for h, z in start.periods.items()}
+    return develop.make_delaunay(develop.DevelopedSurface(start.graph, periods))
+
+
+def matched_regions(surface) -> tuple[int, bool]:
+    """The number of triangle matchings of ``surface``'s triangulation, and
+    whether the region of one of them holds the surface's own angles: the
+    equalities within 1e-9 and every inequality with positive slack."""
+    found = matching.find_matchings(surface.graph).matchings
+    theta = develop.angles_of(surface)
+    polytopes = (region.build_polytope(surface.graph, iota) for iota in found)
+    return len(found), any(p.equality_residual(theta) < 1e-9 and p.slack(theta) > 0
+                           for p in polytopes)

@@ -47,8 +47,10 @@ def wide_row_polytope() -> region.RegionPolytope:
 
 def plane_and_point_polytope() -> region.RegionPolytope:
     """Face f with its corners in three orbits, a plane block, and face g
-    with its corners in one orbit, a point held at pi/3; besides
-    positivity, one row across both: theta(f, 0) + theta(g, 1) < pi."""
+    with its corners in one orbit 3, which no plane holds; besides
+    positivity, one row across both: theta(f, 0) + theta(g, 1) < pi.  Every
+    orbit of a matching's polytope lies in a plane (the lemma of
+    ``region.build_polytope``), and ``region.sample`` refuses this one."""
     corners = [(f, s) for f in "fg" for s in range(3)]
     g0, g1, g2 = corners[3:]
     return region.RegionPolytope(

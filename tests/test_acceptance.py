@@ -6,6 +6,7 @@ the lines for passing criteria too.
 """
 
 import functools
+import random
 import time
 
 from chain_oracles import (apply_to_chain, chain_neg, enumerate_simple_cycles, p_map,
@@ -21,7 +22,8 @@ from isodelaunay import (
     ribbon,
     surgery,
 )
-from origami_oracles import staircase_origami, tree_count_holds
+from origami_oracles import (is_hyperelliptic, mapped_delaunay, matched_regions, random_gl_map,
+                             staircase_origami, tree_count_holds, zeros_only)
 from region_oracles import (check_constant_holonomy, chord_exit, delaunay_at, iota_orbit,
                             open_polytope)
 
@@ -272,3 +274,48 @@ def test_criterion_15_region_walls_are_lawson_flips():
             flipped = region.build_polytope(past.graph, found[0])
             ok = ok and flipped.equality_residual(theta) < TOL and flipped.slack(theta) > 0
     report(15, f"{walls} region walls on sheared staircases are Lawson flips", ok and walls > 40)
+
+
+# surfaces outside the hyperelliptic components, one per stratum up to 6
+# squares that has them, whose Delaunay triangulation under the shear
+# (x, y) -> (x + 1.5 y, y) carries no matching: (origami, zero orders)
+CONTROL_WITNESSES = [
+    ("h=(1)(2)(345);v=(13)(24)(5)", (4,)),  # odd component
+    ("h=(1)(2)(3456);v=(13)(245)(6)", (3, 1)),
+    ("h=(1)(2)(3)(456);v=(14)(25)(36)", (2, 2)),  # odd component
+]
+
+
+def test_criterion_16_hyperelliptic_components_carry_matchings():
+    # the paper's corollary on whole components: every origami with at most
+    # 5 squares whose vertices are all zeros, under 4 random linear maps,
+    # made Delaunay.  Where a rotation by pi acts as -1 (the hyperelliptic
+    # components), the triangulation carries a matching whose region holds
+    # its angles.  Elsewhere the claim can fail, which the control's rate
+    # shows and the pinned witnesses assert
+    rng = random.Random(16)
+    rows = control = unmatched = 0
+    ok = True
+    for s in range(1, 6):
+        for o in origami.transitive_pairs_up_to_relabeling(s):
+            if not zeros_only(o):
+                continue
+            hyperelliptic = is_hyperelliptic(o)
+            for _ in range(4):
+                surface, _, degenerate = mapped_delaunay(o, random_gl_map(rng))
+                count, inside = matched_regions(surface)
+                if hyperelliptic:
+                    rows += 1
+                    ok = ok and degenerate == [] and inside
+                else:
+                    control += 1
+                    unmatched += count == 0
+    for spec, zero_orders in CONTROL_WITNESSES:
+        o = origami.Origami.from_spec(spec)
+        sig = ribbon.stratum_signature(origami.build_origami_graph(o), origami.standard_angles(o))
+        surface, flips, degenerate = mapped_delaunay(o, (1.0, 1.5, 0.0, 1.0))
+        ok = ok and sig.zero_orders == zero_orders and not is_hyperelliptic(o) and len(flips) > 0
+        ok = ok and degenerate == [] and matched_regions(surface) == (0, False)
+    report(16, f"{rows} hyperelliptic Delaunay triangulations (s <= 5) carry a matching whose "
+           f"region holds their angles; control: {unmatched} of {control} carry none", ok
+           and rows == 128 and control > 0)

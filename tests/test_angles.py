@@ -178,7 +178,7 @@ def _random_angles(graph, rng):
 
 
 def test_holonomy_of_one_cycle_matches_the_whole_basis(square_l_graph, prym_graph):
-    # holonomy caches each cycle's corner chain on the graph; holonomies
+    # holonomy keeps each basis cycle's corner chain on the graph; holonomies
     # solves the chains afresh, so the two must agree to the last bit
     rng = random.Random(19)
     for g in (square_l_graph, prym_graph):
@@ -231,7 +231,7 @@ def _hex(value):
 
 def test_holonomy_tables_match_the_corner_chain_kernel_on_region_samples(monkeypatch):
     # the first 24 seed-1 inputs of the region_pipeline benchmark, each at its
-    # 20 samples: the table that holonomy compiles once per graph and cycle
+    # 20 samples: the table that holonomy compiles once per basis cycle
     # gives the bits of corner_holonomies on the freshly solved chain, for
     # the basis cycles, a sum of two and a negation
     spec = importlib.util.spec_from_file_location(
@@ -252,8 +252,8 @@ def test_holonomy_tables_match_the_corner_chain_kernel_on_region_samples(monkeyp
             for alpha, want in zip(cycles, expected):
                 assert _hex(angles.holonomy(g, theta, alpha)) == want
         if k == 0:
-            # a cached cycle mutated by its caller is solved afresh, and a
-            # non-cycle raises on every call
+            # a copy of a basis cycle changed by its caller is solved
+            # afresh, and a non-cycle raises on every call
             cycle = dict(basis[0])
             angles.holonomy(g, samples[0], cycle)
             cycle.clear()
@@ -266,7 +266,7 @@ def test_holonomy_tables_match_the_corner_chain_kernel_on_region_samples(monkeyp
                     angles.holonomy(g, samples[1], cycle)
 
 
-def test_holonomy_memo_is_keyed_by_identity_and_confirmed_by_content(prym_graph):
+def test_holonomy_finds_a_basis_table_by_content(prym_graph):
     g = prym_graph
     rng = random.Random(5)
     theta = _random_angles(g, rng)
@@ -292,6 +292,12 @@ def test_holonomy_memo_is_keyed_by_identity_and_confirmed_by_content(prym_graph)
         assert _hex(angles.holonomy(g, theta, alpha)) == expected[k % 2]
         del alpha
     assert any(len(contents) == 2 for contents in seen.values())
+    # a basis cycle listed in another order is equal to it but starts at
+    # another half-edge, so it misses the bucket and is solved afresh, to
+    # the same bits
+    reordered = dict(reversed(cycles[0].items()))
+    assert reordered == cycles[0] and next(iter(reordered)) != next(iter(cycles[0]))
+    assert _hex(angles.holonomy(g, theta, reordered)) == expected[0]
     value = angles.holonomy(g, theta, cycles[0])
     assert isinstance(value, angles.HolonomyValue) and repr(value) == (
         f"HolonomyValue(log_modulus={value.log_modulus!r}, phase={value.phase!r})")
@@ -299,33 +305,39 @@ def test_holonomy_memo_is_keyed_by_identity_and_confirmed_by_content(prym_graph)
         value.phase = 0.0
 
 
-def test_the_holonomy_memo_keeps_at_most_one_chain_per_face(prym, monkeypatch):
-    # 2,000 live copies of the basis cycles, each a new dict: the memo drops
-    # its oldest chains, keeps the newest, and every value keeps its bits
+def test_a_graph_keeps_at_most_one_chain_table_per_basis_cycle(prym, monkeypatch):
+    # 3,300 calls at 5 samples: fresh copies of the basis cycles and of sums
+    # of two of them, which are not basis cycles, and one dict whose
+    # contents change between calls.  The graph keeps a table for each
+    # basis cycle, solved once, and nothing about any other cycle, which is
+    # solved on every call; every value keeps the bits of the corner chain
+    # kernel
     g = origami.build_origami_graph(prym)
-    theta = _random_angles(g, random.Random(7))
     basis = homology.cycle_basis(g)
-    expected = [_hex(value) for value in
-                corner_holonomies(theta, [homology.phi(g, a) for a in basis])]
-    copies = [dict(basis[k % len(basis)]) for k in range(2000)]
-    for k, alpha in enumerate(copies):
-        assert _hex(angles.holonomy(g, theta, alpha)) == expected[k % len(basis)]
-        assert len(g._corner_chains) <= len(g.faces)
-    assert list(g._corner_chains) == [id(a) for a in copies[-len(g.faces):]]
-    # a basis kept alive, as the region pipeline keeps it, is solved once
-    # per cycle however many points it is evaluated at: F / 2 + 1 cycles
-    # fit, down to the torus, whose basis fills its memo
+    others = [chain_add(basis[k], basis[k + 1]) for k in range(len(basis) - 1)]
+    cycles = basis + others
+    chains = [homology.phi(g, alpha) for alpha in cycles]
     solved = []
     phi = homology.phi
-    monkeypatch.setattr(homology, "phi", lambda graph, cycle: solved.append(1) or phi(graph, cycle))
-    for o in (origami.Origami.from_spec("h=();v=()"), prym):
-        g = origami.build_origami_graph(o)
-        basis = homology.cycle_basis(g)
-        assert len(basis) == len(g.faces) // 2 + 1
-        rng = random.Random(3)
-        solved.clear()
-        for _ in range(5):
-            theta = _random_angles(g, rng)
-            for alpha in basis:
-                angles.holonomy(g, theta, alpha)
-        assert len(solved) == len(basis)
+    monkeypatch.setattr(homology, "phi",
+                        lambda graph, cycle: solved.append(dict(cycle)) or phi(graph, cycle))
+    rng = random.Random(7)
+    changing: dict = {}
+    calls = 0
+    for _ in range(5):
+        theta = _random_angles(g, rng)
+        expected = [_hex(value) for value in corner_holonomies(theta, chains)]
+        for _ in range(30):
+            for k, alpha in enumerate(cycles):
+                assert _hex(angles.holonomy(g, theta, dict(alpha))) == expected[k]
+                changing.clear()
+                changing.update(cycles[-1 - k])
+                assert _hex(angles.holonomy(g, theta, changing)) == expected[-1 - k]
+                calls += 2
+    assert calls == 3300
+    entries = [entry for bucket in g._basis_chains.values() for entry in bucket]
+    assert sorted(map(id, (alpha for alpha, _ in entries))) == sorted(map(id, g._cycle_basis))
+    assert all(table is not None for _, table in entries)
+    assert [sum(s == alpha for s in solved) for alpha in basis] == [1] * len(basis)
+    assert [sum(s == alpha for s in solved) for alpha in others] == [300] * len(others)
+    assert len(solved) == len(basis) + 300 * len(others)

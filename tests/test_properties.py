@@ -13,18 +13,25 @@ number of matchings against a count of pairing-triple classes.  The
 certificates are checked against references too: ``is_cycle`` against the
 boundary map, the in-circle determinant against numpy's, and the closure
 check of ``develop`` against a residual taken from both sides of every edge.
-On region samples of origamis that carry a matching, ``angles_of`` inverts
-``develop``, and every sample is exactly invariant, keeps ``MARGIN`` of
-slack, meets the face sums within 1e-14 and comes again from its seed.
+On glued triangles, ``surgery.is_nonseparating`` is checked against a face
+walk that skips the edge.  On region samples of origamis that carry a
+matching, ``angles_of`` inverts ``develop``, and every sample is exactly
+invariant, keeps ``MARGIN`` of slack, meets the face sums within 1e-14 and
+comes again from its seed.
 The polytope's planes are checked against the blocks its equality rows
 make, and its dimension against the orbit count and the rows' rank.  The
 lemma of ``region.build_polytope`` is checked on the same graphs: a graph
 with a bridge has no matching, and a matching's polytope is planes and rows
 that couple at most two of them.  On random arboreal origamis, the region's
-walls are where Lawson flips begin (criterion 15).
+walls are where Lawson flips begin (criterion 15), and on the hyperelliptic
+origamis of 6 squares under random linear maps, every Delaunay
+triangulation carries a matching whose region holds its angles (criterion
+16).
 """
 
+import functools
 import math
+import random
 from collections import Counter
 from unittest import mock
 
@@ -35,9 +42,11 @@ from hypothesis import strategies as st
 
 from chain_oracles import apply_to_chain, boundary, chain_add, chain_neg, p_map, pairing_vector
 from delaunay_oracles import circumcircle_cross_check, delaunay_sum, flip_edge, incircle_det
+from origami_oracles import (is_hyperelliptic, mapped_delaunay, matched_regions, random_gl_map,
+                             zeros_only)
 from isodelaunay import angles, develop, homology, matching, origami, region, ribbon, surgery
 from region_oracles import (_dense, _generic_blocks, chord_exit, delaunay_at, generic_sample,
-                            iota_orbit, open_polytope, plane_and_point_polytope)
+                            iota_orbit, open_polytope)
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -358,9 +367,8 @@ def _hex_samples(samples):
 @given(graphs(), glued_triangles(), st.integers(0, 2**32 - 1))
 def test_sample_matches_the_generic_row_walk_bit_for_bit(triple, glued, seed):
     # the sampler's compiled rows against the walk that loops over each row's
-    # terms: on region polytopes, their positivity-only versions, and a plane
-    # beside an orbit that no plane holds
-    polytopes = [plane_and_point_polytope()]
+    # terms: on region polytopes and their positivity-only versions
+    polytopes = []
     for g in (*triple, glued):
         found = matching.find_matchings(g, limit=1).matchings
         if found:
@@ -390,6 +398,33 @@ def test_planes_are_the_blocks_the_equality_rows_make(triple, glued):
         assert poly.dimension == width - rank
 
 
+def _is_nonseparating_by_walk(graph, h) -> bool:
+    """Whether every face is reached from the first listed face across
+    every edge but that of ``h``: the reference for
+    ``surgery.is_nonseparating``."""
+    skip = graph.edge_of(h)
+    start = graph.faces[0][0]
+    reached = {start}
+    stack = [start]
+    while stack:
+        for e in graph._boundary[stack.pop()]:
+            if e != skip:
+                for f, _ in graph.occurrences(e):
+                    if f not in reached:
+                        reached.add(f)
+                        stack.append(f)
+    return len(reached) == len(graph.faces)
+
+
+@PROPERTY
+@given(glued_triangles())
+def test_is_nonseparating_matches_the_face_walk(glued):
+    # the library reads the basis's support: an edge is nonseparating iff
+    # some basis cycle runs through it; random gluings have bridges
+    for h in glued.half_edges():
+        assert surgery.is_nonseparating(glued, h) == _is_nonseparating_by_walk(glued, h)
+
+
 @PROPERTY
 @given(graphs(), glued_triangles())
 def test_a_bridge_leaves_no_matching_and_a_matching_makes_only_planes(triple, glued):
@@ -400,7 +435,7 @@ def test_a_bridge_leaves_no_matching_and_a_matching_makes_only_planes(triple, gl
     for g in (*triple, glued):
         res = matching.find_matchings(g)
         assert res.complete
-        if any(not surgery.is_nonseparating(g, g.occurrences(e)[0]) for e in g.edges):
+        if any(not _is_nonseparating_by_walk(g, g.occurrences(e)[0]) for e in g.edges):
             assert res.matchings == []
         for iota in res.matchings:
             poly = region.build_polytope(g, iota)
@@ -463,6 +498,27 @@ def test_region_walls_are_lawson_flips(o, seed):
             flipped = region.build_polytope(past.graph,
                                             matching.find_matchings(past.graph, limit=1).matchings[0])
             assert flipped.equality_residual(theta) < 1e-9 and flipped.slack(theta) > 0
+
+
+@functools.cache
+def _hyperelliptic_six_square_classes() -> list:
+    """The 57 relabeling classes of 6 squares whose vertices are all zeros
+    and whose rotation by pi acts as -1: the hyperelliptic components."""
+    return [o for o in origami.transitive_pairs_up_to_relabeling(6)
+            if zeros_only(o) and is_hyperelliptic(o)]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)  # about 0.2 s
+@given(st.deferred(lambda: st.sampled_from(_hyperelliptic_six_square_classes())),
+       st.integers(0, 2**32 - 1))
+def test_hyperelliptic_six_square_surfaces_carry_matchings(o, seed):
+    # criterion 16 beyond 5 squares: a hyperelliptic origami under a random
+    # linear map, made Delaunay, carries a matching whose region holds its
+    # angles
+    assert len(_hyperelliptic_six_square_classes()) == 57
+    surface, _, degenerate = mapped_delaunay(o, random_gl_map(random.Random(seed)))
+    assert degenerate == []
+    assert matched_regions(surface)[1]
 
 
 def _flip_rebuilding_the_graph(surface, edge):

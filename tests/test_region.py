@@ -9,9 +9,9 @@ import pytest
 
 from delaunay_oracles import circumcircle_cross_check, delaunay_sum, in_delaunay_region
 from isodelaunay import angles, homology, matching, origami, region, ribbon, surgery
-from region_oracles import (dense_sample, generic_collapse, generic_sample, null_basis,
-                            open_polytope, plane_and_point_polytope, plane_with_a_row_inside,
-                            point_polytope, wide_row_polytope)
+from region_oracles import (dense_sample, generic_collapse, null_basis, open_polytope,
+                            plane_and_point_polytope, plane_with_a_row_inside, point_polytope,
+                            wide_row_polytope)
 
 
 def build(o):
@@ -272,35 +272,17 @@ def test_a_row_of_three_terms_is_refused():
             call(wide_row_polytope())
 
 
-def test_a_plane_beside_a_point_walks_the_plane_alone():
-    poly = plane_and_point_polytope()
-    (triples, rows), = region._blocks(poly)
-    assert [o for o, *_ in triples] == [0, 1, 2]
-    # three positivity rows and the row across f and g, whose second term
-    # is the point's orbit 3; a one-term row is padded with the spare orbit 4
-    assert sorted(row[3:] for row in rows) == [
-        (0, -1.0, 4, 0.0), (0, 1.0, 3, 1.0), (1, -1.0, 4, 0.0), (2, -1.0, 4, 0.0)]
-    pts = region.sample(poly, 200, seed=3)
-    assert [[v.hex() for v in t.values()] for t in pts] == [
-        [v.hex() for v in t.values()] for t in generic_sample(poly, 200, seed=3)]
-    for t in pts:
-        assert all(t[("g", s)] == math.pi / 3 for s in range(3))
-        assert poly.slack(t) >= region.MARGIN
-    # the plane moves, and the walk reaches the row across f and g, which
-    # bounds theta(f, 0) by 2 pi / 3
-    assert len({t[("f", 0)] for t in pts}) == 200
-    assert max(t[("f", 0)] for t in pts) > 0.6 * math.pi
-
-
 @pytest.mark.parametrize("make, message", [
     (point_polytope, "polytope has no plane to walk"),
+    (plane_and_point_polytope, "orbit 3 lies in no plane"),
     (plane_with_a_row_inside,
      f"row ((1, 1.0), (2, -1.0)) < {math.pi / 3!r} has two terms in the plane (0, 1, 2)"),
-], ids=["point_polytope", "plane_with_a_row_inside"])
+], ids=["point_polytope", "plane_and_point_polytope", "plane_with_a_row_inside"])
 def test_a_polytope_that_no_matching_makes_is_refused(make, message):
     # build_polytope's lemma: a matching's polytope has a plane for every
     # face orbit and no row of two terms in one plane, so the walk refuses
-    # a hand-built polytope without a plane or with such a row
+    # a hand-built polytope without a plane, with an orbit that no plane
+    # holds, or with such a row
     poly = make()
     for call in (region._blocks, lambda p: region.sample(p, 3, seed=8)):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -12,10 +12,13 @@ against the dump of another tree.  The dump covers:
 - the exit code, stdout and stderr of ``--json`` CLI commands (origami
   build/check/matching/develop with SVG, match find/verify, region with
   samples, develop, info, holonomy, delaunay flip/check, validate and sum)
-  on five origamis, among them the 12-square staircase;
+  on five origamis, among them the 12-square staircase, and the files that
+  ``region -o``, ``develop -o`` and ``sum -o`` write;
+- ``origami sweep --max-squares 5``, plain and with ``--json``;
 - for the first 24 region_pipeline inputs of seeds 1-3 (from
-  bench/inputs.py): the ``float.hex`` of the analysis, of 20 samples and of
-  the developed first sample;
+  bench/inputs.py): the ``float.hex`` of the analysis, of 20 samples, of
+  the holonomy of every basis cycle at each sample, one ``holonomy`` call
+  per cycle as the benchmark makes them, and of the developed first sample;
 - ``check_constant_holonomy`` (from tests/region_oracles.py) on three
   arboreal origamis;
 - ``network`` on every transitive pair class with at most 4 squares.
@@ -42,7 +45,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 import inputs  # noqa: E402  (bench/inputs.py)
 import region_oracles  # noqa: E402  (tests/region_oracles.py)
-from isodelaunay import angles, cli, develop, origami, region, surgery  # noqa: E402
+from isodelaunay import angles, cli, develop, homology, origami, region, surgery  # noqa: E402
 
 ORIGAMIS = [
     "h=();v=()",
@@ -81,6 +84,11 @@ def cli_outputs(out: list[str]) -> None:
             iota.write_text(json.dumps(canonical["result"]["matching"]))
             _cli(out, "--json", "match", "verify", str(graph), str(iota))
             _cli(out, "--json", "--seed", "4", "region", str(graph), str(iota), "--samples", "7")
+            written = Path(f"samples{i}")
+            written.mkdir()
+            _cli(out, "--seed", "4", "region", str(graph), str(iota), "--samples", "3",
+                 "-o", str(written))
+            out.extend(p.read_text() for p in sorted(written.iterdir()))
         o = origami.Origami.from_spec(spec)
         eq.write_text(json.dumps(angles.angles_to_json(origami.equilateral_angles(o))))
         _cli(out, "--json", "info", str(graph), "--angles", str(eq))
@@ -88,6 +96,8 @@ def cli_outputs(out: list[str]) -> None:
         svg = Path("d.svg")
         _cli(out, "--json", "develop", str(graph), str(eq), "--svg", str(svg))
         out.append(svg.read_text())
+        _cli(out, "--json", "develop", str(graph), str(eq), "-o", "developed.json")
+        out.append(Path("developed.json").read_text())
         surface = json.loads(_cli([], "origami", "develop", spec))
         surface["periods"] = {
             k: [re + SHEAR * im, im] for k, (re, im) in surface["periods"].items()
@@ -99,6 +109,10 @@ def cli_outputs(out: list[str]) -> None:
         sheared.write_text(json.dumps(flipped))
         _cli(out, "--json", "delaunay", "check", str(sheared))
         _cli(out, "--json", "sum", str(graph), "f1-/0", "l.json", "f2+/1")
+        _cli(out, "--json", "sum", str(graph), "f1-/0", "l.json", "f2+/1", "-o", "sum.json")
+        out.append(Path("sum.json").read_text())
+    _cli(out, "origami", "sweep", "--max-squares", "5")
+    _cli(out, "--json", "origami", "sweep", "--max-squares", "5")
 
 
 def _hex(values) -> str:
@@ -122,6 +136,9 @@ def region_dump(out: list[str]) -> None:
             out.append(_hex(report.interior_point[c] for c in poly.corners))
             samples = region.sample(poly, 20, seed=inp.sample_seed)
             out.extend(_hex(t[c] for c in poly.corners) for t in samples)
+            basis = homology.cycle_basis(g)
+            out.extend(_hex(x for alpha in basis
+                            for x in angles.holonomy(g, t, alpha)) for t in samples)
             surface = develop.develop(g, samples[0])
             out.append(_hex(x for h in sorted(surface.periods)
                             for x in (surface.periods[h].real, surface.periods[h].imag)))
