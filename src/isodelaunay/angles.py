@@ -69,23 +69,39 @@ class HolonomyValue(NamedTuple):
         return abs(self.value - 1.0)
 
 
+def _rows(graph: TriRibbonGraph, cycle: homology.Chain1):
+    """The corner chain of ``cycle`` as rows (coefficient, corner, numerator,
+    denominator), the last two being the corners whose sines make the
+    corner's dilation factor.
+
+    A cycle equal to one of the graph's basis cycles reads the rows that
+    ``cycle_basis`` emitted for it, found among the basis cycles with the
+    same first half-edge, then by ``==``; any other cycle is solved by
+    ``phi`` afresh, and nothing of it is kept.
+    """
+    if graph._cycle_basis is None:
+        homology._kept_basis(graph)  # which fills graph._basis_chains
+    for alpha, rows in graph._basis_chains.get(next(iter(cycle), None), ()):
+        if alpha == cycle:
+            return rows
+    return [(coeff, (f, slot), (f, (slot + 1) % 3), (f, (slot + 2) % 3))
+            for (f, slot), coeff in homology.phi(graph, cycle).items()]
+
+
 def holonomies(
     graph: TriRibbonGraph, theta: AngleAssignment, basis: list[homology.Chain1]
 ) -> list[HolonomyValue]:
     """Holonomy of every cycle of ``basis``, with each corner's log-sine
     ratio taken once; ValueError if one is not a cycle."""
-    chains = [homology.phi(graph, alpha) for alpha in basis]
+    log, sin = math.log, math.sin
     log_ratio: dict[Corner, float] = {}
     out = []
-    for a in chains:
+    for alpha in basis:
         total = phase = 0.0
-        for c, coeff in a.items():
+        for coeff, c, num, den in _rows(graph, alpha):
             d = log_ratio.get(c)
             if d is None:
-                f, slot = c
-                num = math.sin(theta[(f, (slot + 1) % 3)])
-                den = math.sin(theta[(f, (slot + 2) % 3)])
-                d = log_ratio[c] = math.log(num) - math.log(den)
+                d = log_ratio[c] = log(sin(theta[num])) - log(sin(theta[den]))
             total += coeff * d
             phase += coeff * theta[c]
         out.append(HolonomyValue(total, phase))
@@ -95,28 +111,14 @@ def holonomies(
 def holonomy(graph: TriRibbonGraph, theta: AngleAssignment, cycle: homology.Chain1) -> HolonomyValue:
     """Total holonomy of a cycle: dilation times rotation of its corner chain.
 
-    A cycle equal to a basis cycle of the graph with the same first
-    half-edge reads that basis cycle's chain rows, solved once; any other
-    cycle is solved on every call, and nothing of it is kept.  ValueError,
-    on every call, if ``cycle`` is not a cycle.  The value is that of
-    ``holonomies`` to the bit.
+    A basis cycle of the graph reads the corner chain rows that the basis
+    walk emitted; any other cycle is solved on every call (see ``_rows``).
+    ValueError, on every call, if ``cycle`` is not a cycle.  The value is
+    that of ``holonomies`` to the bit.
     """
-    buckets = graph._basis_chains
-    if not buckets:  # filled on the first call; a basis is never empty
-        for alpha in homology._kept_basis(graph):
-            buckets.setdefault(next(iter(alpha)), []).append([alpha, None])
-    for entry in buckets.get(next(iter(cycle), None), ()):
-        if entry[0] == cycle:
-            break
-    else:
-        entry = [cycle, None]
-    if entry[1] is None:
-        entry[1] = tuple((coeff, (f, slot), (f, (slot + 1) % 3), (f, (slot + 2) % 3))
-                         for (f, slot), coeff in homology.phi(graph, cycle).items())
-    table = entry[1]
     log, sin = math.log, math.sin
     total = phase = 0.0
-    for coeff, c, num, den in table:
+    for coeff, c, num, den in _rows(graph, cycle):
         total += coeff * (log(sin(theta[num])) - log(sin(theta[den])))
         phase += coeff * theta[c]
     return HolonomyValue(total, phase)

@@ -30,7 +30,9 @@ class DegenerateTriangleError(ValueError):
     pass
 
 
-# Lawson flips ``make_delaunay`` makes before it gives up with FlipCapError
+# Lawson flips ``make_delaunay`` makes before it gives up with FlipCapError,
+# or two per edge where that is more, since the flips a sheared surface
+# needs grow with its size
 MAX_FLIPS = 1000
 
 
@@ -299,7 +301,8 @@ def make_delaunay(surface: DevelopedSurface, tol: float = TOL):
     Returns (surface, flip_log, degenerate_edges), the last being the edges
     whose sum is within ``tol`` of pi; the surface keeps the corner angles
     the flips left, for ``angles_of`` and ``is_geometric_delaunay``.  Raises
-    FlipCapError if the surface needs more than ``MAX_FLIPS`` flips.
+    FlipCapError if the surface needs more than ``MAX_FLIPS`` flips, or two
+    per edge where that is more, which bounds the time on every input.
     """
     tri = _Triangulation(surface)
     angles = list(_face_angles(surface))  # flips replace rows of this copy
@@ -321,14 +324,15 @@ def make_delaunay(surface: DevelopedSurface, tol: float = TOL):
     for e in tri.edges:
         update(e)
     flips: list[str] = []
+    cap = max(MAX_FLIPS, 2 * len(tri.edges))
     while True:
         while heap and heap[0][2] != version[heap[0][1]]:
             heapq.heappop(heap)
         if not heap:
             break
-        if len(flips) >= MAX_FLIPS:
+        if len(flips) >= cap:
             raise FlipCapError(
-                f"flip cap hit: the surface is still not Delaunay after {MAX_FLIPS} flips"
+                f"flip cap hit: the surface is still not Delaunay after {cap} flips"
             )
         edge = tri.edges[heap[0][1]]
         i, j = tri.flip(edge)

@@ -5,8 +5,13 @@ reversed half-edge (e, f) is a negative coefficient.  Angle chains are
 sparse integer maps keyed by corners.  The cycle basis is the set of
 fundamental cycles of a spanning tree of the face/edge incidence graph, and
 ``phi`` inverts, one face at a time, the map ``p_map`` that sends corner
-(f, s) to the chain (f, s + 1) - (f, s).  Everything here is exact
-integer arithmetic; no floats.
+(f, s) to the chain (f, s + 1) - (f, s).  A fundamental cycle is a simple
+loop of faces, so it meets each face it touches at exactly two slots, with
+opposite signs (the two-slot lemma), and its corner chain is one corner of
+coefficient +-1 per face; the tree walk that builds the basis emits these
+chains as rows, which ``angles`` reads, and ``phi`` stays the general
+solver and their reference.  Everything here is exact integer arithmetic;
+no floats.
 """
 
 from __future__ import annotations
@@ -48,13 +53,16 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
 
     Each cycle walks parent pointers from its two faces to their common
     ancestor, so it costs its own length; the graph keeps the basis, and
-    every call returns a fresh copy.
+    every call returns a fresh copy.  The same walk emits each cycle's
+    corner chain as rows (coefficient, corner, numerator, denominator),
+    ``phi``'s answer in its order, which the graph keeps for ``angles``.
     """
     return [alpha.copy() for alpha in _kept_basis(graph)]
 
 
 def _kept_basis(graph: TriRibbonGraph) -> list[Chain1]:
-    """The basis the graph keeps, built on first use; its readers never change it."""
+    """The basis the graph keeps, and its corner chain rows in
+    ``graph._basis_chains``, built on first use; their readers never change them."""
     if graph._cycle_basis is not None:
         return graph._cycle_basis
     # half-edges are handled by their rank r in ``half_edges()`` order, which
@@ -101,7 +109,7 @@ def _kept_basis(graph: TriRibbonGraph) -> list[Chain1]:
                 up[y] = (x, h, g, 1 if ends[j][0] == x else -1)
                 depth[y] = depth[x] + 1
                 stack.append(y)
-    basis = []
+    basis, chains = [], {}
     for j, (h, g) in enumerate(pairs):
         if j in tree:
             continue
@@ -114,13 +122,30 @@ def _kept_basis(graph: TriRibbonGraph) -> list[Chain1]:
             else:
                 b, hk, gk, o = up[b]
                 alpha[hk], alpha[gk] = -o, o
-        cycle = {hes[r]: c for r, c in sorted(alpha.items())}
+        ranked = sorted(alpha.items())
+        cycle = {hes[r]: c for r, c in ranked}
         if not is_cycle(graph, cycle):
             raise AssertionError(
                 f"basis cycle through {min(cycle)} has nonzero boundary (implementation fault)"
             )
+        # the two-slot lemma: the cycle meets each face at two slots, with
+        # opposite signs, so consecutive ranks pair up within one face and
+        # phi(cycle) is one corner there, the slot s whose successor is the
+        # other one, with minus the cycle's coefficient at s
+        rows = []
+        it = iter(ranked)
+        for (r1, c1), (r2, c2) in zip(it, it):
+            base = r1 - r1 % 3
+            if r2 - base > 2 or c1 + c2:
+                raise AssertionError(
+                    f"basis cycle through {min(cycle)} does not meet face {hes[r1][0]!r} "
+                    f"at two slots of opposite sign (implementation fault)"
+                )
+            s, c = (r1 - base, c1) if r2 - r1 == 1 else (r2 - base, c2)
+            rows.append((-c, hes[base + s], hes[base + (s + 1) % 3], hes[base + (s + 2) % 3]))
+        chains.setdefault(hes[ranked[0][0]], []).append((cycle, tuple(rows)))
         basis.append(cycle)
-    graph._cycle_basis = basis
+    graph._cycle_basis, graph._basis_chains = basis, chains
     return basis
 
 
@@ -131,7 +156,11 @@ def phi(graph: TriRibbonGraph, cycle: Chain1) -> AngleChain:
     chains that p_map sends there are b + k(1, 1, 1) with b = (0, -c1,
     -c1 - c2).  The one of median 0 has the least sum of |coefficients|.
     The boundary is checked in the same pass that reads each face's triple:
-    ValueError if the chain is not a cycle.
+    ValueError if the chain is not a cycle.  On a basis cycle, which meets
+    each face at two slots s and s + 1 with coefficients -k and k (the
+    two-slot lemma), this is the one corner (f, s) with coefficient k; the
+    basis walk emits those rows itself, so holonomy calls this only for
+    other cycles.
     """
     boundary = graph._boundary
     at_edge: dict[str, int] = {}

@@ -226,21 +226,54 @@ def transitive_pairs_up_to_relabeling(s: int):
     every pair; h and v are met in increasing order, so the list is sorted.
     """
     perms = list(itertools.permutations(range(1, s + 1)))
-    least_of_type = {}
-    for h in perms:
-        cycle_type = tuple(sorted(len(c) for c in permutation_cycles(h)))
-        least_of_type.setdefault(cycle_type, h)
     out = []
-    for h in least_of_type.values():
+    for h in _least_of_each_cycle_type(s):
         # each g of C(h) but the identity, 1-indexed by (0,) + g, with the
         # 0-based positions of 1..s in g, so that (g v g^-1)(y) = g[v[gi[y - 1]]]
         centralizer = [((0,) + g, [g.index(y) for y in range(1, s + 1)])
-                       for g in perms[1:]
-                       if all(g[x - 1] == h[g[j] - 1] for j, x in enumerate(h))]
+                       for g in _centralizer(h)[1:]]
         for v in perms:
             if not _has_lesser_conjugate(v, centralizer) and is_transitive(h, v):
                 out.append(Origami(h, v))
     return out
+
+
+def _least_of_each_cycle_type(s: int, least: int = 1) -> list[tuple[int, ...]]:
+    """The lexicographically least permutation of 1..s of each cycle type
+    whose cycles are at least ``least`` long, in increasing order.  It takes
+    its shortest cycle on the first symbols, as 1 -> 2 -> ... -> 1, and the
+    rest likewise: position by position, each image is the least one free."""
+    if s == 0:
+        return [()]
+    out = []
+    for k in range(least, s + 1):
+        head = tuple(range(2, k + 1)) + (1,)
+        out += [head + tuple(x + k for x in rest) for rest in _least_of_each_cycle_type(s - k, k)]
+    return sorted(out)
+
+
+def _centralizer(h: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """C(h) = {g : gh = hg} in increasing order, the identity first.
+
+    Such a g carries each cycle of h onto a cycle of the same length, its
+    i-th symbol onto the target's (i + r)-th for one rotation r, so C(h) is
+    every bijection between the cycles of each length with every rotation.
+    """
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for cycle in permutation_cycles(h):
+        by_length.setdefault(len(cycle), []).append(cycle)
+    # per cycle length, each way to map those cycles, as the images of their
+    # symbols listed cycle by cycle
+    per_length = []
+    for cycles in by_length.values():
+        rotations = {c: [c[r:] + c[:r] for r in range(len(c))] for c in cycles}
+        per_length.append([tuple(itertools.chain.from_iterable(images))
+                           for targets in itertools.permutations(cycles)
+                           for images in itertools.product(*(rotations[t] for t in targets))])
+    listed = [x for cycles in by_length.values() for cycle in cycles for x in cycle]
+    where = sorted(range(len(listed)), key=listed.__getitem__)  # where each of 1..s is listed
+    return sorted(tuple(images[i] for i in where)
+                  for images in (sum(parts, ()) for parts in itertools.product(*per_length)))
 
 
 def _has_lesser_conjugate(v: tuple[int, ...], centralizer: list) -> bool:

@@ -69,12 +69,12 @@ class TriRibbonGraph:
         self._occurrences = occ
         # the cycle basis, built once by ``homology.cycle_basis``, which hands
         # out copies so that no caller can change it, and its corner chains:
-        # ``angles.holonomy`` buckets the basis cycles by their first
-        # half-edge as [cycle, chain rows or None] entries, and solves a
-        # cycle's rows on its first use, so the graph holds at most one set
-        # of rows per basis cycle
+        # the same tree walk emits each basis cycle's rows, bucketed by the
+        # cycle's first half-edge as (cycle, rows) entries, which
+        # ``angles.holonomy`` and ``holonomies`` read; the graph holds one
+        # set of rows per basis cycle and none for any other cycle
         self._cycle_basis: list[dict] | None = None
-        self._basis_chains: dict[HalfEdge, list[list]] = {}
+        self._basis_chains: dict[HalfEdge, list[tuple]] = {}
         report = validate(self)
         if not report:
             raise InvalidGraphError(report.problems)

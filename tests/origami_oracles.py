@@ -1,5 +1,6 @@
-"""Origami facts computed without the library (the cylinder tree count, and
-the relabeling classes of transitive pairs by canonical BFS labels), the
+"""Origami facts computed without the library (the cylinder tree count, the
+relabeling classes of transitive pairs by canonical BFS labels, and the least
+permutation of each cycle type and the centralizers by filtering Sym(s)), the
 staircase origamis that several tests build, and the pieces of the check of
 the paper's corollary on whole hyperelliptic components: the rotations by
 pi of a square tiling, linear images of a square-tiled surface made
@@ -72,12 +73,9 @@ def pairs_by_bfs_keys(s: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     increasing order: h runs over the least permutation of each cycle type,
     v over Sym(s), and a pair is kept when its BFS key is new."""
     perms = list(itertools.permutations(range(1, s + 1)))
-    least_of_type = {}
-    for h in perms:
-        least_of_type.setdefault(tuple(sorted(cycle_lengths(h))), h)
     seen = set()
     out = []
-    for h in least_of_type.values():
+    for h in least_of_each_cycle_type_by_filter(s):
         for v in perms:
             key = bfs_key(h, v)
             if key is None or key in seen:
@@ -176,3 +174,19 @@ def matched_regions(surface) -> tuple[int, bool]:
     polytopes = (region.build_polytope(surface.graph, iota) for iota in found)
     return len(found), any(p.equality_residual(theta) < 1e-9 and p.slack(theta) > 0
                            for p in polytopes)
+
+
+def least_of_each_cycle_type_by_filter(s: int) -> list[tuple[int, ...]]:
+    """The least permutation of each cycle type in Sym(s), in increasing
+    order, found by filtering all s! permutations in lexicographic order."""
+    least_of_type = {}
+    for h in itertools.permutations(range(1, s + 1)):
+        least_of_type.setdefault(tuple(sorted(cycle_lengths(h))), h)
+    return list(least_of_type.values())
+
+
+def centralizer_by_filter(h: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """C(h) = {g : gh = hg} in increasing order, found by filtering all
+    permutations of the symbols of h."""
+    return [g for g in itertools.permutations(range(1, len(h) + 1))
+            if all(g[x - 1] == h[g[j] - 1] for j, x in enumerate(h))]

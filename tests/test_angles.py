@@ -178,8 +178,9 @@ def _random_angles(graph, rng):
 
 
 def test_holonomy_of_one_cycle_matches_the_whole_basis(square_l_graph, prym_graph):
-    # holonomy keeps each basis cycle's corner chain on the graph; holonomies
-    # solves the chains afresh, so the two must agree to the last bit
+    # holonomy reads each basis cycle's corner chain table one cycle at a
+    # time, holonomies the same tables with each corner's log-sine ratio
+    # shared, so the two must agree to the last bit
     rng = random.Random(19)
     for g in (square_l_graph, prym_graph):
         basis = homology.cycle_basis(g)
@@ -231,7 +232,7 @@ def _hex(value):
 
 def test_holonomy_tables_match_the_corner_chain_kernel_on_region_samples(monkeypatch):
     # the first 24 seed-1 inputs of the region_pipeline benchmark, each at its
-    # 20 samples: the table that holonomy compiles once per basis cycle
+    # 20 samples: the table that the basis walk emits for each basis cycle
     # gives the bits of corner_holonomies on the freshly solved chain, for
     # the basis cycles, a sum of two and a negation
     spec = importlib.util.spec_from_file_location(
@@ -308,10 +309,10 @@ def test_holonomy_finds_a_basis_table_by_content(prym_graph):
 def test_a_graph_keeps_at_most_one_chain_table_per_basis_cycle(prym, monkeypatch):
     # 3,300 calls at 5 samples: fresh copies of the basis cycles and of sums
     # of two of them, which are not basis cycles, and one dict whose
-    # contents change between calls.  The graph keeps a table for each
-    # basis cycle, solved once, and nothing about any other cycle, which is
-    # solved on every call; every value keeps the bits of the corner chain
-    # kernel
+    # contents change between calls.  The graph keeps the table that the
+    # basis walk emitted for each basis cycle, so phi never solves a basis
+    # cycle, and nothing about any other cycle, which phi solves on every
+    # call; every value keeps the bits of the corner chain kernel
     g = origami.build_origami_graph(prym)
     basis = homology.cycle_basis(g)
     others = [chain_add(basis[k], basis[k + 1]) for k in range(len(basis) - 1)]
@@ -334,10 +335,10 @@ def test_a_graph_keeps_at_most_one_chain_table_per_basis_cycle(prym, monkeypatch
                 changing.update(cycles[-1 - k])
                 assert _hex(angles.holonomy(g, theta, changing)) == expected[-1 - k]
                 calls += 2
+        assert [_hex(value) for value in angles.holonomies(g, theta, basis)] == expected[:len(basis)]
     assert calls == 3300
     entries = [entry for bucket in g._basis_chains.values() for entry in bucket]
     assert sorted(map(id, (alpha for alpha, _ in entries))) == sorted(map(id, g._cycle_basis))
-    assert all(table is not None for _, table in entries)
-    assert [sum(s == alpha for s in solved) for alpha in basis] == [1] * len(basis)
+    assert not any(s == alpha for s in solved for alpha in basis)
     assert [sum(s == alpha for s in solved) for alpha in others] == [300] * len(others)
-    assert len(solved) == len(basis) + 300 * len(others)
+    assert len(solved) == 300 * len(others)

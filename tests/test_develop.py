@@ -118,14 +118,37 @@ def test_make_delaunay_flips_to_optimum(torus, torus_graph):
 
 def test_make_delaunay_raises_past_its_flip_cap(torus, torus_graph, monkeypatch):
     surface = develop.develop(torus_graph, origami.standard_angles(torus))
-    sheared = develop.DevelopedSurface(
-        torus_graph, {h: complex(p.real + 3.5 * p.imag, p.imag) for h, p in surface.periods.items()}
-    )
-    _, flips, _ = develop.make_delaunay(sheared)
-    assert len(flips) == 2
+
+    def sheared(t):
+        return develop.DevelopedSurface(
+            torus_graph, {h: complex(p.real + t * p.imag, p.imag) for h, p in surface.periods.items()}
+        )
+
+    assert [len(develop.make_delaunay(sheared(t))[1]) for t in (3.5, 20.5)] == [2, 10]
     monkeypatch.setattr(develop, "MAX_FLIPS", 1)
-    with pytest.raises(develop.FlipCapError, match="after 1 flips"):
-        develop.make_delaunay(sheared)
+    # two flips per edge, 6 on the torus's 3 edges, where that is more than MAX_FLIPS
+    assert len(develop.make_delaunay(sheared(3.5))[1]) == 2
+    with pytest.raises(develop.FlipCapError, match="after 6 flips"):
+        develop.make_delaunay(sheared(20.5))
+
+
+def _sheared_staircase(n, t):
+    o = staircase_origami(n)
+    start = develop.develop(origami.build_origami_graph(o), origami.standard_angles(o))
+    return develop.DevelopedSurface(
+        start.graph, {h: complex(z.real + t * z.imag, z.imag) for h, z in start.periods.items()})
+
+
+def test_the_flip_cap_grows_with_the_edges():
+    # 1,152 edges: 1,536 flips pass a cap of 2,304, where a fixed 1,000 refused them
+    sheared = _sheared_staircase(384, 7.5)
+    assert len(sheared.graph.edges) == 1152
+    flipped, flips, degenerate = develop.make_delaunay(sheared)
+    assert len(flips) == 1536 and degenerate == []
+    assert develop.is_geometric_delaunay(flipped)
+    # 288 edges allow 576 flips, so the cap stays 1,000, short of the 1,248 needed
+    with pytest.raises(develop.FlipCapError, match="after 1000 flips"):
+        develop.make_delaunay(_sheared_staircase(96, 25.3))
 
 
 def _hex_angles(surface):
@@ -134,12 +157,7 @@ def _hex_angles(surface):
 
 def test_the_surface_make_delaunay_returns_keeps_the_angles_a_fresh_copy_solves():
     for n, t in ((3, 1.3), (6, 2.41), (12, 3.5), (24, 1.7), (48, 5.2)):
-        o = staircase_origami(n)
-        start = develop.develop(origami.build_origami_graph(o), origami.standard_angles(o))
-        sheared = develop.DevelopedSurface(
-            start.graph, {h: complex(z.real + t * z.imag, z.imag) for h, z in start.periods.items()}
-        )
-        flipped, flips, _ = develop.make_delaunay(sheared)
+        flipped, flips, _ = develop.make_delaunay(_sheared_staircase(n, t))
         assert flips
         fresh = develop.DevelopedSurface(flipped.graph, dict(flipped.periods))
         # the kept angles are no part of the surface's value, its repr or its JSON

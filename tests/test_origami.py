@@ -7,7 +7,8 @@ import tracemalloc
 import pytest
 
 from isodelaunay import angles, matching, origami, ribbon
-from origami_oracles import pairs_by_bfs_keys, tree_count_holds
+from origami_oracles import (centralizer_by_filter, least_of_each_cycle_type_by_filter,
+                             pairs_by_bfs_keys, tree_count_holds)
 
 
 def parse_permutation(text, size):
@@ -159,6 +160,17 @@ def _least_conjugate(h, v):
 @pytest.mark.parametrize("s", range(1, 7))
 def test_enumeration_equals_the_bfs_key_reference(classes, s):
     assert [(o.h, o.v) for o in classes[s]] == pairs_by_bfs_keys(s)
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_cycle_types_and_centralizers_are_built_as_the_filter_finds_them(s):
+    # the enumeration builds the least permutation of each cycle type and
+    # each centralizer directly; filtering Sym(s) gives the same lists, in
+    # the same order
+    least = origami._least_of_each_cycle_type(s)
+    assert least == least_of_each_cycle_type_by_filter(s)
+    for h in least:
+        assert origami._centralizer(h) == centralizer_by_filter(h)
 
 
 @pytest.mark.parametrize("s", range(1, 6))

@@ -7,9 +7,11 @@ reordered; the matching count also runs on 2 to 12 triangles glued at
 random.  Runs are derandomized, so every run checks the same examples.
 The cycle basis, ``phi``, holonomy and ``verify_matching`` are also checked
 against straightforward references kept here: a quadratic tree pick with
-path chains, a ``phi`` that sorts every slot, per-cycle holonomy sums, a
-Delaunay test on angle dicts and a -1 test on whole image chains, and the
-number of matchings against a count of pairing-triple classes.  The
+path chains, a ``phi`` that sorts every slot, ``phi`` itself for the
+corner chain rows that the basis walk emits (with the two-slot lemma behind
+them), per-cycle holonomy sums, a Delaunay test on angle dicts and a -1
+test on whole image chains, and the number of matchings against a count of
+pairing-triple classes.  The
 certificates are checked against references too: ``is_cycle`` against the
 boundary map, the in-circle determinant against numpy's, and the closure
 check of ``develop`` against a residual taken from both sides of every edge.
@@ -234,6 +236,30 @@ def test_holonomies_match_per_cycle_holonomy_bit_for_bit(pair):
         assert got == [(v.log_modulus.hex(), v.phase.hex()) for v in one_by_one]
         assert got == [_holonomy_by_sums(theta, _phi_sorting_every_slot(g, alpha))
                        for alpha in basis]
+
+
+def _rows_by_phi(graph, cycle):
+    # the rows of the corner chain that phi solves
+    return [(coeff, (f, slot), (f, (slot + 1) % 3), (f, (slot + 2) % 3))
+            for (f, slot), coeff in homology.phi(graph, cycle).items()]
+
+
+@PROPERTY
+@given(graphs(), glued_triangles(), sheared_surfaces(max_shear=20.0))
+def test_the_basis_walk_emits_the_rows_phi_solves(triple, glued, sheared):
+    flipped = develop.make_delaunay(sheared)[0].graph
+    for g in (*triple, glued, flipped):
+        basis = homology.cycle_basis(g)
+        entries = [entry for bucket in g._basis_chains.values() for entry in bucket]
+        assert sorted(map(id, (alpha for alpha, _ in entries))) == sorted(map(id, g._cycle_basis))
+        for alpha in basis:
+            # the two-slot lemma: two slots of each face met, coefficients 1 and -1
+            at_face = {}
+            for (f, slot), coeff in alpha.items():
+                at_face.setdefault(f, []).append(coeff)
+            assert all(sorted(coeffs) == [-1, 1] for coeffs in at_face.values())
+            (rows,) = [rows for beta, rows in g._basis_chains[next(iter(alpha))] if beta == alpha]
+            assert list(rows) == _rows_by_phi(g, alpha)
 
 
 @PROPERTY

@@ -16,13 +16,15 @@ times, each as the best of three runs in wall seconds:
   keeps its certificate, so only the first call would pay it);
 - the holonomy of every basis cycle at the first sample, in one
   ``holonomies`` call, and ``develop`` of that sample;
+- ``cycle_basis`` and then that ``holonomies`` call on a fresh copy of the
+  graph, built outside the timing, as the flip_develop workload calls them:
+  the basis walk emits each basis cycle's corner chain rows, so this row
+  shows the cost of the rows together with the evaluation that reads them;
 - the holonomy of every basis cycle at each of the 5 samples, one
   ``holonomy`` call per cycle and sample, as the region pipeline makes them
-  (each repeat on a fresh copy of the graph, built with its cycle basis
-  outside the timing, so every repeat solves each basis cycle's corner
-  chain once), and the same calls with the chains already solved (one
-  graph for every repeat, its chains solved before the timing), which is
-  the evaluation alone;
+  (each repeat on a fresh copy of the graph, built with its cycle basis and
+  so with its corner chain rows outside the timing), which is the
+  evaluation alone;
 - ``make_delaunay`` of the square-tiled surface under (x, y) -> (x + 1.3 y, y)
   and then (x, y) -> (x, y + 0.4 x), each repeat on a fresh copy of that
   surface, built outside the timing, since a surface keeps its corner angles
@@ -79,6 +81,10 @@ def sheared(o: origami.Origami) -> develop.DevelopedSurface:
     return develop.DevelopedSurface(g, periods)
 
 
+def basis_and_holonomies(g, theta) -> None:
+    angles.holonomies(g, theta, homology.cycle_basis(g))
+
+
 def per_point_holonomy(g, samples: list, basis: list) -> None:
     for theta in samples:
         for alpha in basis:
@@ -119,13 +125,13 @@ def ladder() -> dict:
         timed(seconds, "holonomy of every basis cycle",
               lambda: angles.holonomies(g, samples[0], basis))
         fresh = [origami.build_origami_graph(o) for _ in range(REPEATS)]
+        timed(seconds, "cycle_basis and holonomy of every basis cycle, fresh graph",
+              lambda: basis_and_holonomies(fresh.pop(), samples[0]))
+        fresh = [origami.build_origami_graph(o) for _ in range(REPEATS)]
         for copy in fresh:
             homology.cycle_basis(copy)  # kept by the graph, as in the region pipeline
         timed(seconds, "holonomy, one call per cycle at each of 5 samples",
               lambda: per_point_holonomy(fresh.pop(), samples, basis))
-        per_point_holonomy(g, samples[:1], basis)
-        timed(seconds, "holonomy, one call per cycle at each of 5 samples, chains already solved",
-              lambda: per_point_holonomy(g, samples, basis))
         timed(seconds, "develop", lambda: develop.develop(g, samples[0]))
         start = sheared(o)
         fresh = [develop.DevelopedSurface(start.graph, dict(start.periods))
