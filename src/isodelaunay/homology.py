@@ -5,13 +5,13 @@ reversed half-edge (e, f) is a negative coefficient.  Angle chains are
 sparse integer maps keyed by corners.  The cycle basis is the set of
 fundamental cycles of a spanning tree of the face/edge incidence graph, and
 ``phi`` inverts, one face at a time, the map ``p_map`` that sends corner
-(f, s) to the chain (f, s + 1) - (f, s).  A fundamental cycle is a simple
-loop of faces, so it meets each face it touches at exactly two slots, with
-opposite signs (the two-slot lemma), and its corner chain is one corner of
-coefficient +-1 per face; the tree walk that builds the basis emits these
-chains as rows, which ``angles`` reads, and ``phi`` stays the general
-solver and their reference.  Everything here is exact integer arithmetic;
-no floats.
+(f, s) to the chain (f, s + 1) - (f, s).  A fundamental cycle meets each
+face it touches at two slots of opposite sign (the two-slot lemma), so its
+corner chain is one corner per face.  The tree walk works on half-edge ranks
+and reads tables it builds once per graph (each rank's mate, each slot's
+corner row); one pass over each cycle's sorted ranks keys it, certifies it
+and emits its corner chain as rows for ``angles``, with ``phi`` as their
+reference.  Everything here is exact integer arithmetic; no floats.
 """
 
 from __future__ import annotations
@@ -24,20 +24,6 @@ AngleChain = dict[Corner, int]
 
 def chain_to_json(chain: dict) -> dict:
     return {he_key(k): v for k, v in sorted(chain.items())}
-
-
-def is_cycle(graph: TriRibbonGraph, chain: Chain1) -> bool:
-    """Whether d(chain) = 0 for d(f, e) = e - f: each edge and each face sums to zero."""
-    boundary = graph._boundary
-    at_edge, at_face = {}, {}
-    for (f, slot), coeff in chain.items():
-        try:
-            e = boundary[f][slot % 3]
-        except KeyError:
-            raise KeyError(f"unknown face {f!r} in chain") from None
-        at_edge[e] = at_edge.get(e, 0) + coeff
-        at_face[f] = at_face.get(f, 0) + coeff
-    return not any(at_edge.values()) and not any(at_face.values())
 
 
 def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
@@ -53,9 +39,11 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
 
     Each cycle walks parent pointers from its two faces to their common
     ancestor, so it costs its own length; the graph keeps the basis, and
-    every call returns a fresh copy.  The same walk emits each cycle's
-    corner chain as rows (coefficient, corner, numerator, denominator),
-    ``phi``'s answer in its order, which the graph keeps for ``angles``.
+    every call returns a fresh copy.  One pass over the cycle's ranks keys
+    it, emits its rows for ``angles`` (``phi``'s answer) and certifies
+    d(cycle) = 0 and the two-slot lemma: each entry's mate carries the
+    opposite coefficient, and consecutive entries pair up within one face
+    with opposite signs; AssertionError (an implementation fault) if not.
     """
     return [alpha.copy() for alpha in _kept_basis(graph)]
 
@@ -66,14 +54,17 @@ def _kept_basis(graph: TriRibbonGraph) -> list[Chain1]:
     if graph._cycle_basis is not None:
         return graph._cycle_basis
     # half-edges are handled by their rank r in ``half_edges()`` order, which
-    # lists the faces in sorted order, three slots each: r // 3 is the face's index
+    # lists the faces in sorted order, three slots each: r // 3 is the face's
+    # index.  mate[r] is the rank of the other half-edge of r's edge
     hes = graph.half_edges()
     boundary = graph._boundary
     first, pairs = {}, []  # edge -> rank of its earlier half-edge g; (h, g) per edge, in order of h
+    mate = [-1] * len(hes)
     for h, (f, slot) in enumerate(hes):
         g = first.setdefault(boundary[f][slot], h)
         if g != h:
             pairs.append((h, g))
+            mate[h], mate[g] = g, h
     n_faces = len(hes) // 3
     ends = [(h // 3, g // 3) for h, g in pairs]
     root = list(range(n_faces))  # union-find with path halving
@@ -85,7 +76,7 @@ def _kept_basis(graph: TriRibbonGraph) -> list[Chain1]:
         return x
 
     across: list[list] = [[] for _ in range(n_faces)]  # face -> (neighbour in T, edge index)
-    tree = set()
+    tree = [False] * len(pairs)
     # This is the tree that integer column reduction of the incidence matrix
     # picks, rows E then F in sorted order; it fixes the basis that
     # `isodel holonomy` prints.
@@ -93,7 +84,7 @@ def _kept_basis(graph: TriRibbonGraph) -> list[Chain1]:
         ra, rb = find(a), find(b)
         if ra != rb:
             root[ra] = rb
-            tree.add(j)
+            tree[j] = True
             across[a].append((b, j))
             across[b].append((a, j))
     # parent pointers of T rooted at the least face: up[y] = (parent, h, g,
@@ -109,44 +100,56 @@ def _kept_basis(graph: TriRibbonGraph) -> list[Chain1]:
                 up[y] = (x, h, g, 1 if ends[j][0] == x else -1)
                 depth[y] = depth[x] + 1
                 stack.append(y)
+    # crow[r]: the corner at slot r and the two corners whose sines make its
+    # dilation factor, the next slot and the one after
+    crow = []
+    for x, y, z in zip(hes[::3], hes[1::3], hes[2::3]):
+        crow += ((x, y, z), (y, z, x), (z, x, y))
     basis, chains = [], {}
     for j, (h, g) in enumerate(pairs):
-        if j in tree:
+        if tree[j]:
             continue
         alpha = {h: 1, g: -1}
         a, b = ends[j]
+        da, db = depth[a], depth[b]
         while a != b:  # add the path up from h's face, subtract the path up from g's
-            if depth[a] >= depth[b]:
+            if da >= db:
                 a, hk, gk, o = up[a]
                 alpha[hk], alpha[gk] = o, -o
+                da -= 1
             else:
                 b, hk, gk, o = up[b]
                 alpha[hk], alpha[gk] = -o, o
-        ranked = sorted(alpha.items())
-        cycle = {hes[r]: c for r, c in ranked}
-        if not is_cycle(graph, cycle):
-            raise AssertionError(
-                f"basis cycle through {min(cycle)} has nonzero boundary (implementation fault)"
-            )
-        # the two-slot lemma: the cycle meets each face at two slots, with
-        # opposite signs, so consecutive ranks pair up within one face and
-        # phi(cycle) is one corner there, the slot s whose successor is the
-        # other one, with minus the cycle's coefficient at s
-        rows = []
-        it = iter(ranked)
-        for (r1, c1), (r2, c2) in zip(it, it):
-            base = r1 - r1 % 3
-            if r2 - base > 2 or c1 + c2:
-                raise AssertionError(
-                    f"basis cycle through {min(cycle)} does not meet face {hes[r1][0]!r} "
-                    f"at two slots of opposite sign (implementation fault)"
-                )
-            s, c = (r1 - base, c1) if r2 - r1 == 1 else (r2 - base, c2)
-            rows.append((-c, hes[base + s], hes[base + (s + 1) % 3], hes[base + (s + 2) % 3]))
-        chains.setdefault(hes[ranked[0][0]], []).append((cycle, tuple(rows)))
+                db -= 1
+        # the one pass: each entry's mate carries the opposite coefficient
+        # (each edge sums to zero), and consecutive ranks pair up within one
+        # face with opposite signs (each face sums to zero), so phi(cycle) is
+        # one corner per face, the slot s whose successor is the other one,
+        # with minus the cycle's coefficient at s
+        ranks = sorted(alpha)
+        top = hes[ranks[0]]
+        if len(ranks) % 2:  # zip would drop the last entry unchecked
+            raise AssertionError(_fault(top, "has nonzero boundary"))
+        cycle, rows = {}, []
+        it = iter(ranks)
+        for r1, r2 in zip(it, it):
+            c1, c2 = alpha[r1], alpha[r2]
+            if alpha.get(mate[r1]) != -c1 or alpha.get(mate[r2]) != -c2:
+                raise AssertionError(_fault(top, "has nonzero boundary"))
+            if r2 - r1 + r1 % 3 > 2 or c1 + c2 or not c1:
+                raise AssertionError(_fault(top, f"does not meet face {hes[r1][0]!r} "
+                                                 "at two slots of opposite sign"))
+            cycle[hes[r1]], cycle[hes[r2]] = c1, c2
+            x, y, z = crow[r1] if r2 - r1 == 1 else crow[r2]
+            rows.append((-c1 if r2 - r1 == 1 else -c2, x, y, z))
+        chains.setdefault(top, []).append((cycle, tuple(rows)))
         basis.append(cycle)
     graph._cycle_basis, graph._basis_chains = basis, chains
     return basis
+
+
+def _fault(first: HalfEdge, what: str) -> str:
+    return f"basis cycle through {first} {what} (implementation fault)"
 
 
 def phi(graph: TriRibbonGraph, cycle: Chain1) -> AngleChain:
@@ -156,11 +159,12 @@ def phi(graph: TriRibbonGraph, cycle: Chain1) -> AngleChain:
     chains that p_map sends there are b + k(1, 1, 1) with b = (0, -c1,
     -c1 - c2).  The one of median 0 has the least sum of |coefficients|.
     The boundary is checked in the same pass that reads each face's triple:
-    ValueError if the chain is not a cycle.  On a basis cycle, which meets
-    each face at two slots s and s + 1 with coefficients -k and k (the
-    two-slot lemma), this is the one corner (f, s) with coefficient k; the
-    basis walk emits those rows itself, so holonomy calls this only for
-    other cycles.
+    ValueError if the chain is not a cycle.  On a basis cycle (the two-slot
+    lemma) this is one corner per face, the rows the basis walk emits.  If
+    iota is a verified matching, phi(alpha)(iota c) = -phi(alpha)(c) for every
+    cycle alpha and corner c: iota is Z/3-equivariant and negates alpha, so
+    alpha reads f's triple on iota(f) negated and rotated, and the least lift
+    b - median(b) is unique, so it commutes with both.
     """
     boundary = graph._boundary
     at_edge: dict[str, int] = {}

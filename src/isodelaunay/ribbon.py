@@ -172,11 +172,11 @@ def validate(graph: TriRibbonGraph) -> ValidationReport:
 def spanning_tree(graph: TriRibbonGraph):
     """Breadth-first spanning tree of the face adjacency, in canonical order.
 
-    Yields the least half-edge first, then (h, mate) for every tree
-    half-edge h of a face already reached, whose mate lies in a new face.
-    Faces are expanded least id first, each by slots 0, 1, 2.
+    Yields the least half-edge (slot 0 of the least face) first, then (h,
+    mate) for every tree half-edge h of a face already reached, whose mate
+    lies in a new face.  Faces are expanded least id first, by slots 0, 1, 2.
     """
-    base = min(graph.half_edges())
+    base = (min(graph._boundary), 0)
     yield base
     placed = {base[0]}
     frontier = [base[0]]

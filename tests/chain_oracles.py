@@ -1,5 +1,5 @@
-"""Chain helpers, the boundary map, ``p_map``, dense pairing vectors and the brute-force
-cycle oracle that only tests need."""
+"""Chain helpers, the boundary map, the ``is_cycle`` reference, ``p_map``, dense pairing
+vectors and the brute-force cycle oracle that only tests need."""
 
 from isodelaunay import homology
 from isodelaunay.ribbon import TriRibbonGraph, parse_he_key
@@ -45,6 +45,23 @@ def boundary(graph: TriRibbonGraph, chain: homology.Chain1) -> dict:
         out[("E", e)] = out.get(("E", e), 0) + coeff
         out[("F", f)] = out.get(("F", f), 0) - coeff
     return {k: v for k, v in out.items() if v != 0}
+
+
+def is_cycle(graph: TriRibbonGraph, chain: homology.Chain1) -> bool:
+    """Whether d(chain) = 0 for d(f, e) = e - f: each edge and each face sums to zero.
+
+    The reference for the certificate that ``homology.cycle_basis`` checks in
+    rank space on every basis cycle."""
+    boundary = graph._boundary
+    at_edge, at_face = {}, {}
+    for (f, slot), coeff in chain.items():
+        try:
+            e = boundary[f][slot % 3]
+        except KeyError:
+            raise KeyError(f"unknown face {f!r} in chain") from None
+        at_edge[e] = at_edge.get(e, 0) + coeff
+        at_face[f] = at_face.get(f, 0) + coeff
+    return not any(at_edge.values()) and not any(at_face.values())
 
 
 def p_map(a: homology.AngleChain) -> homology.Chain1:

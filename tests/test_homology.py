@@ -116,14 +116,16 @@ def test_a_caller_cannot_change_the_basis_kept_on_the_graph(square_l):
 
 
 def test_cycle_basis_certificate_survives_python_O(run_optimized):
-    # an is_cycle that always says no stands for a wrong cycle; under -O a
-    # bare assert (skipped here) would let the basis through unchecked
+    # a half-edge listing that names ('f1+', 0) twice and drops ('f1+', 1)
+    # gives the walk a rank table whose first cycle's mates disagree; under
+    # -O a bare assert (skipped here) would let the basis through unchecked
     last = run_optimized(
         "from isodelaunay import homology, origami\n"
         "assert False, 'not run under -O'\n"
-        "homology.is_cycle = lambda graph, chain: False\n"
-        "homology.cycle_basis(origami.build_origami_graph("
-        "origami.Origami.from_spec('h=(12);v=(13)')))\n"
+        "g = origami.build_origami_graph(origami.Origami.from_spec('h=(12);v=(13)'))\n"
+        "hes = g.half_edges()\n"
+        "g.half_edges = lambda: [hes[0], hes[0], *hes[2:]]\n"
+        "homology.cycle_basis(g)\n"
     )
     assert last == ("AssertionError: basis cycle through ('f1+', 0) "
                     "has nonzero boundary (implementation fault)")
