@@ -79,8 +79,7 @@ def _rows(graph: TriRibbonGraph, cycle: homology.Chain1):
     same first half-edge, then by ``==``; any other cycle is solved by
     ``phi`` afresh, and nothing of it is kept.
     """
-    if graph._cycle_basis is None:
-        homology._kept_basis(graph)  # which fills graph._basis_chains
+    homology._kept_basis(graph)  # which fills graph._basis_chains
     for alpha, rows in graph._basis_chains.get(next(iter(cycle), None), ()):
         if alpha == cycle:
             return rows

@@ -7,14 +7,17 @@ fundamental cycles of a spanning tree of the face/edge incidence graph, and
 ``phi`` inverts, one face at a time, the map ``p_map`` that sends corner
 (f, s) to the chain (f, s + 1) - (f, s).  A fundamental cycle meets each
 face it touches at two slots of opposite sign (the two-slot lemma), so its
-corner chain is one corner per face.  The tree walk works on half-edge ranks
-and reads tables it builds once per graph (each rank's mate, each slot's
-corner row); one pass over each cycle's sorted ranks keys it, certifies it
-and emits its corner chain as rows for ``angles``, with ``phi`` as their
-reference.  Everything here is exact integer arithmetic; no floats.
+corner chain is one corner per face.  The walk works on half-edge ranks and
+reads tables it builds once per graph (each rank's mate, each slot's corner
+row); one heap pass grows the tree (Prim), and one pass over each cycle's
+sorted ranks keys it, certifies it and emits its corner chain as rows for
+``angles``, with ``phi`` as their reference.  Everything here is exact
+integer arithmetic; no floats.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 from .ribbon import Corner, HalfEdge, TriRibbonGraph, he_key
 
@@ -30,12 +33,12 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
     """The fundamental cycles of a spanning tree T of the faces.
 
     Each edge has an earlier half-edge g and a later one h; edges are indexed
-    in order of h.  T is the spanning tree of least total index, picked in one
-    Kruskal pass: in index order, an edge joins T when union-find still puts
-    its two faces in different classes.  It is also the tree that "each face
-    in sorted order takes the least edge leaving its class" picks, since each
-    such edge is the least across a cut.  Every other edge gives the cycle
-    h - g + (the path in T from the face of g to that of h).
+    in order of h.  T is the spanning tree of least total index, unique since
+    the indices are distinct; it fixes the basis that ``isodel holonomy``
+    prints.  One heap pass grows it from the least face (Prim), taking the
+    least edge to a face not yet reached and setting that face's parent
+    pointer and depth.  Every other edge gives the cycle h - g + (the path in
+    T from the face of g to that of h).
 
     Each cycle walks parent pointers from its two faces to their common
     ancestor, so it costs its own length; the graph keeps the basis, and
@@ -43,7 +46,8 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
     it, emits its rows for ``angles`` (``phi``'s answer) and certifies
     d(cycle) = 0 and the two-slot lemma: each entry's mate carries the
     opposite coefficient, and consecutive entries pair up within one face
-    with opposite signs; AssertionError (an implementation fault) if not.
+    with opposite signs.  First, ranks 3k, 3k + 1, 3k + 2 must be one face's
+    slots 0, 1, 2.  AssertionError (an implementation fault) on any failure.
     """
     return [alpha.copy() for alpha in _kept_basis(graph)]
 
@@ -65,52 +69,43 @@ def _kept_basis(graph: TriRibbonGraph) -> list[Chain1]:
         if g != h:
             pairs.append((h, g))
             mate[h], mate[g] = g, h
-    n_faces = len(hes) // 3
-    ends = [(h // 3, g // 3) for h, g in pairs]
-    root = list(range(n_faces))  # union-find with path halving
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    across: list[list] = [[] for _ in range(n_faces)]  # face -> (neighbour in T, edge index)
-    tree = [False] * len(pairs)
-    # This is the tree that integer column reduction of the incidence matrix
-    # picks, rows E then F in sorted order; it fixes the basis that
-    # `isodel holonomy` prints.
-    for j, (a, b) in enumerate(ends):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            root[ra] = rb
-            tree[j] = True
-            across[a].append((b, j))
-            across[b].append((a, j))
-    # parent pointers of T rooted at the least face: up[y] = (parent, h, g,
-    # o), where the step from the parent to y is the chain o * (h - g)
-    up: list = [None] * n_faces
-    depth = [0] + [-1] * (n_faces - 1)  # -1: not reached yet
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y, j in across[x]:
-            if depth[y] < 0:
-                h, g = pairs[j]
-                up[y] = (x, h, g, 1 if ends[j][0] == x else -1)
-                depth[y] = depth[x] + 1
-                stack.append(y)
     # crow[r]: the corner at slot r and the two corners whose sines make its
-    # dilation factor, the next slot and the one after
+    # dilation factor, the next slot and the one after.  r // 3 and r % 3 are
+    # read as face and slot from here on, so check that layout first
     crow = []
     for x, y, z in zip(hes[::3], hes[1::3], hes[2::3]):
+        if x[1] or y != (x[0], 1) or z != (x[0], 2):
+            raise AssertionError(f"half-edges {x}, {y}, {z} are not one face's "
+                                 "slots 0, 1, 2 (implementation fault)")
         crow += ((x, y, z), (y, z, x), (z, x, y))
+    # Prim's pass grows T from face 0: the least edge from a reached face to
+    # an unreached one joins it.  This is the tree that integer column
+    # reduction of the incidence matrix picks, rows E then F in sorted order.
+    # The heap holds (rank of the edge's h, rank r at a reached face); up[y] =
+    # (parent, h, g, o), where the step from the parent to y is o * (h - g)
+    n_faces = len(hes) // 3
+    tree = [False] * len(hes)  # by the rank of the edge's h
+    up: list = [None] * n_faces
+    depth = [0] + [-1] * (n_faces - 1)  # -1: not reached yet
+    heap = [(max(r, mate[r]), r) for r in range(3)]
+    heapify(heap)
+    while heap:
+        h, r = heappop(heap)
+        y = mate[r] // 3
+        if depth[y] < 0:
+            tree[h] = True
+            up[y] = (r // 3, h, mate[h], 1 if r == h else -1)
+            depth[y] = depth[r // 3] + 1
+            for s in range(3 * y, 3 * y + 3):
+                m = mate[s]
+                if depth[m // 3] < 0:
+                    heappush(heap, (m if m > s else s, s))
     basis, chains = [], {}
-    for j, (h, g) in enumerate(pairs):
-        if tree[j]:
+    for h, g in pairs:
+        if tree[h]:
             continue
         alpha = {h: 1, g: -1}
-        a, b = ends[j]
+        a, b = h // 3, g // 3
         da, db = depth[a], depth[b]
         while a != b:  # add the path up from h's face, subtract the path up from g's
             if da >= db:

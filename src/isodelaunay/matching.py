@@ -95,7 +95,7 @@ def find_matchings(
         raise ValueError(f"limit must be at least 1, got {limit}")
     if deadline is not None and not deadline >= 0:
         raise ValueError(f"deadline must be at least 0, got {deadline}")
-    basis = homology.cycle_basis(graph)
+    basis = homology._kept_basis(graph)
     faces = sorted(graph.face_ids)
     pairings: dict[HalfEdge, list] = {h: [] for h in graph.half_edges()}
     for i, alpha in enumerate(basis):

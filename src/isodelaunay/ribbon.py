@@ -67,8 +67,9 @@ class TriRibbonGraph:
             for slot, e in enumerate(b):
                 occ.setdefault(e, []).append((f, slot))
         self._occurrences = occ
-        # the cycle basis, built once by ``homology.cycle_basis``, which hands
-        # out copies so that no caller can change it, and its corner chains:
+        # the cycle basis, built once by ``homology._kept_basis``, the one
+        # reader of this field (``cycle_basis`` hands out copies so that no
+        # caller can change it), and its corner chains:
         # the same tree walk emits each basis cycle's rows, bucketed by the
         # cycle's first half-edge as (cycle, rows) entries, which
         # ``angles.holonomy`` and ``holonomies`` read; the graph holds one

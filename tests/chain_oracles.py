@@ -1,7 +1,8 @@
 """Chain helpers, the boundary map, the ``is_cycle`` reference, ``p_map``, dense pairing
-vectors and the brute-force cycle oracle that only tests need."""
+vectors, the check that a map negates the basis walk's corner chain rows and the
+brute-force cycle oracle that only tests need."""
 
-from isodelaunay import homology
+from isodelaunay import angles, homology
 from isodelaunay.ribbon import TriRibbonGraph, parse_he_key
 
 
@@ -72,6 +73,17 @@ def p_map(a: homology.AngleChain) -> homology.Chain1:
         out[(f, (slot + 1) % 3)] = out.get((f, (slot + 1) % 3), 0) + coeff
         out[(f, slot % 3)] = out.get((f, slot % 3), 0) - coeff
     return _clean(out)
+
+
+def rows_negate_under(graph: TriRibbonGraph, iota: dict) -> bool:
+    """Whether, on every basis cycle, the row at iota c is the row (k, c, num,
+    den) at c negated and moved by iota, (-k, iota c, iota num, iota den).
+    Then on iota-invariant angles the holonomy terms at c and iota c cancel."""
+    for alpha in homology.cycle_basis(graph):
+        rows = {c: (k, num, den) for k, c, num, den in angles._rows(graph, alpha)}
+        if rows != {iota[c]: (-k, iota[num], iota[den]) for c, (k, num, den) in rows.items()}:
+            return False
+    return True
 
 
 def pairing_vector(basis: list[homology.Chain1], h) -> tuple[int, ...]:

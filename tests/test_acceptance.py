@@ -6,11 +6,12 @@ the lines for passing criteria too.
 """
 
 import functools
+import math
 import random
 import time
 
 from chain_oracles import (apply_to_chain, chain_neg, enumerate_simple_cycles, is_cycle, p_map,
-                           pairing_vector)
+                           pairing_vector, rows_negate_under)
 from delaunay_oracles import circumcircle_cross_check
 from isodelaunay import (
     angles,
@@ -22,8 +23,8 @@ from isodelaunay import (
     ribbon,
     surgery,
 )
-from origami_oracles import (is_hyperelliptic, mapped_delaunay, matched_regions, random_gl_map,
-                             staircase_origami, tree_count_holds, zeros_only)
+from origami_oracles import (is_hyperelliptic, mapped_delaunay, matched_regions, pi_rotations,
+                             random_gl_map, staircase_origami, tree_count_holds, zeros_only)
 from region_oracles import (check_constant_holonomy, chord_exit, delaunay_at, iota_orbit,
                             open_polytope)
 
@@ -319,3 +320,52 @@ def test_criterion_16_hyperelliptic_components_carry_matchings():
     report(16, f"{rows} hyperelliptic Delaunay triangulations (s <= 5) carry a matching whose "
            f"region holds their angles; control: {unmatched} of {control} carry none", ok
            and rows == 128 and control > 0)
+
+
+# origamis with the verdict of ``verify_matching`` on each of their rotations
+# by pi, in ``pi_rotations`` order: the control of criterion 17
+ROTATION_WITNESSES = [
+    ("h=(12);v=(13)", [True]),  # H(2), hyperelliptic
+    ("h=(1)(2)(34);v=(13)(24)", [True, False]),
+    ("h=(12)(3)(45);v=(1)(234)(5)", [False]),  # the Prym fixture
+    ("h=(1)(2)(345);v=(13)(24)(5)", [False]),  # H(4), odd component
+]
+
+
+def test_criterion_17_invariant_holonomy_terms_cancel(torus, square_l, prym):
+    # the exact form of criterion 05: under a verified matching iota, each
+    # basis cycle's row at iota c is its row at c negated and moved by iota
+    # (phi's anti-invariance lemma), so on invariant angles the holonomy
+    # terms at c and iota c cancel to the bit, in log-modulus and in phase.
+    # Control: a rotation by pi of an origami with at most 5 squares moves
+    # the rows so exactly when verify_matching accepts it, which the pinned
+    # witnesses assert either way
+    log, sin = math.log, math.sin
+    ok = True
+    terms = 0
+    for o in (torus, square_l, prym):
+        g, poly = invariant_polytope(o, delaunay_rows=False)
+        iota = origami.canonical_matching(o)
+        ok = ok and rows_negate_under(g, iota)
+        for theta in region.sample(poly, 25, seed=17):
+            for alpha in homology.cycle_basis(g):
+                term = {c: (k * (log(sin(theta[num])) - log(sin(theta[den]))), k * theta[c])
+                        for k, c, num, den in angles._rows(g, alpha)}
+                terms += len(term)
+                ok = ok and all(t[0] + term[iota[c]][0] == 0.0 and t[1] + term[iota[c]][1] == 0.0
+                                for c, t in term.items())
+    verdicts = []
+    for s in range(1, 6):
+        for o in origami.transitive_pairs_up_to_relabeling(s):
+            g = origami.build_origami_graph(o)
+            for iota in pi_rotations(o):
+                verdicts.append(bool(matching.verify_matching(g, iota)))
+                ok = ok and rows_negate_under(g, iota) == verdicts[-1]
+    for spec, want in ROTATION_WITNESSES:
+        o = origami.Origami.from_spec(spec)
+        g = origami.build_origami_graph(o)
+        ok = ok and [bool(matching.verify_matching(g, iota)) for iota in pi_rotations(o)] == want
+        ok = ok and [rows_negate_under(g, iota) for iota in pi_rotations(o)] == want
+    report(17, f"{terms} holonomy terms of invariant angles cancel in pairs; control: "
+           f"{sum(verdicts)} of {len(verdicts)} rotations by pi verified, the same that "
+           "negate the rows", ok and 0 < sum(verdicts) < len(verdicts))

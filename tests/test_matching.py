@@ -163,7 +163,7 @@ def test_the_search_finds_a_matching_on_a_graph_too_deep_for_recursion():
 def test_the_search_backs_up_in_the_order_of_the_backtracking_reference(square_l_graph):
     # with no basis cycle every face fits every face at every offset, so the
     # search must back up past many choices to list 200 matchings
-    with mock.patch.object(homology, "cycle_basis", lambda graph: []):
+    with mock.patch.object(homology, "_kept_basis", lambda graph: []):
         res = matching.find_matchings(square_l_graph, limit=200)
         _same_matchings(res.matchings, backtracking_matchings(square_l_graph, 200))
     assert len(res.matchings) == 200 and len({tuple(i.items()) for i in res.matchings}) == 200

@@ -17,7 +17,8 @@ boundary map, the basis walk's one-pass certificate against ``is_cycle`` and
 the two-slot lemma on chains mutated from basis cycles, the in-circle
 determinant against numpy's, and the closure check of ``develop`` against a
 residual taken from both sides of every edge.  Under a verified matching,
-the rows the walk emits negate (the lemma in ``phi``'s docstring).
+the rows the walk emits negate (the lemma in ``phi``'s docstring), also
+on the Delaunay triangulations of zeros-only origamis under linear maps.
 On glued triangles, ``surgery.is_nonseparating`` is checked against a face
 walk that skips the edge.  On region samples of origamis that carry a
 matching, ``angles_of`` inverts ``develop``, and every sample is exactly
@@ -46,7 +47,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chain_oracles import (apply_to_chain, boundary, chain_add, chain_neg, is_cycle, p_map,
-                           pairing_vector)
+                           pairing_vector, rows_negate_under)
 from delaunay_oracles import circumcircle_cross_check, delaunay_sum, flip_edge, incircle_det
 from origami_oracles import (is_hyperelliptic, mapped_delaunay, matched_regions, random_gl_map,
                              zeros_only)
@@ -271,14 +272,32 @@ def test_the_basis_walk_emits_the_rows_phi_solves(triple, glued, sheared):
 def test_the_rows_of_a_basis_cycle_negate_under_a_verified_matching(triple, glued):
     # the lemma in phi's docstring, phi(alpha)(iota c) = -phi(alpha)(c), read
     # on the rows the basis walk emits: iota maps the corner chain's support
-    # onto itself and negates every coefficient; 25 examples check about 60
-    # matchings and 200 basis cycles in about 0.3 s
+    # onto itself, negates every coefficient and moves each row's two sine
+    # corners with it; 25 examples check about 60 matchings and 200 basis
+    # cycles in about 0.3 s
     for g in (*triple, glued):
         for iota in matching.find_matchings(g, limit=3).matchings:
             assert matching.verify_matching(g, iota)
-            for _, rows in (e for bucket in g._basis_chains.values() for e in bucket):
-                a = {c: coeff for coeff, c, _, _ in rows}
-                assert {iota[c]: -coeff for c, coeff in a.items()} == a
+            assert rows_negate_under(g, iota)
+
+
+def test_the_rows_of_a_basis_cycle_negate_on_delaunay_triangulations_of_origamis():
+    # the same lemma on the graphs that Lawson flips make: every zeros-only
+    # origami with at most 5 squares under one seeded linear map, made
+    # Delaunay: 54 triangulations, 44 matchings and 244 (matching, basis
+    # cycle) pairs
+    rng = random.Random(0)
+    triangulations = pairs = 0
+    for s in range(1, 6):
+        for o in origami.transitive_pairs_up_to_relabeling(s):
+            if not zeros_only(o):
+                continue
+            g = mapped_delaunay(o, random_gl_map(rng))[0].graph
+            triangulations += 1
+            for iota in matching.find_matchings(g, limit=3).matchings:
+                assert rows_negate_under(g, iota)
+                pairs += len(homology.cycle_basis(g))
+    assert triangulations == 54 and pairs > 100
 
 
 @PROPERTY
