@@ -34,10 +34,10 @@ class InvalidAnglesError(ValueError):
 
 def validate_angles(graph: TriRibbonGraph, theta: AngleAssignment) -> None:
     for f, _ in graph.faces:
-        vals = [theta.get((f, s)) for s in range(3)]
-        if any(v is None for v in vals):
+        a, b, c = vals = [theta.get((f, 0)), theta.get((f, 1)), theta.get((f, 2))]
+        if a is None or b is None or c is None:
             raise InvalidAnglesError(f"missing corner of face {f!r}")
-        if any(not (0.0 < v < math.pi) for v in vals):
+        if not (0.0 < a < math.pi and 0.0 < b < math.pi and 0.0 < c < math.pi):
             raise InvalidAnglesError(f"corner of face {f!r} outside (0, pi): {vals}")
         if abs(sum(vals) - math.pi) > FACE_SUM_TOL:
             raise InvalidAnglesError(

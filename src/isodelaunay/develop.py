@@ -9,14 +9,14 @@ the edges not used by the spanning tree.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import heapq
 import math
 from dataclasses import dataclass, field
 
 from .angles import TOL, AngleAssignment, validate_angles
-from .ribbon import HalfEdge, TriRibbonGraph, he_key, other_side, parse_he_key, spanning_tree
+from .ribbon import (TWO_PI, HalfEdge, TriRibbonGraph, he_key, other_side, parse_he_key,
+                     spanning_tree)
 
 
 class HolonomyObstruction(ValueError):
@@ -102,54 +102,60 @@ def _fill_face(theta: AngleAssignment, f: str, slot: int, period: complex) -> di
     Successive edges of a counterclockwise triangle turn left by the
     exterior angle, and the law of sines fixes the length ratios.
     """
-    periods = {(f, slot): period}
-    cur = period
-    for k in range(2):
-        s = (slot + k) % 3
-        ratio = math.sin(theta[(f, (s + 2) % 3)]) / math.sin(theta[(f, (s + 1) % 3)])
-        cur = cur * cmath.rect(ratio, math.pi - theta[(f, s)])
-        periods[(f, (s + 1) % 3)] = cur
-    return periods
+    s1, s2 = (slot + 1) % 3, (slot + 2) % 3
+    t0, t1, t2 = theta[(f, slot)], theta[(f, s1)], theta[(f, s2)]
+    z1 = period * cmath.rect(math.sin(t2) / math.sin(t1), math.pi - t0)
+    return {(f, slot): period, (f, s1): z1,
+            (f, s2): z1 * cmath.rect(math.sin(t0) / math.sin(t2), math.pi - t1)}
+
+
+# ValueError unless ``tol`` is finite and at least 0: a NaN tolerance passes
+# every check, and a negative one fails them all
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number at least 0, got {tol}")
 
 
 def develop(graph: TriRibbonGraph, theta: AngleAssignment, tol: float = TOL) -> DevelopedSurface:
     """Lay out all faces from their angles, normalizing the base period to 1.
 
     Propagates across a spanning tree of the face adjacency in canonical
-    order; any non-tree edge whose periods fail to oppose within
-    ``tol * scale`` raises HolonomyObstruction.
+    order, then takes the closure residual once per edge, from its two
+    ``graph.occurrences``.  If any residual exceeds ``tol * scale``, raises
+    HolonomyObstruction at the failing edge with the least half-edge.
     """
+    _require_tol(tol)
     validate_angles(graph, theta)
     walk = spanning_tree(graph)
     base = next(walk)
     periods = _fill_face(theta, base[0], base[1], 1.0 + 0.0j)
     for h, mate in walk:
         periods.update(_fill_face(theta, mate[0], mate[1], -periods[h]))
-    scale = max(abs(z) for z in periods.values())
-    for h in graph.half_edges():
-        mate = other_side(graph, h)
-        if mate < h:  # the edge was checked from its first half-edge
-            continue
+    scale = max(map(abs, periods.values()))
+    failing = []
+    for e in graph.edges:
+        h, mate = graph.occurrences(e)
         residual = abs(periods[mate] + periods[h])
         if residual > tol * scale:
-            raise HolonomyObstruction(graph.edge_of(h), residual / scale)
+            failing.append((min(h, mate), e, residual))
+    if failing:
+        _, e, residual = min(failing)
+        raise HolonomyObstruction(e, residual / scale)
     return DevelopedSurface(graph, periods)
 
 
 def _corner_angles(f: str, z: list[complex]) -> list[float]:
-    """Angles at the corners of face ``f`` from its three periods ``z``."""
-    out = []
-    for s in range(3):
-        w1 = -z[s]
-        w2 = z[(s + 1) % 3]
-        if w1 == 0 or w2 == 0:
+    """Angles at the corners of face ``f`` from its three periods ``z``, checked
+    corner by corner for a zero period and then for an angle outside (0, pi)."""
+    phase = cmath.phase
+    z0, z1, z2 = z
+    out = [(phase(-z0) - phase(z1)) % TWO_PI, (phase(-z1) - phase(z2)) % TWO_PI,
+           (phase(-z2) - phase(z0)) % TWO_PI]
+    for s, ang in enumerate(out):
+        if not (z[s] and z[s - 2]):
             raise DegenerateTriangleError(f"zero period in face {f!r}")
-        ang = (cmath.phase(w1) - cmath.phase(w2)) % (2 * math.pi)
-        if not (0.0 < ang < math.pi):
-            raise DegenerateTriangleError(
-                f"degenerate corner {f}/{s} (angle {ang:.6f})"
-            )
-        out.append(ang)
+        if not 0.0 < ang < math.pi:
+            raise DegenerateTriangleError(f"degenerate corner {f}/{s} (angle {ang:.6f})")
     return out
 
 
@@ -200,21 +206,22 @@ class FlipCapError(RuntimeError):
 class _Triangulation:
     """A developed surface held in mutable form, for flips in place.
 
-    Faces are addressed by their position in ``graph.faces``.  Each edge
-    keeps its two occurrences as (position, slot) pairs in ascending order,
-    so the first is the half-edge that ``graph.occurrences`` lists first.
+    Faces are addressed by their position in ``graph.faces``, edges by their
+    index in ``graph.edges``.  Each edge keeps its two occurrences as ranks
+    ``3 * position + slot`` in ascending order, so the first is the
+    half-edge that ``graph.occurrences`` lists first.
     """
 
     def __init__(self, surface: DevelopedSurface):
-        g = surface.graph
+        g, p = surface.graph, surface.periods
         self.edges = g.edges
+        self.index = index = {e: k for k, e in enumerate(g.edges)}
         self.ids = [f for f, _ in g.faces]
-        self.faces = [list(b) for _, b in g.faces]
-        self.periods = [[surface.periods[(f, k)] for k in range(3)] for f in self.ids]
-        self.occ: dict[str, list[tuple[int, int]]] = {e: [] for e in g.edges}
-        for i, bnd in enumerate(self.faces):
-            for k, e in enumerate(bnd):
-                self.occ[e].append((i, k))
+        self.faces = [[index[x], index[y], index[z]] for _, (x, y, z) in g.faces]
+        self.periods = [[p[(f, 0)], p[(f, 1)], p[(f, 2)]] for f in self.ids]
+        self.occ: list[list[int]] = [[] for _ in g.edges]
+        for r, x in enumerate([x for b in self.faces for x in b]):
+            self.occ[x].append(r)
 
     def flip(self, edge: str) -> tuple[int, int]:
         """Replace ``edge`` by the opposite diagonal of its quadrilateral.
@@ -222,43 +229,49 @@ class _Triangulation:
         The face of the edge's first half-edge h = (i, s) becomes the
         triangle (A, D, C) with boundary (e_m1, edge, e_f2), the mate's face
         becomes (D, B, C) with boundary (e_m2, e_f1, edge); see ``_quad``.
-        Returns the positions (i, j) of the two rebuilt faces.
+        Each of the six occurrences that move gets its new rank in place.
+        Returns the positions (i, j) of the two rebuilt faces, i < j.
         """
-        (i, s), (j, s2) = self.occ[edge]
+        k = self.index[edge]
+        i, s = divmod(self.occ[k][0], 3)
+        j, s2 = divmod(self.occ[k][1], 3)
         p, q = self.periods[i], self.periods[j]
         a, b, c, d = _quad(p[s], p[(s + 1) % 3], q[(s2 + 1) % 3])
         if i == j:
             raise ValueError(f"cannot flip edge {edge!r}: both sides in one face")
-        # quadrilateral in ccw order: A, D, B, C
-        quad = [a, d, b, c]
-        for k in range(4):
-            u = quad[(k + 1) % 4] - quad[k]
-            v = quad[(k + 2) % 4] - quad[(k + 1) % 4]
-            if (u.conjugate() * v).imag <= 0:
-                raise ValueError(f"cannot flip edge {edge!r}: quadrilateral not strictly convex")
+        # the sides of the quadrilateral A, D, B, C, in ccw order
+        ad, db, bc, ca = d - a, b - d, c - b, a - c
+        if ((ad.real * db.imag - ad.imag * db.real) <= 0
+                or (db.real * bc.imag - db.imag * bc.real) <= 0
+                or (bc.real * ca.imag - bc.imag * ca.real) <= 0
+                or (ca.real * ad.imag - ca.imag * ad.real) <= 0):
+            raise ValueError(f"cannot flip edge {edge!r}: quadrilateral not strictly convex")
         fi, fj = self.faces[i], self.faces[j]
         e_f1, e_f2 = fi[(s + 1) % 3], fi[(s + 2) % 3]
         e_m1, e_m2 = fj[(s2 + 1) % 3], fj[(s2 + 2) % 3]
-        for pos in (i, j):
-            for k, e in enumerate(self.faces[pos]):
-                self.occ[e].remove((pos, k))
+        i3, j3 = 3 * i, 3 * j
+        # each side moves from its old rank to its new one; two sides that are
+        # one edge move one rank each, which leaves that edge the right pair
+        for e, old, new in ((e_m1, j3 + (s2 + 1) % 3, i3), (e_m2, j3 + (s2 + 2) % 3, j3),
+                            (e_f1, i3 + (s + 1) % 3, j3 + 1), (e_f2, i3 + (s + 2) % 3, i3 + 2)):
+            x, y = self.occ[e]
+            x, y = (new, y) if x == old else (x, new)
+            self.occ[e] = [x, y] if x < y else [y, x]
+        self.occ[k] = [i3 + 1, j3 + 2]
         # triangle (A, D, C): edges A->D, D->C (new diagonal), C->A
-        self.faces[i] = [e_m1, edge, e_f2]
-        self.periods[i] = [d - a, c - d, a - c]
+        self.faces[i] = [e_m1, k, e_f2]
+        self.periods[i] = [ad, c - d, ca]
         # triangle (D, B, C): edges D->B, B->C, C->D (new diagonal)
-        self.faces[j] = [e_m2, e_f1, edge]
-        self.periods[j] = [b - d, c - b, d - c]
-        for pos in (i, j):
-            for k, e in enumerate(self.faces[pos]):
-                bisect.insort(self.occ[e], (pos, k))
+        self.faces[j] = [e_m2, e_f1, k]
+        self.periods[j] = [db, bc, d - c]
         return i, j
 
     def surface(self) -> DevelopedSurface:
-        graph = TriRibbonGraph(self.edges, zip(self.ids, self.faces))
-        periods = {
-            (f, k): z for f, zs in zip(self.ids, self.periods) for k, z in enumerate(zs)
-        }
-        return DevelopedSurface(graph, periods)
+        names, faces, periods = self.edges, [], {}
+        for f, (x, y, z), (z0, z1, z2) in zip(self.ids, self.faces, self.periods):
+            faces.append((f, (names[x], names[y], names[z])))
+            periods[(f, 0)], periods[(f, 1)], periods[(f, 2)] = z0, z1, z2
+        return DevelopedSurface(TriRibbonGraph(names, faces), periods)
 
 
 def is_geometric_delaunay(surface: DevelopedSurface, tol: float = TOL) -> bool:
@@ -269,6 +282,7 @@ def is_geometric_delaunay(surface: DevelopedSurface, tol: float = TOL) -> bool:
     DegenerateTriangleError if any edge sits within ``tol`` of cocircular,
     and AssertionError if the in-circle sign contradicts an edge's sum.
     """
+    _require_tol(tol)
     graph, p = surface.graph, surface.periods
     angles = dict(zip(graph.face_ids, _face_angles(surface)))
     result = True
@@ -292,10 +306,10 @@ def make_delaunay(surface: DevelopedSurface, tol: float = TOL):
     it) is largest among those above pi + tol; on a tie, the edge that
     comes first in ``graph.edges``.  The angles, the sums and a heap of
     candidates keyed by (-sum, edge index) are set up once in O(F log F).
-    A flip then recomputes the six corners of its two faces and the sums of
-    the five edges of its quadrilateral, and pushes those edges again, so
-    it costs O(log F); heap entries left behind by a later update of their
-    edge are skipped by a version count.  Faces that no flip touches keep
+    A flip then moves six occurrences in place, recomputes the six corners
+    of its two faces and the sums of the five edges of its quadrilateral,
+    and pushes those edges again, so it costs O(log F); heap entries left
+    behind by a later update of their edge are skipped by a version count.  Faces that no flip touches keep
     their periods bit for bit, and the graph is built once, at the end.
 
     Returns (surface, flip_log, degenerate_edges), the last being the edges
@@ -304,25 +318,24 @@ def make_delaunay(surface: DevelopedSurface, tol: float = TOL):
     FlipCapError if the surface needs more than ``MAX_FLIPS`` flips, or two
     per edge where that is more, which bounds the time on every input.
     """
+    _require_tol(tol)
     tri = _Triangulation(surface)
     angles = list(_face_angles(surface))  # flips replace rows of this copy
-    index = {e: k for k, e in enumerate(tri.edges)}
-    sums: dict[str, float] = {}
+    sums = [0.0] * len(tri.edges)
     version = [0] * len(tri.edges)
     heap: list[tuple[float, int, int]] = []
     limit = math.pi + tol
 
-    def update(e: str) -> None:
-        # the sum of the two angles opposite e, slot + 1 in each of its faces
-        (i, s), (j, s2) = tri.occ[e]
-        sums[e] = x = angles[i][(s + 1) % 3] + angles[j][(s2 + 1) % 3]
-        k = index[e]
+    def update(k: int) -> None:
+        # the sum of the two angles opposite edge k, slot + 1 in each of its faces
+        a, b = tri.occ[k]
+        sums[k] = x = angles[a // 3][(a + 1) % 3] + angles[b // 3][(b + 1) % 3]
         version[k] += 1
         if x > limit:
             heapq.heappush(heap, (-x, k, version[k]))
 
-    for e in tri.edges:
-        update(e)
+    for k in range(len(tri.edges)):
+        update(k)
     flips: list[str] = []
     cap = max(MAX_FLIPS, 2 * len(tri.edges))
     while True:
@@ -337,11 +350,11 @@ def make_delaunay(surface: DevelopedSurface, tol: float = TOL):
         edge = tri.edges[heap[0][1]]
         i, j = tri.flip(edge)
         flips.append(edge)
-        for pos in sorted((i, j)):
-            angles[pos] = _corner_angles(tri.ids[pos], tri.periods[pos])
-        for e in dict.fromkeys(tri.faces[i] + tri.faces[j]):
-            update(e)
-    degenerate = [e for e in tri.edges if abs(sums[e] - math.pi) <= tol]
+        angles[i] = _corner_angles(tri.ids[i], tri.periods[i])
+        angles[j] = _corner_angles(tri.ids[j], tri.periods[j])
+        for k in {*tri.faces[i], *tri.faces[j]}:
+            update(k)
+    degenerate = [e for e, x in zip(tri.edges, sums) if abs(x - math.pi) <= tol]
     if not flips:
         return surface, flips, degenerate
     flipped = tri.surface()

@@ -176,17 +176,20 @@ def spanning_tree(graph: TriRibbonGraph):
     Yields the least half-edge (slot 0 of the least face) first, then (h,
     mate) for every tree half-edge h of a face already reached, whose mate
     lies in a new face.  Faces are expanded least id first, by slots 0, 1, 2.
+    Each mate is read from the graph's boundary and occurrence tables.
     """
-    base = (min(graph._boundary), 0)
+    boundary, occurrences = graph._boundary, graph._occurrences
+    base = (min(boundary), 0)
     yield base
     placed = {base[0]}
     frontier = [base[0]]
     while frontier:
         f = heapq.heappop(frontier)
-        for s in range(3):
-            mate = other_side(graph, (f, s))
+        for h in (f, 0), (f, 1), (f, 2):
+            a, b = occurrences[boundary[f][h[1]]]
+            mate = a if b == h else b  # as ``other_side`` reads it
             if mate[0] not in placed:
-                yield (f, s), mate
+                yield h, mate
                 placed.add(mate[0])
                 heapq.heappush(frontier, mate[0])
 

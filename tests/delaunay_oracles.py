@@ -1,6 +1,7 @@
 """The angle-dict Delaunay sum, region membership, the numpy in-circle
 determinant, the atan2 cross-check of the in-circle sign, one flip at a time
-and the flat area that only tests need."""
+by the flip kernel and by rebuilding the graph, and the flat area that only
+tests need."""
 
 import math
 
@@ -44,6 +45,39 @@ def flip_edge(surface: develop.DevelopedSurface, edge: str) -> develop.Developed
     tri = develop._Triangulation(surface)
     tri.flip(edge)
     return tri.surface()
+
+
+def flip_rebuilding_the_graph(surface: develop.DevelopedSurface,
+                              edge: str) -> develop.DevelopedSurface:
+    """The reference flip: develops the quadrilateral from the graph's
+    occurrences and builds a new graph; AssertionError unless the edge's two
+    faces differ and the quadrilateral is strictly convex."""
+    g, p = surface.graph, surface.periods
+    (f, s), (f2, s2) = g.occurrences(edge)
+    assert f != f2
+    a = 0.0 + 0.0j
+    b = p[(f, s)]
+    c = b + p[(f, (s + 1) % 3)]
+    d = b + (-p[(f, s)]) + p[(f2, (s2 + 1) % 3)]
+    quad = [a, d, b, c]
+    for i in range(4):
+        u = quad[(i + 1) % 4] - quad[i]
+        v = quad[(i + 2) % 4] - quad[(i + 1) % 4]
+        assert (u.conjugate() * v).imag > 0
+    e_f1, e_f2 = g.edge_of((f, s + 1)), g.edge_of((f, s + 2))
+    e_m1, e_m2 = g.edge_of((f2, s2 + 1)), g.edge_of((f2, s2 + 2))
+    faces, periods = [], {}
+    for fid, bnd in g.faces:
+        if fid == f:
+            faces.append((fid, (e_m1, edge, e_f2)))
+            periods.update({(fid, 0): d - a, (fid, 1): c - d, (fid, 2): a - c})
+        elif fid == f2:
+            faces.append((fid, (e_m2, e_f1, edge)))
+            periods.update({(fid, 0): b - d, (fid, 1): c - b, (fid, 2): d - c})
+        else:
+            faces.append((fid, bnd))
+            periods.update({(fid, k): p[(fid, k)] for k in range(3)})
+    return develop.DevelopedSurface(TriRibbonGraph(g.edges, faces), periods)
 
 
 def area(surface: develop.DevelopedSurface) -> float:

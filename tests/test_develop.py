@@ -5,10 +5,16 @@ import math
 
 import pytest
 
-from delaunay_oracles import area, flip_edge, in_delaunay_region
+from delaunay_oracles import area, flip_edge, flip_rebuilding_the_graph, in_delaunay_region
 from isodelaunay import develop, origami
 from isodelaunay.ribbon import TriRibbonGraph
 from origami_oracles import staircase_origami
+
+
+def _sheared(surface, t):
+    """The surface under (x, y) -> (x + t y, y)."""
+    periods = {h: complex(z.real + t * z.imag, z.imag) for h, z in surface.periods.items()}
+    return develop.DevelopedSurface(surface.graph, periods)
 
 
 def scaled(surface, sx, sy):
@@ -49,6 +55,41 @@ def test_develop_rejects_nontrivial_holonomy(torus_graph):
     }
     with pytest.raises(develop.HolonomyObstruction):
         develop.develop(torus_graph, theta)
+
+
+BAD_TOLERANCES = [math.nan, math.inf, -1.0]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_develop_refuses_a_tolerance_that_is_not_finite_and_at_least_0(tol, square_l,
+                                                                     square_l_graph):
+    # one face's angles moved by +-0.1: the holonomy is not trivial, which a
+    # NaN tolerance would let through
+    theta = origami.standard_angles(square_l)
+    theta[("f1-", 0)] += 0.1
+    theta[("f1-", 1)] -= 0.1
+    with pytest.raises(develop.HolonomyObstruction, match="at edge 'd2'"):
+        develop.develop(square_l_graph, theta)
+    with pytest.raises(ValueError, match=f"^tol must be a finite number at least 0, got {tol}$"):
+        develop.develop(square_l_graph, theta, tol=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_make_delaunay_refuses_a_tolerance_that_is_not_finite_and_at_least_0(tol, torus,
+                                                                            torus_graph):
+    # a NaN tolerance would make no flip on this surface, which needs one,
+    # and a negative one would flip until the cap
+    surface = scaled(develop.develop(torus_graph, origami.standard_angles(torus)), 1.0, 0.5)
+    with pytest.raises(ValueError, match=f"^tol must be a finite number at least 0, got {tol}$"):
+        develop.make_delaunay(surface, tol=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_is_geometric_delaunay_refuses_a_tolerance_that_is_not_finite_and_at_least_0(
+        tol, square_l, square_l_graph):
+    surface = develop.develop(square_l_graph, origami.equilateral_angles(square_l))
+    with pytest.raises(ValueError, match=f"^tol must be a finite number at least 0, got {tol}$"):
+        develop.is_geometric_delaunay(surface, tol=tol)
 
 
 def test_surface_json_round_trip(square_l, square_l_graph):
@@ -107,6 +148,56 @@ def test_flip_requires_convex_quad(square_l, square_l_graph):
         flip_edge(surface, "l1")
 
 
+def _hex_periods(surface):
+    return [(h, z.real.hex(), z.imag.hex()) for h, z in surface.periods.items()]
+
+
+def _kernel_occurrences(tri):
+    # each edge's two occurrence ranks as the half-edges they stand for
+    return [[(tri.ids[r // 3], r % 3) for r in ranks] for ranks in tri.occ]
+
+
+def _assert_same_flip(got, want, tri=None):
+    assert got.graph.faces == want.graph.faces
+    occurrences = [want.graph.occurrences(e) for e in want.graph.edges]
+    assert [got.graph.occurrences(e) for e in got.graph.edges] == occurrences
+    if tri is not None:
+        assert _kernel_occurrences(tri) == occurrences
+    assert _hex_periods(got) == _hex_periods(want)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_the_flip_kernel_matches_the_rebuilding_reference_on_every_edge(s):
+    # every origami with s squares under a shear by 2.5; on the 1-square
+    # torus (3 edges on 2 faces) two sides of every quadrilateral are one edge.
+    # Each flippable edge is flipped alone, and then every flippable edge in
+    # turn on one triangulation, whose ranks are checked after each flip
+    flipped = chained = 0
+    for o in origami.transitive_pairs_up_to_relabeling(s):
+        g = origami.build_origami_graph(o)
+        surface = _sheared(develop.develop(g, origami.standard_angles(o)), 2.5)
+        tri, running = develop._Triangulation(surface), surface
+        for e in g.edges:
+            try:
+                got = flip_edge(surface, e)
+            except ValueError:
+                with pytest.raises(AssertionError):
+                    flip_rebuilding_the_graph(surface, e)
+            else:
+                _assert_same_flip(got, flip_rebuilding_the_graph(surface, e))
+                flipped += 1
+            try:
+                tri.flip(e)
+            except ValueError:
+                with pytest.raises(AssertionError):
+                    flip_rebuilding_the_graph(running, e)
+            else:
+                running = flip_rebuilding_the_graph(running, e)
+                _assert_same_flip(tri.surface(), running, tri)
+                chained += 1
+    assert flipped >= 2 * s and chained >= 2 * s
+
+
 def test_make_delaunay_flips_to_optimum(torus, torus_graph):
     surface = scaled(develop.develop(torus_graph, origami.standard_angles(torus)), 1.0, 0.5)
     result, flips, degenerate = develop.make_delaunay(surface)
@@ -134,9 +225,7 @@ def test_make_delaunay_raises_past_its_flip_cap(torus, torus_graph, monkeypatch)
 
 def _sheared_staircase(n, t):
     o = staircase_origami(n)
-    start = develop.develop(origami.build_origami_graph(o), origami.standard_angles(o))
-    return develop.DevelopedSurface(
-        start.graph, {h: complex(z.real + t * z.imag, z.imag) for h, z in start.periods.items()})
+    return _sheared(develop.develop(origami.build_origami_graph(o), origami.standard_angles(o)), t)
 
 
 def test_the_flip_cap_grows_with_the_edges():

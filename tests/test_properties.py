@@ -16,9 +16,11 @@ certificates are checked against references too: ``is_cycle`` against the
 boundary map, the basis walk's one-pass certificate against ``is_cycle`` and
 the two-slot lemma on chains mutated from basis cycles, the in-circle
 determinant against numpy's, and the closure check of ``develop`` against a
-residual taken from both sides of every edge.  Under a verified matching,
-the rows the walk emits negate (the lemma in ``phi``'s docstring), also
-on the Delaunay triangulations of zeros-only origamis under linear maps.
+residual taken from both sides of every edge, with its periods to the bit
+when nothing is obstructed, also at the standard angles of origamis.  Under
+a verified matching, the rows the walk emits negate (the lemma in ``phi``'s
+docstring), also on the Delaunay triangulations of zeros-only origamis
+under linear maps.
 On glued triangles, ``surgery.is_nonseparating`` is checked against a face
 walk that skips the edge.  On region samples of origamis that carry a
 matching, ``angles_of`` inverts ``develop``, and every sample is exactly
@@ -48,7 +50,8 @@ from hypothesis import strategies as st
 
 from chain_oracles import (apply_to_chain, boundary, chain_add, chain_neg, is_cycle, p_map,
                            pairing_vector, rows_negate_under)
-from delaunay_oracles import circumcircle_cross_check, delaunay_sum, flip_edge, incircle_det
+from delaunay_oracles import (circumcircle_cross_check, delaunay_sum, flip_edge,
+                              flip_rebuilding_the_graph, incircle_det)
 from origami_oracles import (is_hyperelliptic, mapped_delaunay, matched_regions, random_gl_map,
                              zeros_only)
 from isodelaunay import angles, develop, homology, matching, origami, region, ribbon, surgery
@@ -672,37 +675,6 @@ def test_hyperelliptic_six_square_surfaces_carry_matchings(o, seed):
     assert matched_regions(surface)[1]
 
 
-def _flip_rebuilding_the_graph(surface, edge):
-    # the reference flip: develops the quadrilateral from the graph's
-    # occurrences and builds a new graph
-    g, p = surface.graph, surface.periods
-    (f, s), (f2, s2) = g.occurrences(edge)
-    assert f != f2
-    a = 0.0 + 0.0j
-    b = p[(f, s)]
-    c = b + p[(f, (s + 1) % 3)]
-    d = b + (-p[(f, s)]) + p[(f2, (s2 + 1) % 3)]
-    quad = [a, d, b, c]
-    for i in range(4):
-        u = quad[(i + 1) % 4] - quad[i]
-        v = quad[(i + 2) % 4] - quad[(i + 1) % 4]
-        assert (u.conjugate() * v).imag > 0
-    e_f1, e_f2 = g.edge_of((f, s + 1)), g.edge_of((f, s + 2))
-    e_m1, e_m2 = g.edge_of((f2, s2 + 1)), g.edge_of((f2, s2 + 2))
-    faces, periods = [], {}
-    for fid, bnd in g.faces:
-        if fid == f:
-            faces.append((fid, (e_m1, edge, e_f2)))
-            periods.update({(fid, 0): d - a, (fid, 1): c - d, (fid, 2): a - c})
-        elif fid == f2:
-            faces.append((fid, (e_m2, e_f1, edge)))
-            periods.update({(fid, 0): b - d, (fid, 1): c - b, (fid, 2): d - c})
-        else:
-            faces.append((fid, bnd))
-            periods.update({(fid, k): p[(fid, k)] for k in range(3)})
-    return develop.DevelopedSurface(ribbon.TriRibbonGraph(g.edges, faces), periods)
-
-
 def _make_delaunay_by_full_rescan(surface, tol=1e-9):
     # the reference loop: every step recomputes every angle and every edge sum
     flips = []
@@ -717,7 +689,7 @@ def _make_delaunay_by_full_rescan(surface, tol=1e-9):
                 degenerate.append(e)
         if worst is None:
             return surface, flips, degenerate
-        surface = _flip_rebuilding_the_graph(surface, worst[0])
+        surface = flip_rebuilding_the_graph(surface, worst[0])
         flips.append(worst[0])
 
 
@@ -866,9 +838,10 @@ def obstructed(draw):
     return g, theta
 
 
-def _obstruction_from_both_sides(graph, theta, tol=1e-9):
+def _develop_from_both_sides(graph, theta, tol=1e-9):
     # the reference closure check: the residual from each side of every edge,
-    # in half-edge order
+    # in half-edge order, and the periods as ``_hex_periods`` lists them when
+    # no edge fails
     walk = ribbon.spanning_tree(graph)
     base = next(walk)
     periods = develop._fill_face(theta, base[0], base[1], 1.0 + 0.0j)
@@ -879,16 +852,28 @@ def _obstruction_from_both_sides(graph, theta, tol=1e-9):
         residual = abs(periods[ribbon.other_side(graph, h)] + periods[h])
         if residual > tol * scale:
             return graph.edge_of(h), residual / scale
-    return None
+    return _hex_periods(develop.DevelopedSurface(graph, periods))
+
+
+def _develop_outcome(graph, theta):
+    try:
+        return _hex_periods(develop.develop(graph, theta))
+    except develop.HolonomyObstruction as ex:
+        return ex.edge, ex.residual
 
 
 @PROPERTY
 @given(obstructed())
 def test_holonomy_obstruction_matches_the_two_sided_reference(pair):
     g, theta = pair
-    try:
-        develop.develop(g, theta)
-        got = None
-    except develop.HolonomyObstruction as ex:
-        got = (ex.edge, ex.residual)
-    assert got == _obstruction_from_both_sides(g, theta)
+    assert _develop_outcome(g, theta) == _develop_from_both_sides(g, theta)
+
+
+@PROPERTY
+@given(origamis())
+def test_develop_at_standard_angles_matches_the_two_sided_reference(o):
+    # the same periods, in the same order, to the bit
+    g = origami.build_origami_graph(o)
+    theta = origami.standard_angles(o)
+    want = _develop_from_both_sides(g, theta)
+    assert isinstance(want, list) and _develop_outcome(g, theta) == want

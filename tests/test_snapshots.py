@@ -36,7 +36,7 @@ DATA = Path(__file__).parent / "data"
 L = "h=(12);v=(13)"
 STAIRCASE_12 = "h=(1,2)(3,4)(5,6)(7,8)(9,10)(11,12);v=(2,3)(4,5)(6,7)(8,9)(10,11)"
 SHEAR = 2.5
-OUTPUT_DIGEST = "43e8c1d15cb58a3a3486301aadf084f178ea09c7ffbd1046fe23c5b3c616502d"
+OUTPUT_DIGEST = "19ac9b9419e028665c8086bbf8d3f58eaae56e767b9f553c78e3463b06b90cac"
 
 
 def _run(argv, expect=0) -> bytes:

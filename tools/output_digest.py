@@ -19,6 +19,11 @@ against the dump of another tree.  The dump covers:
   bench/inputs.py): the ``float.hex`` of the analysis, of 20 samples, of
   the holonomy of every basis cycle at each sample, one ``holonomy`` call
   per cycle as the benchmark makes them, and of the developed first sample;
+- for the first 12 flip_develop inputs of seed 1 (from bench/inputs.py):
+  the ``float.hex`` of the periods of ``develop`` at standard angles, the
+  flips, degenerate edges, faces and periods of ``make_delaunay`` after the
+  workload's shear, ``is_geometric_delaunay``, and the ``float.hex`` of
+  ``angles_of`` and of ``holonomies`` on the flipped graph's cycle basis;
 - ``check_constant_holonomy`` (from tests/region_oracles.py) on three
   arboreal origamis;
 - ``network`` on every transitive pair class with at most 4 squares.
@@ -45,6 +50,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 import inputs  # noqa: E402  (bench/inputs.py)
 import region_oracles  # noqa: E402  (tests/region_oracles.py)
+import workloads  # noqa: E402  (bench/workloads.py)
 from isodelaunay import angles, cli, develop, homology, origami, region, surgery  # noqa: E402
 
 ORIGAMIS = [
@@ -144,6 +150,30 @@ def region_dump(out: list[str]) -> None:
                             for x in (surface.periods[h].real, surface.periods[h].imag)))
 
 
+def _periods(surface: develop.DevelopedSurface) -> str:
+    """Each period as its half-edge and ``float.hex`` parts, in the surface's order."""
+    return " ".join(f"{f}/{k}:{z.real.hex()},{z.imag.hex()}"
+                    for (f, k), z in surface.periods.items())
+
+
+def flip_dump(out: list[str]) -> None:
+    for inp in inputs.flip_inputs(1)[:12]:
+        o = inp.origami
+        surface = develop.develop(origami.build_origami_graph(o), origami.standard_angles(o))
+        out.append(f"{o.h} {o.v} shear={inp.shear.hex()}")
+        out.append(_periods(surface))
+        flipped, flips, degenerate = develop.make_delaunay(workloads.sheared(surface, inp.shear))
+        out.append(f"flips={flips} degenerate={degenerate}")
+        out.append(repr(flipped.graph.faces))
+        out.append(_periods(flipped))
+        out.append(f"delaunay={develop.is_geometric_delaunay(flipped)}")
+        theta = develop.angles_of(flipped)
+        out.append(" ".join(f"{f}/{k}:{a.hex()}" for (f, k), a in theta.items()))
+        basis = homology.cycle_basis(flipped.graph)
+        out.append(_hex(x for hol in angles.holonomies(flipped.graph, theta, basis)
+                        for x in hol))
+
+
 def holonomy_dump(out: list[str]) -> None:
     for spec in ORIGAMIS[:3]:
         o = origami.Origami.from_spec(spec)
@@ -174,6 +204,7 @@ def main() -> None:
         finally:
             os.chdir(here)
     region_dump(out)
+    flip_dump(out)
     holonomy_dump(out)
     network_dump(out)
     text = "\n".join(out) + "\n"
