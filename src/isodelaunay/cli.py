@@ -27,7 +27,7 @@ EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
 # the sweep enumerates every class of s squares up to this bound; s = 7 takes
-# about 0.4 s (0.25 s of it enumerating its 4,163 classes, on a 2-core x86-64
+# about 0.2 s (0.13 s of it enumerating its 4,163 classes, on a 2-core x86-64
 # host), and each further square costs more than ten times as much
 MAX_SWEEP_SQUARES = 7
 

@@ -86,10 +86,11 @@ def find_matchings(
     bijections), which fits when t's pairing triple with the basis, rotated
     by off, negates f's triple T.  So a matching exists iff each class [T]
     of triples up to rotation is as large as [-T], and then no partial
-    assignment is a dead end.  ``limit`` (at least 1, or None) caps the
-    matchings returned, each checked by ``verify_matching``; ``deadline``
-    (seconds, at least 0, or None) truncates the search, flagging
-    incompleteness.
+    assignment is a dead end.  Each distinct pairing vector is read as a
+    small int id, so a triple is three ids.  ``limit`` (at least 1, or None)
+    caps the matchings returned, each checked by ``verify_matching``;
+    ``deadline`` (seconds, at least 0, or None) truncates the search,
+    flagging incompleteness.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
@@ -101,13 +102,14 @@ def find_matchings(
     for i, alpha in enumerate(basis):
         for h, c in alpha.items():
             pairings[h].append((i, c))
-    pairing = {h: tuple(p) for h, p in pairings.items()}
+    ids: dict[tuple, int] = {}
+    pairing = {h: ids.setdefault(tuple(p), len(ids)) for h, p in pairings.items()}
     triple = {f: (pairing[(f, 0)], pairing[(f, 1)], pairing[(f, 2)]) for f in faces}
     # every (face, offset) indexed by its rotated triple, in face then offset order
-    by_rotation: dict[tuple, list[tuple[str, int]]] = {}
-    for f1 in faces:
-        for off in range(3):
-            by_rotation.setdefault(triple[f1][off:] + triple[f1][:off], []).append((f1, off))
+    by_rotation: dict[tuple[int, int, int], list[tuple[str, int]]] = {}
+    for f1, (a, b, c) in triple.items():
+        for off, key in enumerate(((a, b, c), (b, c, a), (c, a, b))):
+            by_rotation.setdefault(key, []).append((f1, off))
     # a cycle sums to zero at each edge, so the mate of h pairs as -h does
     candidates = {
         f: by_rotation.get(tuple(pairing[other_side(graph, (f, s))] for s in range(3)), [])

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .angles import AngleAssignment
-from .ribbon import TriRibbonGraph, orbits
+from .ribbon import TriRibbonGraph
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -55,8 +55,22 @@ def _image(cycles: list[list[int]], size: int) -> tuple[int, ...]:
     return tuple(image)
 
 
+def _cycles_and_index(perm: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """``permutation_cycles(perm)``, and the index of each symbol's cycle."""
+    index, cycles = [-1] * len(perm), []
+    for start in range(1, len(perm) + 1):
+        j, cycle = start, []
+        while index[j - 1] < 0:
+            index[j - 1] = len(cycles)
+            cycle.append(j)
+            j = perm[j - 1]
+        if cycle:
+            cycles.append(tuple(cycle))
+    return cycles, index
+
+
 def permutation_cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return [tuple(c) for c in orbits(range(1, len(perm) + 1), lambda j: perm[j - 1])]
+    return _cycles_and_index(perm)[0]
 
 
 @dataclass(frozen=True)
@@ -108,22 +122,16 @@ class Origami:
 
 
 def is_transitive(h: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    n = len(h)
-    if n == 0:
+    if not h:
         return False
-    seen = {1}
-    stack = [1]
-    while stack:
-        j = stack.pop()
+    # the orbit of square 1, listed as it is reached
+    orbit, seen = [1], {1}
+    for j in orbit:
         for img in (h[j - 1], v[j - 1]):
             if img not in seen:
                 seen.add(img)
-                stack.append(img)
-    return len(seen) == n
-
-
-def _names(j: int):
-    return f"b{j}", f"l{j}", f"d{j}"
+                orbit.append(img)
+    return len(orbit) == len(h)
 
 
 def build_origami_graph(o: Origami) -> TriRibbonGraph:
@@ -137,7 +145,7 @@ def build_origami_graph(o: Origami) -> TriRibbonGraph:
     edges = []
     faces = []
     for j in range(1, o.squares + 1):
-        b, l, d = _names(j)
+        b, l, d = f"b{j}", f"l{j}", f"d{j}"
         edges += [b, l, d]
         right = f"l{o.h[j - 1]}"
         top = f"b{o.v[j - 1]}"
@@ -179,17 +187,14 @@ class Network:
 def network(o: Origami) -> Network:
     """Cylinder network: one vertex per cylinder, one intersection per square.
 
-    Arboreal means that the intersection graph Lambda is a tree.
+    Each permutation's cylinders and each square's cylinder index come from
+    one walk.  Arboreal means that the intersection graph Lambda is a tree.
     """
-    hcyc = permutation_cycles(o.h)
-    vcyc = permutation_cycles(o.v)
-    cyl_of_h = {j: i for i, cyc in enumerate(hcyc) for j in cyc}
-    cyl_of_v = {j: i for i, cyc in enumerate(vcyc) for j in cyc}
-    pairs = [(cyl_of_h[j], cyl_of_v[j]) for j in range(1, o.squares + 1)]
-    simple = len(pairs) == len(set(pairs))
+    hcyc, hcyl = _cycles_and_index(o.h)
+    vcyc, vcyl = _cycles_and_index(o.v)
+    simple = len(set(zip(hcyl, vcyl))) == o.squares
     # Lambda is connected (j, h(j) share an h-cylinder, j, v(j) a v-cylinder): tree iff s = V - 1
-    tree = len(hcyc) + len(vcyc) == o.squares + 1
-    return Network(tuple(hcyc), tuple(vcyc), simple, tree)
+    return Network(tuple(hcyc), tuple(vcyc), simple, len(hcyc) + len(vcyc) == o.squares + 1)
 
 
 def canonical_matching(o: Origami) -> dict:
@@ -212,22 +217,25 @@ def canonical_matching(o: Origami) -> dict:
 def transitive_pairs_up_to_relabeling(s: int):
     """Transitive (h, v) pairs in Sym(s), one per simultaneous-conjugation class.
 
-    Each class is represented by its lexicographically least pair, and the
-    list is in increasing (h, v) order.  The least pair of a class has the
-    least h of h's conjugacy class (a relabeling that lowers h lowers the
-    pair), so h runs only over the lexicographically least permutation of
-    each cycle type.  A relabeling g keeps h iff g is in the centralizer
-    C(h) = {g : gh = hg}, so the pairs of a class whose first entry is h are
-    exactly (h, g v g^-1) for g in C(h).  Hence a transitive (h, v) with
-    that h is the least pair of its class iff no g in C(h) gives
-    g v g^-1 < v, and each class yields exactly one pair.  The test is made
-    on v itself (the orderly-generation idea of Read and McKay), stopping at
-    the first lesser conjugate, instead of computing a canonical form of
-    every pair; h and v are met in increasing order, so the list is sorted.
+    Each class is represented by its lexicographically least pair, in
+    increasing (h, v) order.  That pair has the least h of h's conjugacy
+    class (a relabeling that lowers h lowers the pair), so h runs over the
+    least permutation of each cycle type.  The pairs of the class with
+    first entry h are (h, g v g^-1) for g in the centralizer
+    C(h) = {g : gh = hg}, so a transitive (h, v) is kept iff no g in C(h)
+    gives g v g^-1 < v: the orderly-generation test of Read and McKay, made
+    on v itself and stopping at the first lesser conjugate.
+
+    The identity, the least h, is settled in closed form: C(id) = Sym(s),
+    so (id, v) is least iff v is least in its conjugacy class, and
+    <id, v> = <v> is transitive iff v is an s-cycle; the least s-cycle gives
+    the one class with h = id, (id, (2, 3, ..., s, 1)), first in the list.
     """
+    if s < 1:
+        return []
     perms = list(itertools.permutations(range(1, s + 1)))
-    out = []
-    for h in _least_of_each_cycle_type(s):
+    out = [Origami(tuple(range(1, s + 1)), tuple(range(2, s + 1)) + (1,))]
+    for h in _least_of_each_cycle_type(s)[1:]:
         # each g of C(h) but the identity, 1-indexed by (0,) + g, with the
         # 0-based positions of 1..s in g, so that (g v g^-1)(y) = g[v[gi[y - 1]]]
         centralizer = [((0,) + g, [g.index(y) for y in range(1, s + 1)])

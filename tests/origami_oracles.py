@@ -1,10 +1,11 @@
 """Origami facts computed without the library (the cylinder tree count, the
 relabeling classes of transitive pairs by canonical BFS labels, and the least
 permutation of each cycle type and the centralizers by filtering Sym(s)), the
-staircase origamis that several tests build, and the pieces of the check of
-the paper's corollary on whole hyperelliptic components: the rotations by
-pi of a square tiling, linear images of a square-tiled surface made
-Delaunay, and the matchings of their triangulations."""
+cylinder network as the library once built it from dicts, the staircase
+origamis that several tests build, and the pieces of the check of the
+paper's corollary on whole hyperelliptic components: the rotations by pi of
+a square tiling, linear images of a square-tiled surface made Delaunay, and
+the matchings of their triangulations."""
 
 import itertools
 
@@ -36,6 +37,20 @@ def tree_count_holds(o) -> bool:
     """Whether the h- and v-cylinders number one more than the squares, which
     for the connected intersection graph Lambda says that it is a tree."""
     return cycle_count(o.h) + cycle_count(o.v) == len(o.h) + 1
+
+
+def network_by_dicts(o: origami.Origami) -> origami.Network:
+    """The cylinder network built from ``permutation_cycles`` and a dict of
+    each square's cylinder per direction, as the library built it before it
+    read both in one walk per permutation."""
+    hcyc = origami.permutation_cycles(o.h)
+    vcyc = origami.permutation_cycles(o.v)
+    cyl_of_h = {j: i for i, cyc in enumerate(hcyc) for j in cyc}
+    cyl_of_v = {j: i for i, cyc in enumerate(vcyc) for j in cyc}
+    pairs = [(cyl_of_h[j], cyl_of_v[j]) for j in range(1, o.squares + 1)]
+    simple = len(pairs) == len(set(pairs))
+    tree = len(hcyc) + len(vcyc) == o.squares + 1
+    return origami.Network(tuple(hcyc), tuple(vcyc), simple, tree)
 
 
 def bfs_key(h: tuple[int, ...], v: tuple[int, ...]):

@@ -184,13 +184,21 @@ def _same_matchings(got, want):
 
 
 def test_search_returns_what_the_backtracking_reference_returns(square_l, prym):
+    simple = 0
     for s in range(1, 6):
-        limit = None if s <= 4 else 1
         for o in origami.transitive_pairs_up_to_relabeling(s):
             g = origami.build_origami_graph(o)
-            res = matching.find_matchings(g, limit=limit)
-            assert res.complete
-            _same_matchings(res.matchings, backtracking_matchings(g, limit))
+            # the geometrically simple classes, the ones the sweep searches,
+            # also at limit=3
+            limits = [None if s <= 4 else 1]
+            if origami.network(o).geometrically_simple:
+                limits.append(3)
+                simple += 1
+            for limit in limits:
+                res = matching.find_matchings(g, limit=limit)
+                assert res.complete
+                _same_matchings(res.matchings, backtracking_matchings(g, limit))
+    assert simple == 25
     graphs = [_sheared_delaunay_staircase(n, a, b)
               for a, b in ((1.3, 0.4), (2.41, -0.62)) for n in (3, 6, 9)]
     graphs.append(surgery.sum_matchings(

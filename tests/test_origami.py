@@ -2,13 +2,14 @@
 
 import itertools
 import math
+import random
 import tracemalloc
 
 import pytest
 
 from isodelaunay import angles, matching, origami, ribbon
 from origami_oracles import (centralizer_by_filter, least_of_each_cycle_type_by_filter,
-                             pairs_by_bfs_keys, tree_count_holds)
+                             network_by_dicts, pairs_by_bfs_keys, tree_count_holds)
 
 
 def parse_permutation(text, size):
@@ -90,6 +91,25 @@ def test_network_golden(square_l, prym, staircase):
     assert net_e.geometrically_simple and not net_e.arboreal
 
 
+def test_network_equals_the_dict_reference_on_every_class_and_a_relabeling():
+    # each class with at most 6 squares as listed, and under one seeded
+    # relabeling, which moves the cylinders' order and their members
+    rng = random.Random(35)
+    checked = 0
+    for s in range(1, 7):
+        for o in origami.transitive_pairs_up_to_relabeling(s):
+            g = list(range(1, s + 1))
+            rng.shuffle(g)
+            g_inv = {x: j for j, x in enumerate(g, start=1)}
+            # g p g^-1, which relabels each square j as g(j)
+            relabeled = origami.Origami(*(tuple(g[p[g_inv[x] - 1] - 1] for x in range(1, s + 1))
+                                          for p in (o.h, o.v)))
+            for case in (o, relabeled):
+                assert origami.network(case) == network_by_dicts(case)
+                checked += 1
+    assert checked == 2 * (1 + 3 + 7 + 26 + 97 + 624)
+
+
 def test_arboreal_iff_cycle_count_identity():
     for s in range(1, 5):
         for o in origami.transitive_pairs_up_to_relabeling(s):
@@ -157,6 +177,21 @@ def _least_conjugate(h, v):
     return min(conjugates)
 
 
+@pytest.mark.parametrize("s", [0, -1])
+def test_no_squares_give_no_pairs(s):
+    assert origami.transitive_pairs_up_to_relabeling(s) == []
+
+
+@pytest.mark.parametrize("s", range(1, 8))
+def test_the_identity_has_one_class_and_it_comes_first(classes, s):
+    # C(id) = Sym(s), so (id, v) is least iff v is the least of its cycle
+    # type, and <id, v> is transitive iff v is an s-cycle
+    identity = tuple(range(1, s + 1))
+    assert (classes[s][0].h, classes[s][0].v) == (identity, tuple(range(2, s + 1)) + (1,))
+    assert all(o.h != identity for o in classes[s][1:])
+
+
+# the BFS-key reference is too slow at 7 squares; the class counts pin s = 7
 @pytest.mark.parametrize("s", range(1, 7))
 def test_enumeration_equals_the_bfs_key_reference(classes, s):
     assert [(o.h, o.v) for o in classes[s]] == pairs_by_bfs_keys(s)

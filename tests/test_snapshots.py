@@ -36,7 +36,7 @@ DATA = Path(__file__).parent / "data"
 L = "h=(12);v=(13)"
 STAIRCASE_12 = "h=(1,2)(3,4)(5,6)(7,8)(9,10)(11,12);v=(2,3)(4,5)(6,7)(8,9)(10,11)"
 SHEAR = 2.5
-OUTPUT_DIGEST = "19ac9b9419e028665c8086bbf8d3f58eaae56e767b9f553c78e3463b06b90cac"
+OUTPUT_DIGEST = "bd3dde6b4e929200efda697b774020ce76af34cc9003960d402dd4b22a5d22d0"
 
 
 def _run(argv, expect=0) -> bytes:

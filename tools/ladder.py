@@ -35,7 +35,13 @@ times, each as the best of three runs in wall seconds:
 
 It also times ``transitive_pairs_up_to_relabeling(s)`` for s = 5, 6 and 7,
 best of three, under its own key ``enumeration``, since that stage grows
-with the number of squares s and not with F.
+with the number of squares s and not with F.  Under ``class_loop`` it times
+the stages of the ``origami sweep`` class loop over every class with
+s = 6, each stage over all the classes at once, best of three:
+``network``; ``build_origami_graph``; ``cycle_basis``, each repeat on fresh
+copies of the graphs; ``verify_matching`` of the canonical matching, given
+the basis; and ``find_matchings(limit=1)`` on graphs that keep their basis,
+as the sweep calls them.
 
 It sets no gate; the output is a record of how each stage grows with F or s.
 Run it from the root of the tree:
@@ -57,6 +63,7 @@ from isodelaunay import angles, develop, homology, matching, origami, region  # 
 
 FACES = (24, 48, 96, 192, 384)
 SQUARES = (5, 6, 7)
+CLASS_SQUARES = 6
 REPEATS = 3
 SHEAR = (1.3, 0.4)
 
@@ -102,6 +109,23 @@ def timed(record: dict, stage: str, fn):
     return value
 
 
+def class_loop() -> dict:
+    classes = origami.transitive_pairs_up_to_relabeling(CLASS_SQUARES)
+    seconds: dict[str, list[float]] = {}
+    timed(seconds, "network", lambda: [origami.network(o) for o in classes])
+    graphs = timed(seconds, "build_origami_graph",
+                   lambda: [origami.build_origami_graph(o) for o in classes])
+    fresh = [[origami.build_origami_graph(o) for o in classes] for _ in range(REPEATS)]
+    timed(seconds, "cycle_basis", lambda: [homology.cycle_basis(g) for g in fresh.pop()])
+    bases = [homology.cycle_basis(g) for g in graphs]  # kept by each graph, as in the sweep
+    canonical = [origami.canonical_matching(o) for o in classes]
+    timed(seconds, "verify_matching of the canonical matching",
+          lambda: [matching.verify_matching(*args) for args in zip(graphs, canonical, bases)])
+    timed(seconds, "find_matchings(limit=1)",
+          lambda: [matching.find_matchings(g, limit=1) for g in graphs])
+    return {"squares": CLASS_SQUARES, "classes": len(classes), "seconds": seconds}
+
+
 def ladder() -> dict:
     seconds: dict[str, list[float]] = {}
     dimensions = []
@@ -143,7 +167,7 @@ def ladder() -> dict:
     for s in SQUARES:
         timed(enumeration, "seconds", lambda: origami.transitive_pairs_up_to_relabeling(s))
     return {"faces": list(FACES), "dimension": dimensions, "repeats": REPEATS,
-            "seconds": seconds, "enumeration": enumeration}
+            "seconds": seconds, "enumeration": enumeration, "class_loop": class_loop()}
 
 
 if __name__ == "__main__":

@@ -26,7 +26,10 @@ against the dump of another tree.  The dump covers:
   ``angles_of`` and of ``holonomies`` on the flipped graph's cycle basis;
 - ``check_constant_holonomy`` (from tests/region_oracles.py) on three
   arboreal origamis;
-- ``network`` on every transitive pair class with at most 4 squares.
+- ``network`` on every transitive pair class with at most 6 squares;
+- ``find_matchings(g, limit=3)`` on the graph of every geometrically simple
+  class with at most 5 squares, each matching in ``he_key`` form in the
+  order of its entries.
 
 Samples draw only on ``random.Random``, whose stream Python keeps fixed, and
 on float ``+``, ``*``, ``/`` and ``sqrt``, so the digest does not depend on
@@ -51,7 +54,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 import inputs  # noqa: E402  (bench/inputs.py)
 import region_oracles  # noqa: E402  (tests/region_oracles.py)
 import workloads  # noqa: E402  (bench/workloads.py)
-from isodelaunay import angles, cli, develop, homology, origami, region, surgery  # noqa: E402
+from isodelaunay import (angles, cli, develop, homology, matching, origami,  # noqa: E402
+                         region, ribbon, surgery)
 
 ORIGAMIS = [
     "h=();v=()",
@@ -185,9 +189,16 @@ def holonomy_dump(out: list[str]) -> None:
 
 
 def network_dump(out: list[str]) -> None:
-    for s in range(1, 5):
+    for s in range(1, 7):
         for o in origami.transitive_pairs_up_to_relabeling(s):
-            out.append(f"{o.h} {o.v} {origami.network(o)}")
+            net = origami.network(o)
+            out.append(f"{o.h} {o.v} {net}")
+            if s <= 5 and net.geometrically_simple:
+                result = matching.find_matchings(origami.build_origami_graph(o), limit=3)
+                out.append(f"complete={result.complete}")
+                for iota in result.matchings:
+                    out.append(" ".join(f"{ribbon.he_key(h)}:{ribbon.he_key(t)}"
+                                        for h, t in iota.items()))
 
 
 def main() -> None:
