@@ -216,7 +216,7 @@ def cmd_delaunay(args) -> tuple[dict, int]:
         surface.check()
     except ribbon.InvalidGraphError:
         raise
-    except (KeyError, TypeError, ValueError) as ex:
+    except (KeyError, TypeError, ValueError, OverflowError) as ex:
         raise InputError(f"malformed surface JSON: {ex}")
     if args.action == "check":
         try:

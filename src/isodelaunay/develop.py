@@ -120,9 +120,9 @@ def develop(graph: TriRibbonGraph, theta: AngleAssignment, tol: float = TOL) -> 
     """Lay out all faces from their angles, normalizing the base period to 1.
 
     Propagates across a spanning tree of the face adjacency in canonical
-    order, then takes the closure residual once per edge, from its two
-    ``graph.occurrences``.  If any residual exceeds ``tol * scale``, raises
-    HolonomyObstruction at the failing edge with the least half-edge.
+    order, then takes the closure residual once per edge, at its lesser
+    half-edge in sorted order.  If any residual exceeds ``tol * scale``,
+    raises HolonomyObstruction at the failing edge with the least half-edge.
     """
     _require_tol(tol)
     validate_angles(graph, theta)
@@ -132,15 +132,10 @@ def develop(graph: TriRibbonGraph, theta: AngleAssignment, tol: float = TOL) -> 
     for h, mate in walk:
         periods.update(_fill_face(theta, mate[0], mate[1], -periods[h]))
     scale = max(map(abs, periods.values()))
-    failing = []
-    for e in graph.edges:
-        h, mate = graph.occurrences(e)
-        residual = abs(periods[mate] + periods[h])
-        if residual > tol * scale:
-            failing.append((min(h, mate), e, residual))
-    if failing:
-        _, e, residual = min(failing)
-        raise HolonomyObstruction(e, residual / scale)
+    hes, mate = graph._half_edges, graph._mate
+    for r, m in enumerate(mate):  # least half-edge first: the first edge to fail is named
+        if r < m and (residual := abs(periods[hes[m]] + periods[hes[r]])) > tol * scale:
+            raise HolonomyObstruction(graph.edge_of(hes[r]), residual / scale)
     return DevelopedSurface(graph, periods)
 
 
@@ -206,46 +201,43 @@ class FlipCapError(RuntimeError):
 class _Triangulation:
     """A developed surface held in mutable form, for flips in place.
 
-    Faces are addressed by their position in ``graph.faces``, edges by their
-    index in ``graph.edges``.  Each edge keeps its two occurrences as ranks
-    ``3 * position + slot`` in ascending order, so the first is the
-    half-edge that ``graph.occurrences`` lists first.
+    Starts from copies of the graph's positional tables (``TriRibbonGraph``):
+    faces are addressed by their position in ``graph.faces``, edges by their
+    index in ``graph.edges``, and each edge keeps its two occurrences as
+    ranks ``3 * position + slot`` in ascending order, so the first is the
+    half-edge that ``graph.occurrences`` lists first.  A flip replaces
+    entries of these lists and never changes the graph's own tables.
     """
 
     def __init__(self, surface: DevelopedSurface):
         g, p = surface.graph, surface.periods
         self.edges = g.edges
-        self.index = index = {e: k for k, e in enumerate(g.edges)}
         self.ids = [f for f, _ in g.faces]
-        self.faces = [[index[x], index[y], index[z]] for _, (x, y, z) in g.faces]
+        self.faces, self.occ = list(g._face_edges), list(g._occurrences.values())
         self.periods = [[p[(f, 0)], p[(f, 1)], p[(f, 2)]] for f in self.ids]
-        self.occ: list[list[int]] = [[] for _ in g.edges]
-        for r, x in enumerate([x for b in self.faces for x in b]):
-            self.occ[x].append(r)
 
-    def flip(self, edge: str) -> tuple[int, int]:
-        """Replace ``edge`` by the opposite diagonal of its quadrilateral.
+    def flip(self, k: int) -> tuple[int, int]:
+        """Replace edge ``k`` by the opposite diagonal of its quadrilateral.
 
         The face of the edge's first half-edge h = (i, s) becomes the
-        triangle (A, D, C) with boundary (e_m1, edge, e_f2), the mate's face
-        becomes (D, B, C) with boundary (e_m2, e_f1, edge); see ``_quad``.
+        triangle (A, D, C) with boundary (e_m1, k, e_f2), the mate's face
+        becomes (D, B, C) with boundary (e_m2, e_f1, k); see ``_quad``.
         Each of the six occurrences that move gets its new rank in place.
         Returns the positions (i, j) of the two rebuilt faces, i < j.
         """
-        k = self.index[edge]
         i, s = divmod(self.occ[k][0], 3)
         j, s2 = divmod(self.occ[k][1], 3)
         p, q = self.periods[i], self.periods[j]
         a, b, c, d = _quad(p[s], p[(s + 1) % 3], q[(s2 + 1) % 3])
         if i == j:
-            raise ValueError(f"cannot flip edge {edge!r}: both sides in one face")
+            raise ValueError(f"cannot flip edge {self.edges[k]!r}: both sides in one face")
         # the sides of the quadrilateral A, D, B, C, in ccw order
         ad, db, bc, ca = d - a, b - d, c - b, a - c
         if ((ad.real * db.imag - ad.imag * db.real) <= 0
                 or (db.real * bc.imag - db.imag * bc.real) <= 0
                 or (bc.real * ca.imag - bc.imag * ca.real) <= 0
                 or (ca.real * ad.imag - ca.imag * ad.real) <= 0):
-            raise ValueError(f"cannot flip edge {edge!r}: quadrilateral not strictly convex")
+            raise ValueError(f"cannot flip edge {self.edges[k]!r}: quadrilateral not strictly convex")
         fi, fj = self.faces[i], self.faces[j]
         e_f1, e_f2 = fi[(s + 1) % 3], fi[(s + 2) % 3]
         e_m1, e_m2 = fj[(s2 + 1) % 3], fj[(s2 + 2) % 3]
@@ -256,13 +248,13 @@ class _Triangulation:
                             (e_f1, i3 + (s + 1) % 3, j3 + 1), (e_f2, i3 + (s + 2) % 3, i3 + 2)):
             x, y = self.occ[e]
             x, y = (new, y) if x == old else (x, new)
-            self.occ[e] = [x, y] if x < y else [y, x]
-        self.occ[k] = [i3 + 1, j3 + 2]
+            self.occ[e] = (x, y) if x < y else (y, x)
+        self.occ[k] = (i3 + 1, j3 + 2)
         # triangle (A, D, C): edges A->D, D->C (new diagonal), C->A
-        self.faces[i] = [e_m1, k, e_f2]
+        self.faces[i] = (e_m1, k, e_f2)
         self.periods[i] = [ad, c - d, ca]
         # triangle (D, B, C): edges D->B, B->C, C->D (new diagonal)
-        self.faces[j] = [e_m2, e_f1, k]
+        self.faces[j] = (e_m2, e_f1, k)
         self.periods[j] = [db, bc, d - c]
         return i, j
 
@@ -283,14 +275,14 @@ def is_geometric_delaunay(surface: DevelopedSurface, tol: float = TOL) -> bool:
     and AssertionError if the in-circle sign contradicts an edge's sum.
     """
     _require_tol(tol)
-    graph, p = surface.graph, surface.periods
-    angles = dict(zip(graph.face_ids, _face_angles(surface)))
+    graph, p, angles = surface.graph, surface.periods, _face_angles(surface)
     result = True
-    for e in graph.edges:
-        (f, k), (f2, k2) = graph.occurrences(e)
-        s = angles[f][(k + 1) % 3] + angles[f2][(k2 + 1) % 3]
+    for e, (r, r2) in graph._occurrences.items():  # positional ranks, in ``edges`` order
+        (i, k), (j, k2) = divmod(r, 3), divmod(r2, 3)
+        s = angles[i][(k + 1) % 3] + angles[j][(k2 + 1) % 3]
         if abs(s - math.pi) < tol:
             raise DegenerateTriangleError(f"degenerate Delaunay edge {e!r}")
+        f, f2 = graph.faces[i][0], graph.faces[j][0]
         a, b, c, d = _quad(p[(f, k)], p[(f, (k + 1) % 3)], p[(f2, (k2 + 1) % 3)])
         if (_incircle_det(c, a, b, d) < 0) != (s < math.pi):
             raise AssertionError(f"angle/in-circle disagreement at edge {e!r}")
@@ -347,9 +339,9 @@ def make_delaunay(surface: DevelopedSurface, tol: float = TOL):
             raise FlipCapError(
                 f"flip cap hit: the surface is still not Delaunay after {cap} flips"
             )
-        edge = tri.edges[heap[0][1]]
-        i, j = tri.flip(edge)
-        flips.append(edge)
+        k = heap[0][1]
+        i, j = tri.flip(k)
+        flips.append(tri.edges[k])
         angles[i] = _corner_angles(tri.ids[i], tri.periods[i])
         angles[j] = _corner_angles(tri.ids[j], tri.periods[j])
         for k in {*tri.faces[i], *tri.faces[j]}:

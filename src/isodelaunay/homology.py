@@ -8,11 +8,11 @@ fundamental cycles of a spanning tree of the face/edge incidence graph, and
 (f, s) to the chain (f, s + 1) - (f, s).  A fundamental cycle meets each
 face it touches at two slots of opposite sign (the two-slot lemma), so its
 corner chain is one corner per face.  The walk works on half-edge ranks and
-reads tables it builds once per graph (each rank's mate, each slot's corner
-row); one heap pass grows the tree (Prim), and one pass over each cycle's
-sorted ranks keys it, certifies it and emits its corner chain as rows for
-``angles``, with ``phi`` as their reference.  Everything here is exact
-integer arithmetic; no floats.
+reads the graph's tables (each sorted rank's half-edge and mate); one heap
+pass grows the tree (Prim), and one pass over each cycle's sorted ranks
+keys it, certifies it and emits its corner chain as rows for ``angles``,
+with ``phi`` as their reference.  Everything here is exact integer
+arithmetic; no floats.
 """
 
 from __future__ import annotations
@@ -46,38 +46,26 @@ def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:
     it, emits its rows for ``angles`` (``phi``'s answer) and certifies
     d(cycle) = 0 and the two-slot lemma: each entry's mate carries the
     opposite coefficient, and consecutive entries pair up within one face
-    with opposite signs.  First, ranks 3k, 3k + 1, 3k + 2 must be one face's
-    slots 0, 1, 2.  AssertionError (an implementation fault) on any failure.
+    with opposite signs.  AssertionError (an implementation fault) on any
+    failure.
     """
     return [alpha.copy() for alpha in _kept_basis(graph)]
 
 
 def _kept_basis(graph: TriRibbonGraph) -> list[Chain1]:
     """The basis the graph keeps, and its corner chain rows in
-    ``graph._basis_chains``, built on first use; their readers never change them."""
+    ``graph._basis_chains``, built on first use from the graph's rank tables;
+    their readers never change them."""
     if graph._cycle_basis is not None:
         return graph._cycle_basis
-    # half-edges are handled by their rank r in ``half_edges()`` order, which
-    # lists the faces in sorted order, three slots each: r // 3 is the face's
-    # index.  mate[r] is the rank of the other half-edge of r's edge
-    hes = graph.half_edges()
-    boundary = graph._boundary
-    first, pairs = {}, []  # edge -> rank of its earlier half-edge g; (h, g) per edge, in order of h
-    mate = [-1] * len(hes)
-    for h, (f, slot) in enumerate(hes):
-        g = first.setdefault(boundary[f][slot], h)
-        if g != h:
-            pairs.append((h, g))
-            mate[h], mate[g] = g, h
-    # crow[r]: the corner at slot r and the two corners whose sines make its
-    # dilation factor, the next slot and the one after.  r // 3 and r % 3 are
-    # read as face and slot from here on, so check that layout first
-    crow = []
-    for x, y, z in zip(hes[::3], hes[1::3], hes[2::3]):
-        if x[1] or y != (x[0], 1) or z != (x[0], 2):
-            raise AssertionError(f"half-edges {x}, {y}, {z} are not one face's "
-                                 "slots 0, 1, 2 (implementation fault)")
-        crow += ((x, y, z), (y, z, x), (z, x, y))
+    # half-edges are handled by their sorted rank r: r // 3 is the face's
+    # index and r % 3 its slot, by the graph's construction, and mate[r] is
+    # the rank of the other half-edge of r's edge.  crow[r]: the corner at
+    # slot r and the two corners whose sines make its dilation factor, the
+    # next slot and the one after
+    hes, mate = graph._half_edges, graph._mate
+    crow = [row for x, y, z in zip(hes[::3], hes[1::3], hes[2::3])
+            for row in ((x, y, z), (y, z, x), (z, x, y))]
     # Prim's pass grows T from face 0: the least edge from a reached face to
     # an unreached one joins it.  This is the tree that integer column
     # reduction of the incidence matrix picks, rows E then F in sorted order.
@@ -101,8 +89,8 @@ def _kept_basis(graph: TriRibbonGraph) -> list[Chain1]:
                 if depth[m // 3] < 0:
                     heappush(heap, (m if m > s else s, s))
     basis, chains = [], {}
-    for h, g in pairs:
-        if tree[h]:
+    for h, g in enumerate(mate):  # each edge once, at its later half-edge h
+        if g > h or tree[h]:
             continue
         alpha = {h: 1, g: -1}
         a, b = h // 3, g // 3

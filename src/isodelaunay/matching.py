@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 
 from . import homology
-from .ribbon import HalfEdge, TriRibbonGraph, ValidationReport, he_key, other_side, parse_he_key
+from .ribbon import HalfEdge, TriRibbonGraph, ValidationReport, he_key, parse_he_key
 
 TriangleMatching = dict[HalfEdge, HalfEdge]
 
@@ -97,8 +97,10 @@ def find_matchings(
     if deadline is not None and not deadline >= 0:
         raise ValueError(f"deadline must be at least 0, got {deadline}")
     basis = homology._kept_basis(graph)
-    faces = sorted(graph.face_ids)
-    pairings: dict[HalfEdge, list] = {h: [] for h in graph.half_edges()}
+    # the graph's sorted ranks: face i = faces[i] holds ranks 3i, 3i + 1, 3i + 2
+    hes, mate = graph._half_edges, graph._mate
+    faces = [f for f, _ in hes[::3]]
+    pairings: dict[HalfEdge, list] = {h: [] for h in hes}
     for i, alpha in enumerate(basis):
         for h, c in alpha.items():
             pairings[h].append((i, c))
@@ -112,8 +114,8 @@ def find_matchings(
             by_rotation.setdefault(key, []).append((f1, off))
     # a cycle sums to zero at each edge, so the mate of h pairs as -h does
     candidates = {
-        f: by_rotation.get(tuple(pairing[other_side(graph, (f, s))] for s in range(3)), [])
-        for f in faces
+        f: by_rotation.get(tuple(pairing[hes[mate[r]]] for r in range(3 * i, 3 * i + 3)), [])
+        for i, f in enumerate(faces)
     }
     # by_rotation[T] holds each face of [T] once per rotation fixing T, and
     # candidates[f] likewise for [-T], so the classes balance iff the sizes agree

@@ -55,6 +55,20 @@ class TriRibbonGraph:
     runs ``validate`` and raises InvalidGraphError if any check fails, so
     every graph that exists is connected, has triangular faces, and has
     every edge listed once and used exactly twice.
+
+    The constructor builds the half-edge tables that every walk reads; no
+    other module ranks half-edges.  In sorted order, rank 3i + s is slot s
+    of the i-th face by id: ``_half_edges`` lists them, and ``_mate[r]`` is
+    the rank of the other side of r's edge.
+    In positional order, rank 3p + s is slot s of ``faces[p]``:
+    ``_face_edges[p]`` holds its three edges' indices in ``edges``, and
+    ``_occurrences[e]``, keyed in ``edges`` order, edge e's two ranks in
+    ascending order, which ``occurrences`` reads as half-edges.  That table
+    comes first, since ``validate`` reads it; the others follow once it passes.
+    ``_order[i]``, the position of the i-th face by id, is the one
+    permutation between them.  The cycle basis, spanning tree and vertex
+    orbits are defined in sorted order; the Lawson flips, their tie-break
+    and a flipped surface's face order by position.
     """
 
     def __init__(self, edges, faces):
@@ -62,10 +76,9 @@ class TriRibbonGraph:
         self.edges = tuple(edges)
         self.faces = tuple((f, tuple(b)) for f, b in faces)
         self._boundary = {f: b for f, b in self.faces}
-        occ: dict[str, list[HalfEdge]] = {e: [] for e in self.edges}
-        for f, b in self.faces:
-            for slot, e in enumerate(b):
-                occ.setdefault(e, []).append((f, slot))
+        occ: dict[str, list[int]] = {e: [] for e in self.edges}
+        for r, e in enumerate([e for _, b in self.faces for e in b]):
+            occ.setdefault(e, []).append(r)
         self._occurrences = occ
         # the cycle basis, built once by ``homology._kept_basis``, the one
         # reader of this field (``cycle_basis`` hands out copies so that no
@@ -79,6 +92,17 @@ class TriRibbonGraph:
         report = validate(self)
         if not report:
             raise InvalidGraphError(report.problems)
+        ids = [f for f, _ in self.faces]
+        index = {e: k for k, e in enumerate(self.edges)}
+        self._face_edges = [(index[x], index[y], index[z]) for _, (x, y, z) in self.faces]
+        self._order = order = sorted(range(len(ids)), key=ids.__getitem__)
+        self._half_edges = tuple([(ids[p], s) for p in order for s in (0, 1, 2)])
+        at = [0] * len(self._half_edges)  # the sorted rank of each positional rank
+        for i, p in enumerate(order):
+            at[3 * p:3 * p + 3] = 3 * i, 3 * i + 1, 3 * i + 2
+        self._mate = mate = [0] * len(at)
+        for a, b in occ.values():
+            mate[at[a]], mate[at[b]] = at[b], at[a]
 
     @property
     def face_ids(self) -> tuple[str, ...]:
@@ -89,11 +113,11 @@ class TriRibbonGraph:
         return self._boundary[f][slot % 3]
 
     def half_edges(self) -> list[HalfEdge]:
-        """All half-edges in canonical (lexicographic) order."""
-        return [(f, s) for f in sorted(self._boundary) for s in range(3)]
+        """All half-edges in canonical (lexicographic) order: entry r has sorted rank r."""
+        return list(self._half_edges)
 
     def occurrences(self, edge: str) -> list[HalfEdge]:
-        return list(self._occurrences.get(edge, ()))
+        return [(self.faces[r // 3][0], r % 3) for r in self._occurrences.get(edge, ())]
 
     def to_json(self) -> dict:
         return {
@@ -154,15 +178,14 @@ def validate(graph: TriRibbonGraph) -> ValidationReport:
         if len(occ) != 2:
             problems.append(f"edge multiplicity {len(occ)} for edge {e!r}, expected 2")
     if not problems:
-        # the faces reachable from the first listed face
-        stack = [graph.faces[0][0]]
-        reached = set(stack)
+        # the positions of the faces reachable from the first listed face
+        stack, reached = [0], {0}
         while stack:
-            for e in graph._boundary[stack.pop()]:
-                for f, _ in graph._occurrences[e]:
-                    if f not in reached:
-                        reached.add(f)
-                        stack.append(f)
+            for e in graph.faces[stack.pop()][1]:
+                for r in graph._occurrences[e]:
+                    if r // 3 not in reached:
+                        reached.add(r // 3)
+                        stack.append(r // 3)
         if len(reached) != len(graph.faces):
             problems.append(
                 f"graph is disconnected ({len(reached)} of {len(graph.faces)} faces reachable)"
@@ -176,40 +199,26 @@ def spanning_tree(graph: TriRibbonGraph):
     Yields the least half-edge (slot 0 of the least face) first, then (h,
     mate) for every tree half-edge h of a face already reached, whose mate
     lies in a new face.  Faces are expanded least id first, by slots 0, 1, 2.
-    Each mate is read from the graph's boundary and occurrence tables.
+    The walk reads the graph's sorted ranks and mate table.
     """
-    boundary, occurrences = graph._boundary, graph._occurrences
-    base = (min(boundary), 0)
-    yield base
-    placed = {base[0]}
-    frontier = [base[0]]
+    hes, mate = graph._half_edges, graph._mate
+    yield hes[0]
+    placed, frontier = {0}, [0]  # sorted face indices
     while frontier:
-        f = heapq.heappop(frontier)
-        for h in (f, 0), (f, 1), (f, 2):
-            a, b = occurrences[boundary[f][h[1]]]
-            mate = a if b == h else b  # as ``other_side`` reads it
-            if mate[0] not in placed:
-                yield h, mate
-                placed.add(mate[0])
-                heapq.heappush(frontier, mate[0])
+        i = heapq.heappop(frontier)
+        for r in range(3 * i, 3 * i + 3):
+            m = mate[r]
+            if m // 3 not in placed:
+                yield hes[r], hes[m]
+                placed.add(m // 3)
+                heapq.heappush(frontier, m // 3)
 
 
 def other_side(graph: TriRibbonGraph, h: HalfEdge) -> HalfEdge:
     """The other occurrence of the edge of ``h``; a fixed-point-free involution."""
     f, slot = h[0], h[1] % 3
-    e = graph._boundary[f][slot]
-    a, b = graph._occurrences[e]
+    a, b = graph.occurrences(graph._boundary[f][slot])
     return b if a == (f, slot) else a
-
-
-def corner_successor(graph: TriRibbonGraph, c: Corner) -> Corner:
-    """The next corner counterclockwise around the vertex of ``c``.
-
-    Crossing the slot+1 edge of the face lands on the corner of the opposite
-    face at the same vertex.
-    """
-    f, slot = c[0], c[1] % 3
-    return other_side(graph, (f, slot + 1))
 
 
 def orbits(domain, step) -> list[list]:
@@ -237,7 +246,12 @@ def vertex_orbits(graph: TriRibbonGraph) -> list[list[Corner]]:
     Deterministic: orbits start at their lexicographically least corner, and
     are listed in that order.
     """
-    return orbits(graph.half_edges(), lambda c: corner_successor(graph, c))
+    # the successor of corner (f, s) is the other side of (f, s + 1):
+    # crossing the slot + 1 edge of the face lands on the corner of the
+    # opposite face at the same vertex
+    hes, mate = graph._half_edges, graph._mate
+    walk = orbits(range(len(hes)), lambda r: mate[r + 1 if r % 3 < 2 else r - 2])
+    return [[hes[r] for r in orbit] for orbit in walk]
 
 
 def topology(graph: TriRibbonGraph) -> dict:

@@ -1,9 +1,9 @@
 """Chain helpers, the boundary map, the ``is_cycle`` reference, ``p_map``, dense pairing
-vectors, the check that a map negates the basis walk's corner chain rows and the
-brute-force cycle oracle that only tests need."""
+vectors, the check that a map negates the basis walk's corner chain rows, the
+corner successor read by names and the brute-force cycle oracle that only tests need."""
 
 from isodelaunay import angles, homology
-from isodelaunay.ribbon import TriRibbonGraph, parse_he_key
+from isodelaunay.ribbon import Corner, TriRibbonGraph, other_side, parse_he_key
 
 
 def _clean(chain: dict) -> dict:
@@ -63,6 +63,17 @@ def is_cycle(graph: TriRibbonGraph, chain: homology.Chain1) -> bool:
         at_edge[e] = at_edge.get(e, 0) + coeff
         at_face[f] = at_face.get(f, 0) + coeff
     return not any(at_edge.values()) and not any(at_face.values())
+
+
+def corner_successor(graph: TriRibbonGraph, c: Corner) -> Corner:
+    """The next corner counterclockwise around the vertex of ``c``, the
+    reference for the rank walk of ``ribbon.vertex_orbits``.
+
+    Crossing the slot+1 edge of the face lands on the corner of the opposite
+    face at the same vertex.
+    """
+    f, slot = c[0], c[1] % 3
+    return other_side(graph, (f, slot + 1))
 
 
 def p_map(a: homology.AngleChain) -> homology.Chain1:

@@ -43,7 +43,7 @@ def flip_edge(surface: develop.DevelopedSurface, edge: str) -> develop.Developed
     convex; the new diagonal's period is the sum of the two adjacent sides.
     """
     tri = develop._Triangulation(surface)
-    tri.flip(edge)
+    tri.flip(surface.graph.edges.index(edge))
     return tri.surface()
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import copy
 import io
 import json
 import math
@@ -10,8 +11,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isodelaunay import angles, cli, develop, origami, ribbon
+from isodelaunay import angles, cli, develop, matching, origami, ribbon
 
 
 L = "h=(12);v=(13)"
@@ -816,3 +819,75 @@ def test_match_verify_names_a_map_that_is_no_matching(l_files, tmp_path, capsys,
     report = json.loads(out)
     assert (code, report["valid"]) == (1, False)
     assert report["problems"][0] == problem
+
+
+# wrong types, non-finite numbers and an integer too large for a float
+_BAD_VALUES = [None, True, "x", [], {}, 1.5, -1, math.nan, math.inf, -math.inf, 10**400]
+_BAD_KEYS = ["", "f1+", "f1+/3", "f1+/x", "/0", "f9/0"]
+# each command with the documents it reads: graph, angles, matching, surface
+_FUZZED = [
+    (["validate", "G"], "G"), (["info", "G", "--angles", "A"], "GA"), (["holonomy", "G", "A"], "GA"),
+    (["match", "find", "G"], "G"), (["match", "verify", "G", "M"], "GM"),
+    (["region", "G", "M", "--samples", "1"], "GM"), (["develop", "G", "A"], "GA"),
+    (["delaunay", "check", "S"], "S"), (["delaunay", "flip", "S"], "S"),
+    (["sum", "G", "f1+/0", "G", "f1-/1"], "G"),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_documents(tmp_path_factory):
+    o = origami.Origami.from_spec(L)
+    g = origami.build_origami_graph(o)
+    theta = origami.standard_angles(o)
+    # sheared, so that delaunay flip has work to do
+    surface = develop.develop(g, theta)
+    periods = {h: complex(z.real + 1.3 * z.imag, z.imag) for h, z in surface.periods.items()}
+    docs = {"G": g.to_json(), "A": angles.angles_to_json(theta),
+            "M": matching.matching_to_json(origami.canonical_matching(o)),
+            "S": develop.DevelopedSurface(g, periods).to_json()}
+    return docs, tmp_path_factory.mktemp("fuzz")
+
+
+def _mutated(data, doc):
+    """A copy of the JSON document ``doc`` with one drawn change: the whole
+    document, or one entry of one of its objects or lists, dropped or
+    replaced by a bad value, or an object key replaced by a bad key."""
+    doc = copy.deepcopy(doc)
+    nodes, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        nodes += [(node, k) for k in keys]
+        stack += [node[k] for k in keys if isinstance(node[k], (dict, list))]
+    pick = data.draw(st.integers(-1, len(nodes) - 1))
+    if pick < 0:
+        return data.draw(st.sampled_from(_BAD_VALUES))
+    node, k = nodes[pick]
+    change = data.draw(st.sampled_from(["drop", "value", "key"]))
+    if change == "drop":
+        del node[k]
+    elif change == "key" and isinstance(node, dict):
+        node[data.draw(st.sampled_from(_BAD_KEYS))] = node.pop(k)
+    else:
+        node[k] = data.draw(st.sampled_from(_BAD_VALUES))
+    return doc
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)  # about 0.3 s
+@given(st.data())
+def test_mutated_json_gives_an_exit_code_and_at_most_one_error_line(fuzz_documents, data):
+    # a graph, angle, matching or surface document with one key dropped, one
+    # value of a wrong type, NaN, infinite or too large for a float, or one
+    # bad half-edge key; every run ends in exit 0, 1 or 2 with no exception
+    docs, folder = fuzz_documents
+    argv, reads = data.draw(st.sampled_from(_FUZZED))
+    bad = data.draw(st.sampled_from(reads))
+    for name in reads:
+        doc = _mutated(data, docs[name]) if name == bad else docs[name]
+        (folder / name).write_text(json.dumps(doc))
+    argv = [str(folder / a) if a in docs else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1

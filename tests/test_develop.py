@@ -177,7 +177,7 @@ def test_the_flip_kernel_matches_the_rebuilding_reference_on_every_edge(s):
         g = origami.build_origami_graph(o)
         surface = _sheared(develop.develop(g, origami.standard_angles(o)), 2.5)
         tri, running = develop._Triangulation(surface), surface
-        for e in g.edges:
+        for k, e in enumerate(g.edges):
             try:
                 got = flip_edge(surface, e)
             except ValueError:
@@ -187,7 +187,7 @@ def test_the_flip_kernel_matches_the_rebuilding_reference_on_every_edge(s):
                 _assert_same_flip(got, flip_rebuilding_the_graph(surface, e))
                 flipped += 1
             try:
-                tri.flip(e)
+                tri.flip(k)
             except ValueError:
                 with pytest.raises(AssertionError):
                     flip_rebuilding_the_graph(running, e)
@@ -306,5 +306,5 @@ def test_an_edge_with_both_sides_in_one_face_is_not_flipped():
     periods = {h: complex(k + 1, 1) for k, h in enumerate(g.half_edges())}
     tri = develop._Triangulation(develop.DevelopedSurface(g, periods))
     with pytest.raises(ValueError, match="^cannot flip edge 'a': both sides in one face$"):
-        tri.flip("a")
+        tri.flip(g.edges.index("a"))
 

@@ -116,23 +116,19 @@ def test_a_caller_cannot_change_the_basis_kept_on_the_graph(square_l):
 
 
 def test_cycle_basis_certificate_survives_python_O(run_optimized):
-    # two corruptions of the walk's input; under -O a bare assert (skipped
-    # here) would let the basis through unchecked
+    # the walk reads the graph's mate table, which the constructor built;
+    # two corruptions of that table, each caught by one check of the walk.
+    # Under -O a bare assert (skipped here) would let the basis through
     setup = ("from isodelaunay import homology, origami\n"
              "assert False, 'not run under -O'\n"
              "g = origami.build_origami_graph(origami.Origami.from_spec('h=(12);v=(13)'))\n")
-    # a half-edge listing with ('f1+', 2) and ('f1-', 0) swapped breaks the
-    # layout that reads rank r as face r // 3 and slot r % 3
-    last = run_optimized(setup + "hes = g.half_edges()\n"
-                                 "hes[2], hes[3] = hes[3], hes[2]\n"
-                                 "g.half_edges = lambda: hes\n"
-                                 "homology.cycle_basis(g)\n")
-    assert last == ("AssertionError: half-edges ('f1+', 0), ('f1+', 1), ('f1-', 0) "
-                    "are not one face's slots 0, 1, 2 (implementation fault)")
-    # slot 1 of 'f1+' naming its slot-0 edge leaves the layout alone, but
-    # the first cycle's mates disagree
-    last = run_optimized(setup + "b = g._boundary['f1+']\n"
-                                 "g._boundary['f1+'] = (b[0], b[0], b[2])\n"
-                                 "homology.cycle_basis(g)\n")
+    # ('f1+', 1) (rank 1) claims the mate of ('f1+', 0): the first cycle's
+    # mates disagree
+    last = run_optimized(setup + "g._mate[1] = g._mate[0]\nhomology.cycle_basis(g)\n")
     assert last == ("AssertionError: basis cycle through ('f1+', 0) "
                     "has nonzero boundary (implementation fault)")
+    # ('f1+', 2) claims ('f1-', 0) (rank 3), whose own mate is left alone:
+    # the two-slot check catches the first cycle
+    last = run_optimized(setup + "g._mate[2] = 3\nhomology.cycle_basis(g)\n")
+    assert last == ("AssertionError: basis cycle through ('f1+', 0) does not meet face "
+                    "'f1+' at two slots of opposite sign (implementation fault)")

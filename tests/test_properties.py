@@ -11,7 +11,8 @@ path chains, a ``phi`` that sorts every slot, ``phi`` itself for the
 corner chain rows that the basis walk emits (with the two-slot lemma behind
 them), per-cycle holonomy sums, a Delaunay test on angle dicts and a -1
 test on whole image chains, and the number of matchings against a count of
-pairing-triple classes.  The
+pairing-triple classes.  Each graph's rank tables are checked against a
+scan of its faces and against ``other_side``, also after flips.  The
 certificates are checked against references too: ``is_cycle`` against the
 boundary map, the basis walk's one-pass certificate against ``is_cycle`` and
 the two-slot lemma on chains mutated from basis cycles, the in-circle
@@ -113,6 +114,31 @@ def graphs(draw):
     name = dict(zip(g.face_ids, draw(st.permutations(g.face_ids))))
     faces = draw(st.permutations([(name[f], b) for f, b in g.faces]))
     return sheared.graph, g, ribbon.TriRibbonGraph(g.edges, faces)
+
+
+@settings(PROPERTY, max_examples=40)  # about 0.25 s
+@given(graphs(), glued_triangles(), sheared_surfaces(max_shear=20.0))
+def test_the_rank_tables_keep_the_half_edge_layout(triple, glued, sheared):
+    # every walk reads these tables, and no walk checks them; the flipped
+    # graphs are built from the faces that the flip kernel left
+    flipped = develop.make_delaunay(sheared)[0].graph
+    for g in (*triple, glued, flipped):
+        # positional order: each face's edges, and each edge's two ranks
+        # against a scan of the boundaries
+        assert [tuple(g.edges[k] for k in b) for b in g._face_edges] == [b for _, b in g.faces]
+        assert list(g._occurrences) == list(g.edges)
+        for e, ranks in g._occurrences.items():
+            assert ranks == [3 * p + s for p, (_, b) in enumerate(g.faces)
+                             for s, x in enumerate(b) if x == e]
+            assert g.occurrences(e) == [(g.faces[r // 3][0], r % 3) for r in ranks]
+        # sorted order, the permutation to positions, and each mate
+        by_id = sorted(g.face_ids)
+        assert g._half_edges == tuple((f, s) for f in by_id for s in range(3))
+        assert [g.faces[p][0] for p in g._order] == by_id
+        assert g.half_edges() == list(g._half_edges)
+        for r, h in enumerate(g._half_edges):
+            assert g._half_edges[g._mate[r]] == ribbon.other_side(g, h)
+        assert ribbon.validate(g)
 
 
 @PROPERTY

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from chain_oracles import corner_successor
 from isodelaunay import origami, ribbon
 from isodelaunay.ribbon import TriRibbonGraph
 
@@ -117,7 +118,10 @@ def test_vertex_orbits_partition_corners(prym_graph):
     for orbit in orbits:
         members = set(orbit)
         for c in orbit:
-            assert ribbon.corner_successor(prym_graph, c) in members
+            assert corner_successor(prym_graph, c) in members
+    # the rank walk lists the orbits that the walk by names lists, in order
+    assert orbits == ribbon.orbits(prym_graph.half_edges(),
+                                   lambda c: corner_successor(prym_graph, c))
 
 
 def test_topology_golden_values(torus_graph, square_l_graph, prym_graph, staircase_graph):

@@ -5,10 +5,13 @@ canonical matching is a triangle matching, and its region has dimension
 F = 2n, the number of faces.  For F = 24, 48, 96, 192 and 384 the script
 times, each as the best of three runs in wall seconds:
 
+- ``build_origami_graph``, which includes the graph's constructor: it
+  validates the graph and builds the rank tables that every walk reads;
 - ``cycle_basis`` and ``find_matchings(limit=1)`` on the staircase's graph,
   each repeat on a fresh copy of the graph, built outside the timing, since
   the graph keeps its cycle basis once built (``find_matchings`` builds it
-  too, so its row includes one basis);
+  too, so its row includes one basis).  Neither row includes the rank
+  tables, which the graph built before the timing;
 - ``build_polytope`` on the graph and its canonical matching, with the
   graph's basis already built, as in the region pipeline;
 - ``sample(poly, 5)`` with seed 1, on a polytope whose optimum
@@ -131,7 +134,7 @@ def ladder() -> dict:
     dimensions = []
     for faces in FACES:
         o = staircase(faces // 2)
-        g = origami.build_origami_graph(o)
+        g = timed(seconds, "build_origami_graph", lambda: origami.build_origami_graph(o))
         iota = origami.canonical_matching(o)
         fresh = [origami.build_origami_graph(o) for _ in range(REPEATS)]
         timed(seconds, "cycle_basis", lambda: homology.cycle_basis(fresh.pop()))
