@@ -127,6 +127,9 @@ def _kept_basis(graph: TriRibbonGraph) -> list[Chain1]:
             rows.append((-c1 if r2 - r1 == 1 else -c2, x, y, z))
         chains.setdefault(top, []).append((cycle, tuple(rows)))
         basis.append(cycle)
+    if len(basis) != len(mate) // 2 - n_faces + 1:  # rank H1 = E - F + 1
+        raise AssertionError(f"basis has {len(basis)} cycles, not E - F + 1 = "
+                             f"{len(mate) // 2 - n_faces + 1} (implementation fault)")
     graph._cycle_basis, graph._basis_chains = basis, chains
     return basis
 

@@ -1,19 +1,20 @@
 """The Delaunay angle polytope and its analysis.
 
 The region cut out by a matching is the set of invariant angle assignments
-whose opposite-angle sum at every edge stays below pi.  Strict inequalities
-are handled by slack maximization, whose optimum is known in closed form.
-The slack of a point is at most its least angle, which is at most pi/3
-because every face sums to pi.  The equilateral point theta = pi/3 meets
-every face and orbit equality and has Delaunay sums of 2 pi/3, so its slack
-is pi/3, and it is the only point with that slack.  ``analyze`` reports
-this equilateral optimum, certified against the constraints once per
-polytope.
+whose opposite-angle sum at every edge stays below pi.  It is written in
+orbit coordinates: one variable y_o per iota-orbit of corners, so every
+point of it is iota-invariant bit for bit.  By the lemma of
+``build_polytope`` it is a product of one plane y_a + y_b + y_c = pi per
+face orbit, cut by positivity rows and by Delaunay rows that couple at most
+two planes.  Strict inequalities are handled by slack maximization, whose
+optimum is known in closed form.  The slack of a point is at most its least
+angle, which is at most pi/3 because every plane sums to pi.  The
+equilateral point y = pi/3 lies on every plane and has Delaunay sums of
+2 pi/3, so its slack is pi/3, and it is the only point with that slack.
+``analyze`` reports this equilateral optimum, certified against the rows
+once per polytope.
 
-``sample`` runs a coordinate hit-and-run walk from that point with one
-variable per iota-orbit of corners, so every sample is iota-invariant bit
-for bit.  By the lemma of ``build_polytope`` the region is a product of one
-plane per face orbit, cut by rows that couple at most two planes.  A step
+``sample`` runs a coordinate hit-and-run walk from that point.  A step
 picks a plane uniformly, a uniform direction in it, and a uniform point on
 the chord that the rows touching the plane leave open: a few rows and no
 matrix.  ``sample`` compiles each row once per call into a flat tuple, a
@@ -45,24 +46,22 @@ def opposite_corner(h) -> Corner:
 
 @dataclass
 class RegionPolytope:
-    """A region's constraint system over corner variables.
+    """A region's constraint system in orbit coordinates.
 
     A polytope is never changed after it is built (``dataclasses.replace``
     builds a new one), so its optimum, once certified, stays certified.
     """
 
+    # the corner variables, each one the value of its iota-orbit
     corners: list[Corner]
-    # equalities: sparse integer rows ax = b
-    eq_rows: list[dict[Corner, float]]
-    eq_rhs: list[float]
-    # strict inequalities: rows with ax < b, slack b - ax to be kept positive
-    ineq_rows: list[dict[Corner, float]]
-    ineq_rhs: list[float]
-    # index of each corner's iota-orbit: the sampler's variables
     orbit_of: dict[Corner, int]
-    # the sampler's plane blocks: the sorted orbit triple of each face orbit,
-    # three distinct orbits, in ascending order
-    planes: list[tuple[int, int, int]]
+    # equalities: the ascending orbit triple (a, b, c) of each face orbit,
+    # a plane y_a + y_b + y_c = pi
+    eq_rows: list[tuple[int, int, int]]
+    # strict inequalities: sorted (orbit, coefficient) terms with
+    # sum v y_o < b, slack b - sum v y_o to be kept positive
+    ineq_rows: list[tuple[tuple[int, float], ...]]
+    ineq_rhs: list[float]
     # the certified (theta, slack) of ``optimum``, kept once its certificate passes
     _optimum: tuple[AngleAssignment, float] | None = field(default=None, init=False,
                                                            repr=False, compare=False)
@@ -74,41 +73,31 @@ class RegionPolytope:
     @property
     def dimension(self) -> int:
         """Affine dimension of the equality subspace: two per plane."""
-        return 2 * len(self.planes)
-
-    def slack(self, theta: AngleAssignment) -> float:
-        """Least inequality slack of a point (negative when violated)."""
-        return min(
-            b - sum(c * theta[k] for k, c in row.items())
-            for row, b in zip(self.ineq_rows, self.ineq_rhs)
-        )
-
-    def equality_residual(self, theta: AngleAssignment) -> float:
-        return max(
-            abs(sum(c * theta[k] for k, c in row.items()) - b)
-            for row, b in zip(self.eq_rows, self.eq_rhs)
-        )
+        return 2 * len(self.eq_rows)
 
     @property
     def optimum(self) -> tuple[AngleAssignment, float]:
         """The equilateral point theta = pi/3 and its recomputed slack.
 
-        Certified on the first call, as every polytope ``build_polytope``
-        makes passes: its equality residual and the distance of its slack
-        from pi/3 must be within ``angles.TOL``.  A point that passes is
-        kept and handed out as a fresh copy; one that fails raises
-        ``RuntimeError`` on every call.
+        Certified on the first call at y = pi/3 in orbit coordinates, as
+        every polytope ``build_polytope`` makes passes: each plane's sum must
+        be within ``angles.TOL`` of pi, and the least slack b - sum v y_o
+        within ``angles.TOL`` of pi/3.  A point that passes is kept and
+        handed out as a fresh copy; one that fails raises ``RuntimeError``
+        on every call.
         """
         if self._optimum is None:
-            theta = {c: math.pi / 3 for c in self.corners}
-            residual = self.equality_residual(theta)
-            slack = self.slack(theta)
-            if residual > TOL or abs(slack - math.pi / 3) > TOL:
+            third = math.pi / 3
+            residual = max((abs(sum(third for _ in t) - math.pi) for t in self.eq_rows),
+                           default=0.0)
+            slack = min(b - sum(v * third for _, v in row)
+                        for row, b in zip(self.ineq_rows, self.ineq_rhs))
+            if residual > TOL or abs(slack - third) > TOL:
                 raise RuntimeError(
                     f"equilateral point fails its certificate: equality residual {residual:.3e}, "
                     f"slack {slack!r} instead of pi/3"
                 )
-            self._optimum = theta, slack
+            self._optimum = dict.fromkeys(self.corners, third), slack
         theta, slack = self._optimum
         return dict(theta), slack
 
@@ -117,17 +106,16 @@ def build_polytope(
     graph: TriRibbonGraph,
     iota: matching_mod.TriangleMatching,
 ) -> RegionPolytope:
-    """Constraint system over corner variables for a verified matching.
+    """The region of a verified matching in orbit coordinates, each row once.
 
-    The equalities are one row per face (angles sum to pi, faces sorted),
-    then one row theta(c) = theta(iota(c)) per corner pair that iota moves,
-    in corner order.  The orbit rows leave one variable per iota-orbit of
-    corners.  The face rows of one face orbit then coincide, and rows of
-    different face orbits have disjoint supports, so each face orbit is a
-    plane theta_a + theta_b + theta_c = pi over its three corner orbits.
-
-    The inequalities are one positivity row -theta(c) < 0 per corner, in
-    corner order, then one Delaunay row per edge, in edge order.
+    The variables are the iota-orbits of corners, numbered in order of their
+    first corner.  The face sums of one face orbit coincide there, so each
+    face orbit gives one plane y_a + y_b + y_c = pi over its three orbits;
+    the planes are listed in ascending order.  The inequalities are one
+    positivity row -y_o < 0 per orbit, in orbit order, then each edge's
+    Delaunay row over the orbits of the two corners opposite it, in edge
+    order, each distinct row at its first edge: (o, 2.0) when both corners
+    lie in orbit o.
 
     Lemma.  A cycle sums to 0 over a face's three half-edges and is
     opposite on an edge's two sides; a fundamental cycle meets a face as a
@@ -148,28 +136,21 @@ def build_polytope(
     if not report:
         raise ValueError("build_polytope requires a verified matching: " + "; ".join(report.problems))
     corners = graph.half_edges()
-    faces = sorted(graph.face_ids)
-    eq_rows: list[dict] = [{(f, s): 1 for s in range(3)} for f in faces]
-    eq_rhs = [math.pi] * len(faces)
-    seen = set()
-    for c in corners:
-        img = iota[c]
-        if img == c or (img, c) in seen:
-            continue
-        seen.add((c, img))
-        eq_rows.append({c: 1, img: -1})
-        eq_rhs.append(0.0)
     orbit_of = {c: i for i, orbit in enumerate(orbits(corners, iota.__getitem__)) for c in orbit}
-    planes = sorted({tuple(sorted(orbit_of[(f, s)] for s in range(3))) for f in faces})
+    planes = sorted({tuple(sorted(orbit_of[(f, s)] for s in range(3))) for f in graph.face_ids})
     for t in planes:
         if len(set(t)) < 3:
             raise AssertionError(f"face orbit triple {t} repeats an orbit (implementation fault)")
-
-    # -theta(c) < 0, then the two distinct corners opposite each edge
-    ineq_rows = [{c: -1.0} for c in corners] + [
-        {opposite_corner(h): 1.0 for h in graph.occurrences(e)} for e in graph.edges]
-    ineq_rhs = [0.0] * len(corners) + [math.pi] * len(graph.edges)
-    return RegionPolytope(corners, eq_rows, eq_rhs, ineq_rows, ineq_rhs, orbit_of, planes)
+    # the orbit of the corner opposite each half-edge, by positional rank
+    opposite = [orbit_of[opposite_corner((f, s))] for f, _ in graph.faces for s in range(3)]
+    delaunay: dict[tuple, None] = {}
+    for r, r2 in graph._occurrences.values():  # positional ranks, in ``edges`` order
+        oa, ob = sorted((opposite[r], opposite[r2]))
+        delaunay[((oa, 2.0),) if oa == ob else ((oa, 1.0), (ob, 1.0))] = None
+    n_orbits = max(orbit_of.values()) + 1
+    ineq_rows = [((o, -1.0),) for o in range(n_orbits)] + list(delaunay)
+    ineq_rhs = [0.0] * n_orbits + [math.pi] * len(delaunay)
+    return RegionPolytope(corners, orbit_of, planes, ineq_rows, ineq_rhs)
 
 
 @dataclass
@@ -198,23 +179,6 @@ STRIDE = 10
 MARGIN = 1e-9
 
 
-def _collapse(row: dict[Corner, float], orbit_of: dict[Corner, int]) -> tuple:
-    """A corner row of one or two terms in orbit coordinates: sorted (orbit,
-    coefficient) pairs, two terms in one orbit summed.  A zero coefficient
-    stays: the walk reads its rates as 0.0 and its room as the bound, to the
-    bit.  ValueError for a wider row."""
-    if len(row) > 2:
-        raise ValueError(f"row {row} has more than two terms")
-    if len(row) == 1:
-        ((c, v),) = row.items()
-        return ((orbit_of[c], v),)
-    (ca, va), (cb, vb) = row.items()
-    oa, ob = orbit_of[ca], orbit_of[cb]
-    if oa == ob:
-        return ((oa, va + vb),)
-    return ((oa, va), (ob, vb)) if oa < ob else ((ob, vb), (oa, va))
-
-
 # the orthonormal basis of every plane block's directions, as Gram-Schmidt
 # on the unit vectors after (1, 1, 1) / sqrt(3) gives it (``null_basis`` in
 # tests/region_oracles.py), with the rounding residue in its second vector
@@ -223,17 +187,18 @@ _PLANE = ((0.8164965809277258, -0.40824829046386313, -0.40824829046386313),
 
 
 def _blocks(polytope: RegionPolytope) -> list[tuple]:
-    """The walk's blocks, one per plane of ``polytope.planes``: (triples,
+    """The walk's blocks, one per plane of ``polytope.eq_rows``: (triples,
     rows), an (orbit, w0, w1) triple per orbit with its entries in the two
     vectors of ``_PLANE``, and each inequality row touching the block as
     (r0, r1, bound, oa, va, ob, vb): its rates along the two vectors, its
     right-hand side less ``MARGIN``, and its (orbit, coefficient) terms, a
     one-term row padded with the spare orbit ``ob`` = number of orbits and
-    ``vb`` = 0.0.  ValueError for a polytope with no plane, with an orbit
-    that no plane holds, or with a row of two terms in one plane, none of
-    which ``build_polytope`` makes."""
+    ``vb`` = 0.0.  The rows are read as ``build_polytope`` emits them, each
+    once.  ValueError for a polytope with no plane, with an orbit that no
+    plane holds, with a row of more than two terms, or with a row of two
+    terms in one plane, none of which ``build_polytope`` makes."""
     orbit_of = polytope.orbit_of
-    planes = polytope.planes
+    planes = polytope.eq_rows
     if not planes:
         raise ValueError("polytope has no plane to walk")
     spare = ((max(orbit_of.values()) + 1, 0.0),)
@@ -244,11 +209,10 @@ def _blocks(polytope: RegionPolytope) -> list[tuple]:
     if outside:
         raise ValueError(f"orbit {outside[0]} lies in no plane")
     rows: list[list[tuple]] = [[] for _ in planes]
-    ineqs = dict.fromkeys(
-        (_collapse(row, orbit_of), b) for row, b in zip(polytope.ineq_rows, polytope.ineq_rhs)
-    )
     u0, u1 = _PLANE
-    for terms, b in ineqs:
+    for terms, b in zip(polytope.ineq_rows, polytope.ineq_rhs):
+        if len(terms) > 2:
+            raise ValueError(f"row {terms} < {b} has more than two terms")
         (oa, va), (ob, vb) = (terms + spare)[:2]
         row = (b - MARGIN, oa, va, ob, vb)
         if len(terms) == 2 and place[oa][0] == place[ob][0]:

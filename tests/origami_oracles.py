@@ -9,7 +9,8 @@ the matchings of their triangulations."""
 
 import itertools
 
-from isodelaunay import develop, matching, origami, region, ribbon
+from isodelaunay import develop, matching, origami, ribbon
+from region_oracles import corner_polytope
 
 
 def cycle_lengths(perm: tuple[int, ...]) -> list[int]:
@@ -183,11 +184,12 @@ def mapped_delaunay(o: origami.Origami, m: tuple[float, float, float, float]):
 def matched_regions(surface) -> tuple[int, bool]:
     """The number of triangle matchings of ``surface``'s triangulation, and
     whether the region of one of them holds the surface's own angles: the
-    equalities within 1e-9 and every inequality with positive slack."""
+    corner equalities within 1e-9 and every corner inequality with positive
+    slack."""
     found = matching.find_matchings(surface.graph).matchings
     theta = develop.angles_of(surface)
-    polytopes = (region.build_polytope(surface.graph, iota) for iota in found)
-    return len(found), any(p.equality_residual(theta) < 1e-9 and p.slack(theta) > 0
+    polytopes = (corner_polytope(surface.graph, iota) for iota in found)
+    return len(found), any(p.residual(theta) < 1e-9 and p.slack(theta) > 0
                            for p in polytopes)
 
 

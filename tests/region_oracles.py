@@ -1,13 +1,15 @@
 """The open invariant polytope, the constant-holonomy check over its
 samples, the chord to a region's wall and the surfaces on either side of
-it, and the references the library is compared against: the corner chain
-kernel that ``angles.holonomy`` and ``angles.holonomies`` must match bit
-for bit; two walks for ``region.sample``, the dense hit-and-run walk, for
-its law, and the block walk that reads every row through a loop over its
-terms, for its bits, on blocks it derives from the equality rows, as
-``RegionPolytope.planes`` must give them; the Gram-Schmidt that
-``region._PLANE`` is the value of; and the dict-and-sort collapse of a row
-that ``region._collapse`` is compared against.  Only tests and
+it, and the references the library is compared against: the region's
+constraint system over corner variables, with its slack and residual, for
+asking whether angles that are not invariant by construction lie in the
+region, and whose rows collapse to ``region.build_polytope``'s orbit rows;
+the corner chain kernel that ``angles.holonomy`` and ``angles.holonomies``
+must match bit for bit; two walks for ``region.sample`` on the corner rows,
+the dense hit-and-run walk, for its law, and the block walk that reads
+every row through a loop over its terms, for its bits, on blocks it derives
+from the equality rows, as ``RegionPolytope.eq_rows`` must give them; and
+the Gram-Schmidt that ``region._PLANE`` is the value of.  Only tests and
 ``tools/output_digest.py`` need them."""
 
 import dataclasses
@@ -16,69 +18,134 @@ import random
 
 import numpy as np
 
-from isodelaunay import angles, develop, homology, region
+from isodelaunay import angles, develop, homology, region, ribbon
 from isodelaunay.homology import AngleChain
 from isodelaunay.ribbon import TriRibbonGraph
+
+
+@dataclasses.dataclass
+class CornerPolytope:
+    """The region's constraint system over corner variables: equality rows
+    ax = b and strict inequality rows ax < b, each a dict keyed by corner,
+    with each corner's iota-orbit numbered as ``region.build_polytope``
+    numbers it."""
+
+    corners: list
+    orbit_of: dict
+    eq_rows: list[dict]
+    eq_rhs: list[float]
+    ineq_rows: list[dict]
+    ineq_rhs: list[float]
+
+    @property
+    def dimension(self) -> int:
+        """The number of orbits less the rank (numpy) of the equality rows
+        in orbit coordinates."""
+        width = max(self.orbit_of.values()) + 1
+        return width - int(np.linalg.matrix_rank(_dense(self.eq_rows, self.orbit_of, width)))
+
+    def slack(self, theta: dict) -> float:
+        """Least inequality slack of a point (negative when violated)."""
+        return min(
+            b - sum(c * theta[k] for k, c in row.items())
+            for row, b in zip(self.ineq_rows, self.ineq_rhs)
+        )
+
+    def residual(self, theta: dict) -> float:
+        """Largest equality residual of a point."""
+        return max(
+            abs(sum(c * theta[k] for k, c in row.items()) - b)
+            for row, b in zip(self.eq_rows, self.eq_rhs)
+        )
+
+
+def corner_polytope(graph: TriRibbonGraph, iota: dict, delaunay: bool = True) -> CornerPolytope:
+    """The region of a verified matching over corner variables.
+
+    The equalities are one row per face (angles sum to pi, faces sorted),
+    then one row theta(c) = theta(iota(c)) per corner pair that iota moves,
+    in corner order.  The inequalities are one positivity row -theta(c) < 0
+    per corner, in corner order, then, if ``delaunay``, one Delaunay row per
+    edge over the two distinct corners opposite it, in edge order.
+    """
+    corners = graph.half_edges()
+    faces = sorted(graph.face_ids)
+    eq_rows: list[dict] = [{(f, s): 1 for s in range(3)} for f in faces]
+    eq_rhs = [math.pi] * len(faces)
+    seen = set()
+    for c in corners:
+        img = iota[c]
+        if img == c or (img, c) in seen:
+            continue
+        seen.add((c, img))
+        eq_rows.append({c: 1, img: -1})
+        eq_rhs.append(0.0)
+    orbit_of = {c: i for i, orbit in enumerate(ribbon.orbits(corners, iota.__getitem__))
+                for c in orbit}
+    ineq_rows = [{c: -1.0} for c in corners]
+    ineq_rhs = [0.0] * len(corners)
+    if delaunay:
+        ineq_rows += [{region.opposite_corner(h): 1.0 for h in graph.occurrences(e)}
+                      for e in graph.edges]
+        ineq_rhs += [math.pi] * len(graph.edges)
+    return CornerPolytope(corners, orbit_of, eq_rows, eq_rhs, ineq_rows, ineq_rhs)
 
 
 def open_polytope(graph: TriRibbonGraph, iota: dict) -> region.RegionPolytope:
     """The region's polytope without its Delaunay rows: the invariant angle
     assignments with every angle positive.
 
-    ``build_polytope`` lists one positivity row per corner before the
+    ``build_polytope`` lists one positivity row per orbit before the
     Delaunay rows, so those rows are kept as they are.
     """
     poly = region.build_polytope(graph, iota)
-    n = len(poly.corners)
+    n = max(poly.orbit_of.values()) + 1
     return dataclasses.replace(poly, ineq_rows=poly.ineq_rows[:n], ineq_rhs=poly.ineq_rhs[:n])
 
 
 def wide_row_polytope() -> region.RegionPolytope:
-    """Two faces, each a plane block, and besides positivity one row of three
-    terms across both: theta(f, 0) + theta(f, 1) + 2 theta(g, 0) < 7 pi / 4.
+    """Two faces, each a plane of three orbits, and besides positivity one
+    row of three terms across both: y0 + y1 + 2 y3 < 7 pi / 4.
     ``build_polytope`` makes no row wider than two terms."""
     corners = [(f, s) for f in "fg" for s in range(3)]
-    wide = {("f", 0): 1.0, ("f", 1): 1.0, ("g", 0): 2.0}
     return region.RegionPolytope(
-        corners, [{(f, s): 1 for s in range(3)} for f in "fg"], [math.pi] * 2,
-        [{c: -1.0} for c in corners] + [wide], [0.0] * 6 + [1.75 * math.pi],
-        {c: i for i, c in enumerate(corners)}, [(0, 1, 2), (3, 4, 5)])
+        corners, {c: i for i, c in enumerate(corners)}, [(0, 1, 2), (3, 4, 5)],
+        [((o, -1.0),) for o in range(6)] + [((0, 1.0), (1, 1.0), (3, 2.0))],
+        [0.0] * 6 + [1.75 * math.pi])
 
 
 def plane_and_point_polytope() -> region.RegionPolytope:
-    """Face f with its corners in three orbits, a plane block, and face g
-    with its corners in one orbit 3, which no plane holds; besides
-    positivity, one row across both: theta(f, 0) + theta(g, 1) < pi.  Every
-    orbit of a matching's polytope lies in a plane (the lemma of
-    ``region.build_polytope``), and ``region.sample`` refuses this one."""
+    """Face f with its corners in three orbits, a plane, and face g with its
+    corners in one orbit 3, which no plane holds; besides positivity, one
+    row across both: y0 + y3 < pi.  Every orbit of a matching's polytope
+    lies in a plane (the lemma of ``region.build_polytope``), and
+    ``region.sample`` refuses this one."""
     corners = [(f, s) for f in "fg" for s in range(3)]
-    g0, g1, g2 = corners[3:]
     return region.RegionPolytope(
-        corners, [{(f, s): 1 for s in range(3)} for f in "fg"] + [{g0: 1, g1: -1}, {g1: 1, g2: -1}],
-        [math.pi] * 2 + [0.0] * 2, [{c: -1.0} for c in corners] + [{("f", 0): 1.0, g1: 1.0}],
-        [0.0] * 6 + [math.pi], {c: min(i, 3) for i, c in enumerate(corners)}, [(0, 1, 2)])
+        corners, {c: min(i, 3) for i, c in enumerate(corners)}, [(0, 1, 2)],
+        [((o, -1.0),) for o in range(4)] + [((0, 1.0), (3, 1.0))], [0.0] * 4 + [math.pi])
 
 
 def plane_with_a_row_inside() -> region.RegionPolytope:
-    """One face in three orbits, a plane block, and besides positivity a row
-    of two terms inside it: theta(f, 1) - theta(f, 2) < pi / 3.  No matching
-    makes a Delaunay row with two terms in one plane (the lemma of
-    ``region.build_polytope``), and ``region.sample`` refuses this one."""
+    """One face in three orbits, a plane, and besides positivity a row of
+    two terms inside it: y1 - y2 < pi / 3.  No matching makes a Delaunay
+    row with two terms in one plane (the lemma of ``region.build_polytope``),
+    and ``region.sample`` refuses this one."""
     corners = [("f", s) for s in range(3)]
     return region.RegionPolytope(
-        corners, [{c: 1 for c in corners}], [math.pi],
-        [{c: -1.0} for c in corners] + [{("f", 1): 1.0, ("f", 2): -1.0}],
-        [0.0] * 3 + [math.pi / 3], {c: i for i, c in enumerate(corners)}, [(0, 1, 2)])
+        corners, {c: i for i, c in enumerate(corners)}, [(0, 1, 2)],
+        [((o, -1.0),) for o in range(3)] + [((1, 1.0), (2, -1.0))],
+        [0.0] * 3 + [math.pi / 3])
 
 
 def point_polytope() -> region.RegionPolytope:
-    """One corner held at pi/3: a polytope with no plane, which no matching
-    makes and ``region.sample`` refuses."""
+    """One corner in one orbit, positive and in no plane: a polytope with no
+    plane, which no matching makes and ``region.sample`` refuses."""
     c = ("f", 0)
-    return region.RegionPolytope([c], [{c: 1.0}], [math.pi / 3], [{c: -1.0}], [0.0], {c: 0}, [])
+    return region.RegionPolytope([c], {c: 0}, [], [((0, -1.0),)], [0.0])
 
 
-def chord_exit(poly, start, through):
+def chord_exit(poly: CornerPolytope, start, through):
     """Where the ray from ``start`` through ``through`` leaves the polytope:
     the least t > 0 at which an inequality row of start + t (through -
     start) runs out of room, and the indices of the rows that tie there."""
@@ -175,8 +242,9 @@ def _dense(rows: list[dict], cidx: dict, width: int) -> np.ndarray:
     return out
 
 
-def dense_sample(polytope: region.RegionPolytope, n: int, seed: int = 0) -> list[dict]:
-    """The reference walk: hit-and-run in all orbit variables at once.
+def dense_sample(polytope: CornerPolytope, n: int, seed: int = 0) -> list[dict]:
+    """The reference walk: hit-and-run in all orbit variables at once, on
+    the corner rows.
 
     Each step draws a direction uniformly on the sphere of the equality
     null space, from a full SVD, and bounds the chord by every inequality
@@ -216,9 +284,8 @@ def dense_sample(polytope: region.RegionPolytope, n: int, seed: int = 0) -> list
 
 
 def generic_collapse(row: dict, orbit_of: dict) -> tuple:
-    """``region._collapse`` as it stood before its rows of one or two terms
-    were read without a dict: every row, of any width, summed into a dict
-    from 0, sorted, zero coefficients dropped."""
+    """A corner row in orbit coordinates: every row, of any width, summed
+    into a dict from 0, sorted, zero coefficients dropped."""
     out: dict = {}
     for c, v in row.items():
         o = orbit_of[c]
@@ -246,9 +313,10 @@ def null_basis(coeffs: list[float]) -> list[list[float]]:
     return basis[1:]
 
 
-def _generic_blocks(polytope: region.RegionPolytope) -> list[tuple]:
-    """The walk's blocks, derived from the equality rows without reading
-    ``polytope.planes``: one per distinct face row in orbit coordinates.
+def _generic_blocks(polytope: CornerPolytope) -> list[tuple]:
+    """The walk's blocks, derived from the corner equality rows: one per
+    distinct face row in orbit coordinates, as ``RegionPolytope.eq_rows``
+    must list the planes.
 
     Each block is (orbits, basis, rows): the block's orbit variables, an
     orthonormal basis of its null space as two vectors (the second all zero
@@ -289,10 +357,11 @@ def _generic_blocks(polytope: region.RegionPolytope) -> list[tuple]:
             for row, basis, block_rows in zip(face_rows, bases, rows) if any(basis[0])]
 
 
-def generic_sample(polytope: region.RegionPolytope, n: int, seed: int = 0) -> list[dict]:
+def generic_sample(polytope: CornerPolytope, n: int, seed: int = 0) -> list[dict]:
     """The reference block walk: ``region.sample`` as it stood before its
-    rows were compiled, reading every inequality row through a loop over
-    its terms.  ``region.sample`` must give the same samples to the bit."""
+    rows were compiled, on blocks and rows derived from the corner rows,
+    reading every inequality row through a loop over its terms.
+    ``region.sample`` must give the same samples to the bit."""
     if n == 0:
         return []
     dim = polytope.dimension

@@ -25,8 +25,8 @@ from isodelaunay import (
 )
 from origami_oracles import (is_hyperelliptic, mapped_delaunay, matched_regions, pi_rotations,
                              random_gl_map, staircase_origami, tree_count_holds, zeros_only)
-from region_oracles import (check_constant_holonomy, chord_exit, delaunay_at, iota_orbit,
-                            open_polytope)
+from region_oracles import (check_constant_holonomy, chord_exit, corner_polytope, delaunay_at,
+                            iota_orbit, open_polytope)
 
 TOL = 1e-9
 
@@ -116,11 +116,12 @@ def test_criterion_06_invariant_angles_develop(torus, square_l, prym):
 
 def test_criterion_07_region_is_convex(square_l):
     g, poly = invariant_polytope(square_l, delaunay_rows=True)
+    ref = corner_polytope(g, origami.canonical_matching(square_l))
     pts = region.sample(poly, 2000, seed=2)
     ok = True
     for a, b in zip(pts[:1000], pts[1000:]):
         mid = {c: (a[c] + b[c]) / 2 for c in a}
-        if poly.slack(mid) <= 0:
+        if ref.slack(mid) <= 0:
             ok = False
             break
         surface = develop.develop(g, mid, tol=TOL)
@@ -239,8 +240,8 @@ def test_criterion_13_delaunay_triangulations_carry_matchings():
             continue
         theta = develop.angles_of(surface)
         ok = ok and max(abs(theta[c] - theta[iota[c]]) for c in theta) < TOL
-        poly = region.build_polytope(surface.graph, iota)
-        ok = ok and poly.equality_residual(theta) < TOL and poly.slack(theta) > 0
+        ref = corner_polytope(surface.graph, iota)
+        ok = ok and ref.residual(theta) < TOL and ref.slack(theta) > 0
     report(13, f"{len(surfaces)} sheared staircases: Delaunay, matched, angles in the region", ok)
 
 
@@ -255,14 +256,14 @@ def test_criterion_15_region_walls_are_lawson_flips():
     walls = 0
     for n, surface, _, _, iota in sheared_staircases():
         g = surface.graph
-        poly = region.build_polytope(g, iota)
+        poly, ref = region.build_polytope(g, iota), corner_polytope(g, iota)
         start = develop.angles_of(surface)
         for through in region.sample(poly, 4, seed=n):
-            t, rows = chord_exit(poly, start, through)
-            if min(rows) < len(poly.corners):  # a positivity row
+            t, rows = chord_exit(ref, start, through)
+            if min(rows) < len(ref.corners):  # a positivity row
                 continue
             walls += 1
-            tied = sorted(g.edges[i - len(poly.corners)] for i in rows)
+            tied = sorted(g.edges[i - len(ref.corners)] for i in rows)
             _, inside, _ = delaunay_at(g, start, through, t * (1 - 1e-4))
             past, flips, _ = delaunay_at(g, start, through, t * (1 + 1e-4))
             ok = ok and inside == [] and sorted(flips) == tied
@@ -272,8 +273,8 @@ def test_criterion_15_region_walls_are_lawson_flips():
                 ok = False
                 continue
             theta = develop.angles_of(past)
-            flipped = region.build_polytope(past.graph, found[0])
-            ok = ok and flipped.equality_residual(theta) < TOL and flipped.slack(theta) > 0
+            flipped = corner_polytope(past.graph, found[0])
+            ok = ok and flipped.residual(theta) < TOL and flipped.slack(theta) > 0
     report(15, f"{walls} region walls on sheared staircases are Lawson flips", ok and walls > 40)
 
 

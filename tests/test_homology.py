@@ -117,7 +117,7 @@ def test_a_caller_cannot_change_the_basis_kept_on_the_graph(square_l):
 
 def test_cycle_basis_certificate_survives_python_O(run_optimized):
     # the walk reads the graph's mate table, which the constructor built;
-    # two corruptions of that table, each caught by one check of the walk.
+    # three corruptions of that table, each caught by one check of the walk.
     # Under -O a bare assert (skipped here) would let the basis through
     setup = ("from isodelaunay import homology, origami\n"
              "assert False, 'not run under -O'\n"
@@ -132,3 +132,9 @@ def test_cycle_basis_certificate_survives_python_O(run_optimized):
     last = run_optimized(setup + "g._mate[2] = 3\nhomology.cycle_basis(g)\n")
     assert last == ("AssertionError: basis cycle through ('f1+', 0) does not meet face "
                     "'f1+' at two slots of opposite sign (implementation fault)")
+    # ('f3-', 1) (rank 16) claims the later rank 17, so the walk never reads
+    # its edge with rank 14 as a cycle: each cycle passes its own checks,
+    # and only the count catches the basis of 3 cycles for rank 4
+    last = run_optimized(setup + "g._mate[16] = 17\nhomology.cycle_basis(g)\n")
+    assert last == ("AssertionError: basis has 3 cycles, not E - F + 1 = 4 "
+                    "(implementation fault)")

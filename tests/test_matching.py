@@ -9,7 +9,7 @@ from chain_oracles import apply_to_chain, chain_neg
 from isodelaunay import develop, homology, matching, origami, surgery
 from matching_oracles import backtracking_matchings
 from origami_oracles import staircase_origami
-from region_oracles import check_constant_holonomy, open_polytope
+from region_oracles import check_constant_holonomy, corner_polytope, open_polytope
 
 
 def canonical(o):
@@ -101,10 +101,11 @@ def test_invariant_space_dimensions(torus, square_l, prym):
         assert space.dimension == dim
 
 
-def _dense_rank(space):
-    idx = {c: i for i, c in enumerate(space.corners)}
-    rows = np.zeros((len(space.eq_rows), len(idx)))
-    for r, row in enumerate(space.eq_rows):
+def _dense_rank(ref):
+    """The rank of the corner equality rows over the corner variables."""
+    idx = {c: i for i, c in enumerate(ref.corners)}
+    rows = np.zeros((len(ref.eq_rows), len(idx)))
+    for r, row in enumerate(ref.eq_rows):
         for c, v in row.items():
             rows[r, idx[c]] += v
     return np.linalg.matrix_rank(rows)
@@ -123,8 +124,8 @@ def test_orbit_count_dimension_matches_dense_rank(square_l, prym):
     ))
     assert len(cases) >= 10
     for g, iota in cases:
-        space = open_polytope(g, iota)
-        assert space.dimension == len(space.corners) - _dense_rank(space)
+        space, ref = open_polytope(g, iota), corner_polytope(g, iota)
+        assert space.dimension == len(ref.corners) - _dense_rank(ref)
 
 
 def test_induced_angle_involution_is_involution(square_l, square_l_graph):

@@ -44,7 +44,6 @@ import random
 from collections import Counter
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -56,8 +55,8 @@ from delaunay_oracles import (circumcircle_cross_check, delaunay_sum, flip_edge,
 from origami_oracles import (is_hyperelliptic, mapped_delaunay, matched_regions, random_gl_map,
                              zeros_only)
 from isodelaunay import angles, develop, homology, matching, origami, region, ribbon, surgery
-from region_oracles import (_dense, _generic_blocks, chord_exit, delaunay_at, generic_sample,
-                            iota_orbit, open_polytope)
+from region_oracles import (_generic_blocks, chord_exit, corner_polytope, delaunay_at,
+                            generic_collapse, generic_sample, iota_orbit, open_polytope)
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -532,10 +531,11 @@ def test_region_samples_are_invariant_inside_and_reproducible(o, seed):
     poly = region.build_polytope(g, iota)
     pts = region.sample(poly, 5, seed=seed)
     assert len(pts) == 5
+    ref = corner_polytope(g, iota)
     for theta in pts:
         assert all(theta[c] == theta[iota[c]] for c in theta)
-        assert poly.slack(theta) >= region.MARGIN
-        assert poly.equality_residual(theta) <= 1e-14
+        assert ref.slack(theta) >= region.MARGIN
+        assert ref.residual(theta) <= 1e-14
     assert region.sample(poly, 5, seed=seed) == pts
 
 
@@ -547,35 +547,52 @@ def _hex_samples(samples):
 @given(graphs(), glued_triangles(), st.integers(0, 2**32 - 1))
 def test_sample_matches_the_generic_row_walk_bit_for_bit(triple, glued, seed):
     # the sampler's compiled rows against the walk that loops over each row's
-    # terms: on region polytopes and their positivity-only versions
-    polytopes = []
+    # terms on blocks and rows it derives from the corner rows: on region
+    # polytopes and their positivity-only versions
+    pairs = []
     for g in (*triple, glued):
         found = matching.find_matchings(g, limit=1).matchings
         if found:
-            polytopes += [region.build_polytope(g, found[0]), open_polytope(g, found[0])]
-    for poly in polytopes:
+            pairs += [(region.build_polytope(g, found[0]), corner_polytope(g, found[0])),
+                      (open_polytope(g, found[0]), corner_polytope(g, found[0], delaunay=False))]
+    for poly, ref in pairs:
         assert _hex_samples(region.sample(poly, 3, seed=seed)) == _hex_samples(
-            generic_sample(poly, 3, seed=seed))
+            generic_sample(ref, 3, seed=seed))
 
 
 @PROPERTY
 @given(graphs(), glued_triangles())
 def test_planes_are_the_blocks_the_equality_rows_make(triple, glued):
     # build_polytope reads the planes off the corner orbits; the reference
-    # derives the blocks from the equality rows, and numpy the dimension from
-    # their rank in orbit coordinates
+    # derives the blocks from the corner equality rows, and numpy the
+    # dimension from their rank in orbit coordinates
     for g in (*triple, glued):
         found = matching.find_matchings(g, limit=1).matchings
         if not found:
             continue
         iota = found[0]
-        poly = region.build_polytope(g, iota)
-        assert poly.planes == [orbits for orbits, _, _ in _generic_blocks(poly)]
+        poly, ref = region.build_polytope(g, iota), corner_polytope(g, iota)
+        assert poly.orbit_of == ref.orbit_of
+        assert poly.eq_rows == [orbits for orbits, _, _ in _generic_blocks(ref)]
         width = len(ribbon.orbits(g.half_edges(), iota.__getitem__))
         face_orbits = ribbon.orbits(g.face_ids, lambda f: iota[(f, 0)][0])
-        assert poly.dimension == width - len(face_orbits)
-        rank = np.linalg.matrix_rank(_dense(poly.eq_rows, poly.orbit_of, width))
-        assert poly.dimension == width - rank
+        assert poly.dimension == width - len(face_orbits) == ref.dimension
+
+
+@PROPERTY
+@given(graphs(), glued_triangles())
+def test_orbit_rows_are_the_corner_rows_collapsed(triple, glued):
+    # build_polytope emits each inequality row once in orbit coordinates:
+    # the corner rows, each collapsed by the dict-and-sort reference, with
+    # repeats dropped in first-seen order; repr tells 2 from 2.0
+    for g in (*triple, glued):
+        found = matching.find_matchings(g, limit=1).matchings
+        if not found:
+            continue
+        poly, ref = region.build_polytope(g, found[0]), corner_polytope(g, found[0])
+        collapsed = dict.fromkeys((generic_collapse(row, ref.orbit_of), b)
+                                  for row, b in zip(ref.ineq_rows, ref.ineq_rhs))
+        assert repr(list(zip(poly.ineq_rows, poly.ineq_rhs))) == repr(list(collapsed))
 
 
 def _is_nonseparating_by_walk(graph, h) -> bool:
@@ -619,10 +636,9 @@ def test_a_bridge_leaves_no_matching_and_a_matching_makes_only_planes(triple, gl
             assert res.matchings == []
         for iota in res.matchings:
             poly = region.build_polytope(g, iota)
-            assert all(len(set(t)) == 3 for t in poly.planes)
-            plane_of = {o: t for t in poly.planes for o in t}
-            for row in poly.ineq_rows[len(poly.corners):]:
-                terms = region._collapse(row, poly.orbit_of)
+            assert all(len(set(t)) == 3 for t in poly.eq_rows)
+            plane_of = {o: t for t in poly.eq_rows for o in t}
+            for terms in poly.ineq_rows:
                 assert len(terms) == 1 or plane_of[terms[0][0]] != plane_of[terms[1][0]]
 
 
@@ -661,23 +677,23 @@ def test_region_walls_are_lawson_flips(o, seed):
     assert origami.network(o).arboreal
     g = origami.build_origami_graph(o)
     iota = origami.canonical_matching(o)
-    poly = region.build_polytope(g, iota)
+    poly, ref = region.build_polytope(g, iota), corner_polytope(g, iota)
     start, _ = poly.optimum
     edgewise = all(iota[ribbon.other_side(g, h)] == ribbon.other_side(g, iota[h]) for h in iota)
     for through in region.sample(poly, 2, seed=seed):
-        t, rows = chord_exit(poly, start, through)
-        if min(rows) < len(poly.corners):  # an angle reaches 0
+        t, rows = chord_exit(ref, start, through)
+        if min(rows) < len(ref.corners):  # an angle reaches 0
             continue
-        tied = sorted(g.edges[i - len(poly.corners)] for i in rows)
+        tied = sorted(g.edges[i - len(ref.corners)] for i in rows)
         _, inside, _ = delaunay_at(g, start, through, t * (1 - 1e-4))
         past, flips, _ = delaunay_at(g, start, through, t * (1 + 1e-4))
         assert inside == [] and sorted(flips) == tied
         if edgewise:
             assert set(tied) == iota_orbit(g, iota, tied[0])
             theta = develop.angles_of(past)
-            flipped = region.build_polytope(past.graph,
-                                            matching.find_matchings(past.graph, limit=1).matchings[0])
-            assert flipped.equality_residual(theta) < 1e-9 and flipped.slack(theta) > 0
+            flipped = corner_polytope(past.graph,
+                                      matching.find_matchings(past.graph, limit=1).matchings[0])
+            assert flipped.residual(theta) < 1e-9 and flipped.slack(theta) > 0
 
 
 @functools.cache

@@ -2,14 +2,13 @@
 
 import dataclasses
 import math
-import random
 import re
 
 import pytest
 
 from delaunay_oracles import circumcircle_cross_check, delaunay_sum, in_delaunay_region
 from isodelaunay import angles, homology, matching, origami, region, ribbon, surgery
-from region_oracles import (dense_sample, generic_collapse, null_basis, open_polytope,
+from region_oracles import (corner_polytope, dense_sample, null_basis, open_polytope,
                             plane_and_point_polytope, plane_with_a_row_inside, point_polytope,
                             wide_row_polytope)
 
@@ -18,6 +17,12 @@ def build(o):
     g = origami.build_origami_graph(o)
     iota = origami.canonical_matching(o)
     return g, region.build_polytope(g, iota)
+
+
+def reference(o):
+    """The corner rows of ``o``'s canonical region, which ask whether a
+    point lies in it."""
+    return corner_polytope(origami.build_origami_graph(o), origami.canonical_matching(o))
 
 
 def test_opposite_corner():
@@ -48,8 +53,9 @@ def test_analyze_feasible_dimensions(torus, square_l, prym):
         assert report.feasible
         assert report.dimension == dim
         assert report.slack > 0
-        assert poly.slack(report.interior_point) > 0
-        assert poly.equality_residual(report.interior_point) < 1e-9
+        ref = reference(o)
+        assert ref.slack(report.interior_point) > 0
+        assert ref.residual(report.interior_point) < 1e-9
 
 
 def test_equilateral_point_maximizes_slack(square_l):
@@ -57,17 +63,18 @@ def test_equilateral_point_maximizes_slack(square_l):
     report = region.analyze(poly)
     theta = origami.equilateral_angles(square_l)
     assert abs(report.slack - math.pi / 3) < 1e-9
-    assert poly.slack(theta) >= report.slack - 1e-9
+    assert reference(square_l).slack(theta) >= report.slack - 1e-9
 
 
 def test_samples_satisfy_all_constraints(square_l):
     g, poly = build(square_l)
     pts = region.sample(poly, 25, seed=3)
     assert len(pts) == 25
+    ref = reference(square_l)
     for theta in pts:
         angles.validate_angles(g, theta)
-        assert poly.slack(theta) > 0
-        assert poly.equality_residual(theta) < 1e-9
+        assert ref.slack(theta) > 0
+        assert ref.residual(theta) < 1e-9
         assert in_delaunay_region(g, theta)
 
 
@@ -90,9 +97,10 @@ def test_positivity_only_polytope_is_larger(square_l):
 def test_midpoint_stays_inside(square_l):
     g, poly = build(square_l)
     pts = region.sample(poly, 20, seed=11)
+    ref = reference(square_l)
     for a, b in zip(pts[::2], pts[1::2]):
         mid = {c: (a[c] + b[c]) / 2 for c in a}
-        assert poly.slack(mid) > 0
+        assert ref.slack(mid) > 0
         assert in_delaunay_region(g, mid)
 
 
@@ -119,10 +127,11 @@ def test_circumcircle_cross_check_cocircular():
 
 
 def test_infeasible_polytope_reports_and_refuses_to_sample():
-    # one corner with x = 1 and x < 0: the equalities and inequalities conflict,
+    # one plane and y0 < 0: the plane sums to pi with every angle positive,
     # so the equilateral point fails its certificate in analyze and in sample
-    c = ("f", 0)
-    poly = region.RegionPolytope([c], [{c: 1.0}], [1.0], [{c: 1.0}], [0.0], {c: 0}, [])
+    corners = [("f", s) for s in range(3)]
+    poly = region.RegionPolytope(corners, {c: i for i, c in enumerate(corners)}, [(0, 1, 2)],
+                                 [((0, 1.0),)], [0.0])
     for _ in range(2):  # a failed certificate is not kept
         with pytest.raises(RuntimeError, match="certificate: equality residual"):
             region.analyze(poly)
@@ -131,18 +140,23 @@ def test_infeasible_polytope_reports_and_refuses_to_sample():
 
 
 def test_analyze_refuses_an_uncertified_point():
-    c = ("f", 0)
-    # x = 1 and x > 0 is feasible, but the equilateral point misses the equality
-    poly = region.RegionPolytope([c], [{c: 1.0}], [1.0], [{c: -1.0}], [0.0], {c: 0}, [])
+    corners = [("f", s) for s in range(3)]
+    orbit_of = {c: i for i, c in enumerate(corners)}
+    positive = [((o, -1.0),) for o in range(3)]
+    # a "plane" y0 + y1 = pi of two orbits, with every angle positive: the
+    # equilateral point is inside, but misses the plane by pi/3
+    poly = region.RegionPolytope(corners, orbit_of, [(0, 1)], positive, [0.0] * 3)
     for _ in range(2):  # a failed certificate is not kept
-        with pytest.raises(RuntimeError, match="certificate"):
+        with pytest.raises(RuntimeError, match=r"certificate: equality residual 1\.047e\+00"):
             region.analyze(poly)
         with pytest.raises(RuntimeError, match="certificate"):
             region.sample(poly, 3)
-    # x = pi/3 and x < 2: the point is inside, but its slack is not pi/3
-    poly = region.RegionPolytope([c], [{c: 1.0}], [math.pi / 3], [{c: 1.0}], [2.0], {c: 0}, [])
+    # one plane, every angle positive, and y0 < 2: the point is inside, but
+    # its slack is 2 - pi/3, not pi/3
+    poly = region.RegionPolytope(corners, orbit_of, [(0, 1, 2)], positive + [((0, 1.0),)],
+                                 [0.0] * 3 + [2.0])
     for _ in range(2):
-        with pytest.raises(RuntimeError, match="certificate"):
+        with pytest.raises(RuntimeError, match=re.escape(f"slack {2 - math.pi / 3!r} instead")):
             region.analyze(poly)
         with pytest.raises(RuntimeError, match="certificate"):
             region.sample(poly, 3)
@@ -158,49 +172,37 @@ def test_analyze_then_sample_matches_a_fresh_polytope(square_l):
     assert region.analyze(poly).interior_point
 
 
+class _CountedTol(float):
+    """``angles.TOL`` that counts the certificates that compare against it:
+    as a float subclass on the right of ``>``, its ``__lt__`` runs first."""
+
+    def __new__(cls, calls):
+        tol = super().__new__(cls, region.TOL)
+        tol.calls = calls
+        return tol
+
+    def __lt__(self, other):
+        self.calls.append(other)
+        return float(self) < other
+
+
 def test_analyze_then_sample_certify_the_optimum_once(square_l, monkeypatch):
+    # each certificate compares its residual and its slack with TOL: two calls
     calls = []
-    residual = region.RegionPolytope.equality_residual
-    monkeypatch.setattr(region.RegionPolytope, "equality_residual",
-                        lambda poly, theta: calls.append(theta) or residual(poly, theta))
+    monkeypatch.setattr(region, "TOL", _CountedTol(calls))
     _, poly = build(square_l)
     fresh = build(square_l)[1]
     report = region.analyze(poly)
     samples = region.sample(poly, 5, seed=7)
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert region.sample(poly, 5, seed=7) == samples and region.analyze(poly) == report
-    assert len(calls) == 1
+    assert len(calls) == 2
     # the kept certificate is no part of the polytope's value, and every
     # call hands out its own point
     assert poly == fresh and repr(poly) == repr(fresh)
     theta, slack = poly.optimum
     theta.clear()
-    assert poly.optimum == (report.interior_point, report.slack) and len(calls) == 1
-
-
-# rows of one and two terms over four corners in two orbits, so that terms
-# often share an orbit, with coefficients that cancel, -0.0 and ints
-_COEFFS = [1, -1, 2, 0, 1.0, -1.0, 2.0, 0.5, -0.5, 0.0, -0.0, 0.1, 0.2, -0.3, 1e-300, -1e-300]
-
-
-def test_collapse_equals_the_dict_and_sort_collapse():
-    # the two agree but for terms whose coefficient is 0, which _collapse
-    # keeps (the walk reads their rates as 0.0) and the dict collapse drops
-    rng = random.Random(11)
-    orbit_of = {("f", 0): 1, ("f", 1): 0, ("f", 2): 1, ("g", 0): 0}
-    corners = list(orbit_of)
-    shapes = set()
-    for _ in range(3000):
-        row = {c: rng.choice(_COEFFS) for c in rng.sample(corners, rng.randint(1, 2))}
-        got, want = region._collapse(row, orbit_of), generic_collapse(row, orbit_of)
-        # repr tells -0.0 from 0.0 and 1 from 1.0
-        assert repr(tuple(t for t in got if t[1] != 0)) == repr(want), row
-        assert [o for o, _ in got] == sorted({orbit_of[c] for c in row}), row
-        shapes.add((len(row), len(want), len(got)))
-    assert shapes == {(1, 0, 1), (1, 1, 1), (2, 0, 1), (2, 1, 1), (2, 0, 2), (2, 1, 2), (2, 2, 2)}
-    # a row of three terms is refused, even where it would collapse to fewer
-    with pytest.raises(ValueError, match="has more than two terms"):
-        region._collapse(dict.fromkeys(corners[:3], 1.0), orbit_of)
+    assert poly.optimum == (report.interior_point, report.slack) and len(calls) == 2
 
 
 # a seed at which a sample of the glued sum below comes within 1e-4 of an
@@ -256,7 +258,7 @@ def test_block_walk_agrees_with_the_dense_walk(square_l, prym):
     # chord (z of 14 at this seed), which the means alone miss
     for o in (square_l, prym):
         poly = region.build_polytope(origami.build_origami_graph(o), origami.canonical_matching(o))
-        walks = region.sample(poly, 1500, seed=5), dense_sample(poly, 1500, seed=5)
+        walks = region.sample(poly, 1500, seed=5), dense_sample(reference(o), 1500, seed=5)
         z = []
         for c in poly.corners:
             for f in (lambda x: x, lambda x: (x - math.pi / 3) ** 2):
@@ -266,9 +268,9 @@ def test_block_walk_agrees_with_the_dense_walk(square_l, prym):
 
 
 def test_a_row_of_three_terms_is_refused():
-    row = "{('f', 0): 1.0, ('f', 1): 1.0, ('g', 0): 2.0}"
+    row = f"row ((0, 1.0), (1, 1.0), (3, 2.0)) < {1.75 * math.pi!r} has more than two terms"
     for call in (region._blocks, lambda poly: region.sample(poly, 200, seed=6)):
-        with pytest.raises(ValueError, match=re.escape(f"row {row} has more than two terms")):
+        with pytest.raises(ValueError, match=re.escape(row)):
             call(wide_row_polytope())
 
 
@@ -339,12 +341,9 @@ def test_no_samples_are_no_samples(square_l):
 
 
 def test_a_row_that_collapses_to_nothing_is_left_out_of_the_walk(square_l):
-    # theta(c) - theta(iota(c)) < pi is 0 theta(o) < pi in orbit coordinates,
-    # a term whose rates are 0.0, so no step reads it
+    # theta(c) - theta(iota(c)) < pi is 0.0 y_o < pi in orbit coordinates, a
+    # term whose rates are 0.0, so no step reads it
     _, poly = build(square_l)
-    c = poly.corners[0]
-    partner = next(k for k in poly.corners if k != c and poly.orbit_of[k] == poly.orbit_of[c])
-    wider = dataclasses.replace(poly, ineq_rows=poly.ineq_rows + [{c: 1.0, partner: -1.0}],
+    wider = dataclasses.replace(poly, ineq_rows=poly.ineq_rows + [((0, 0.0),)],
                                 ineq_rhs=poly.ineq_rhs + [math.pi])
-    assert region._collapse(wider.ineq_rows[-1], poly.orbit_of) == ((poly.orbit_of[c], 0.0),)
     assert region.sample(wider, 5, seed=4) == region.sample(poly, 5, seed=4)

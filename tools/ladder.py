@@ -46,6 +46,10 @@ copies of the graphs; ``verify_matching`` of the canonical matching, given
 the basis; and ``find_matchings(limit=1)`` on graphs that keep their basis,
 as the sweep calls them.
 
+Under ``sloc`` it counts the package's source lines, per module and in
+all, as ``bench/run.py`` counts them (lines that are neither blank nor a
+comment), so that the code's size sits next to its timings.
+
 It sets no gate; the output is a record of how each stage grows with F or s.
 Run it from the root of the tree:
 
@@ -129,6 +133,14 @@ def class_loop() -> dict:
     return {"squares": CLASS_SQUARES, "classes": len(classes), "seconds": seconds}
 
 
+def sloc() -> dict:
+    """Source lines of each module of the package, and their total."""
+    lines = {path.stem: sum(1 for line in path.read_text().splitlines()
+                            if line.strip() and not line.strip().startswith("#"))
+             for path in sorted((ROOT / "src" / "isodelaunay").glob("*.py"))}
+    return {**lines, "total": sum(lines.values())}
+
+
 def ladder() -> dict:
     seconds: dict[str, list[float]] = {}
     dimensions = []
@@ -170,7 +182,8 @@ def ladder() -> dict:
     for s in SQUARES:
         timed(enumeration, "seconds", lambda: origami.transitive_pairs_up_to_relabeling(s))
     return {"faces": list(FACES), "dimension": dimensions, "repeats": REPEATS,
-            "seconds": seconds, "enumeration": enumeration, "class_loop": class_loop()}
+            "seconds": seconds, "enumeration": enumeration, "class_loop": class_loop(),
+            "sloc": sloc()}
 
 
 if __name__ == "__main__":
