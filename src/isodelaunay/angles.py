@@ -1,7 +1,8 @@
 """Angle assignments and the combinatorial holonomy homomorphisms.
 
 An angle assignment maps each corner (face, slot) to a value in (0, pi),
-with the three corners of every face summing to pi.  Holonomy of a cycle
+with the three corners of every face summing to pi; in JSON it is a
+half-edge map of ``ribbon`` with float values.  Holonomy of a cycle
 is the product over its corner decomposition of a rotation factor
 exp(i * theta) and a dilation factor given by a ratio of sines; we
 accumulate the phase as a real sum and the dilation in log space.
@@ -14,7 +15,7 @@ import math
 from typing import NamedTuple
 
 from . import homology
-from .ribbon import Corner, TriRibbonGraph, he_key, parse_he_key
+from .ribbon import Corner, TriRibbonGraph
 
 AngleAssignment = dict[Corner, float]
 
@@ -43,14 +44,6 @@ def validate_angles(graph: TriRibbonGraph, theta: AngleAssignment) -> None:
             raise InvalidAnglesError(
                 f"face {f!r} angles sum to {sum(vals)!r}, expected pi"
             )
-
-
-def angles_to_json(theta: AngleAssignment) -> dict:
-    return {he_key(c): v for c, v in sorted(theta.items())}
-
-
-def angles_from_json(data: dict) -> AngleAssignment:
-    return {parse_he_key(k): float(v) for k, v in data.items()}
 
 
 class HolonomyValue(NamedTuple):

@@ -67,24 +67,24 @@ def _load_graph(path: str | None) -> ribbon.TriRibbonGraph:
         raise InputError(f"malformed graph JSON: {ex}")
 
 
-def _load_half_edge_map(path: str, value_type, from_json, values: str):
+def _load_half_edge_map(path: str, value_type, value, values: str):
     data = _read_json(path)
     if not isinstance(data, dict) or not all(
         isinstance(v, value_type) and not isinstance(v, bool) for v in data.values()
     ):
         raise InputError(f"{path}: expected an object mapping half-edge keys to {values}")
     try:
-        return from_json(data)
+        return ribbon.he_map_from_json(data, value)
     except (ValueError, OverflowError) as ex:
         raise InputError(str(ex))
 
 
 def _load_angles(path: str) -> angles_mod.AngleAssignment:
-    return _load_half_edge_map(path, (int, float), angles_mod.angles_from_json, "numbers")
+    return _load_half_edge_map(path, (int, float), float, "numbers")
 
 
 def _load_matching(path: str) -> matching_mod.TriangleMatching:
-    return _load_half_edge_map(path, str, matching_mod.matching_from_json, "half-edge keys")
+    return _load_half_edge_map(path, str, ribbon.parse_he_key, "half-edge keys")
 
 
 def _write(path: str, text: str) -> None:
@@ -131,7 +131,7 @@ def cmd_holonomy(args) -> tuple[dict, int]:
     hols = angles_mod.holonomies(g, theta, basis)
     values = [
         {
-            "cycle": homology.chain_to_json(alpha),
+            "cycle": ribbon.he_map_to_json(alpha, int),
             "value": [hol.value.real, hol.value.imag],
             "modulus": hol.modulus,
             "phase": hol.phase,
@@ -152,7 +152,7 @@ def cmd_match_find(args) -> tuple[dict, int]:
     result = {
         "count": len(res.matchings),
         "complete": res.complete,
-        "matchings": [matching_mod.matching_to_json(m) for m in res.matchings],
+        "matchings": [ribbon.he_map_to_json(m, ribbon.he_key) for m in res.matchings],
     }
     return result, EXIT_DOMAIN if args.expect_some and not res.matchings else EXIT_OK
 
@@ -183,7 +183,8 @@ def cmd_region(args) -> tuple[dict, int]:
         pts = region_mod.sample(poly, args.samples, seed=args.seed)
         # every sample has the polytope's corners: each key is formatted once
         # per report, and the samples share its string
-        keys, corners = list(angles_mod.angles_to_json(pts[0])), sorted(pts[0])
+        corners = sorted(pts[0])
+        keys = [ribbon.he_key(c) for c in corners]
         result["samples"] = [dict(zip(keys, map(t.__getitem__, corners))) for t in pts]
         if args.output:
             for i, t in enumerate(result["samples"]):
@@ -266,7 +267,7 @@ def cmd_origami_matching(args) -> tuple[dict, int]:
     result = {
         "arboreal": net.arboreal,
         "canonical_matching_valid": report.ok,
-        "matching": matching_mod.matching_to_json(iota) if report.ok else None,
+        "matching": ribbon.he_map_to_json(iota, ribbon.he_key) if report.ok else None,
     }
     return result, EXIT_OK if report.ok else EXIT_DOMAIN
 

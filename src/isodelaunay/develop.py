@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 from .angles import TOL, AngleAssignment, validate_angles
-from .ribbon import (TWO_PI, HalfEdge, TriRibbonGraph, he_key, other_side, parse_he_key,
-                     spanning_tree)
+from .ribbon import (TWO_PI, HalfEdge, TriRibbonGraph, he_key, he_map_from_json,
+                     he_map_to_json, spanning_tree)
 
 
 class HolonomyObstruction(ValueError):
@@ -61,17 +61,19 @@ class DevelopedSurface:
             closure = sum(self.periods[(f, k)] for k in range(3))
             if abs(closure) > TOL * s:
                 raise ValueError(f"face {f!r} does not close up ({abs(closure):.3e})")
-        for h, z in self.periods.items():
+        hes, mate, p = self.graph._half_edges, self.graph._mate, self.periods
+        # in sorted order: a failing edge is named at its lesser half-edge
+        for r, m in enumerate(mate):
+            z = p[hes[r]]
             if z == 0:
-                raise ValueError(f"zero period at {he_key(h)}")
-            mate = other_side(self.graph, h)
-            if abs(self.periods[mate] + z) > TOL * s:
-                raise ValueError(f"period mismatch across edge of {he_key(h)}")
+                raise ValueError(f"zero period at {he_key(hes[r])}")
+            if r < m and abs(p[hes[m]] + z) > TOL * s:
+                raise ValueError(f"period mismatch across edge of {he_key(hes[r])}")
 
     def to_json(self) -> dict:
         return {
             "graph": self.graph.to_json(),
-            "periods": {he_key(h): [z.real, z.imag] for h, z in sorted(self.periods.items())},
+            "periods": he_map_to_json(self.periods, lambda z: [z.real, z.imag]),
         }
 
     @classmethod
@@ -79,13 +81,16 @@ class DevelopedSurface:
         graph = TriRibbonGraph.from_json(data["graph"])
         if not isinstance(data["periods"], dict):
             raise ValueError("periods must be an object keyed by half-edge")
-        periods = {
-            parse_he_key(k): complex(re, im) for k, (re, im) in data["periods"].items()
-        }
+        periods = he_map_from_json(data["periods"], _period_from_json)
         if set(periods) != set(graph.half_edges()):
             raise ValueError("period keys are not exactly the graph's half-edges")
         _require_finite(periods)
         return cls(graph, periods)
+
+
+def _period_from_json(pair) -> complex:
+    re, im = pair  # strict: exactly two parts
+    return complex(re, im)
 
 
 def _require_finite(periods: dict[HalfEdge, complex]) -> None:
@@ -204,9 +209,9 @@ class _Triangulation:
     Starts from copies of the graph's positional tables (``TriRibbonGraph``):
     faces are addressed by their position in ``graph.faces``, edges by their
     index in ``graph.edges``, and each edge keeps its two occurrences as
-    ranks ``3 * position + slot`` in ascending order, so the first is the
-    half-edge that ``graph.occurrences`` lists first.  A flip replaces
-    entries of these lists and never changes the graph's own tables.
+    ranks ``3 * position + slot`` in ascending order, as the graph's
+    ``_occurrences`` keeps them.  A flip replaces entries of these lists and
+    never changes the graph's own tables.
     """
 
     def __init__(self, surface: DevelopedSurface):
@@ -270,7 +275,7 @@ def is_geometric_delaunay(surface: DevelopedSurface, tol: float = TOL) -> bool:
     """Angle criterion at every edge, certified by the in-circle sign.
 
     An edge's sum adds its two opposite angles (slot + 1 in each face) in
-    ``graph.occurrences`` order, as ``make_delaunay`` does.  Raises
+    the order of its two positional ranks, as ``make_delaunay`` does.  Raises
     DegenerateTriangleError if any edge sits within ``tol`` of cocircular,
     and AssertionError if the in-circle sign contradicts an edge's sum.
     """

@@ -12,21 +12,18 @@ reads the graph's tables (each sorted rank's half-edge and mate); one heap
 pass grows the tree (Prim), and one pass over each cycle's sorted ranks
 keys it, certifies it and emits its corner chain as rows for ``angles``,
 with ``phi`` as their reference.  Everything here is exact integer
-arithmetic; no floats.
+arithmetic; no floats.  In JSON a chain is a half-edge map of ``ribbon``
+with int values.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .ribbon import Corner, HalfEdge, TriRibbonGraph, he_key
+from .ribbon import Corner, HalfEdge, TriRibbonGraph
 
 Chain1 = dict[HalfEdge, int]
 AngleChain = dict[Corner, int]
-
-
-def chain_to_json(chain: dict) -> dict:
-    return {he_key(k): v for k, v in sorted(chain.items())}
 
 
 def cycle_basis(graph: TriRibbonGraph) -> list[Chain1]:

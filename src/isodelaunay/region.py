@@ -39,11 +39,6 @@ from .angles import TOL, AngleAssignment
 from .ribbon import Corner, TriRibbonGraph, orbits
 
 
-def opposite_corner(h) -> Corner:
-    """The corner of face h[0] opposite the edge of ``h`` (slot + 1)."""
-    return (h[0], (h[1] + 1) % 3)
-
-
 @dataclass
 class RegionPolytope:
     """A region's constraint system in orbit coordinates.
@@ -141,8 +136,8 @@ def build_polytope(
     for t in planes:
         if len(set(t)) < 3:
             raise AssertionError(f"face orbit triple {t} repeats an orbit (implementation fault)")
-    # the orbit of the corner opposite each half-edge, by positional rank
-    opposite = [orbit_of[opposite_corner((f, s))] for f, _ in graph.faces for s in range(3)]
+    # the orbit of the corner opposite each half-edge (slot + 1), by positional rank
+    opposite = [orbit_of[(f, (s + 1) % 3)] for f, _ in graph.faces for s in range(3)]
     delaunay: dict[tuple, None] = {}
     for r, r2 in graph._occurrences.values():  # positional ranks, in ``edges`` order
         oa, ob = sorted((opposite[r], opposite[r2]))

@@ -3,7 +3,9 @@
 A graph is stored as its list of edge identifiers together with the faces,
 each carrying a counterclockwise-ordered boundary of exactly three edges.
 Half-edges and corners are addressed as (face_id, slot) pairs with
-slot in {0, 1, 2}; slot arithmetic is mod 3.
+slot in {0, 1, 2}; slot arithmetic is mod 3.  This module owns the
+half-edge: its name ``face/slot``, the JSON form of a half-edge map (cycles,
+angles, matchings, periods) and the rank tables, the one way across an edge.
 """
 
 from __future__ import annotations
@@ -40,6 +42,16 @@ def parse_he_key(key: str) -> HalfEdge:
     return face, int(slot)
 
 
+def he_map_to_json(m: dict, value) -> dict:
+    """A half-edge map as JSON: ``face/slot`` keys in sorted order, values through ``value``."""
+    return {he_key(h): value(m[h]) for h in sorted(m)}
+
+
+def he_map_from_json(data: dict, value) -> dict:
+    """The half-edge map of ``he_map_to_json``'s form, values through ``value``."""
+    return {parse_he_key(k): value(v) for k, v in data.items()}
+
+
 @dataclass(frozen=True)
 class StratumSignature:
     genus: int
@@ -56,19 +68,17 @@ class TriRibbonGraph:
     every graph that exists is connected, has triangular faces, and has
     every edge listed once and used exactly twice.
 
-    The constructor builds the half-edge tables that every walk reads; no
-    other module ranks half-edges.  In sorted order, rank 3i + s is slot s
-    of the i-th face by id: ``_half_edges`` lists them, and ``_mate[r]`` is
-    the rank of the other side of r's edge.
+    The constructor builds the half-edge tables that every walk reads, the
+    only way across an edge; no other module ranks half-edges.  In sorted
+    order, rank 3i + s is slot s of the i-th face by id: ``_half_edges``
+    lists them, and ``_mate[r]`` is the rank of the other side of r's edge.
     In positional order, rank 3p + s is slot s of ``faces[p]``:
     ``_face_edges[p]`` holds its three edges' indices in ``edges``, and
     ``_occurrences[e]``, keyed in ``edges`` order, edge e's two ranks in
-    ascending order, which ``occurrences`` reads as half-edges.  That table
-    comes first, since ``validate`` reads it; the others follow once it passes.
-    ``_order[i]``, the position of the i-th face by id, is the one
-    permutation between them.  The cycle basis, spanning tree and vertex
-    orbits are defined in sorted order; the Lawson flips, their tie-break
-    and a flipped surface's face order by position.
+    ascending order.  That table comes first, since ``validate`` reads it;
+    the others follow once it passes.  The cycle basis, spanning tree and
+    vertex orbits are defined in sorted order; the Lawson flips, their
+    tie-break and a flipped surface's face order by position.
     """
 
     def __init__(self, edges, faces):
@@ -95,7 +105,7 @@ class TriRibbonGraph:
         ids = [f for f, _ in self.faces]
         index = {e: k for k, e in enumerate(self.edges)}
         self._face_edges = [(index[x], index[y], index[z]) for _, (x, y, z) in self.faces]
-        self._order = order = sorted(range(len(ids)), key=ids.__getitem__)
+        order = sorted(range(len(ids)), key=ids.__getitem__)  # positions by id
         self._half_edges = tuple([(ids[p], s) for p in order for s in (0, 1, 2)])
         at = [0] * len(self._half_edges)  # the sorted rank of each positional rank
         for i, p in enumerate(order):
@@ -115,9 +125,6 @@ class TriRibbonGraph:
     def half_edges(self) -> list[HalfEdge]:
         """All half-edges in canonical (lexicographic) order: entry r has sorted rank r."""
         return list(self._half_edges)
-
-    def occurrences(self, edge: str) -> list[HalfEdge]:
-        return [(self.faces[r // 3][0], r % 3) for r in self._occurrences.get(edge, ())]
 
     def to_json(self) -> dict:
         return {
@@ -212,13 +219,6 @@ def spanning_tree(graph: TriRibbonGraph):
                 yield hes[r], hes[m]
                 placed.add(m // 3)
                 heapq.heappush(frontier, m // 3)
-
-
-def other_side(graph: TriRibbonGraph, h: HalfEdge) -> HalfEdge:
-    """The other occurrence of the edge of ``h``; a fixed-point-free involution."""
-    f, slot = h[0], h[1] % 3
-    a, b = graph.occurrences(graph._boundary[f][slot])
-    return b if a == (f, slot) else a
 
 
 def orbits(domain, step) -> list[list]:

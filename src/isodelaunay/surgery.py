@@ -8,10 +8,14 @@ from .ribbon import HalfEdge, TriRibbonGraph, he_key
 
 def is_nonseparating(graph: TriRibbonGraph, h: HalfEdge) -> bool:
     """True iff removing the edge-vertex of ``h`` leaves the graph connected:
-    iff a basis cycle has a coefficient on one of the edge's half-edges, as
-    a bridge lies on no cycle and any other edge on a fundamental one."""
-    ends = graph.occurrences(graph.edge_of(h))
-    return any(x in alpha for alpha in homology._kept_basis(graph) for x in ends)
+    iff a basis cycle has a coefficient on ``h``, as a bridge lies on no
+    cycle and any other edge on a fundamental one.  The basis walk certifies
+    that each cycle is opposite on an edge's two sides, so ``h`` alone
+    decides.  KeyError for a face not in the graph."""
+    f, slot = h[0], h[1] % 3
+    if f not in graph._boundary:
+        raise KeyError(f)
+    return any((f, slot) in alpha for alpha in homology._kept_basis(graph))
 
 
 def connected_sum(

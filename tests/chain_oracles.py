@@ -1,9 +1,13 @@
 """Chain helpers, the boundary map, the ``is_cycle`` reference, ``p_map``, dense pairing
 vectors, the check that a map negates the basis walk's corner chain rows, the
-corner successor read by names and the brute-force cycle oracle that only tests need."""
+corner successor read by names and the brute-force cycle oracle that only tests need.
+
+``occurrences``, ``other_side`` and ``opposite_corner`` cross an edge by a scan
+of the graph's faces, never by its rank tables, so they are a reference for
+those tables."""
 
 from isodelaunay import angles, homology
-from isodelaunay.ribbon import Corner, TriRibbonGraph, other_side, parse_he_key
+from isodelaunay.ribbon import Corner, HalfEdge, TriRibbonGraph
 
 
 def _clean(chain: dict) -> dict:
@@ -30,8 +34,22 @@ def chain_add(a: dict, b: dict, scale: int = 1) -> dict:
     return _clean(out)
 
 
-def chain_from_json(data: dict) -> dict:
-    return _clean({parse_he_key(k): int(v) for k, v in data.items()})
+def occurrences(graph: TriRibbonGraph, edge: str) -> list[HalfEdge]:
+    """The half-edges of ``edge``, in the order of the faces and their slots;
+    empty for an edge the graph does not have."""
+    return [(f, s) for f, b in graph.faces for s, x in enumerate(b) if x == edge]
+
+
+def other_side(graph: TriRibbonGraph, h) -> HalfEdge:
+    """The other occurrence of the edge of ``h``; a fixed-point-free involution."""
+    f, slot = h[0], h[1] % 3
+    a, b = occurrences(graph, dict(graph.faces)[f][slot])
+    return b if a == (f, slot) else a
+
+
+def opposite_corner(h) -> Corner:
+    """The corner of face h[0] opposite the edge of ``h`` (slot + 1)."""
+    return (h[0], (h[1] + 1) % 3)
 
 
 def boundary(graph: TriRibbonGraph, chain: homology.Chain1) -> dict:
@@ -117,7 +135,7 @@ def enumerate_simple_cycles(graph: TriRibbonGraph) -> list[homology.Chain1]:
         f0 = start[0]
 
         def extend(chain, cur_edge, used_faces, used_edges):
-            for h in sorted(graph.occurrences(cur_edge)):
+            for h in sorted(occurrences(graph, cur_edge)):
                 if h in chain:
                     continue
                 face = h[0]

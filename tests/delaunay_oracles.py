@@ -7,15 +7,15 @@ import math
 
 import numpy as np
 
+from chain_oracles import occurrences, opposite_corner
 from isodelaunay import develop
 from isodelaunay.angles import AngleAssignment, validate_angles
-from isodelaunay.region import opposite_corner
 from isodelaunay.ribbon import TriRibbonGraph
 
 
 def delaunay_sum(graph: TriRibbonGraph, theta: AngleAssignment, edge: str) -> float:
     """Sum of the two angles opposite ``edge``."""
-    occ = graph.occurrences(edge)
+    occ = occurrences(graph, edge)
     if len(occ) != 2:
         raise KeyError(f"unknown or malformed edge {edge!r}")
     return sum(theta[opposite_corner(h)] for h in occ)
@@ -53,7 +53,7 @@ def flip_rebuilding_the_graph(surface: develop.DevelopedSurface,
     occurrences and builds a new graph; AssertionError unless the edge's two
     faces differ and the quadrilateral is strictly convex."""
     g, p = surface.graph, surface.periods
-    (f, s), (f2, s2) = g.occurrences(edge)
+    (f, s), (f2, s2) = occurrences(g, edge)
     assert f != f2
     a = 0.0 + 0.0j
     b = p[(f, s)]

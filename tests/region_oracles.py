@@ -18,6 +18,7 @@ import random
 
 import numpy as np
 
+from chain_oracles import occurrences, opposite_corner
 from isodelaunay import angles, develop, homology, region, ribbon
 from isodelaunay.homology import AngleChain
 from isodelaunay.ribbon import TriRibbonGraph
@@ -85,7 +86,7 @@ def corner_polytope(graph: TriRibbonGraph, iota: dict, delaunay: bool = True) ->
     ineq_rows = [{c: -1.0} for c in corners]
     ineq_rhs = [0.0] * len(corners)
     if delaunay:
-        ineq_rows += [{region.opposite_corner(h): 1.0 for h in graph.occurrences(e)}
+        ineq_rows += [{opposite_corner(h): 1.0 for h in occurrences(graph, e)}
                       for e in graph.edges]
         ineq_rhs += [math.pi] * len(graph.edges)
     return CornerPolytope(corners, orbit_of, eq_rows, eq_rhs, ineq_rows, ineq_rhs)
@@ -166,7 +167,7 @@ def delaunay_at(graph, start, through, t):
 
 def iota_orbit(graph, iota, edge):
     """The edges that iota's powers carry ``edge`` to."""
-    seen, todo = set(), graph.occurrences(edge)
+    seen, todo = set(), occurrences(graph, edge)
     while todo:
         h = todo.pop()
         if h not in seen:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from chain_oracles import chain_add, chain_neg
+from chain_oracles import chain_add, chain_neg, other_side
 from region_oracles import corner_holonomies
 from isodelaunay import angles, homology, origami, region, ribbon, surgery
 
@@ -36,7 +36,7 @@ def test_validate_rejects_bad_face_sum(torus, torus_graph):
 
 def test_json_round_trip(square_l, square_l_graph):
     theta = origami.standard_angles(square_l)
-    again = angles.angles_from_json(angles.angles_to_json(theta))
+    again = ribbon.he_map_from_json(ribbon.he_map_to_json(theta, float), float)
     assert again == theta
 
 
@@ -154,7 +154,7 @@ def test_chains_balanced_only_at_edges_or_only_at_faces_are_not_cycles(torus):
     g = origami.build_origami_graph(torus)
     theta = origami.standard_angles(torus)
     h = ("f1-", 0)
-    mate = ribbon.other_side(g, h)
+    mate = other_side(g, h)
     assert mate[0] != h[0] and g.edge_of(h) != g.edge_of(("f1-", 1))
     for chain in ({h: 1, mate: -1}, {("f1-", 0): 1, ("f1-", 1): -1}):
         with pytest.raises(ValueError, match="not a cycle"):

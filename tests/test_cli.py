@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isodelaunay import angles, cli, develop, matching, origami, ribbon
+from isodelaunay import angles, cli, develop, origami, ribbon
 
 
 L = "h=(12);v=(13)"
@@ -139,11 +139,11 @@ def test_region_rejects_an_unverified_matching(l_files, tmp_path, capsys):
 
 def test_holonomy_report(l_files, tmp_path, capsys):
     graph, _ = l_files
-    from isodelaunay import angles as angles_mod, origami
+    from isodelaunay import origami
 
     theta = origami.equilateral_angles(origami.Origami.from_spec("h=(12);v=(13)"))
     angles_file = tmp_path / "angles.json"
-    angles_file.write_text(json.dumps(angles_mod.angles_to_json(theta)))
+    angles_file.write_text(json.dumps(ribbon.he_map_to_json(theta, float)))
     code, out, _ = run_cli(capsys, "holonomy", str(graph), str(angles_file))
     assert code == 0
     report = json.loads(out)
@@ -369,14 +369,18 @@ def test_a_non_finite_period_is_one_input_error_line(tmp_path, capsys, bad):
     ({"f1-/0": [0.75, -0.5], "f1-/1": [0.25, 0.5]}, "period mismatch across edge of f1+/1"),
 ])
 def test_a_surface_that_fails_its_check_is_one_input_error_line(tmp_path, capsys, periods, problem):
+    # the check reads half-edges in sorted order, so the order of the period
+    # keys does not change the half-edge it names
     surface = _torus_surface_json()
     surface["periods"].update(periods)
+    backwards = {**surface, "periods": dict(reversed(surface["periods"].items()))}
     surface_file = tmp_path / "surface.json"
-    surface_file.write_text(json.dumps(surface))
-    for action in ("check", "flip"):
-        code, out, err = run_cli(capsys, "delaunay", action, str(surface_file))
-        assert (code, out) == (2, "")
-        assert err == f"input error: malformed surface JSON: {problem}\n"
+    for data in (surface, backwards):
+        surface_file.write_text(json.dumps(data))
+        for action in ("check", "flip"):
+            code, out, err = run_cli(capsys, "delaunay", action, str(surface_file))
+            assert (code, out) == (2, "")
+            assert err == f"input error: malformed surface JSON: {problem}\n"
 
 
 def test_disconnected_surface_is_one_error_line(tmp_path, capsys):
@@ -443,9 +447,10 @@ def _torus_surface_json():
 def _check_surface_is_input_error(tmp_path, capsys, data):
     surface_file = tmp_path / "surface.json"
     surface_file.write_text(json.dumps(data))
-    code, out, err = run_cli(capsys, "delaunay", "check", str(surface_file))
-    assert code == 2 and out == ""
-    assert err.startswith("input error:") and err.count("\n") == 1
+    for action in ("check", "flip"):
+        code, out, err = run_cli(capsys, "delaunay", action, str(surface_file))
+        assert code == 2 and out == ""
+        assert err.startswith("input error: malformed surface JSON:") and err.count("\n") == 1
 
 
 def test_empty_periods_are_input_error(tmp_path, capsys):
@@ -463,6 +468,14 @@ def test_missing_period_keys_are_input_error(tmp_path, capsys):
 def test_non_object_periods_are_input_error(tmp_path, capsys):
     data = _torus_surface_json()
     data["periods"] = list(data["periods"].values())
+    _check_surface_is_input_error(tmp_path, capsys, data)
+
+
+@pytest.mark.parametrize("period", [[5.0], [1, 2, 3], "x"])
+def test_a_period_that_is_not_two_numbers_is_input_error(tmp_path, capsys, period):
+    # a period is read by a strict unpack into its real and imaginary parts
+    data = _torus_surface_json()
+    data["periods"]["f1-/1"] = period
     _check_surface_is_input_error(tmp_path, capsys, data)
 
 
@@ -494,12 +507,12 @@ def test_the_shared_parser_carries_nothing_from_one_call_to_the_next(capsys):
 @pytest.mark.parametrize("command", ["region", "develop -o", "develop --svg",
                                      "origami develop", "sum"])
 def test_an_unwritable_output_path_is_input_error(l_files, tmp_path, capsys, command):
-    from isodelaunay import angles as angles_mod, origami
+    from isodelaunay import origami
 
     graph, iota = l_files
     theta = origami.standard_angles(origami.Origami.from_spec("h=(12);v=(13)"))
     angles_file = tmp_path / "angles.json"
-    angles_file.write_text(json.dumps(angles_mod.angles_to_json(theta)))
+    angles_file.write_text(json.dumps(ribbon.he_map_to_json(theta, float)))
     missing = str(tmp_path / "missing" / "out")
     argv = {
         "region": ["region", str(graph), str(iota), "--samples", "2", "-o", missing],
@@ -623,7 +636,7 @@ def test_the_envelope_names_the_subcommand(l_files, tmp_path, capsys, command):
     graph, iota = l_files
     o = origami.Origami.from_spec(L)
     theta = origami.standard_angles(o)
-    angles_file = write_json(tmp_path / "angles.json", angles.angles_to_json(theta))
+    angles_file = write_json(tmp_path / "angles.json", ribbon.he_map_to_json(theta, float))
     surface = write_json(tmp_path / "surface.json",
                          develop.develop(origami.build_origami_graph(o), theta).to_json())
     args = {
@@ -657,12 +670,12 @@ def test_a_tol_that_is_not_finite_or_is_below_0_is_input_error(l_files, tmp_path
                                                                command, value):
     # a NaN tolerance let a surface that does not close through, and -1
     # reported an obstruction with residual 0
-    from isodelaunay import angles as angles_mod, origami
+    from isodelaunay import origami
 
     graph, _ = l_files
     theta = origami.standard_angles(origami.Origami.from_spec("h=(12);v=(13)"))
     angles_file = tmp_path / "angles.json"
-    angles_file.write_text(json.dumps(angles_mod.angles_to_json(theta)))
+    angles_file.write_text(json.dumps(ribbon.he_map_to_json(theta, float)))
     code, out, err = run_cli(capsys, f"--tol={value}", command, str(graph), str(angles_file))
     assert code == 2 and out == ""
     assert err == f"input error: --tol must be a finite number at least 0, got {float(value)}\n"
@@ -674,7 +687,7 @@ def test_holonomy_of_exactly_1_is_trivial_at_tol_0(l_files, tmp_path, capsys):
     # the standard angles of the L origami give every basis cycle the
     # holonomy 1 exactly, which a tolerance of 0 accepts
     graph, _ = l_files
-    theta = angles.angles_to_json(origami.standard_angles(origami.Origami.from_spec(L)))
+    theta = ribbon.he_map_to_json(origami.standard_angles(origami.Origami.from_spec(L)), float)
     angles_file = write_json(tmp_path / "angles.json", theta)
     code, out, _ = run_cli(capsys, "--tol=0", "holonomy", str(graph), str(angles_file))
     report = json.loads(out)
@@ -686,7 +699,7 @@ def test_info_with_angles_reports_the_stratum(l_files, tmp_path, capsys):
     graph, _ = l_files
     o = origami.Origami.from_spec(L)
     for theta in (origami.standard_angles(o), origami.equilateral_angles(o)):
-        angles_file = write_json(tmp_path / "angles.json", angles.angles_to_json(theta))
+        angles_file = write_json(tmp_path / "angles.json", ribbon.he_map_to_json(theta, float))
         code, out, _ = run_cli(capsys, "info", str(graph), "--angles", str(angles_file))
         assert code == 0
         assert json.loads(out)["stratum"] == {"genus": 2, "zero_orders": [2]}
@@ -700,7 +713,7 @@ def test_info_with_angles_reports_the_stratum(l_files, tmp_path, capsys):
 def test_angles_that_fail_validation_are_one_error_line(l_files, tmp_path, capsys, command,
                                                         case, message):
     graph, _ = l_files
-    theta = angles.angles_to_json(origami.standard_angles(origami.Origami.from_spec(L)))
+    theta = ribbon.he_map_to_json(origami.standard_angles(origami.Origami.from_spec(L)), float)
     if case == "zero":
         theta = dict.fromkeys(theta, 0.0)
     else:
@@ -723,7 +736,7 @@ def test_info_refuses_angles_whose_cone_angles_are_not_whole_turns(tmp_path, cap
     theta[("f1-", 2)] -= 0.1
     angles.validate_angles(g, theta)
     graph = write_json(tmp_path / "graph.json", g.to_json())
-    angles_file = write_json(tmp_path / "angles.json", angles.angles_to_json(theta))
+    angles_file = write_json(tmp_path / "angles.json", ribbon.he_map_to_json(theta, float))
     code, out, err = run_cli(capsys, "info", str(graph), "--angles", str(angles_file))
     assert (code, out) == (1, "")
     assert err.startswith("error: angles do not close up to integer cone angle at orbit of")
@@ -731,7 +744,7 @@ def test_info_refuses_angles_whose_cone_angles_are_not_whole_turns(tmp_path, cap
 
 def test_output_files_hold_what_stdout_would(l_files, tmp_path, capsys):
     graph, iota = l_files
-    theta = angles.angles_to_json(origami.standard_angles(origami.Origami.from_spec(L)))
+    theta = ribbon.he_map_to_json(origami.standard_angles(origami.Origami.from_spec(L)), float)
     angles_file = write_json(tmp_path / "angles.json", theta)
     for argv in (["develop", str(graph), str(angles_file)],
                  ["sum", str(graph), "f1-/0", str(graph), "f2+/1"]):
@@ -842,8 +855,8 @@ def fuzz_documents(tmp_path_factory):
     # sheared, so that delaunay flip has work to do
     surface = develop.develop(g, theta)
     periods = {h: complex(z.real + 1.3 * z.imag, z.imag) for h, z in surface.periods.items()}
-    docs = {"G": g.to_json(), "A": angles.angles_to_json(theta),
-            "M": matching.matching_to_json(origami.canonical_matching(o)),
+    docs = {"G": g.to_json(), "A": ribbon.he_map_to_json(theta, float),
+            "M": ribbon.he_map_to_json(origami.canonical_matching(o), ribbon.he_key),
             "S": develop.DevelopedSurface(g, periods).to_json()}
     return docs, tmp_path_factory.mktemp("fuzz")
 

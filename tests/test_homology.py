@@ -3,7 +3,7 @@ pairings."""
 
 import pytest
 
-from chain_oracles import (boundary, chain_add, chain_from_json, enumerate_simple_cycles, p_map,
+from chain_oracles import (boundary, chain_add, enumerate_simple_cycles, other_side, p_map,
                            pairing_vector)
 from isodelaunay import homology, matching, origami, ribbon
 
@@ -85,13 +85,13 @@ def test_pairing_vector_negates_under_other_side(square_l_graph, prym_graph):
         basis = homology.cycle_basis(g)
         for h in g.half_edges():
             v = pairing_vector(basis, h)
-            w = pairing_vector(basis, ribbon.other_side(g, h))
+            w = pairing_vector(basis, other_side(g, h))
             assert tuple(-x for x in v) == w
 
 
 def test_chain_json_round_trip(torus_graph):
     alpha = homology.cycle_basis(torus_graph)[0]
-    again = chain_from_json(homology.chain_to_json(alpha))
+    again = ribbon.he_map_from_json(ribbon.he_map_to_json(alpha, int), int)
     assert again == alpha
 
 

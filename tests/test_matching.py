@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chain_oracles import apply_to_chain, chain_neg
-from isodelaunay import develop, homology, matching, origami, surgery
+from isodelaunay import develop, homology, matching, origami, ribbon, surgery
 from matching_oracles import backtracking_matchings
 from origami_oracles import staircase_origami
 from region_oracles import check_constant_holonomy, corner_polytope, open_polytope
@@ -90,7 +90,7 @@ def test_find_matchings_rejects_a_deadline_below_0_or_nan(square_l_graph, deadli
 
 def test_matching_json_round_trip(square_l):
     iota = canonical(square_l)
-    again = matching.matching_from_json(matching.matching_to_json(iota))
+    again = ribbon.he_map_from_json(ribbon.he_map_to_json(iota, ribbon.he_key), ribbon.parse_he_key)
     assert again == iota
 
 

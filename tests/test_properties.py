@@ -11,11 +11,13 @@ path chains, a ``phi`` that sorts every slot, ``phi`` itself for the
 corner chain rows that the basis walk emits (with the two-slot lemma behind
 them), per-cycle holonomy sums, a Delaunay test on angle dicts and a -1
 test on whole image chains, and the number of matchings against a count of
-pairing-triple classes.  Each graph's rank tables are checked against a
-scan of its faces and against ``other_side``, also after flips.  The
-certificates are checked against references too: ``is_cycle`` against the
-boundary map, the basis walk's one-pass certificate against ``is_cycle`` and
-the two-slot lemma on chains mutated from basis cycles, the in-circle
+pairing-triple classes.  Each graph's rank tables are checked against
+``occurrences`` and ``other_side`` (``chain_oracles``), which scan its
+faces, also after flips; cycles, matchings, angles and periods survive
+the JSON codec, which writes their keys in sorted order.  The certificates
+are checked against references too: ``is_cycle`` against the boundary map,
+the basis walk's one-pass certificate against ``is_cycle`` and the
+two-slot lemma on chains mutated from basis cycles, the in-circle
 determinant against numpy's, and the closure check of ``develop`` against a
 residual taken from both sides of every edge, with its periods to the bit
 when nothing is obstructed, also at the standard angles of origamis.  Under
@@ -39,6 +41,7 @@ triangulation carries a matching whose region holds its angles (criterion
 """
 
 import functools
+import json
 import math
 import random
 from collections import Counter
@@ -48,8 +51,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chain_oracles import (apply_to_chain, boundary, chain_add, chain_neg, is_cycle, p_map,
-                           pairing_vector, rows_negate_under)
+from chain_oracles import (apply_to_chain, boundary, chain_add, chain_neg, is_cycle, occurrences,
+                           other_side, p_map, pairing_vector, rows_negate_under)
 from delaunay_oracles import (circumcircle_cross_check, delaunay_sum, flip_edge,
                               flip_rebuilding_the_graph, incircle_det)
 from origami_oracles import (is_hyperelliptic, mapped_delaunay, matched_regions, random_gl_map,
@@ -127,17 +130,45 @@ def test_the_rank_tables_keep_the_half_edge_layout(triple, glued, sheared):
         assert [tuple(g.edges[k] for k in b) for b in g._face_edges] == [b for _, b in g.faces]
         assert list(g._occurrences) == list(g.edges)
         for e, ranks in g._occurrences.items():
-            assert ranks == [3 * p + s for p, (_, b) in enumerate(g.faces)
-                             for s, x in enumerate(b) if x == e]
-            assert g.occurrences(e) == [(g.faces[r // 3][0], r % 3) for r in ranks]
-        # sorted order, the permutation to positions, and each mate
+            assert [(g.faces[r // 3][0], r % 3) for r in ranks] == occurrences(g, e)
+        # sorted order, and each mate
         by_id = sorted(g.face_ids)
         assert g._half_edges == tuple((f, s) for f in by_id for s in range(3))
-        assert [g.faces[p][0] for p in g._order] == by_id
         assert g.half_edges() == list(g._half_edges)
         for r, h in enumerate(g._half_edges):
-            assert g._half_edges[g._mate[r]] == ribbon.other_side(g, h)
+            assert g._half_edges[g._mate[r]] == other_side(g, h)
         assert ribbon.validate(g)
+
+
+def _through_json(m: dict, encode, decode) -> dict:
+    """``m`` through the half-edge map codec and JSON text and back; the
+    encoder lists the keys in sorted half-edge order."""
+    data = ribbon.he_map_to_json(m, encode)
+    assert list(data) == [ribbon.he_key(h) for h in sorted(m)]
+    return ribbon.he_map_from_json(json.loads(json.dumps(data)), decode)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(graphs(), sheared_surfaces(), st.data())
+def test_half_edge_maps_survive_the_json_codec(triple, sheared, data):
+    # the renamed graph and the flipped surface list their half-edges out of
+    # sorted order, so the encoder has to sort them
+    for g in triple:
+        for alpha in homology.cycle_basis(g):
+            assert _through_json(alpha, int, int) == alpha
+        faces = [f for f, _ in g.faces]
+        targets = data.draw(st.permutations(faces))
+        offsets = data.draw(st.lists(st.integers(0, 2), min_size=len(faces), max_size=len(faces)))
+        drawn = {(f, s): (t, (s + k) % 3) for f, t, k in zip(faces, targets, offsets)
+                 for s in range(3)}
+        for iota in [drawn] + matching.find_matchings(g, limit=1).matchings:
+            assert _through_json(iota, ribbon.he_key, ribbon.parse_he_key) == iota
+    for surface in (sheared, develop.make_delaunay(sheared)[0]):
+        theta = develop.angles_of(surface)
+        assert _through_json(theta, float, float) == theta
+        doc = json.loads(json.dumps(surface.to_json()))
+        assert list(doc["periods"]) == [ribbon.he_key(h) for h in sorted(surface.periods)]
+        assert develop.DevelopedSurface.from_json(doc).periods == surface.periods
 
 
 @PROPERTY
@@ -335,7 +366,7 @@ def test_pairing_vectors_negate_across_edges(pair):
         basis = homology.cycle_basis(g)
         for h in g.half_edges():
             v = pairing_vector(basis, h)
-            w = pairing_vector(basis, ribbon.other_side(g, h))
+            w = pairing_vector(basis, other_side(g, h))
             assert w == tuple(-x for x in v)
 
 
@@ -382,7 +413,7 @@ def test_is_cycle_matches_the_boundary_reference(triple, rng):
         # zero at every edge, generally not at every face
         across: homology.Chain1 = {}
         for k in rng.sample(hes, rng.randint(0, 4)):
-            across = chain_add(across, {k: 1, ribbon.other_side(g, k): -1})
+            across = chain_add(across, {k: 1, other_side(g, k): -1})
         # zero at every face, generally not at every edge
         corners = {k: rng.randint(-2, 2) for k in rng.sample(hes, rng.randint(0, 4))}
         unknown = [*alpha.items(), (("f0?", 1), 1)]
@@ -454,7 +485,7 @@ def test_the_one_pass_certificate_rejects_what_the_references_reject(triple, glu
     for g in (*triple, glued):
         hes = g.half_edges()
         rank = {h: r for r, h in enumerate(hes)}
-        mate = [rank[ribbon.other_side(g, h)] for h in hes]
+        mate = [rank[other_side(g, h)] for h in hes]
         basis = homology.cycle_basis(g)
         k = rng.randrange(len(basis))
         alpha = {rank[h]: c for h, c in basis[k].items()}
@@ -606,7 +637,7 @@ def _is_nonseparating_by_walk(graph, h) -> bool:
     while stack:
         for e in graph._boundary[stack.pop()]:
             if e != skip:
-                for f, _ in graph.occurrences(e):
+                for f, _ in occurrences(graph, e):
                     if f not in reached:
                         reached.add(f)
                         stack.append(f)
@@ -632,7 +663,7 @@ def test_a_bridge_leaves_no_matching_and_a_matching_makes_only_planes(triple, gl
     for g in (*triple, glued):
         res = matching.find_matchings(g)
         assert res.complete
-        if any(not _is_nonseparating_by_walk(g, g.occurrences(e)[0]) for e in g.edges):
+        if any(not _is_nonseparating_by_walk(g, occurrences(g, e)[0]) for e in g.edges):
             assert res.matchings == []
         for iota in res.matchings:
             poly = region.build_polytope(g, iota)
@@ -679,7 +710,7 @@ def test_region_walls_are_lawson_flips(o, seed):
     iota = origami.canonical_matching(o)
     poly, ref = region.build_polytope(g, iota), corner_polytope(g, iota)
     start, _ = poly.optimum
-    edgewise = all(iota[ribbon.other_side(g, h)] == ribbon.other_side(g, iota[h]) for h in iota)
+    edgewise = all(iota[other_side(g, h)] == other_side(g, iota[h]) for h in iota)
     for through in region.sample(poly, 2, seed=seed):
         t, rows = chord_exit(ref, start, through)
         if min(rows) < len(ref.corners):  # an angle reaches 0
@@ -820,7 +851,7 @@ def _is_geometric_delaunay_on_angle_dicts(surface, tol=1e-9):
         s = delaunay_sum(surface.graph, theta, e)
         if abs(s - math.pi) < tol:
             raise develop.DegenerateTriangleError(f"degenerate Delaunay edge {e!r}")
-        (f, k), (f2, k2) = surface.graph.occurrences(e)
+        (f, k), (f2, k2) = occurrences(surface.graph, e)
         a, b, c, d = develop._quad(p[(f, k)], p[(f, (k + 1) % 3)], p[(f2, (k2 + 1) % 3)])
         check = circumcircle_cross_check((c, a, b, d), tol=tol)
         if not check["degenerate"] and not check["agree"]:
@@ -891,7 +922,7 @@ def _develop_from_both_sides(graph, theta, tol=1e-9):
         periods.update(develop._fill_face(theta, mate[0], mate[1], -periods[h]))
     scale = max(abs(z) for z in periods.values())
     for h in graph.half_edges():
-        residual = abs(periods[ribbon.other_side(graph, h)] + periods[h])
+        residual = abs(periods[other_side(graph, h)] + periods[h])
         if residual > tol * scale:
             return graph.edge_of(h), residual / scale
     return _hex_periods(develop.DevelopedSurface(graph, periods))

@@ -25,12 +25,6 @@ def reference(o):
     return corner_polytope(origami.build_origami_graph(o), origami.canonical_matching(o))
 
 
-def test_opposite_corner():
-    # the corner across the triangle from a half-edge
-    assert region.opposite_corner(("f1-", 0)) == ("f1-", 1)
-    assert region.opposite_corner(("f1-", 2)) == ("f1-", 0)
-
-
 def test_delaunay_sum_equilateral(square_l, square_l_graph):
     theta = origami.equilateral_angles(square_l)
     for e in square_l_graph.edges:

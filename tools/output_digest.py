@@ -25,7 +25,8 @@ against the dump of another tree.  The dump covers:
   workload's shear, ``is_geometric_delaunay``, and the ``float.hex`` of
   ``angles_of`` and of ``holonomies`` on the flipped graph's cycle basis;
 - ``check_constant_holonomy`` (from tests/region_oracles.py) on three
-  arboreal origamis;
+  arboreal origamis, and the ``float.hex`` of the 20 samples it draws from
+  ``open_polytope``;
 - ``network`` on every transitive pair class with at most 6 squares;
 - ``find_matchings(g, limit=3)`` on the graph of every geometrically simple
   class with at most 5 squares, each matching in ``he_key`` form in the
@@ -100,7 +101,7 @@ def cli_outputs(out: list[str]) -> None:
                  "-o", str(written))
             out.extend(p.read_text() for p in sorted(written.iterdir()))
         o = origami.Origami.from_spec(spec)
-        eq.write_text(json.dumps(angles.angles_to_json(origami.equilateral_angles(o))))
+        eq.write_text(json.dumps(ribbon.he_map_to_json(origami.equilateral_angles(o), float)))
         _cli(out, "--json", "info", str(graph), "--angles", str(eq))
         _cli(out, "--json", "holonomy", str(graph), str(eq))
         svg = Path("d.svg")
@@ -181,11 +182,13 @@ def flip_dump(out: list[str]) -> None:
 def holonomy_dump(out: list[str]) -> None:
     for spec in ORIGAMIS[:3]:
         o = origami.Origami.from_spec(spec)
-        g = origami.build_origami_graph(o)
-        rep = region_oracles.check_constant_holonomy(g, origami.canonical_matching(o),
-                                                     samples=20, seed=1)
+        g, iota = origami.build_origami_graph(o), origami.canonical_matching(o)
+        rep = region_oracles.check_constant_holonomy(g, iota, samples=20, seed=1)
         out.append(f"{spec} samples={rep['samples']} ok={rep['ok']} "
                    f"{_hex([rep['max_deviation'], rep['max_modulus_deviation']])}")
+        # the samples it compares, drawn again from the same polytope and seed
+        poly = region_oracles.open_polytope(g, iota)
+        out.extend(_hex(t[c] for c in poly.corners) for t in region.sample(poly, 20, seed=1))
 
 
 def network_dump(out: list[str]) -> None:
